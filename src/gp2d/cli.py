@@ -13,22 +13,15 @@ import numpy as np
 
 from . import __version__
 from .audits import (condensation_lower_bound, localization_check,
-                     min_constant, square_completion_check,
-                     gn_condensation_shape)
+                     square_completion_check)
 from .config import RunConfig, fingerprint, load_config
-from .energy import (sweep, vacuum_slope_fit, depletion_products,
-                     ground_state)
+from .energy import Pipeline, sweep, vacuum_slope_fit, depletion_products
 from .errors import Gp2dError
-from .fock import (LinearOperator, build_basis, conjugate, generators,
-                   hamiltonian_pieces, effective_hamiltonians, ladder,
-                   number_operator, shell_modes, unitary_excitation_map,
-                   hermiticity_residual)
-from .kernels import (GPParameters, eta_coefficients, export_kernels_csv,
-                      renormalized_potential, scattering_residual)
-from .lattice import build_lattice
+from .fock import (generators, ladder, number_operator,
+                   unitary_excitation_map)
+from .kernels import export_kernels_csv, scattering_residual
 from .potentials import fourier_transform_radial
-from .scattering import (export_solution_csv, neumann_ground_state,
-                         scattering_length, validate_neumann_asymptotics)
+from .scattering import export_solution_csv, validate_neumann_asymptotics
 
 COMMANDS = ("scatter", "neumann", "kernels", "fock-audit", "lower-bound",
             "energy-sweep", "all")
@@ -41,46 +34,20 @@ def _regime_note(alpha: float) -> None:
               f"desk-scale bands are still meaningful, proceeding")
 
 
-def _fock_context(cfg: RunConfig, n: int):
-    """Assemble the standard desk-scale operator set at particle count n."""
-    pot = cfg.make_potential()
-    params = GPParameters(n, cfg.fock_alpha, cfg.ell_scale)
-    basis = build_basis(shell_modes(cfg.shell), n)
-    lat = build_lattice(cfg.cutoff)
-    if pot.is_zero:
-        from .kernels import KernelTable
-        zeros = np.zeros(lat.size)
-        table = KernelTable(lat, zeros, zeros.copy(), 0.0, 0.0, 0.0, 0.0,
-                            params, 0.0)
-        lam = 0.0
-    else:
-        sol = neumann_ground_state(pot, params.R,
-                                   a=scattering_length(pot).a)
-        table = eta_coefficients(sol, params, lat,
-                                 per_efold=cfg.quad_per_efold)
-        lam = sol.lam_R2
-    renorm = renormalized_potential(params, lam, lat)
-    return pot, params, basis, table, renorm
-
-
-def cmd_scatter(cfg: RunConfig, out: Path) -> tuple[bool, list]:
-    pot = cfg.make_potential()
-    zsol = scattering_length(pot)
+def cmd_scatter(pipe: Pipeline, out: Path) -> tuple[bool, list]:
+    zsol = pipe.zero
     print(f"scattering length a = {zsol.a:.9g}  "
           f"(log-fit residual {zsol.fit_residual:.2e})")
     path = out / "scatter.json"
     path.write_text(json.dumps({
         "a": zsol.a, "fit_residual": zsol.fit_residual,
         "log_slope": zsol.log_slope, "vhat0": fourier_transform_radial(
-            pot, 0.0)}, sort_keys=True) + "\n")
+            pipe.pot, 0.0)}, sort_keys=True) + "\n")
     return True, [path]
 
 
-def cmd_neumann(cfg: RunConfig, out: Path) -> tuple[bool, list]:
-    pot = cfg.make_potential()
-    params = GPParameters(cfg.n_value, cfg.alpha, cfg.ell_scale)
-    a = 0.0 if pot.is_zero else scattering_length(pot).a
-    sol = neumann_ground_state(pot, params.R, a=a)
+def cmd_neumann(pipe: Pipeline, out: Path) -> tuple[bool, list]:
+    sol = pipe.neumann(pipe.cfg.n_value, pipe.cfg.alpha)
     rep = validate_neumann_asymptotics(sol)
     ok = (np.min(sol.f) >= -1e-10 and np.max(sol.f) <= 1 + 1e-10
           and rep.all_finite)
@@ -92,19 +59,17 @@ def cmd_neumann(cfg: RunConfig, out: Path) -> tuple[bool, list]:
     return ok, [path]
 
 
-def cmd_kernels(cfg: RunConfig, out: Path) -> tuple[bool, list]:
-    pot = cfg.make_potential()
-    params = GPParameters(cfg.n_value, cfg.alpha, cfg.ell_scale)
-    lat = build_lattice(cfg.cutoff)
-    if pot.is_zero:
+def cmd_kernels(pipe: Pipeline, out: Path) -> tuple[bool, list]:
+    cfg = pipe.cfg
+    N, alpha = cfg.n_value, cfg.alpha
+    params = pipe.params(N, alpha)
+    if pipe.pot.is_zero:
         print("free potential: eta identically zero, residual 0")
         return True, []
-    a = scattering_length(pot).a
-    sol = neumann_ground_state(pot, params.R, a=a)
-    table = eta_coefficients(sol, params, lat,
-                             per_efold=cfg.quad_per_efold)
-    renorm = renormalized_potential(params, sol.lam_R2, lat)
-    rep = scattering_residual(table, renorm, pot, params, sol,
+    table = pipe.table(N, alpha)
+    renorm = pipe.renorm(N, alpha)
+    rep = scattering_residual(table, renorm, pipe.pot, params,
+                              pipe.neumann(N, alpha),
                               per_efold=cfg.quad_per_efold)
     ok = rep.max_rel <= 1e-3
     if rep.truncation_dominated:
@@ -116,13 +81,15 @@ def cmd_kernels(cfg: RunConfig, out: Path) -> tuple[bool, list]:
           f"max-rel-residual={rep.max_rel:.3e} "
           f"[{'ok' if ok else 'FAIL'}]")
     path = out / "kernels.csv"
-    export_kernels_csv(table, renorm, a, path)
+    export_kernels_csv(table, renorm, pipe.zero.a, path)
     return ok, [path]
 
 
-def cmd_fock_audit(cfg: RunConfig, out: Path) -> tuple[bool, list]:
+def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
+    cfg = pipe.cfg
     n = min(3, cfg.fock_n_max)
-    pot, params, basis, table, renorm = _fock_context(cfg, n)
+    params = pipe.params(n, cfg.fock_alpha)
+    basis, ops = pipe.hamiltonians(n, cfg.fock_alpha)
     tol = 1e-10
     residuals = {}
 
@@ -147,11 +114,10 @@ def cmd_fock_audit(cfg: RunConfig, out: Path) -> tuple[bool, list]:
     urep = unitary_excitation_map(basis.modes, n)
     residuals["unitary_map"] = max(v for k, v in urep.items() if k != "pass")
 
-    gens = generators(basis, table, params)
+    gens = generators(basis, pipe.table(n, cfg.fock_alpha), params)
     residuals["antihermitian"] = max(
         float(np.max(np.abs(g.mat + g.mat.conj().T)))
         for g in gens.values())
-    ops = effective_hamiltonians(basis, renorm, pot, params, table)
     loc = localization_check(ops["R_eff"], basis, max(1.0, n ** 0.8),
                              ops["H_N"], params)
     residuals["localization"] = loc.identity_residual
@@ -166,10 +132,12 @@ def cmd_fock_audit(cfg: RunConfig, out: Path) -> tuple[bool, list]:
     return ok, [path]
 
 
-def cmd_lower_bound(cfg: RunConfig, out: Path) -> tuple[bool, list]:
+def cmd_lower_bound(pipe: Pipeline, out: Path) -> tuple[bool, list]:
+    cfg = pipe.cfg
     n = min(4, cfg.fock_n_max)
-    pot, params, basis, table, renorm = _fock_context(cfg, n)
-    ops = effective_hamiltonians(basis, renorm, pot, params, table)
+    params = pipe.params(n, cfg.fock_alpha)
+    renorm = pipe.renorm(n, cfg.fock_alpha)
+    basis, ops = pipe.hamiltonians(n, cfg.fock_alpha)
     rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis, renorm,
                                    params, c=cfg.c_lower)
     scal = square_completion_check(renorm, params, c=cfg.c_lower)
@@ -185,9 +153,10 @@ def cmd_lower_bound(cfg: RunConfig, out: Path) -> tuple[bool, list]:
     return ok, [path]
 
 
-def cmd_energy_sweep(cfg: RunConfig, out: Path) -> tuple[bool, list]:
+def cmd_energy_sweep(pipe: Pipeline, out: Path) -> tuple[bool, list]:
+    cfg = pipe.cfg
     csv_path = out / "sweep.csv"
-    ds = sweep(cfg, csv_path)
+    ds = sweep(cfg, csv_path, pipe)
     if ds.skipped:
         print(f"skipped: {ds.skipped} records (already complete)")
     slope = vacuum_slope_fit(ds)
@@ -261,13 +230,14 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
 
         _regime_note(cfg.alpha)
+        pipe = Pipeline(cfg)
         names = list(_DISPATCH) if args.command == "all" else [args.command]
         statuses = {}
         artifacts = []
         all_ok = True
         for name in names:
             try:
-                ok, paths = _DISPATCH[name](cfg, out)
+                ok, paths = _DISPATCH[name](pipe, out)
             except Gp2dError as exc:
                 print(f"{name}: error: {exc}", file=sys.stderr)
                 ok, paths = False, []

@@ -33,16 +33,12 @@ class RunConfig:
     fock_alpha: float = 2.5
     cutoff: float = TWO_PI * 16
     shell: int = 4
-    cap: int = 0                 # 0 means: use N
     ell_scale: float = 1.0
     quad_per_efold: int = 8
-    tol_eig: float = 1e-10
-    tol_psd: float = 1e-9
     c_lower: float = 0.1
-    audits: str = "all"
     out_dir: str = "out"
     seed: int = 0
-    threads: int = 1
+    threads: int = 1             # accepted for compatibility; no effect
     strict: bool = False
 
     def __post_init__(self):
@@ -56,9 +52,6 @@ class RunConfig:
             raise ConfigError("cutoff must be at least 2*pi")
         if self.shell not in (4, 8, 12):
             raise ConfigError("shell must be one of 4, 8, 12")
-        for name in ("tol_eig", "tol_psd"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
         if self.quad_per_efold < 1:
             raise ConfigError("quad_per_efold must be positive")
         if self.potential not in ("step", "gaussian-bump", "free") \
@@ -131,8 +124,8 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
-# Execution-only knobs: they change where/how fast results are produced,
-# never the numbers, so they stay out of the fingerprint.
+# Execution-only knobs: they change where results are written (or nothing,
+# for threads), never the numbers, so they stay out of the fingerprint.
 _NON_SEMANTIC_FIELDS = frozenset({"out_dir", "threads"})
 
 

@@ -4,26 +4,85 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from .config import RunConfig, fingerprint
-from .errors import SolverError
-from .fock import (FockBasis, FockVector, LinearOperator, build_basis,
-                   effective_hamiltonians, number_operator, shell_modes)
-from .kernels import (GPParameters, eta_coefficients, renormalized_potential)
-from .lattice import build_lattice
+from .errors import ConsistencyError, SolverError
+from .fock import (FockBasis, LinearOperator, build_basis,
+                   effective_hamiltonians, shell_modes)
+from .kernels import (GPParameters, KernelTable, RenormPotential,
+                      eta_coefficients, renormalized_potential)
+from .lattice import MomentumLattice, build_lattice
 from .potentials import RadialPotential
-from .scattering import neumann_ground_state, scattering_length
+from .scattering import (NeumannSolution, ZeroEnergySolution,
+                         neumann_ground_state, scattering_length)
 
 SCHEMA = "gp2d-sweep-v1"
 CSV_COLUMNS = ("N", "alpha", "cutoff", "dim", "E_vac", "E0", "depletion",
                "lambda_group", "omega0", "wall_ms")
 DENSE_EIG_CAP = 4000
+
+
+class Pipeline:
+    """The chain of one run, each link computed on first use and kept.
+
+    potential -> zero-energy solution (scattering length a) -> Neumann
+    profile on the disk of radius R = e^N ell -> eta table and omega_hat,
+    all on the run's single momentum lattice.  The last three are kept
+    per (N, alpha).  Every command of a run reads from one Pipeline.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self._memo = {}
+
+    @cached_property
+    def pot(self) -> RadialPotential:
+        return self.cfg.make_potential()
+
+    @cached_property
+    def zero(self) -> ZeroEnergySolution:
+        return scattering_length(self.pot)
+
+    @cached_property
+    def lattice(self) -> MomentumLattice:
+        return build_lattice(self.cfg.cutoff)
+
+    def params(self, N: int, alpha: float) -> GPParameters:
+        return GPParameters(N, alpha, self.cfg.ell_scale)
+
+    def _once(self, kind: str, N: int, alpha: float, make):
+        key = (kind, N, alpha)
+        if key not in self._memo:
+            self._memo[key] = make(self.params(N, alpha))
+        return self._memo[key]
+
+    def neumann(self, N: int, alpha: float) -> NeumannSolution:
+        return self._once("neumann", N, alpha, lambda p: neumann_ground_state(
+            self.pot, p.R, a=self.zero.a))
+
+    def renorm(self, N: int, alpha: float) -> RenormPotential:
+        return self._once("renorm", N, alpha, lambda p: renormalized_potential(
+            p, self.neumann(N, alpha).lam_R2, self.lattice))
+
+    def table(self, N: int, alpha: float) -> KernelTable:
+        return self._once("table", N, alpha, lambda p: eta_coefficients(
+            self.neumann(N, alpha), p, self.lattice,
+            per_efold=self.cfg.quad_per_efold))
+
+    def hamiltonians(self, N: int, alpha: float) -> tuple[FockBasis, dict]:
+        """Excitation basis at particle cap N and its effective
+        Hamiltonians; built afresh on every call, not kept."""
+        basis = build_basis(shell_modes(self.cfg.shell), N)
+        ops = effective_hamiltonians(basis, self.renorm(N, alpha), self.pot,
+                                     self.params(N, alpha),
+                                     self.table(N, alpha))
+        return basis, ops
 
 
 def vacuum_upper_bound(params: GPParameters, renorm) -> float:
@@ -32,11 +91,10 @@ def vacuum_upper_bound(params: GPParameters, renorm) -> float:
 
 
 def ground_state(op: LinearOperator, basis: FockBasis,
-                 seed: int = 0) -> tuple[float, FockVector, float]:
+                 seed: int = 0) -> tuple[float, np.ndarray, float]:
     """Smallest eigenpair and the occupation fraction of its eigenvector."""
     if op.dim <= DENSE_EIG_CAP:
         vals, vecs = eigh(op.mat)
-        e0, vec = float(vals[0]), vecs[:, 0]
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(op.dim)
@@ -44,10 +102,11 @@ def ground_state(op: LinearOperator, basis: FockBasis,
             vals, vecs = eigsh(op.mat, k=1, which="SA", v0=v0)
         except Exception as exc:
             raise SolverError(f"iterative eigensolve failed: {exc}")
-        e0, vec = float(vals[0]), vecs[:, 0]
-    npl = number_operator(basis).mat
-    depletion = float(np.real(np.vdot(vec, npl @ vec))) / basis.cap
-    return e0, FockVector(vec.astype(complex)), depletion
+    e0, vec = float(vals[0]), vecs[:, 0]
+    if not np.all(np.isfinite(vec)):
+        raise ConsistencyError("non-finite amplitudes")
+    depletion = float(basis.totals() @ np.abs(vec) ** 2) / basis.cap
+    return e0, vec, depletion
 
 
 @dataclass(frozen=True)
@@ -86,38 +145,22 @@ class SweepDataset:
         return sorted(self.records, key=lambda r: r.key())
 
 
-def compute_record(pot: RadialPotential, N: int, alpha: float,
-                   cfg: RunConfig, a: float,
+def compute_record(pipe: Pipeline, N: int, alpha: float,
                    with_fock: bool) -> EnergyRecord:
     """One grid point of the pipeline: scattering through (optionally)
     the assembled effective Hamiltonian's ground state."""
     t0 = time.perf_counter()
-    params = GPParameters(N, alpha, cfg.ell_scale)
-    if pot.is_zero:
-        lam_group, omega0 = 0.0, 0.0
-    else:
-        sol = neumann_ground_state(pot, params.R, a=a)
-        lam_group = sol.lam_R2
-        lat = build_lattice(cfg.cutoff)
-        renorm = renormalized_potential(params, lam_group, lat)
-        omega0 = renorm.omega0
-    E_vac = 0.5 * omega0 * (N - 1)
+    lam_group = pipe.neumann(N, alpha).lam_R2
+    renorm = pipe.renorm(N, alpha)
+    E_vac = vacuum_upper_bound(pipe.params(N, alpha), renorm)
     E0, depletion, dim = math.nan, math.nan, 0
     if with_fock:
-        basis = build_basis(shell_modes(cfg.shell), N)
+        basis, ops = pipe.hamiltonians(N, alpha)
         dim = basis.dim
-        if pot.is_zero:
-            from .fock import kinetic_operator
-            R_eff = kinetic_operator(basis)
-        else:
-            table = eta_coefficients(sol, params, lat,
-                                     per_efold=cfg.quad_per_efold)
-            ops = effective_hamiltonians(basis, renorm, pot, params, table)
-            R_eff = ops["R_eff"]
-        E0, _, depletion = ground_state(R_eff, basis, cfg.seed)
+        E0, _, depletion = ground_state(ops["R_eff"], basis, pipe.cfg.seed)
     wall = (time.perf_counter() - t0) * 1000.0
-    return EnergyRecord(N, alpha, cfg.cutoff, dim, E_vac, E0, depletion,
-                        lam_group, omega0, wall)
+    return EnergyRecord(N, alpha, pipe.cfg.cutoff, dim, E_vac, E0, depletion,
+                        lam_group, renorm.omega0, wall)
 
 
 def sweep_grid(cfg: RunConfig) -> list:
@@ -131,8 +174,14 @@ def sweep_grid(cfg: RunConfig) -> list:
     return grid
 
 
-def sweep(cfg: RunConfig, csv_path=None) -> SweepDataset:
-    """Run the grid, skipping records already persisted for this config."""
+def sweep(cfg: RunConfig, csv_path=None,
+          pipe: Pipeline | None = None) -> SweepDataset:
+    """Run the grid, skipping records already persisted for this config.
+
+    Records are computed one after another from ``pipe``, the run's
+    Pipeline built from cfg (a fresh one when not given); cfg.threads has
+    no effect.
+    """
     fp = fingerprint(cfg)
     done = {}
     if csv_path is not None:
@@ -140,21 +189,11 @@ def sweep(cfg: RunConfig, csv_path=None) -> SweepDataset:
         if loaded is not None and loaded.fingerprint == fp:
             done = {r.key(): r for r in loaded.records}
 
-    pot = cfg.make_potential()
-    a = 0.0 if pot.is_zero else scattering_length(pot).a
-    grid = sweep_grid(cfg)
-    todo = [(n, al, wf) for (n, al, wf) in grid
-            if (n, round(al, 12), round(cfg.cutoff, 9)) not in done]
-
-    def task(point):
-        n, al, wf = point
-        return compute_record(pot, n, al, cfg, a, wf)
-
-    if cfg.threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            fresh = list(pool.map(task, todo))
-    else:
-        fresh = [task(p) for p in todo]
+    if pipe is None:
+        pipe = Pipeline(cfg)
+    fresh = [compute_record(pipe, n, al, wf)
+             for (n, al, wf) in sweep_grid(cfg)
+             if (n, round(al, 12), round(cfg.cutoff, 9)) not in done]
 
     records = list(done.values()) + fresh
     ds = SweepDataset(records, fp, skipped=len(done))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, ConsistencyError, SizeError
 from .kernels import GPParameters, KernelTable, RenormPotential
@@ -24,7 +23,6 @@ from .potentials import RadialPotential, fourier_transform_radial
 
 HERMITIAN_TOL = 1e-12
 DEFAULT_DIM_CAP = 200_000
-DENSE_EXP_CAP = 4000
 
 
 def shell_modes(count: int = 4) -> tuple[tuple[int, int], ...]:
@@ -133,19 +131,6 @@ class LinearOperator:
     def expectation(self, vec: np.ndarray) -> float:
         val = np.vdot(vec, self.mat @ vec)
         return float(val.real)
-
-
-@dataclass
-class FockVector:
-    """Amplitude vector with a cached norm."""
-
-    amplitudes: np.ndarray
-    norm: float = 0.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise ConsistencyError("non-finite amplitudes")
-        self.norm = float(np.linalg.norm(self.amplitudes))
 
 
 def hermiticity_residual(mat: np.ndarray) -> float:
@@ -369,29 +354,13 @@ def generators(basis: FockBasis, table: KernelTable,
     return {"B": B, "A": A}
 
 
-@dataclass(frozen=True)
-class ConjugationHandle:
-    """Matrix-free e^{-G} op e^{G} application for large bases."""
-
-    op: LinearOperator
-    gen: LinearOperator
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        step = expm_multiply(self.gen.mat, vec)
-        step = self.op.mat @ step
-        return expm_multiply(-self.gen.mat, step)
-
-
-def conjugate(op: LinearOperator, gen: LinearOperator,
-              dense_cap: int = DENSE_EXP_CAP):
+def conjugate(op: LinearOperator, gen: LinearOperator) -> LinearOperator:
     """e^{-gen} op e^{gen} with certified unitarity of e^{gen}."""
     if op.dim != gen.dim:
         raise ConfigError("dimension mismatch in conjugation")
     r = float(np.max(np.abs(gen.mat + gen.mat.conj().T)))
     if r > HERMITIAN_TOL:
         raise ConsistencyError(f"generator not antihermitian ({r:.3e})")
-    if op.dim > dense_cap:
-        return ConjugationHandle(op, gen)
     U = expm(gen.mat)
     unit = float(np.max(np.abs(U.conj().T @ U - np.eye(op.dim))))
     if unit > 1e-10:
@@ -428,36 +397,38 @@ def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
     HN = LinearOperator(K.mat + VN.mat, "H_N", hermitian=True)
     v0 = fourier_transform_radial(pot, 0.0)
 
-    def quad_off_diag(weight):
-        terms = []
-        for i in range(basis.n_modes):
-            wv = weight(basis.modes[i])
-            ineg = int(basis.neg_mode[i])
-            terms.append((0.5 * wv, [("bd", i), ("bd", ineg)]))
-            terms.append((0.5 * wv, [("b", i), ("b", ineg)]))
-        return build_operator(basis, terms, "quad", hermitian=True)
+    # the omega pair operator, shared by G_eff and R_eff
+    terms = []
+    for i, m in enumerate(basis.modes):
+        wv = omega_mode(m)
+        ineg = int(basis.neg_mode[i])
+        terms.append((0.5 * wv, [("bd", i), ("bd", ineg)]))
+        terms.append((0.5 * wv, [("b", i), ("b", ineg)]))
+    quad = build_operator(basis, terms, "quad", hermitian=True).mat
 
-    g_diag = diagonal_in_total(
+    # each sum is accumulated in place, left to right, so no piece or
+    # partial sum outlives its addition (dense matrices dominate memory)
+    G = diagonal_in_total(
         basis,
         lambda n: 0.5 * w0 * (N - 1) * (1 - n / N)
         + (2 * N * v0 - 0.5 * w0) * n * (1 - n / N),
-        "G-diag")
-    g_cubic = _cubic_operator(basis, lambda m: _vhat(pot, params, m),
-                              math.sqrt(N), "G-cubic")
-    G_eff = LinearOperator(
-        g_diag.mat + quad_off_diag(omega_mode).mat + g_cubic.mat + HN.mat,
-        "G_eff", hermitian=True)
+        "G-diag").mat
+    G += quad
+    G += _cubic_operator(basis, lambda m: _vhat(pot, params, m),
+                         math.sqrt(N), "G-cubic").mat
+    G += HN.mat
+    G_eff = LinearOperator(G, "G_eff", hermitian=True)
 
-    r_diag = diagonal_in_total(
+    R = diagonal_in_total(
         basis,
         lambda n: 0.5 * (N - 1) * w0 * (1 - n / N)
         + 0.5 * w0 * n * (1 - n / N) + w0 * n * (1 - n / N),
-        "R-diag")
-    r_cubic = _cubic_operator(basis, omega_mode, 1.0 / math.sqrt(N),
-                              "R-cubic")
-    R_eff = LinearOperator(
-        r_diag.mat + quad_off_diag(omega_mode).mat + r_cubic.mat + HN.mat,
-        "R_eff", hermitian=True)
+        "R-diag").mat
+    R += quad
+    R += _cubic_operator(basis, omega_mode, 1.0 / math.sqrt(N),
+                         "R-cubic").mat
+    R += HN.mat
+    R_eff = LinearOperator(R, "R_eff", hermitian=True)
     return {"G_eff": G_eff, "R_eff": R_eff, "H_N": HN, "K": K, "V_N": VN}
 
 
@@ -480,7 +451,7 @@ class SectorBasis:
         return len(self.states)
 
 
-def build_sector(modes, N: int, dim_cap: int = DENSE_EXP_CAP) -> SectorBasis:
+def build_sector(modes, N: int, dim_cap: int = 4000) -> SectorBasis:
     modes = tuple(tuple(m) for m in modes)
     states = []
     for total_exc in range(N + 1):

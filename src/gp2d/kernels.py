@@ -91,25 +91,28 @@ def _profile_panels(sol: NeumannSolution, params: GPParameters, freq: float,
     return bounds
 
 
-def eta_value(sol: NeumannSolution, params: GPParameters, p_norm: float,
-              per_efold: int = 8) -> float:
-    """eta at one momentum magnitude.
+def eta_profile(sol: NeumannSolution, params: GPParameters,
+                p_norms, per_efold: int = 8) -> np.ndarray:
+    """eta at each requested momentum magnitude.
 
     eta_p = -2 pi N ell^2 * int_0^1 w(t R) J0(|p| ell t) t dt, the scaled
-    Fourier coefficient of the correlation profile on the torus.
+    Fourier coefficient of the correlation profile on the torus.  The
+    profile is evaluated once, on panels split at the J0 zeros of the
+    largest requested frequency, and contracted with every |p| at once.
     """
-    freq = p_norm * params.ell
-    bounds = _profile_panels(sol, params, freq, per_efold)
+    freq = np.asarray(p_norms, float) * params.ell
+    bounds = _profile_panels(sol, params, float(freq.max(initial=0.0)),
+                             per_efold)
     nodes, wts = gl_nodes_weights(bounds)
-    w = sol.w_at(nodes * params.R)
-    val = np.dot(wts, w * j0(freq * nodes) * nodes)
-    return float(-TWO_PI * params.N * params.ell ** 2 * val)
+    weighted = wts * sol.w_at(nodes * params.R) * nodes
+    val = j0(np.multiply.outer(freq, nodes)) @ weighted
+    return -TWO_PI * params.N * params.ell ** 2 * val
 
 
-def eta_profile(sol: NeumannSolution, params: GPParameters,
-                p_norms: np.ndarray, per_efold: int = 8) -> np.ndarray:
-    return np.array([eta_value(sol, params, float(p), per_efold)
-                     for p in np.asarray(p_norms, float)])
+def eta_value(sol: NeumannSolution, params: GPParameters, p_norm: float,
+              per_efold: int = 8) -> float:
+    """eta at one momentum magnitude (see eta_profile)."""
+    return float(eta_profile(sol, params, p_norm, per_efold))
 
 
 def w_squared_integral(sol: NeumannSolution, params: GPParameters,
@@ -146,7 +149,8 @@ class KernelTable:
 
 def eta_coefficients(sol: NeumannSolution, params: GPParameters,
                      lat: MomentumLattice, per_efold: int = 8) -> KernelTable:
-    """Tabulate eta on the lattice via per-norm Hankel quadrature.
+    """Tabulate eta on the lattice: one Hankel quadrature over the zero
+    mode and every distinct |p|.
 
     Points sharing |p| get the identical quadrature value, so the
     p -> -p symmetry holds bit for bit.
@@ -160,9 +164,9 @@ def eta_coefficients(sol: NeumannSolution, params: GPParameters,
         return KernelTable(lat, zeros, zeros.copy(), 0.0, 0.0, 0.0, 0.0,
                            params, 0.0)
     uniq, inv = lat.unique_norms()
-    eta_u = eta_profile(sol, params, uniq, per_efold)
-    eta = eta_u[inv]
-    eta0 = eta_value(sol, params, 0.0, per_efold)
+    eta_u = eta_profile(sol, params, np.concatenate(([0.0], uniq)),
+                        per_efold)
+    eta0, eta = float(eta_u[0]), eta_u[1:][inv]
     total = params.N ** 2 * w_squared_integral(sol, params, per_efold)
     norm2 = math.sqrt(max(total - eta0 ** 2, 0.0))
     return KernelTable(lat, eta, -eta / params.N, eta0, norm2,
@@ -292,16 +296,16 @@ def scattering_residual(table: KernelTable, renorm: RenormPotential,
     lam = table.lam_R2
     damp = math.exp(-params.N)
     uniq, inv = lat.unique_norms()
+    reps = np.unique(inv, return_index=True)[1]   # first mode per |p|
 
     # exact convolution (N/2) sum_q Vhat((p-q)/e^N) eta_q, via the product
     # V(s) w(s) in position space
     bounds = np.linspace(0.0, pot.r0, 65)
     nodes, wts = gl_nodes_weights(bounds)
-    vw = pot(nodes) * sol.w_at(nodes) * nodes
-    conv_v_exact = -params.N * np.pi * np.array(
-        [np.dot(wts, vw * j0(P * damp * nodes)) for P in uniq])
+    vw = wts * pot(nodes) * sol.w_at(nodes) * nodes
+    conv_v_exact = -params.N * np.pi * (
+        j0(np.multiply.outer(uniq * damp, nodes)) @ vw)
 
-    reps = _rep_indices(len(uniq), inv)
     eta_u = table.eta[reps]
     vhat_p = fourier_transform_radial(pot, uniq * damp)
     lhs = uniq ** 2 * eta_u + 0.5 * params.N * vhat_p + conv_v_exact
@@ -309,19 +313,20 @@ def scattering_residual(table: KernelTable, renorm: RenormPotential,
     resid_u = (lhs - rhs) / (0.5 * params.N * vhat_p)
 
     # truncated lattice convolutions at a representative point per norm,
-    # to size the part the finite lattice misses
-    q_pts = np.vstack((lat.points, [[0.0, 0.0]]))
+    # to size the part the finite lattice misses.  |p - q|^2 / (2 pi)^2 is
+    # an integer, so Vhat and chi_hat are evaluated once per distinct value
+    # and gathered through an index array.
+    q_ints = np.vstack((lat.ints, [[0, 0]]))
     eta_all = np.concatenate((table.eta, [table.eta0]))
-    tail_v_u = np.empty(len(uniq))
-    tail_chi_u = np.empty(len(uniq))
-    for iu, rep in enumerate(reps):
-        d = lat.points[rep] - q_pts
-        dn = np.hypot(d[:, 0], d[:, 1])
-        vhat_d = fourier_transform_radial(pot, dn * damp)
-        trunc_v = 0.5 * np.dot(vhat_d, eta_all)
-        tail_v_u[iu] = conv_v_exact[iu] - trunc_v
-        trunc_chi = lam * np.dot(chi_hat(dn * ell), eta_all)
-        tail_chi_u[iu] = (lam / ell ** 2) * table.eta[rep] - trunc_chi
+    diff = lat.ints[reps][:, None, :] - q_ints[None, :, :]
+    s_u, s_inv = np.unique((diff ** 2).sum(axis=2), return_inverse=True)
+    s_inv = s_inv.reshape(len(reps), len(q_ints))
+    dn = TWO_PI * np.sqrt(s_u)
+    trunc_v = 0.5 * (fourier_transform_radial(pot, dn * damp)[s_inv]
+                     @ eta_all)
+    trunc_chi = lam * (chi_hat(dn * ell)[s_inv] @ eta_all)
+    tail_v_u = conv_v_exact - trunc_v
+    tail_chi_u = (lam / ell ** 2) * eta_u - trunc_chi
 
     scale_u = 0.5 * params.N * vhat_p
     dominated = bool(np.any((np.abs(tail_v_u) + np.abs(tail_chi_u))
@@ -329,14 +334,6 @@ def scattering_residual(table: KernelTable, renorm: RenormPotential,
                             * np.abs(scale_u)))
     return ResidualReport(np.sqrt(lat.norms2), resid_u[inv], tail_v_u[inv],
                           tail_chi_u[inv], dominated)
-
-
-def _rep_indices(n_uniq: int, inv) -> np.ndarray:
-    reps = np.full(n_uniq, -1, dtype=int)
-    for i, u in enumerate(inv):
-        if reps[u] < 0:
-            reps[u] = i
-    return reps
 
 
 def export_kernels_csv(table: KernelTable, renorm: RenormPotential,

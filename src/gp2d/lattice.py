@@ -64,33 +64,3 @@ def build_lattice(cutoff: float) -> MomentumLattice:
     return MomentumLattice(float(cutoff), ints, TWO_PI * ints.astype(float),
                            norms2)
 
-
-def octant_norm_counts(nmax: int):
-    """Unique values of n1^2 + n2^2 <= nmax^2 (n != 0) with multiplicities.
-
-    Enumerates one octant and expands by symmetry; used for fast radial
-    sums over the full lattice.
-    """
-    vals = []
-    counts = []
-    for i in range(0, nmax + 1):
-        for j in range(i, nmax + 1):
-            if i == 0 and j == 0:
-                continue
-            s = i * i + j * j
-            if s > nmax * nmax:
-                break
-            if i == 0:
-                mult = 4
-            elif i == j:
-                mult = 4
-            else:
-                mult = 8
-            vals.append(s)
-            counts.append(mult)
-    vals = np.array(vals)
-    counts = np.array(counts)
-    uniq, inv = np.unique(vals, return_inverse=True)
-    agg = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(agg, inv, counts)
-    return uniq, agg

@@ -1,7 +1,10 @@
+import inspect
 import json
+import sys
 
 import pytest
 
+from gp2d import scattering
 from gp2d.cli import main
 from gp2d.config import RunConfig, fingerprint
 
@@ -64,6 +67,30 @@ def test_all_command_and_manifest(tmp_path, fast_cfg):
     assert any(a.endswith("plots.gp") for a in manifest["artifacts"])
     assert (out / "sweep.csv").exists()
     assert (out / "plots.gp").exists()
+
+
+def test_all_computes_each_quantity_once(tmp_path, fast_cfg, monkeypatch):
+    calls = {"scattering_length": [], "neumann_ground_state": []}
+    for name, log in calls.items():
+        original = getattr(scattering, name)
+        sig = inspect.signature(original)
+
+        def counted(*args, _orig=original, _sig=sig, _log=log, **kwargs):
+            _log.append(_sig.bind(*args, **kwargs).arguments)
+            return _orig(*args, **kwargs)
+
+        # rebind the name wherever a gp2d module holds it
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.split(".")[0] == "gp2d"
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counted)
+
+    assert run(["all", "--config", fast_cfg, "--out", tmp_path / "o"]) == 0
+    assert len(calls["scattering_length"]) == 1
+    radii = [args["R"] for args in calls["neumann_ground_state"]]
+    # N=12 at alpha 1.5, the Fock builds N=3, 4 at alpha 2.5, and the
+    # trajectory N=10, 16, ..., 40 at alpha 1.5
+    assert len(radii) == len(set(radii)) == 9
 
 
 def test_out_dir_from_environment(tmp_path, fast_cfg, monkeypatch):

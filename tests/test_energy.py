@@ -1,17 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gp2d.config import RunConfig, fingerprint
-from gp2d.energy import (EnergyRecord, SweepDataset, compute_record,
+from gp2d.energy import (EnergyRecord, Pipeline, SweepDataset, compute_record,
                          depletion_products, ground_state, load_dataset,
                          sweep, sweep_grid, vacuum_slope_fit,
                          vacuum_upper_bound, write_dataset)
 from gp2d.fock import LinearOperator, build_basis, shell_modes
 from gp2d.kernels import GPParameters, renormalized_potential
 from gp2d.lattice import TWO_PI, build_lattice
-from gp2d.potentials import free, step
 
 SMALL = RunConfig(n_min=10, n_max=14, n_step=2, fock_n_max=4,
                   cutoff=TWO_PI * 4)
@@ -31,7 +31,7 @@ def test_ground_state_diagonal_oracle():
     op = LinearOperator(np.diag(diag.astype(complex)), "D", hermitian=True)
     e0, vec, depletion = ground_state(op, basis)
     assert e0 == pytest.approx(diag.min(), rel=1e-14)
-    i = int(np.argmax(np.abs(vec.amplitudes)))
+    i = int(np.argmax(np.abs(vec)))
     assert diag[i] == diag.min()
 
 
@@ -56,7 +56,8 @@ def test_record_csv_row_format():
 
 
 def test_compute_record_free_gas():
-    rec = compute_record(free(), 4, 2.5, SMALL, 0.0, True)
+    pipe = Pipeline(dataclasses.replace(SMALL, potential="free"))
+    rec = compute_record(pipe, 4, 2.5, True)
     assert rec.E_vac == 0.0
     assert rec.omega0 == 0.0
     assert rec.lambda_group == 0.0

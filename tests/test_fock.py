@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gp2d.errors import SizeError
-from gp2d.fock import (ConjugationHandle, LinearOperator, build_basis,
-                       build_operator, conjugate, diagonal_in_total,
+from gp2d.fock import (LinearOperator, build_basis, build_operator,
+                       conjugate, diagonal_in_total,
                        effective_hamiltonians, export_operator, generators,
                        hamiltonian_pieces, hermiticity_residual,
                        kinetic_operator, ladder, number_operator,
@@ -160,17 +160,6 @@ def test_conjugation_preserves_spectrum(fock_setup, step_pot):
     ev1 = np.linalg.eigvalsh(ham.mat)
     ev2 = np.linalg.eigvalsh(rotated.mat)
     np.testing.assert_allclose(ev1, ev2, rtol=0, atol=1e-10)
-
-
-def test_conjugation_handle_beyond_dense_cap(fock_setup):
-    params, _, table, _, basis = fock_setup
-    gens = generators(basis, table, params)
-    ntot = number_operator(basis)
-    handle = conjugate(ntot, gens["B"], dense_cap=1)
-    assert isinstance(handle, ConjugationHandle)
-    vec = basis.vacuum()
-    dense = conjugate(ntot, gens["B"]).mat @ vec
-    np.testing.assert_allclose(handle.apply(vec), dense, atol=1e-12)
 
 
 def test_remainder_is_small(fock_setup):

@@ -12,7 +12,8 @@ from gp2d.kernels import (GPParameters, chi_hat, eta_coefficients, eta_value,
                           omega_lattice_sum, renormalized_potential,
                           scattering_residual, w_squared_integral)
 from gp2d.lattice import TWO_PI, build_lattice
-from gp2d.potentials import step
+from gp2d.potentials import fourier_transform_radial, step
+from gp2d.quadrature import gl_nodes_weights
 from gp2d.scattering import neumann_ground_state
 
 
@@ -55,11 +56,23 @@ def test_chi_hat_closed_form_and_quadrature():
 
 def test_eta_zero_mode_quadrature_oracle(kernel_setup):
     params, sol, lat, table, _ = kernel_setup
-    want, _ = quad(lambda t: (1.0 - sol.f_at(t * params.R)) * t, 0.0, 1.0,
-                   limit=400, epsabs=1e-13)
-    want *= -2.0 * math.pi * params.N * params.ell ** 2
+
+    def oracle(p_norm):
+        freq = p_norm * params.ell
+        val, _ = quad(lambda t: (1.0 - sol.f_at(t * params.R))
+                      * j0(freq * t) * t, 0.0, 1.0, limit=400, epsabs=1e-13)
+        return -2.0 * math.pi * params.N * params.ell ** 2 * val
+
+    want = oracle(0.0)
     assert table.eta0 == pytest.approx(want, rel=1e-8)
     assert eta_value(sol, params, 0.0) == pytest.approx(want, rel=1e-8)
+    # nonzero modes |p| = 2 pi, 2 pi sqrt(5) and 2 pi 8 (the lattice edge)
+    for n1, n2 in ((1, 0), (2, 1), (8, 0)):
+        p_norm = TWO_PI * math.hypot(n1, n2)
+        want = oracle(p_norm)
+        assert table.eta_at(n1, n2) == pytest.approx(want, rel=1e-8)
+        assert eta_value(sol, params, p_norm) == pytest.approx(want,
+                                                               rel=1e-8)
 
 
 def test_eta_sign_and_decay(kernel_setup):
@@ -159,6 +172,32 @@ def test_scattering_residual_small(kernel_setup, step_pot):
     assert len(rep.p_norms) == len(rep.residual_rel)
     assert np.all(np.isfinite(rep.tail_v))
     assert np.all(np.isfinite(rep.tail_chi))
+
+
+def test_scattering_residual_tails_match_direct_sums(kernel_setup, step_pot):
+    # direct per-mode lattice convolutions: for every mode p, transform the
+    # potential and the disk indicator at each |p - q| and sum against eta
+    params, sol, lat, table, renorm = kernel_setup
+    rep = scattering_residual(table, renorm, step_pot, params, sol)
+    damp = math.exp(-params.N)
+    lam, ell = table.lam_R2, params.ell
+    nodes, wts = gl_nodes_weights(np.linspace(0.0, step_pot.r0, 65))
+    vw = step_pot(nodes) * sol.w_at(nodes) * nodes
+    q_pts = np.vstack((lat.points, [[0.0, 0.0]]))
+    eta_all = np.concatenate((table.eta, [table.eta0]))
+    for i, p in enumerate(lat.points):
+        p_norm = math.hypot(*p)
+        conv_exact = -params.N * math.pi * np.dot(
+            wts, vw * j0(p_norm * damp * nodes))
+        d = p - q_pts
+        dn = np.hypot(d[:, 0], d[:, 1])
+        trunc_v = 0.5 * np.dot(fourier_transform_radial(step_pot, dn * damp),
+                               eta_all)
+        trunc_chi = lam * np.dot(chi_hat(dn * ell), eta_all)
+        assert rep.tail_v[i] == pytest.approx(conv_exact - trunc_v,
+                                              rel=1e-12)
+        assert rep.tail_chi[i] == pytest.approx(
+            (lam / ell ** 2) * table.eta[i] - trunc_chi, rel=1e-12)
 
 
 def test_export_kernels_csv(kernel_setup, step_a, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gp2d.errors import ConfigError
-from gp2d.lattice import TWO_PI, build_lattice, octant_norm_counts
+from gp2d.lattice import TWO_PI, build_lattice
 
 
 def brute_force_points(cutoff):
@@ -62,15 +62,6 @@ def test_zero_mode_excluded():
 def test_small_cutoff_rejected():
     with pytest.raises(ConfigError):
         build_lattice(TWO_PI * 0.5)
-
-
-def test_octant_counts_cover_plane():
-    # summing octant multiplicities reproduces the full count of nonzero
-    # integer points inside the disk of integer radius nmax
-    for nmax in (3, 7):
-        vals, counts = octant_norm_counts(nmax)
-        assert int(counts.sum()) == len(brute_force_points(TWO_PI * nmax))
-        assert np.all(np.diff(vals) > 0)
 
 
 @given(mult=st.integers(1, 12))
