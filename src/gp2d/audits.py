@@ -47,7 +47,7 @@ def _scale(mat: np.ndarray) -> float:
 
 
 def smallest_eigenpair(mat: np.ndarray):
-    vals, vecs = eigh(mat)
+    vals, vecs = eigh(mat, subset_by_index=[0, 0])
     return float(vals[0]), vecs[:, 0]
 
 
@@ -57,11 +57,8 @@ def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
     for t in rhs_terms:
         if t.mat.shape != lhs.mat.shape:
             raise ConfigError("operator dimensions differ")
-    rhs = sum(t.mat for t in rhs_terms)
-    if _scale(np.imag(lhs.mat)) > 1e-12 or _scale(np.imag(rhs)) > 1e-12:
-        lhs_m, rhs_m = lhs.mat, rhs
-    else:
-        lhs_m, rhs_m = np.real(lhs.mat), np.real(rhs)
+    lhs_m = lhs.mat
+    rhs_m = sum(t.mat for t in rhs_terms)
     slack = PSD_SLACK * _scale(lhs_m)
 
     def min_eig(c: float) -> float:
@@ -91,7 +88,7 @@ def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
                             slack, _profile(vec))
 
 
-def _profile(vec: np.ndarray, basis: FockBasis | None = None) -> list:
+def _profile(vec: np.ndarray) -> list:
     return [float(x) for x in np.abs(vec[: min(len(vec), 8)]) ** 2]
 
 
@@ -141,8 +138,8 @@ def localization_check(R_eff: LinearOperator, basis: FockBasis, M: float,
     fv, gv = partition(x)
     if np.max(np.abs(fv ** 2 + gv ** 2 - 1.0)) > 1e-12:
         raise ConsistencyError("partition pair does not square to one")
-    F = np.diag(fv.astype(complex))
-    G = np.diag(gv.astype(complex))
+    F = np.diag(fv)
+    G = np.diag(gv)
     R = R_eff.mat
 
     def dbl(Dmat):
@@ -154,9 +151,7 @@ def localization_check(R_eff: LinearOperator, basis: FockBasis, M: float,
     residual = float(np.max(np.abs(recon - R)))
 
     scale = math.log(params.N) / M ** 2
-    eye = LinearOperator(np.eye(basis.dim, dtype=complex), "1",
-                         hermitian=True)
-    bound = LinearOperator(scale * (H_N.mat + eye.mat), "scaled-H",
+    bound = LinearOperator(scale * (H_N.mat + np.eye(basis.dim)), "scaled-H",
                            hermitian=True)
     theta_op = LinearOperator(theta, "Theta_M", hermitian=True)
     rep_plus = min_constant(theta_op, [bound], "theta-upper", basis.cap)
@@ -180,7 +175,7 @@ def condensation_lower_bound(R_eff: LinearOperator, H_N: LinearOperator,
     N = params.N
     logN = math.log(N)
     npl = number_operator(basis).mat
-    eye = np.eye(basis.dim, dtype=complex)
+    eye = np.eye(basis.dim)
     lhs_mat = (2.0 * np.pi * N * eye + 0.5 * renorm.omega0 * npl
                + (c / logN) * H_N.mat - R_eff.mat)
     lhs = LinearOperator(lhs_mat, "LB-deficit", hermitian=True)
@@ -243,7 +238,7 @@ def gn_condensation_shape(G: LinearOperator, basis: FockBasis,
         c_grid = np.linspace(0.0, (2.0 * np.pi) ** 2, 25)
     npl = number_operator(basis).mat
     eye = np.eye(basis.dim)
-    base = np.real(G.mat) - 2.0 * np.pi * params.N * eye
+    base = G.mat - 2.0 * np.pi * params.N * eye
     cs, Cs = [], []
     for c in np.asarray(c_grid, float):
         ev = float(eigvalsh(base - c * npl)[0])
@@ -256,7 +251,7 @@ def depletion_chain_check(G: LinearOperator, basis: FockBasis,
                           params: GPParameters, c: float,
                           C: float) -> dict:
     """Ground-vector consistency of the certified occupation bound."""
-    ev, vec = smallest_eigenpair(np.real(G.mat))
+    ev, vec = smallest_eigenpair(G.mat)
     npl = number_operator(basis).mat
     n_exp = float(np.real(np.vdot(vec, npl @ vec)))
     bound = (ev - 2.0 * np.pi * params.N + C) / c if c > 0 else math.inf

@@ -159,6 +159,8 @@ def cmd_energy_sweep(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     ds = sweep(cfg, csv_path, pipe)
     if ds.skipped:
         print(f"skipped: {ds.skipped} records (already complete)")
+    if ds.rejected:
+        print(f"rejected: {ds.rejected} malformed rows of {csv_path.name}")
     slope = vacuum_slope_fit(ds)
     target = 2.0 * math.pi * cfg.alpha
     if cfg.potential == "free":

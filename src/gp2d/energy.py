@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh
@@ -80,8 +82,7 @@ class Pipeline:
         Hamiltonians; built afresh on every call, not kept."""
         basis = build_basis(shell_modes(self.cfg.shell), N)
         ops = effective_hamiltonians(basis, self.renorm(N, alpha), self.pot,
-                                     self.params(N, alpha),
-                                     self.table(N, alpha))
+                                     self.params(N, alpha))
         return basis, ops
 
 
@@ -94,7 +95,7 @@ def ground_state(op: LinearOperator, basis: FockBasis,
                  seed: int = 0) -> tuple[float, np.ndarray, float]:
     """Smallest eigenpair and the occupation fraction of its eigenvector."""
     if op.dim <= DENSE_EIG_CAP:
-        vals, vecs = eigh(op.mat)
+        vals, vecs = eigh(op.mat, subset_by_index=[0, 0])
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(op.dim)
@@ -140,6 +141,7 @@ class SweepDataset:
     fingerprint: str
     schema: str = SCHEMA
     skipped: int = 0
+    rejected: int = 0     # rows of the persisted file that did not parse
 
     def sorted_records(self):
         return sorted(self.records, key=lambda r: r.key())
@@ -183,11 +185,13 @@ def sweep(cfg: RunConfig, csv_path=None,
     no effect.
     """
     fp = fingerprint(cfg)
-    done = {}
+    done, rejected = {}, 0
     if csv_path is not None:
         loaded = load_dataset(csv_path)
-        if loaded is not None and loaded.fingerprint == fp:
+        if (loaded is not None and loaded.schema == SCHEMA
+                and loaded.fingerprint == fp):
             done = {r.key(): r for r in loaded.records}
+            rejected = loaded.rejected
 
     if pipe is None:
         pipe = Pipeline(cfg)
@@ -196,43 +200,61 @@ def sweep(cfg: RunConfig, csv_path=None,
              if (n, round(al, 12), round(cfg.cutoff, 9)) not in done]
 
     records = list(done.values()) + fresh
-    ds = SweepDataset(records, fp, skipped=len(done))
+    ds = SweepDataset(records, fp, skipped=len(done), rejected=rejected)
     if csv_path is not None:
         write_dataset(ds, csv_path)
     return ds
 
 
 def write_dataset(ds: SweepDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write to a temporary file beside path, then rename it over path, so
+    an interrupted write leaves the previous file whole."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"# schema={ds.schema} fingerprint={ds.fingerprint}\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rec in ds.sorted_records():
             fh.write(rec.csv_row() + "\n")
+    os.replace(tmp, path)
+
+
+def _parse_record(line: str) -> EnergyRecord:
+    cells = line.strip().split(",")
+    if len(cells) != len(CSV_COLUMNS):
+        raise ValueError(f"{len(cells)} cells, want {len(CSV_COLUMNS)}")
+    return EnergyRecord(
+        int(cells[0]), float(cells[1]), float(cells[2]), int(cells[3]),
+        float(cells[4]), float(cells[5]), float(cells[6]), float(cells[7]),
+        float(cells[8]), float(cells[9]))
 
 
 def load_dataset(path) -> SweepDataset | None:
+    """The persisted sweep at path, or None when the file is missing or its
+    header line does not parse.  Rows that do not parse are left out and
+    counted in ``rejected``."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # undecodable bytes become U+FFFD, so a damaged row fails to parse
+        fh = open(path, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError:
         return None
     with fh:
-        header = fh.readline().strip()
-        if not header.startswith("# schema="):
+        header = fh.readline()
+        tokens = header[2:].split()
+        if not header.startswith("# ") or not all("=" in t for t in tokens):
             return None
-        parts = dict(p.split("=", 1) for p in header[2:].split())
+        parts = dict(t.split("=", 1) for t in tokens)
+        if set(parts) != {"schema", "fingerprint"}:
+            return None
         fh.readline()
-        records = []
+        records, rejected = [], 0
         for line in fh:
-            cells = line.strip().split(",")
-            if len(cells) != len(CSV_COLUMNS):
-                continue
-            records.append(EnergyRecord(
-                int(cells[0]), float(cells[1]), float(cells[2]),
-                int(cells[3]), float(cells[4]), float(cells[5]),
-                float(cells[6]), float(cells[7]), float(cells[8]),
-                float(cells[9])))
-    return SweepDataset(records, parts.get("fingerprint", ""),
-                        parts.get("schema", ""))
+            try:
+                records.append(_parse_record(line))
+            except ValueError:
+                rejected += 1
+    return SweepDataset(records, parts["fingerprint"], parts["schema"],
+                        rejected=rejected)
 
 
 def vacuum_slope_fit(ds: SweepDataset) -> float:

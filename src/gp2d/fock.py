@@ -1,17 +1,20 @@
 """Truncated excitation Fock space and its operator algebra at desk scale.
 
-Everything is built as a dense complex matrix over occupation-number basis
-states with total occupation at most the particle cap N.  The modified
-ladder operators b, b* carry the sqrt((N - number)/N) factors that make
-them endomorphisms of the truncated space; for the plain creation operator
-a*, any matrix element that would push the total above N is dropped (the
-one deliberate deviation from the untruncated algebra).
+Operators act on the occupation-number states with total occupation at
+most the particle cap N.  Each basis builds its ladder matrices once from
+the lowering matrices a_i: a*_i is the transpose of a_i, and b*_i that of
+b_i = diag(sqrt((N - number)/N)) a_i, the factor that makes the modified
+operators endomorphisms of the truncated space.  The transpose drops any
+element of a* that would push the total above N (the one deliberate
+deviation from the untruncated algebra).  An operator is a sum of
+coefficients times ladder products, assembled as a dense real matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -78,9 +81,38 @@ class FockBasis:
         return self.states.sum(axis=1)
 
     def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
+        v = np.zeros(self.dim)
         v[self.index[tuple([0] * self.n_modes)]] = 1.0
         return v
+
+    @cached_property
+    def ladders(self) -> dict:
+        """Sparse ladder matrices, kind ('a', 'ad', 'b', 'bd') -> one
+        (dest, amp) pair per mode.  Each has at most one nonzero per
+        column: column c holds amp[c] in row dest[c], and is empty when
+        dest[c] < 0.  All four kinds derive from the lowering matrix a_i."""
+        damp = np.sqrt((self.cap - self.totals()) / self.cap)
+        out = {"a": [], "ad": [], "b": [], "bd": []}
+        for i in range(self.n_modes):
+            cols = np.flatnonzero(self.states[:, i])
+            lowered = self.states[cols]
+            lowered[:, i] -= 1
+            rows = np.fromiter((self.index[s] for s in map(tuple,
+                                                          lowered.tolist())),
+                               dtype=np.int64, count=len(cols))
+            occ = np.sqrt(self.states[cols, i])
+            # b_i = diag(damp) a_i; a*_i and b*_i are the transposes
+            for kind, amp in (("a", occ), ("b", damp[rows] * occ)):
+                out[kind].append(_column_map(self.dim, rows, cols, amp))
+                out[kind + "d"].append(_column_map(self.dim, cols, rows, amp))
+        return out
+
+
+def _column_map(dim: int, rows, cols, amp) -> tuple:
+    """(dest, amp) form of a matrix with amp at (rows, cols)."""
+    dest, vals = np.full(dim, -1), np.zeros(dim)
+    dest[cols], vals[cols] = rows, amp
+    return dest, vals
 
 
 def build_basis(modes, cap: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
@@ -137,88 +169,64 @@ def hermiticity_residual(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def _apply_monomial(basis: FockBasis, ops, state) -> tuple | None:
-    """Apply an operator string (leftmost written first) to one state.
-
-    Returns (coefficient, resulting occupation tuple) or None when the
-    string annihilates the state.  Kinds: 'a', 'ad', 'b', 'bd'.
-    """
-    occ = list(state)
-    total = sum(occ)
-    cap = basis.cap
-    coef = 1.0
-    for kind, i in reversed(ops):
-        if kind == "a":
-            if occ[i] == 0:
-                return None
-            coef *= math.sqrt(occ[i])
-            occ[i] -= 1
-            total -= 1
-        elif kind == "ad":
-            if total + 1 > cap:
-                return None
-            coef *= math.sqrt(occ[i] + 1)
-            occ[i] += 1
-            total += 1
-        elif kind == "b":
-            if occ[i] == 0:
-                return None
-            coef *= math.sqrt(occ[i])
-            occ[i] -= 1
-            total -= 1
-            coef *= math.sqrt((cap - total) / cap)
-        elif kind == "bd":
-            if total >= cap:
-                return None
-            coef *= math.sqrt((cap - total) / cap)
-            coef *= math.sqrt(occ[i] + 1)
-            occ[i] += 1
-            total += 1
-        else:
-            raise ConfigError(f"unknown ladder kind {kind!r}")
-    return coef, tuple(occ)
+def _ladder_matrix(basis: FockBasis, kind: str, i: int):
+    try:
+        return basis.ladders[kind][i]
+    except KeyError:
+        raise ConfigError(f"unknown ladder kind {kind!r}") from None
 
 
 def build_operator(basis: FockBasis, terms, tag: str,
                    hermitian: bool = False) -> LinearOperator:
-    """Assemble sum of coefficient * monomial-string into a dense matrix."""
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col in range(basis.dim):
-        state = tuple(basis.states[col])
-        for coef, ops in terms:
-            if coef == 0.0:
-                continue
-            hit = _apply_monomial(basis, ops, state)
-            if hit is None:
-                continue
-            amp, out = hit
-            mat[basis.index[out], col] += coef * amp
+    """Assemble sum of coefficient * product of ladder matrices into a
+    dense matrix.
+
+    A product is a list of (kind, mode index) pairs, leftmost written
+    first; kinds are 'a', 'ad', 'b' and 'bd'.
+    """
+    mat = np.zeros((basis.dim, basis.dim))
+    start = np.arange(basis.dim)
+    for coef, ops in terms:
+        if coef == 0.0:
+            continue
+        # every factor has at most one nonzero per column, so the product
+        # follows each column's single path, rightmost factor first
+        cols, rows, amp = start, start, np.ones(basis.dim)
+        for kind, i in reversed(ops):
+            dest, vals = _ladder_matrix(basis, kind, i)
+            keep = dest[rows] >= 0
+            cols, rows, amp = cols[keep], rows[keep], amp[keep]
+            amp *= vals[rows]
+            rows = dest[rows]
+        mat[rows, cols] += coef * amp
     return LinearOperator(mat, tag, hermitian)
 
 
 def ladder(basis: FockBasis, mode, kind: str) -> LinearOperator:
-    i = basis.mode_index(mode)
-    return build_operator(basis, [(1.0, [(kind, i)])], f"{kind}_{mode}")
+    dest, vals = _ladder_matrix(basis, kind, basis.mode_index(mode))
+    cols = np.flatnonzero(dest >= 0)
+    mat = np.zeros((basis.dim, basis.dim))
+    mat[dest[cols], cols] = vals[cols]
+    return LinearOperator(mat, f"{kind}_{mode}")
 
 
 def number_operator(basis: FockBasis) -> LinearOperator:
-    return LinearOperator(np.diag(basis.totals().astype(complex)), "N+",
+    return LinearOperator(np.diag(basis.totals().astype(float)), "N+",
                           hermitian=True)
 
 
 def diagonal_in_total(basis: FockBasis, func, tag: str) -> LinearOperator:
-    vals = np.array([func(int(n)) for n in basis.totals()], dtype=complex)
+    vals = np.array([func(int(n)) for n in basis.totals()], dtype=float)
     return LinearOperator(np.diag(vals), tag, hermitian=True)
 
 
 def kinetic_operator(basis: FockBasis) -> LinearOperator:
-    diag = (basis.states * basis.mode_p2).sum(axis=1).astype(complex)
+    diag = (basis.states * basis.mode_p2).sum(axis=1)
     return LinearOperator(np.diag(diag), "K", hermitian=True)
 
 
 def _vhat(pot: RadialPotential, params: GPParameters, mode) -> float:
-    damp = math.exp(-params.N)
-    k = TWO_PI * math.hypot(mode[0], mode[1]) * damp
+    k = TWO_PI * math.hypot(*mode) * math.exp(-params.N)
     return fourier_transform_radial(pot, k)
 
 
@@ -232,15 +240,7 @@ def potential_operator(basis: FockBasis, pot: RadialPotential,
     """
     modes = basis.modes
     mode_set = {m: i for i, m in enumerate(modes)}
-    damp = math.exp(-params.N)
-    vcache = {}
-
-    def vhat_int(r):
-        if r not in vcache:
-            k = TWO_PI * math.hypot(*r) * damp
-            vcache[r] = fourier_transform_radial(pot, k)
-        return vcache[r]
-
+    vhat = lru_cache(maxsize=None)(lambda r: _vhat(pot, params, r))
     terms = []
     for ip, p in enumerate(modes):
         for iq, q in enumerate(modes):
@@ -252,7 +252,7 @@ def potential_operator(basis: FockBasis, pot: RadialPotential,
                 iqr = mode_set.get(qr)
                 if iqr is None:
                     continue
-                terms.append((0.5 * vhat_int(r),
+                terms.append((0.5 * vhat(r),
                               [("ad", ipr), ("ad", iq), ("a", iqr),
                                ("a", ip)]))
     return build_operator(basis, terms, "V_N", hermitian=True)
@@ -271,34 +271,47 @@ def hamiltonian_pieces(basis: FockBasis, pot: RadialPotential,
         lambda n: 0.5 * v0 * ((N - 1) * (N - n) + n * (N - n)),
         "L0")
 
+    vhat = [_vhat(pot, params, m) for m in basis.modes]
     terms2 = []
-    for i, m in enumerate(basis.modes):
-        vm = _vhat(pot, params, m)
-        ineg = basis.neg_mode[i]
+    for i, vm in enumerate(vhat):
         terms2.append((N * vm, [("bd", i), ("b", i)]))
         terms2.append((-vm, [("ad", i), ("a", i)]))
-        terms2.append((0.5 * N * vm, [("bd", i), ("bd", ineg)]))
-        terms2.append((0.5 * N * vm, [("b", i), ("b", ineg)]))
     L2 = LinearOperator(
-        K.mat + build_operator(basis, terms2, "L2-int").mat, "L2",
-        hermitian=True)
+        K.mat + build_operator(basis, terms2, "L2-int").mat
+        + _pair_operator(basis, [N * vm for vm in vhat], 1.0, "L2-pair").mat,
+        "L2", hermitian=True)
 
-    L3 = _cubic_operator(basis, lambda m: _vhat(pot, params, m),
-                         math.sqrt(N), "L3")
+    L3 = _cubic_operator(basis, vhat, math.sqrt(N), "L3")
     return {"K": K, "V_N": VN, "L0": L0, "L2": L2, "L3": L3, "L4": VN}
 
 
-def _cubic_operator(basis: FockBasis, weight, prefactor: float,
-                    tag: str) -> LinearOperator:
-    """prefactor * sum over p, q of weight(p) [b*_{p+q} a*_{-p} a_q + h.c.]
+def _pair_operator(basis: FockBasis, weights, sign: float,
+                   tag: str) -> LinearOperator:
+    """(1/2) sum over i of weights[i] (b*_i b*_{-i} + sign b_i b_{-i}).
 
-    with p, q and p+q all in the mode set and p + q != 0.
+    Hermitian for sign +1, antihermitian for sign -1.
+    """
+    terms = []
+    for i, w in enumerate(weights):
+        ineg = int(basis.neg_mode[i])
+        terms.append((0.5 * w, [("bd", i), ("bd", ineg)]))
+        terms.append((sign * 0.5 * w, [("b", i), ("b", ineg)]))
+    return build_operator(basis, terms, tag, hermitian=sign > 0)
+
+
+def _cubic_operator(basis: FockBasis, weights, prefactor: float, tag: str,
+                    sign: float = 1.0) -> LinearOperator:
+    """prefactor * sum over p, q of w_p [b*_{p+q} a*_{-p} a_q
+    + sign (b*_{p+q} a*_{-p} a_q)^*], w_p = weights[index of p],
+
+    with p, q and p+q all in the mode set and p + q != 0.  Hermitian for
+    sign +1, antihermitian for sign -1.
     """
     modes = basis.modes
     mode_set = {m: i for i, m in enumerate(modes)}
     terms = []
     for ip, p in enumerate(modes):
-        wp = weight(p)
+        wp = weights[ip]
         ineg = int(basis.neg_mode[ip])
         for iq, q in enumerate(modes):
             s = (p[0] + q[0], p[1] + q[1])
@@ -309,44 +322,18 @@ def _cubic_operator(basis: FockBasis, weight, prefactor: float,
                 continue
             terms.append((prefactor * wp,
                           [("bd", isum), ("ad", ineg), ("a", iq)]))
-            terms.append((prefactor * wp,
+            terms.append((sign * (prefactor * wp),
                           [("ad", iq), ("a", ineg), ("b", isum)]))
-    return build_operator(basis, terms, tag, hermitian=True)
-
-
-def _eta_lookup(basis: FockBasis, table: KernelTable) -> np.ndarray:
-    return np.array([table.eta_at(*m) for m in basis.modes])
+    return build_operator(basis, terms, tag, hermitian=sign > 0)
 
 
 def generators(basis: FockBasis, table: KernelTable,
                params: GPParameters) -> dict:
     """Quadratic generator B and cubic generator A from the eta kernel."""
-    eta = _eta_lookup(basis, table)
-    terms_b = []
-    for i in range(basis.n_modes):
-        ineg = int(basis.neg_mode[i])
-        terms_b.append((0.5 * eta[i], [("bd", i), ("bd", ineg)]))
-        terms_b.append((-0.5 * eta[i], [("b", i), ("b", ineg)]))
-    B = build_operator(basis, terms_b, "B")
-
-    modes = basis.modes
-    mode_set = {m: i for i, m in enumerate(modes)}
-    pref = 1.0 / math.sqrt(params.N)
-    terms_a = []
-    for ir, r in enumerate(modes):
-        ineg = int(basis.neg_mode[ir])
-        for iv, v in enumerate(modes):
-            s = (r[0] + v[0], r[1] + v[1])
-            if s == (0, 0):
-                continue
-            isum = mode_set.get(s)
-            if isum is None:
-                continue
-            terms_a.append((pref * eta[ir],
-                            [("bd", isum), ("ad", ineg), ("a", iv)]))
-            terms_a.append((-pref * eta[ir],
-                            [("ad", iv), ("a", ineg), ("b", isum)]))
-    A = build_operator(basis, terms_a, "A")
+    eta = [table.eta_at(*m) for m in basis.modes]
+    B = _pair_operator(basis, eta, -1.0, "B")
+    A = _cubic_operator(basis, eta, 1.0 / math.sqrt(params.N), "A",
+                        sign=-1.0)
     for gen in (B, A):
         r = float(np.max(np.abs(gen.mat + gen.mat.conj().T)))
         if r > HERMITIAN_TOL:
@@ -383,28 +370,22 @@ def remainder_d(basis: FockBasis, mode, table: KernelTable,
 
 
 def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
-                           pot: RadialPotential, params: GPParameters,
-                           table: KernelTable) -> dict:
+                           pot: RadialPotential,
+                           params: GPParameters) -> dict:
     """Quadratically and cubically renormalized effective Hamiltonians."""
     N = params.N
     w0 = renorm.omega0
 
-    def omega_mode(m):
-        return float(renorm.omega_at(TWO_PI * math.hypot(m[0], m[1])))
-
+    omega = [float(renorm.omega_at(TWO_PI * math.hypot(*m)))
+             for m in basis.modes]
+    vhat = [_vhat(pot, params, m) for m in basis.modes]
     K = kinetic_operator(basis)
     VN = potential_operator(basis, pot, params)
     HN = LinearOperator(K.mat + VN.mat, "H_N", hermitian=True)
     v0 = fourier_transform_radial(pot, 0.0)
 
     # the omega pair operator, shared by G_eff and R_eff
-    terms = []
-    for i, m in enumerate(basis.modes):
-        wv = omega_mode(m)
-        ineg = int(basis.neg_mode[i])
-        terms.append((0.5 * wv, [("bd", i), ("bd", ineg)]))
-        terms.append((0.5 * wv, [("b", i), ("b", ineg)]))
-    quad = build_operator(basis, terms, "quad", hermitian=True).mat
+    quad = _pair_operator(basis, omega, 1.0, "quad").mat
 
     # each sum is accumulated in place, left to right, so no piece or
     # partial sum outlives its addition (dense matrices dominate memory)
@@ -414,8 +395,7 @@ def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
         + (2 * N * v0 - 0.5 * w0) * n * (1 - n / N),
         "G-diag").mat
     G += quad
-    G += _cubic_operator(basis, lambda m: _vhat(pot, params, m),
-                         math.sqrt(N), "G-cubic").mat
+    G += _cubic_operator(basis, vhat, math.sqrt(N), "G-cubic").mat
     G += HN.mat
     G_eff = LinearOperator(G, "G_eff", hermitian=True)
 
@@ -425,8 +405,7 @@ def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
         + 0.5 * w0 * n * (1 - n / N) + w0 * n * (1 - n / N),
         "R-diag").mat
     R += quad
-    R += _cubic_operator(basis, omega_mode, 1.0 / math.sqrt(N),
-                         "R-cubic").mat
+    R += _cubic_operator(basis, omega, 1.0 / math.sqrt(N), "R-cubic").mat
     R += HN.mat
     R_eff = LinearOperator(R, "R_eff", hermitian=True)
     return {"G_eff": G_eff, "R_eff": R_eff, "H_N": HN, "K": K, "V_N": VN}
@@ -466,7 +445,7 @@ def build_sector(modes, N: int, dim_cap: int = 4000) -> SectorBasis:
 
 def sector_hop(sec: SectorBasis, i: int, j: int) -> np.ndarray:
     """Matrix of a*_i a_j on the fixed-N sector (slot 0 is the zero mode)."""
-    mat = np.zeros((sec.dim, sec.dim), dtype=complex)
+    mat = np.zeros((sec.dim, sec.dim))
     for col in range(sec.dim):
         occ = list(sec.states[col])
         if occ[j] == 0:
@@ -493,15 +472,14 @@ def unitary_excitation_map(modes, N: int) -> dict:
     basis = build_basis(modes, N)
     if sec.dim != basis.dim:
         raise ConsistencyError("sector and excitation bases disagree")
-    U = np.zeros((basis.dim, sec.dim), dtype=complex)
+    U = np.zeros((basis.dim, sec.dim))
     for col in range(sec.dim):
         occ = tuple(sec.states[col][1:])
         U[basis.index[occ], col] = 1.0
 
     nplus = number_operator(basis).mat
     eye = np.eye(basis.dim)
-    sqrt_fac = np.diag(np.sqrt(np.maximum(N - basis.totals(), 0))
-                       .astype(complex))
+    sqrt_fac = np.diag(np.sqrt(np.maximum(N - basis.totals(), 0)))
 
     report = {}
     report["unitary"] = float(np.max(np.abs(U @ U.conj().T - eye)))

@@ -169,7 +169,7 @@ def test_acceptance_6_exact_algebra(step_pot, step_a):
                     np.abs(u.conj().T @ u - eye).max())
 
     # three-term occupation localization identity
-    ops = effective_hamiltonians(basis, renorm, step_pot, params, table)
+    ops = effective_hamiltonians(basis, renorm, step_pot, params)
     loc = localization_check(ops["R_eff"], basis, 2.0, ops["H_N"], params)
     worst = max(worst, loc.identity_residual)
 
@@ -186,7 +186,7 @@ def _audit_constants(step_pot, step_a, n_particles, cap, lat):
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), cap)
     gens = generators(basis, table, params)
-    ops = effective_hamiltonians(basis, renorm, step_pot, params, table)
+    ops = effective_hamiltonians(basis, renorm, step_pot, params)
     eye = np.eye(basis.dim, dtype=complex)
     np1 = number_operator(basis).mat + eye
     out = []
@@ -259,10 +259,9 @@ def test_acceptance_8_energy_trajectory(step_pot, step_a, tmp_path):
     for n_particles in range(3, cfg.fock_n_max + 1):
         params = GPParameters(n_particles, cfg.fock_alpha)
         sol = neumann_ground_state(step_pot, params.R, a=step_a)
-        table = eta_coefficients(sol, params, lat)
         renorm = renormalized_potential(params, sol.lam_R2, lat)
         basis = build_basis(shell_modes(4), n_particles)
-        ops = effective_hamiltonians(basis, renorm, step_pot, params, table)
+        ops = effective_hamiltonians(basis, renorm, step_pot, params)
         e0, _, _ = ground_state(ops["R_eff"], basis)
         e_vac = 0.5 * renorm.omega0 * (n_particles - 1)
         rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis,

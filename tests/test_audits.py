@@ -12,8 +12,7 @@ from gp2d.audits import (InequalityReport, condensation_lower_bound,
 from gp2d.errors import ConfigError
 from gp2d.fock import (LinearOperator, build_basis, effective_hamiltonians,
                        kinetic_operator, number_operator, shell_modes)
-from gp2d.kernels import (GPParameters, eta_coefficients,
-                          renormalized_potential)
+from gp2d.kernels import GPParameters, renormalized_potential
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.scattering import neumann_ground_state
 
@@ -28,10 +27,9 @@ def audit_setup(step_pot, step_a):
     params = GPParameters(3, 2.5)
     sol = neumann_ground_state(step_pot, params.R, a=step_a)
     lat = build_lattice(TWO_PI * 8)
-    table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), 3)
-    ops = effective_hamiltonians(basis, renorm, step_pot, params, table)
+    ops = effective_hamiltonians(basis, renorm, step_pot, params)
     return params, renorm, basis, ops
 
 
@@ -77,6 +75,21 @@ def test_min_constant_scales_with_lhs(t):
     c1 = min_constant(base, rhs, "scale-1").constant
     c2 = min_constant(diag_op([3.0 * t, t]), rhs, "scale-t").constant
     assert c2 == pytest.approx(t * c1, rel=5e-3)
+
+
+def test_min_constant_same_for_real_and_complex_cast(audit_setup):
+    # the certifier takes operators as they come: a real operator and its
+    # complex128 cast give the same constant and verdict
+    _, _, basis, ops = audit_setup
+    lhs, rhs = ops["R_eff"], [ops["H_N"], number_operator(basis)]
+    assert lhs.mat.dtype == np.float64
+    real = min_constant(lhs, rhs, "real")
+    cast = min_constant(
+        LinearOperator(lhs.mat.astype(complex), "cast", hermitian=True),
+        [LinearOperator(t.mat.astype(complex), t.tag, hermitian=True)
+         for t in rhs], "cast")
+    assert real.constant > 0
+    assert (real.constant, real.passed) == (cast.constant, cast.passed)
 
 
 def test_report_serializes():

@@ -117,3 +117,15 @@ def test_bad_config_exits_2(tmp_path):
 def test_default_config_is_runnable(tmp_path):
     # no config file: package defaults drive the scatter stage
     assert run(["scatter", "--out", tmp_path / "o"]) == 0
+
+
+def test_energy_sweep_reports_malformed_rows(tmp_path, fast_cfg, capsys):
+    out = tmp_path / "out"
+    assert run(["energy-sweep", "--config", fast_cfg, "--out", out]) == 0
+    path = out / "sweep.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace(",", ",x", 1)
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert run(["energy-sweep", "--config", fast_cfg, "--out", out]) == 0
+    assert "rejected: 1 malformed rows of sweep.csv" in capsys.readouterr().out

@@ -93,6 +93,82 @@ def test_sweep_roundtrip_and_resume(tmp_path):
             b.csv_row().rsplit(",", 1)[0]
 
 
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    """Text of the complete persisted sweep of SMALL."""
+    path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    sweep(SMALL, path)
+    return path.read_text()
+
+
+def _without_wall(text):
+    return [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
+
+
+def test_truncated_dataset_resumes_whole_rows(tmp_path, small_csv):
+    # a write cut off inside the last row: that row is rejected and
+    # recomputed, the others resume
+    path = tmp_path / "sweep.csv"
+    path.write_text(small_csv[:-20])
+    back = load_dataset(path)
+    assert (len(back.records), back.rejected) == (4, 1)
+    ds = sweep(SMALL, path)
+    assert (ds.skipped, ds.rejected) == (4, 1)
+    assert _without_wall(path.read_text()) == _without_wall(small_csv)
+
+
+def test_truncated_header_is_no_dataset(tmp_path, small_csv):
+    path = tmp_path / "sweep.csv"
+    path.write_text(small_csv[:12])
+    assert load_dataset(path) is None
+
+
+@pytest.mark.parametrize("where", ["header", "cell", "bytes"])
+def test_corrupted_dataset(tmp_path, small_csv, where):
+    lines = small_csv.encode().splitlines(keepends=True)
+    if where == "header":
+        # a header token without '=': the file counts as no dataset
+        lines[0] = lines[0].replace(b"fingerprint=", b"fingerprint ")
+    else:
+        cells = lines[3].split(b",")
+        cells[4] = b"1.2.3" if where == "cell" else b"\xff\xfe"
+        lines[3] = b",".join(cells)
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(b"".join(lines))
+    back = load_dataset(path)
+    if where == "header":
+        assert back is None
+    else:
+        assert (len(back.records), back.rejected) == (4, 1)
+        ds = sweep(SMALL, path)
+        assert (ds.skipped, ds.rejected) == (4, 1)
+        assert _without_wall(path.read_text()) == _without_wall(small_csv)
+
+
+def test_schema_mismatch_recomputes(tmp_path, small_csv):
+    path = tmp_path / "sweep.csv"
+    path.write_text(small_csv.replace("schema=gp2d-sweep-v1",
+                                      "schema=gp2d-sweep-v0", 1))
+    ds = sweep(SMALL, path)
+    assert ds.skipped == 0
+    assert load_dataset(path).schema == "gp2d-sweep-v1"
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path, small_csv):
+    class Unwritable:
+        def key(self):
+            return (0, 0.0, 0.0)
+
+        def csv_row(self):
+            raise OSError("device full")
+
+    path = tmp_path / "sweep.csv"
+    path.write_text(small_csv)
+    with pytest.raises(OSError):
+        write_dataset(SweepDataset([Unwritable()], "fp"), path)
+    assert path.read_text() == small_csv
+
+
 def test_fingerprint_mismatch_recomputes(tmp_path):
     path = tmp_path / "sweep.csv"
     sweep(SMALL, path)

@@ -3,8 +3,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gp2d.errors import SizeError
+from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
                        conjugate, diagonal_in_total,
                        effective_hamiltonians, export_operator, generators,
@@ -29,6 +31,97 @@ def fock_setup(step_pot, step_a):
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), N)
     return params, sol, table, renorm, basis
+
+
+def _apply_monomial(basis, ops, state):
+    """Brute-force reference: apply an operator string (leftmost written
+    first) to one occupation state, one ladder at a time.
+
+    Returns (coefficient, resulting occupation tuple) or None when the
+    string annihilates the state.
+    """
+    occ = list(state)
+    total = sum(occ)
+    cap = basis.cap
+    coef = 1.0
+    for kind, i in reversed(ops):
+        if kind == "a":
+            if occ[i] == 0:
+                return None
+            coef *= math.sqrt(occ[i])
+            occ[i] -= 1
+            total -= 1
+        elif kind == "ad":
+            if total + 1 > cap:
+                return None
+            coef *= math.sqrt(occ[i] + 1)
+            occ[i] += 1
+            total += 1
+        elif kind == "b":
+            if occ[i] == 0:
+                return None
+            coef *= math.sqrt(occ[i])
+            occ[i] -= 1
+            total -= 1
+            coef *= math.sqrt((cap - total) / cap)
+        elif kind == "bd":
+            if total >= cap:
+                return None
+            coef *= math.sqrt((cap - total) / cap)
+            coef *= math.sqrt(occ[i] + 1)
+            occ[i] += 1
+            total += 1
+    return coef, tuple(occ)
+
+
+def _reference_operator(basis, terms):
+    mat = np.zeros((basis.dim, basis.dim))
+    for col in range(basis.dim):
+        state = tuple(basis.states[col])
+        for coef, ops in terms:
+            hit = _apply_monomial(basis, ops, state)
+            if hit is not None:
+                amp, out = hit
+                mat[basis.index[out], col] += coef * amp
+    return mat
+
+
+ORACLE_BASES = {(4, 3): build_basis(shell_modes(4), 3),
+                (8, 2): build_basis(shell_modes(8), 2)}
+
+
+@given(shape=st.sampled_from(sorted(ORACLE_BASES)),
+       coef=st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3),
+       ops=st.lists(st.tuples(st.sampled_from(["a", "ad", "b", "bd"]),
+                              st.integers(0, 7)), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_build_operator_matches_per_state_reference(shape, coef, ops):
+    basis = ORACLE_BASES[shape]
+    ops = [(kind, i % basis.n_modes) for kind, i in ops]
+    got = build_operator(basis, [(coef, ops)], "oracle").mat
+    want = _reference_operator(basis, [(coef, ops)])
+    assert got.dtype == np.float64
+    # entry for entry, zeros included: elements dropped at the cap stay 0
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_build_operator_rejects_unknown_kind():
+    basis = ORACLE_BASES[(4, 3)]
+    with pytest.raises(ConfigError):
+        build_operator(basis, [(1.0, [("c", 0)])], "bad")
+    with pytest.raises(ConfigError):
+        ladder(basis, basis.modes[0], "c")
+
+
+def test_operators_are_real(fock_setup, step_pot):
+    params, _, table, renorm, basis = fock_setup
+    gens = generators(basis, table, params)
+    ops = [*hamiltonian_pieces(basis, step_pot, params).values(),
+           *effective_hamiltonians(basis, renorm, step_pot,
+                                   params).values(),
+           *gens.values(), conjugate(number_operator(basis), gens["B"])]
+    for op in ops:
+        assert op.mat.dtype == np.float64, op.tag
 
 
 def test_shell_modes_sizes():
@@ -173,8 +266,8 @@ def test_remainder_is_small(fock_setup):
 
 
 def test_effective_hamiltonians(fock_setup, step_pot):
-    params, _, table, renorm, basis = fock_setup
-    ops = effective_hamiltonians(basis, renorm, step_pot, params, table)
+    params, _, _, renorm, basis = fock_setup
+    ops = effective_hamiltonians(basis, renorm, step_pot, params)
     vac = basis.vacuum()
     for key in ("G_eff", "R_eff", "H_N"):
         assert hermiticity_residual(ops[key].mat) <= 1e-12
