@@ -14,15 +14,16 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from .config import RunConfig, fingerprint
-from .errors import ConsistencyError, SolverError
+from .errors import ConsistencyError, Gp2dError, SolverError
 from .fock import (FockBasis, LinearOperator, build_basis,
                    effective_hamiltonians, shell_modes)
 from .kernels import (GPParameters, KernelTable, RenormPotential,
                       eta_coefficients, renormalized_potential)
 from .lattice import MomentumLattice, build_lattice
 from .potentials import RadialPotential
-from .scattering import (NeumannSolution, ZeroEnergySolution,
-                         neumann_ground_state, scattering_length)
+from .scattering import (InteriorSeries, NeumannSolution, ZeroEnergySolution,
+                         interior_series, neumann_ground_state,
+                         scattering_length)
 
 SCHEMA = "gp2d-sweep-v1"
 CSV_COLUMNS = ("N", "alpha", "cutoff", "dim", "E_vac", "E0", "depletion",
@@ -33,10 +34,11 @@ DENSE_EIG_CAP = 4000
 class Pipeline:
     """The chain of one run, each link computed on first use and kept.
 
-    potential -> zero-energy solution (scattering length a) -> Neumann
-    profile on the disk of radius R = e^N ell -> eta table and omega_hat,
-    all on the run's single momentum lattice.  The last three are kept
-    per (N, alpha).  Every command of a run reads from one Pipeline.
+    potential -> zero-energy solution (scattering length a) and the
+    interior lambda-series -> Neumann profile on the disk of radius
+    R = e^N ell -> eta table and omega_hat, all on the run's single
+    momentum lattice.  The last three are kept per (N, alpha).  Every
+    command of a run reads from one Pipeline.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -50,6 +52,11 @@ class Pipeline:
     @cached_property
     def zero(self) -> ZeroEnergySolution:
         return scattering_length(self.pot)
+
+    @cached_property
+    def series(self) -> InteriorSeries | None:
+        """The interior lambda-series; the free potential has none."""
+        return None if self.pot.is_zero else interior_series(self.pot)
 
     @cached_property
     def lattice(self) -> MomentumLattice:
@@ -66,7 +73,7 @@ class Pipeline:
 
     def neumann(self, N: int, alpha: float) -> NeumannSolution:
         return self._once("neumann", N, alpha, lambda p: neumann_ground_state(
-            self.pot, p.R, a=self.zero.a))
+            self.pot, p.R, a=self.zero.a, series=self.series))
 
     def renorm(self, N: int, alpha: float) -> RenormPotential:
         return self._once("renorm", N, alpha, lambda p: renormalized_potential(
@@ -232,12 +239,15 @@ def _parse_record(line: str) -> EnergyRecord:
 def load_dataset(path) -> SweepDataset | None:
     """The persisted sweep at path, or None when the file is missing or its
     header line does not parse.  Rows that do not parse are left out and
-    counted in ``rejected``."""
+    counted in ``rejected``.  A path that exists but cannot be read as a
+    file raises Gp2dError."""
     try:
         # undecodable bytes become U+FFFD, so a damaged row fails to parse
         fh = open(path, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError:
         return None
+    except OSError as exc:
+        raise Gp2dError(f"cannot read {path}: {exc.strerror}") from exc
     with fh:
         header = fh.readline()
         tokens = header[2:].split()

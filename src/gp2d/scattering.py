@@ -8,11 +8,15 @@ Inside the range of the potential the equation is integrated numerically
 with regular initial data at the origin; outside, the solution is an exact
 combination of Bessel functions (log profile at zero energy), so solvers
 match onto the analytic tail instead of integrating across many decades.
+The interior problem does not depend on the disk radius and its regular
+solution is entire in lambda, so Neumann shooting integrates its power
+series in lambda once per potential (``InteriorSeries``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -27,6 +31,8 @@ EULER_GAMMA = 0.5772156649015328606
 
 _ODE_RTOL = 1e-11
 _ODE_ATOL = 1e-13
+_SERIES_ORDER = 16          # highest power of lambda kept
+_SERIES_TRUNC_REL = 1e-14   # bound on the first dropped term / the sum
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ class NeumannSolution:
     R: float
     a: float
     pot: RadialPotential = field(repr=False)
-    _interior: object = field(default=None, repr=False)  # dense ODE output
+    _interior: object = field(default=None, repr=False)  # r -> (f, f')
     _c_bessel: tuple = field(default=(0.0, 0.0), repr=False)
     _scale: float = field(default=1.0, repr=False)
 
@@ -132,7 +138,7 @@ class NeumannSolution:
         out = np.empty_like(r)
         inside = r <= r0
         if np.any(inside):
-            out[inside] = self._scale * self._interior.sol(r[inside])[0]
+            out[inside] = self._scale * self._interior(r[inside])[0]
         if np.any(~inside):
             k = np.sqrt(self.lam)
             c1, c2 = self._c_bessel
@@ -148,7 +154,7 @@ class NeumannSolution:
         out = np.empty_like(r)
         inside = r <= r0
         if np.any(inside):
-            out[inside] = self._scale * self._interior.sol(r[inside])[1]
+            out[inside] = self._scale * self._interior(r[inside])[1]
         if np.any(~inside):
             k = np.sqrt(self.lam)
             c1, c2 = self._c_bessel
@@ -159,6 +165,64 @@ class NeumannSolution:
 
     def w_at(self, r):
         return 1.0 - self.f_at(r)
+
+
+@dataclass(frozen=True)
+class InteriorSeries:
+    """Regular interior solution on [0, r0] as a power series in lambda.
+
+    f(r; lambda) = sum_k lambda^k u_k(r), where
+    -u_k'' - u_k'/r + V u_k / 2 = u_{k-1}, u_0(0) = 1 and u_k(0) = 0.
+    Stored are the integrator's steps ``r`` (r0 last) and there the
+    components s_k = u_k / ((r0^2/4)^k / (k!)^2) and their derivatives for
+    k = 0 .. K+1: dividing by the size of the free-space terms at r0 keeps
+    every component of order one there.  Terms up to K are summed; term
+    K+1 estimates the truncation error.
+    """
+
+    pot: RadialPotential = field(repr=False)
+    r: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)     # (2, K+2, len(r)): s_k, s_k'
+
+    def _weights(self, lam: float) -> np.ndarray:
+        """(lambda r0^2 / 4)^k / (k!)^2 for k = 0 .. K+1."""
+        x = lam * self.pot.r0 ** 2 / 4.0
+        k = np.arange(1, _SERIES_ORDER + 2)
+        return np.concatenate(([1.0], np.cumprod(x / (k * k))))
+
+    def boundary(self, lam: float):
+        """(f(r0), f'(r0)) at lambda, or None where the first dropped term
+        exceeds _SERIES_TRUNC_REL of either sum."""
+        terms = self._weights(lam) * self.s[:, :, -1]
+        vals = terms[:, :-1].sum(axis=1)
+        if np.any(np.abs(terms[:, -1]) > _SERIES_TRUNC_REL * np.abs(vals)):
+            return None
+        return vals
+
+    def profile(self, lam: float, r) -> np.ndarray:
+        """(f, f') at radii r <= r0.
+
+        Between two steps f is the quintic through f, f' and
+        f'' = (V/2 - lambda) f - f'/r at both ends; the ODE gives f'', so
+        the steps alone, one array, carry the whole profile.
+        """
+        f, fp = self._weights(lam)[:-1] @ self.s[:, :-1]
+        fpp = (0.5 * self.pot(self.r) - lam) * f - fp / self.r
+        r = np.asarray(r, float)
+        i = np.clip(np.searchsorted(self.r, r) - 1, 0, len(self.r) - 2)
+        h = self.r[i + 1] - self.r[i]
+        t = (r - self.r[i]) / h
+        dp = f[i + 1] - f[i]
+        m0, m1 = h * fp[i], h * fp[i + 1]
+        a0, a1 = h * h * fpp[i], h * h * fpp[i + 1]
+        c = (f[i], m0, 0.5 * a0,
+             10 * dp - 6 * m0 - 4 * m1 - 0.5 * (3 * a0 - a1),
+             -15 * dp + 8 * m0 + 7 * m1 + 0.5 * (3 * a0 - 2 * a1),
+             6 * dp - 3 * (m0 + m1) - 0.5 * (a0 - a1))
+        val = ((((c[5] * t + c[4]) * t + c[3]) * t + c[2]) * t + c[1]) * t
+        der = (((5 * c[5] * t + 4 * c[4]) * t + 3 * c[3]) * t
+               + 2 * c[2]) * t + c[1]
+        return np.array([val + c[0], der / h])
 
 
 @dataclass(frozen=True)
@@ -213,6 +277,45 @@ def _integrate_interior(pot: RadialPotential, lam: float, r_end: float):
     return sol
 
 
+def interior_series(pot: RadialPotential) -> InteriorSeries:
+    """Integrate the lambda-series of the regular interior solution once.
+
+    One ODE system in the scaled components of ``InteriorSeries``, started
+    from the same small-r Taylor data as ``_integrate_interior``.
+    """
+    r0 = pot.r0
+    n = _SERIES_ORDER + 2
+    coupling = 4.0 * np.arange(1, n) ** 2 / r0 ** 2   # s_{k-1} enters s_k''
+    v0 = float(pot(0.0))
+    h = r0 * 1e-7
+    y0_ = np.zeros(2 * n)
+    y0_[0], y0_[n] = 1.0 + v0 * h * h / 8.0, v0 * h / 4.0
+    y0_[1], y0_[n + 1] = -(h / r0) ** 2, -2.0 * h / r0 ** 2
+
+    def rhs(r, y):
+        s, ds = y[:n], y[n:]
+        dds = 0.5 * pot(r) * s - ds / r
+        dds[1:] -= coupling * s[:-1]
+        return np.concatenate((ds, dds))
+
+    # a tabulated V has kinks at its nodes, which the step-size control
+    # does not see: restart there, so that no step straddles one
+    cuts = [h, r0]
+    if pot.table_r is not None:
+        cuts += [t for t in pot.table_r if h < t < r0]
+    cuts = np.unique(cuts)
+    rs, ys = [cuts[:1]], [y0_[:, None]]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        sol = solve_ivp(rhs, (lo, hi), ys[-1][:, -1], method="RK45",
+                        rtol=_ODE_RTOL, atol=_ODE_ATOL)
+        if not sol.success:
+            raise SolverError(f"interior series ODE failed: {sol.message}")
+        rs.append(sol.t[1:])
+        ys.append(sol.y[:, 1:])
+    return InteriorSeries(pot, np.concatenate(rs),
+                          np.concatenate(ys, axis=1).reshape(2, n, -1))
+
+
 def scattering_length(pot: RadialPotential, fit_lo: float = 1.0,
                       fit_hi: float = 2.0, n_fit: int = 64,
                       residual_tol: float = 1e-8) -> ZeroEnergySolution:
@@ -257,28 +360,40 @@ def scattering_length(pot: RadialPotential, fit_lo: float = 1.0,
                               _dense=sol)
 
 
-def _neumann_mismatch(pot: RadialPotential, R: float, lam: float):
-    """Neumann derivative at R for given lambda, plus tail coefficients."""
+def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
+    """Neumann derivative at R for given lambda, the tail coefficients and
+    the interior profile r -> (f, f').
+
+    The values at r0 come from the series; where its truncation check
+    fails (lambda r0^2 >> 1) the interior is integrated at this lambda.
+    """
+    pot = series.pot
     r0 = pot.r0
-    sol = _integrate_interior(pot, lam, r0)
-    fv, fd = sol.sol(r0)
+    at_r0 = series.boundary(lam)
+    if at_r0 is None:
+        interior = _integrate_interior(pot, lam, r0).sol
+        at_r0 = interior(r0)
+    else:
+        interior = partial(series.profile, lam)
     k = np.sqrt(lam)
     mat = np.array([[j0(k * r0), y0(k * r0)],
                     [-k * j1(k * r0), -k * y1(k * r0)]])
-    c1, c2 = np.linalg.solve(mat, np.array([fv, fd]))
+    c1, c2 = np.linalg.solve(mat, at_r0)
     gprime_R = -k * (c1 * j1(k * R) + c2 * y1(k * R))
-    return gprime_R, (c1, c2), sol
+    return gprime_R, (c1, c2), interior
 
 
 def neumann_ground_state(pot: RadialPotential, R: float,
-                         a: float | None = None,
-                         n_grid: int = 400) -> NeumannSolution:
+                         a: float | None = None, n_grid: int = 400,
+                         series: InteriorSeries | None = None
+                         ) -> NeumannSolution:
     """Lowest Neumann eigenpair on [0, R], normalized to f(R) = 1.
 
-    Shooting on lambda: the interior is integrated numerically up to the
-    potential range, matched onto the exact J0/Y0 tail, and the boundary
-    derivative is driven to zero by bracketing + Brent.  The ground state
-    is certified by the absence of interior sign changes.
+    Shooting on lambda: the interior solution up to the potential range,
+    read from ``series`` (integrated here when not given), is matched onto
+    the exact J0/Y0 tail, and the boundary derivative is driven to zero by
+    bracketing + Brent.  The ground state is certified by the absence of
+    interior sign changes.
     """
     r0 = pot.r0
     if R <= r0 and not pot.is_zero:
@@ -291,6 +406,10 @@ def neumann_ground_state(pot: RadialPotential, R: float,
 
     if a is None:
         a = scattering_length(pot).a
+    if series is None:
+        series = interior_series(pot)
+    elif series.pot is not pot:
+        raise ConsistencyError("interior series of another potential")
     L = np.log(R / a)
     if L <= 0:
         raise SolverError("R must exceed the scattering length")
@@ -301,7 +420,7 @@ def neumann_ground_state(pot: RadialPotential, R: float,
     prev_l, prev_g = None, None
     bracket = None
     for lam in scan:
-        g, _, _ = _neumann_mismatch(pot, R, lam)
+        g, _, _ = _neumann_mismatch(series, R, lam)
         if prev_g is not None and np.sign(g) != np.sign(prev_g):
             bracket = (prev_l, lam)
             break
@@ -309,10 +428,10 @@ def neumann_ground_state(pot: RadialPotential, R: float,
     if bracket is None:
         raise SolverError("no sign change of the Neumann mismatch in the "
                           "scan window")
-    lam = brentq(lambda t: _neumann_mismatch(pot, R, t)[0],
+    lam = brentq(lambda t: _neumann_mismatch(series, R, t)[0],
                  bracket[0], bracket[1], rtol=8.9e-16, xtol=1e-280)
 
-    _, (c1, c2), interior = _neumann_mismatch(pot, R, lam)
+    _, (c1, c2), interior = _neumann_mismatch(series, R, lam)
     k = np.sqrt(lam)
     fR = c1 * j0(k * R) + c2 * y0(k * R)
     if fR == 0.0:

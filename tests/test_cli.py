@@ -93,6 +93,47 @@ def test_all_computes_each_quantity_once(tmp_path, fast_cfg, monkeypatch):
     assert len(radii) == len(set(radii)) == 9
 
 
+def test_all_integrates_interior_once(tmp_path, fast_cfg, monkeypatch):
+    solves = []
+    original = scattering.solve_ivp
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "solve_ivp", counted)
+    assert run(["all", "--config", fast_cfg, "--out", tmp_path / "o"]) == 0
+    # the zero-energy solution and the interior lambda-series, each once;
+    # none of the nine Neumann radii integrates its own interior
+    assert len(solves) == 2
+
+
+def test_fock_audit_larger_shell(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST + "shell = 8\n")
+    out = tmp_path / "out"
+    assert run(["fock-audit", "--config", path, "--out", out]) == 0
+    report = json.loads((out / "fock_audit.json").read_text())
+    assert report["pass"] is True
+    assert report["unitary_map_modes"] == [[1, 0], [0, 1], [-1, 0], [0, -1]]
+
+
+def test_fock_audit_default_shell_names_no_modes(tmp_path, fast_cfg):
+    out = tmp_path / "out"
+    assert run(["fock-audit", "--config", fast_cfg, "--out", out]) == 0
+    report = json.loads((out / "fock_audit.json").read_text())
+    assert set(report) == {"residuals", "pass", "tolerance"}
+
+
+def test_energy_sweep_unreadable_dataset(tmp_path, fast_cfg, capsys):
+    out = tmp_path / "out"
+    (out / "sweep.csv").mkdir(parents=True)
+    assert run(["energy-sweep", "--config", fast_cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("energy-sweep: error: cannot read ")
+    assert err.count("\n") == 1
+
+
 def test_out_dir_from_environment(tmp_path, fast_cfg, monkeypatch):
     target = tmp_path / "env-out"
     monkeypatch.setenv("GP2D_OUT", str(target))

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.special import i0, i1, j0, j1, y0, y1
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
+from scipy.special import i0, i0e, i1, i1e, j0, j1, y0, y1
 
-from gp2d.errors import SolverError
-from gp2d.potentials import free, gaussian_bump, step
-from gp2d.scattering import (export_solution_csv, neumann_ground_state,
+from gp2d import scattering
+from gp2d.errors import ConsistencyError, SolverError
+from gp2d.potentials import free, gaussian_bump, step, tabulated
+from gp2d.scattering import (InteriorSeries, export_solution_csv,
+                             interior_series, neumann_ground_state,
                              potential_integral, rayleigh_quotient,
                              scattering_length, trial_upper_bound,
                              trial_wavenumber, validate_neumann_asymptotics)
@@ -34,6 +37,38 @@ NEUMANN_R50_LAM_R2 = 0.3683442763106091
 def step_scattering_length(v0, b):
     kappa = math.sqrt(v0 / 2.0)
     return b * math.exp(-i0(kappa * b) / (kappa * b * i1(kappa * b)))
+
+
+def step_neumann_lambda(v0, b, R, lo, hi):
+    """Neumann ground-state lambda of the step from exact matching: I0(kappa
+    r) inside b, J0/Y0 outside, f'(R) = 0; the root is sought in [lo, hi]."""
+    def mismatch(lam):
+        kappa, k = math.sqrt(v0 / 2.0 - lam), math.sqrt(lam)
+        dlog = kappa * i1e(kappa * b) / i0e(kappa * b)
+        mat = np.array([[j0(k * b), y0(k * b)],
+                        [-k * j1(k * b), -k * y1(k * b)]])
+        c1, c2 = np.linalg.solve(mat, [1.0, dlog])
+        return c1 * j1(k * R) + c2 * y1(k * R)
+    return brentq(mismatch, lo, hi, rtol=8.9e-16, xtol=1e-280)
+
+
+def direct_shooting(pot, R, a, series, monkeypatch):
+    """The Neumann solution with every lambda shot by integrating the
+    interior ODE at that lambda: the fallback path, taken everywhere."""
+    with monkeypatch.context() as m:
+        m.setattr(InteriorSeries, "boundary", lambda self, lam: None)
+        return neumann_ground_state(pot, R, a=a, series=series)
+
+
+SERIES_POTENTIALS = {"step 2/1": step(2.0, 1.0),
+                     "bump 3/1": gaussian_bump(3.0, 1.0),
+                     "step 50/0.3": step(50.0, 0.3)}
+
+
+@pytest.fixture(scope="module")
+def series_cases():
+    return {name: (pot, scattering_length(pot).a, interior_series(pot))
+            for name, pot in SERIES_POTENTIALS.items()}
 
 
 def test_bessel_library_reference_values():
@@ -144,3 +179,94 @@ def test_export_solution_csv(neumann_r50, tmp_path):
 def test_neumann_requires_radius_beyond_range(step_pot):
     with pytest.raises(SolverError):
         neumann_ground_state(step_pot, 0.5)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_POTENTIALS))
+@pytest.mark.parametrize("R", [1.3, 4.0, 1.0e3, 1.0e15])
+def test_series_matches_direct_shooting(series_cases, name, R, monkeypatch):
+    pot, a, series = series_cases[name]
+    sol = neumann_ground_state(pot, R, a=a, series=series)
+    ref = direct_shooting(pot, R, a, series, monkeypatch)
+    assert sol.lam == pytest.approx(ref.lam, rel=1e-10)
+    r = np.concatenate((np.linspace(0.0, pot.r0, 41),
+                        np.geomspace(pot.r0, R, 41)))
+    for got, want, tol in ((sol.f_at(r), ref.f_at(r), 1e-10),
+                           (sol.f_prime_at(r), ref.f_prime_at(r), 1e-9)):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= tol * scale
+
+
+@pytest.mark.parametrize("v0,b,R", [(2.0, 1.0, 1.3), (2.0, 1.0, 50.0),
+                                    (2.0, 1.0, 1.0e15), (50.0, 0.3, 2.0)])
+def test_series_step_interior_is_i0(v0, b, R):
+    # inside the step, f is proportional to I0(kappa r), kappa^2 = v0/2 - lam
+    pot = step(v0, b)
+    sol = neumann_ground_state(pot, R)
+    kappa = math.sqrt(v0 / 2.0 - sol.lam)
+    r = np.linspace(0.0, b, 51)
+    fb = sol.f_at(np.array([b]))[0]
+    shape = i0e(kappa * r) * np.exp(kappa * (r - b)) / i0e(kappa * b)
+    slope = kappa * i1e(kappa * r) * np.exp(kappa * (r - b)) / i0e(kappa * b)
+    np.testing.assert_allclose(sol.f_at(r) / fb, shape, rtol=1e-11)
+    np.testing.assert_allclose(sol.f_prime_at(r) / fb, slope, rtol=1e-11,
+                               atol=1e-11 * slope[-1])
+    want = step_neumann_lambda(v0, b, R, 0.9 * sol.lam, 1.1 * sol.lam)
+    assert sol.lam == pytest.approx(want, rel=1e-10)
+
+
+def test_series_falls_back_to_direct_shooting(monkeypatch):
+    # lambda r0^2 ~ 77 at the root: the truncated series fails its check,
+    # so the values at r0 and the interior profile come from the ODE at lam
+    pot, R = step(200.0, 1.0), 1.05
+    series = interior_series(pot)
+    shots = []
+    original = scattering._integrate_interior
+
+    def counted(*args):
+        shots.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(scattering, "_integrate_interior", counted)
+    sol = neumann_ground_state(pot, R, series=series)
+    assert series.boundary(sol.lam) is None
+    assert shots and sol.lam * pot.r0 ** 2 > 50.0
+    want = step_neumann_lambda(200.0, 1.0, R, 0.9 * sol.lam, 1.1 * sol.lam)
+    assert sol.lam == pytest.approx(want, rel=1e-10)
+    kappa = math.sqrt(100.0 - sol.lam)
+    r = np.linspace(0.0, 1.0, 51)
+    shape = i0e(kappa * r) * np.exp(kappa * (r - 1.0)) / i0e(kappa)
+    np.testing.assert_allclose(sol.f_at(r) / sol.f_at(np.array([1.0]))[0],
+                               shape, rtol=1e-10)
+    assert sol.f_at(np.array([R]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert abs(sol.f_prime_at(np.array([R]))[0]) < 1e-10
+
+
+def test_series_restarts_at_table_kinks():
+    # V is piecewise linear: a reference integrated node to node at tight
+    # tolerance sees no kink inside a step
+    nodes = np.linspace(0.0, 1.0, 9)
+    pot = tabulated(nodes, np.array([3, 2.5, 4, 1, 2, 0.5, 1.5, 0.7, 0.0]))
+    series = interior_series(pot)
+    for lam in (1e-6, 0.1, 0.5):
+        h = 1e-7
+        c = (0.5 * pot(0.0) - lam) / 4.0
+        y = np.array([1.0 + c * h * h, 2.0 * c * h])
+        for lo, hi in zip(np.r_[h, nodes[1:-1]], nodes[1:]):
+            y = solve_ivp(lambda r, u: [u[1], (0.5 * pot(r) - lam) * u[0]
+                                        - u[1] / r], (lo, hi), y,
+                          method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
+        np.testing.assert_allclose(series.boundary(lam), y, rtol=1e-11)
+
+
+def test_series_of_another_potential_rejected(step_pot):
+    with pytest.raises(ConsistencyError):
+        neumann_ground_state(step_pot, 50.0,
+                             series=interior_series(step(2.0, 1.0)))
+
+
+def test_neumann_without_sign_change_raises(step_pot, step_a, monkeypatch):
+    # a mismatch of one sign over the whole scan has no root to report
+    monkeypatch.setattr(scattering, "_neumann_mismatch",
+                        lambda series, R, lam: (1.0, (1.0, 0.0), None))
+    with pytest.raises(SolverError, match="no sign change"):
+        neumann_ground_state(step_pot, 50.0, a=step_a)
