@@ -6,6 +6,10 @@ operator in the positive-semidefinite order, on the truncated excitation
 space actually built.  Constants found this way are finite and reported
 with the truncation parameters; they are not claimed to bound anything in
 the untruncated limit.
+
+Operators are handled block by block: the spectrum of an operator is the
+union of its blocks' spectra, and each size class of blocks is one batched
+eigensolve.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
+from numpy.linalg import eigh, eigvalsh
 
-from .errors import ConfigError, ConsistencyError
-from .fock import FockBasis, LinearOperator, number_operator
+from .errors import ConsistencyError
+from .fock import (FockBasis, LinearOperator, combine, common,
+                   diagonal_in_total, number_operator)
 from .kernels import GPParameters, RenormPotential, omega_lattice_sum
 
 PSD_SLACK = 1e-9
@@ -41,31 +46,42 @@ class InequalityReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _scale(mat: np.ndarray) -> float:
-    s = float(np.max(np.abs(mat)))
+def _identity(basis: FockBasis) -> LinearOperator:
+    return diagonal_in_total(basis, lambda n: 1.0, "1")
+
+
+def _scale(op: LinearOperator) -> float:
+    s = max(float(np.max(np.abs(b))) for b in op.blocks)
     return s if s > 0 else 1.0
 
 
-def smallest_eigenpair(mat: np.ndarray):
-    vals, vecs = eigh(mat, subset_by_index=[0, 0])
-    return float(vals[0]), vecs[:, 0]
+def _lowest_pairs(stack: np.ndarray):
+    vals, vecs = eigh(stack)
+    return vals[:, 0], vecs[:, :, 0]
+
+
+def smallest_eigenpair(op: LinearOperator):
+    return op.lowest(_lowest_pairs)
+
+
+def _min_eigenvalue(op: LinearOperator) -> float:
+    return min(float(eigvalsh(b)[:, 0].min()) for b in op.blocks)
 
 
 def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
                  cap: int = 0, rel_tol: float = 1e-3) -> InequalityReport:
     """Smallest c >= 0 with c * sum(rhs) - lhs >= -slack, by PSD bisection."""
-    for t in rhs_terms:
-        if t.mat.shape != lhs.mat.shape:
-            raise ConfigError("operator dimensions differ")
-    lhs_m = lhs.mat
-    rhs_m = sum(t.mat for t in rhs_terms)
-    slack = PSD_SLACK * _scale(lhs_m)
+    lhs, rhs = common(lhs, combine([(1.0, t) for t in rhs_terms], "rhs"))
+    slack = PSD_SLACK * _scale(lhs)
+
+    def shifted(c: float) -> LinearOperator:
+        return combine([(c, rhs), (-1.0, lhs)], "shifted")
 
     def min_eig(c: float) -> float:
-        return float(eigvalsh(c * rhs_m - lhs_m)[0])
+        return _min_eigenvalue(shifted(c))
 
     if min_eig(0.0) >= -slack:
-        ev, vec = smallest_eigenpair(-lhs_m)
+        ev, vec = smallest_eigenpair(shifted(0.0))
         return InequalityReport(statement, 0.0, ev, lhs.dim, cap, True,
                                 slack, _profile(vec))
 
@@ -83,7 +99,7 @@ def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
             hi = mid
         else:
             lo = mid
-    ev, vec = smallest_eigenpair(hi * rhs_m - lhs_m)
+    ev, vec = smallest_eigenpair(shifted(hi))
     return InequalityReport(statement, hi, ev, lhs.dim, cap, ev >= -slack,
                             slack, _profile(vec))
 
@@ -138,24 +154,30 @@ def localization_check(R_eff: LinearOperator, basis: FockBasis, M: float,
     fv, gv = partition(x)
     if np.max(np.abs(fv ** 2 + gv ** 2 - 1.0)) > 1e-12:
         raise ConsistencyError("partition pair does not square to one")
-    F = np.diag(fv)
-    G = np.diag(gv)
-    R = R_eff.mat
 
-    def dbl(Dmat):
-        inner = Dmat @ R - R @ Dmat
-        return Dmat @ inner - inner @ Dmat
+    def dbl(d, blk):
+        # [D, [D, R]] for D = diag(d): the block entries times the
+        # difference of the diagonal at their row and column, twice
+        left, right = d[:, :, None], d[:, None, :]
+        inner = left * blk - blk * right
+        return left * inner - inner * right
 
-    theta = 0.5 * (dbl(F) + dbl(G))
-    recon = F @ R @ F + G @ R @ G + theta
-    residual = float(np.max(np.abs(recon - R)))
+    theta, residual = [], 0.0
+    for idx, blk in zip(R_eff.part.classes, R_eff.blocks):
+        f, g = fv[idx], gv[idx]
+        th = 0.5 * (dbl(f, blk) + dbl(g, blk))
+        recon = (f[:, :, None] * blk * f[:, None, :]
+                 + g[:, :, None] * blk * g[:, None, :] + th)
+        residual = max(residual, float(np.max(np.abs(recon - blk))))
+        theta.append(th)
 
     scale = math.log(params.N) / M ** 2
-    bound = LinearOperator(scale * (H_N.mat + np.eye(basis.dim)), "scaled-H",
-                           hermitian=True)
-    theta_op = LinearOperator(theta, "Theta_M", hermitian=True)
+    bound = combine([(scale, H_N), (scale, _identity(basis))], "scaled-H",
+                    hermitian=True)
+    theta_op = LinearOperator.from_blocks(R_eff.part, theta, "Theta_M",
+                                          hermitian=True)
     rep_plus = min_constant(theta_op, [bound], "theta-upper", basis.cap)
-    theta_neg = LinearOperator(-theta, "-Theta_M", hermitian=True)
+    theta_neg = combine([(-1.0, theta_op)], "-Theta_M", hermitian=True)
     rep_minus = min_constant(theta_neg, [bound], "theta-lower", basis.cap)
     const = max(rep_plus.constant, rep_minus.constant)
     return LocalizationReport(residual, const,
@@ -174,13 +196,14 @@ def condensation_lower_bound(R_eff: LinearOperator, H_N: LinearOperator,
     """
     N = params.N
     logN = math.log(N)
-    npl = number_operator(basis).mat
-    eye = np.eye(basis.dim)
-    lhs_mat = (2.0 * np.pi * N * eye + 0.5 * renorm.omega0 * npl
-               + (c / logN) * H_N.mat - R_eff.mat)
-    lhs = LinearOperator(lhs_mat, "LB-deficit", hermitian=True)
-    rhs = LinearOperator((logN ** 2 / N) * (npl @ npl) + eye, "penalty",
-                         hermitian=True)
+    one = _identity(basis)
+    lhs = combine([(2.0 * np.pi * N, one),
+                   (0.5 * renorm.omega0, number_operator(basis)),
+                   (c / logN, H_N), (-1.0, R_eff)], "LB-deficit",
+                  hermitian=True)
+    npl2 = diagonal_in_total(basis, lambda n: n * n, "N+^2")
+    rhs = combine([(logN ** 2 / N, npl2), (1.0, one)], "penalty",
+                  hermitian=True)
     rep = min_constant(lhs, [rhs], "condensation-lower-bound", basis.cap)
     rep.notes = (f"N={N} is desk scale; the bound is proved for large N, "
                  f"small-N certificates may need larger constants")
@@ -236,12 +259,12 @@ def gn_condensation_shape(G: LinearOperator, basis: FockBasis,
     """
     if c_grid is None:
         c_grid = np.linspace(0.0, (2.0 * np.pi) ** 2, 25)
-    npl = number_operator(basis).mat
-    eye = np.eye(basis.dim)
-    base = G.mat - 2.0 * np.pi * params.N * eye
+    npl = number_operator(basis)
+    base = combine([(1.0, G), (-2.0 * np.pi * params.N, _identity(basis))],
+                   "G-2piN")
     cs, Cs = [], []
     for c in np.asarray(c_grid, float):
-        ev = float(eigvalsh(base - c * npl)[0])
+        ev = _min_eigenvalue(combine([(1.0, base), (-c, npl)], "shape"))
         cs.append(float(c))
         Cs.append(max(0.0, -ev))
     return ParetoReport(cs, Cs)
@@ -251,9 +274,8 @@ def depletion_chain_check(G: LinearOperator, basis: FockBasis,
                           params: GPParameters, c: float,
                           C: float) -> dict:
     """Ground-vector consistency of the certified occupation bound."""
-    ev, vec = smallest_eigenpair(G.mat)
-    npl = number_operator(basis).mat
-    n_exp = float(np.real(np.vdot(vec, npl @ vec)))
+    ev, vec = smallest_eigenpair(G)
+    n_exp = float(basis.totals() @ np.abs(vec) ** 2)
     bound = (ev - 2.0 * np.pi * params.N + C) / c if c > 0 else math.inf
     return {"n_expectation": n_exp, "bound": bound,
             "pass": bool(n_exp <= bound + 1e-9)}

@@ -93,19 +93,18 @@ def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     tol = 1e-10
     residuals = {}
 
-    npl = number_operator(basis)
-    eye = np.eye(basis.dim)
+    depleted = np.eye(basis.dim) - number_operator(basis).mat / n
+    a = {p: ladder(basis, p, "a").mat for p in basis.modes}
+    b = {p: ladder(basis, p, "b").mat for p in basis.modes}
     worst_comm = 0.0
     for p in basis.modes:
-        bp = ladder(basis, p, "b").mat
+        bp, ap = b[p], a[p]
         for q in basis.modes:
-            bq = ladder(basis, q, "b").mat
+            bq, aq = b[q], a[q]
             bqd = bq.conj().T
-            ap = ladder(basis, p, "a").mat
-            aq = ladder(basis, q, "a").mat
             lhs = bp @ bqd - bqd @ bp
             delta = 1.0 if p == q else 0.0
-            rhs = delta * (eye - npl.mat / n) - aq.conj().T @ ap / n
+            rhs = delta * depleted - aq.conj().T @ ap / n
             worst_comm = max(worst_comm, float(np.max(np.abs(lhs - rhs))))
             worst_comm = max(worst_comm,
                              float(np.max(np.abs(bp @ bq - bq @ bp))))
@@ -118,9 +117,8 @@ def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     residuals["unitary_map"] = max(v for k, v in urep.items() if k != "pass")
 
     gens = generators(basis, pipe.table(n, cfg.fock_alpha), params)
-    residuals["antihermitian"] = max(
-        float(np.max(np.abs(g.mat + g.mat.conj().T)))
-        for g in gens.values())
+    residuals["antihermitian"] = max(g.residual(-1.0)
+                                     for g in gens.values())
     loc = localization_check(ops["R_eff"], basis, max(1.0, n ** 0.8),
                              ops["H_N"], params)
     residuals["localization"] = loc.identity_residual
@@ -209,6 +207,14 @@ def emit_plots_script(out: Path) -> Path:
     return path
 
 
+def write_manifest(manifest: dict, path: Path) -> None:
+    """Write to a temporary file beside path, then rename it over path, so
+    an interrupted write leaves the previous manifest whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gp2d",
@@ -261,8 +267,7 @@ def main(argv=None) -> int:
             "commands": statuses,
             "artifacts": artifacts,
         }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        write_manifest(manifest, out / "manifest.json")
         return 0 if all_ok else 1
     except Gp2dError as exc:
         print(f"error: {exc}", file=sys.stderr)

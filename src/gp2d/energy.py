@@ -10,7 +10,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from .config import RunConfig, fingerprint
@@ -100,17 +100,26 @@ def vacuum_upper_bound(params: GPParameters, renorm) -> float:
 
 def ground_state(op: LinearOperator, basis: FockBasis,
                  seed: int = 0) -> tuple[float, np.ndarray, float]:
-    """Smallest eigenpair and the occupation fraction of its eigenvector."""
-    if op.dim <= DENSE_EIG_CAP:
-        vals, vecs = eigh(op.mat, subset_by_index=[0, 0])
-    else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(op.dim)
+    """Smallest eigenpair over the blocks of op and the occupation
+    fraction of its eigenvector.  Each stack of blocks up to DENSE_EIG_CAP
+    states is one batched dense eigensolve; larger blocks are solved one
+    by one with Lanczos."""
+    rng = np.random.default_rng(seed)
+
+    def per_block(stack):
+        if stack.shape[-1] <= DENSE_EIG_CAP:
+            vals, vecs = eigh(stack)
+            return vals[:, 0], vecs[:, :, 0]
         try:
-            vals, vecs = eigsh(op.mat, k=1, which="SA", v0=v0)
+            pairs = [eigsh(blk, k=1, which="SA",
+                           v0=rng.standard_normal(len(blk)))
+                     for blk in stack]
         except Exception as exc:
             raise SolverError(f"iterative eigensolve failed: {exc}")
-    e0, vec = float(vals[0]), vecs[:, 0]
+        return (np.array([v[0] for v, _ in pairs]),
+                np.array([w[:, 0] for _, w in pairs]))
+
+    e0, vec = op.lowest(per_block)
     if not np.all(np.isfinite(vec)):
         raise ConsistencyError("non-finite amplitudes")
     depletion = float(basis.totals() @ np.abs(vec) ** 2) / basis.cap

@@ -7,7 +7,13 @@ b_i = diag(sqrt((N - number)/N)) a_i, the factor that makes the modified
 operators endomorphisms of the truncated space.  The transpose drops any
 element of a* that would push the total above N (the one deliberate
 deviation from the untruncated algebra).  An operator is a sum of
-coefficients times ladder products, assembled as a dense real matrix.
+coefficients times ladder products.
+
+Every operator of the excitation-space argument conserves the total
+momentum P = sum p n_p, so it is stored as dense blocks over the momentum
+sectors of the basis (``FockBasis.sectors``); sectors of equal size are
+stacked and handled by one batched call.  An operator that does not
+conserve P, or a matrix given whole, lives on the one-block partition.
 """
 
 from __future__ import annotations
@@ -52,6 +58,63 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """A split of the basis indices 0..dim-1 into blocks.
+
+    Blocks of equal size s form one size class, stacked into a (count, s)
+    index array; inside a block the indices keep basis order.  An
+    operator on a partition stores one (count, s, s) stack per class and
+    is zero outside its blocks.
+    """
+
+    dim: int
+    classes: tuple
+
+    @cached_property
+    def slots(self) -> tuple:
+        """Where basis index x sits in the stacks laid end to end, flat:
+        entry (row r, column c) of a block is at first[c] + pos[r] *
+        size[c].  Also returns the total flat length."""
+        first = np.empty(self.dim, dtype=np.int64)
+        pos = np.empty(self.dim, dtype=np.int64)
+        size = np.empty(self.dim, dtype=np.int64)
+        total = 0
+        for idx in self.classes:
+            count, s = idx.shape
+            pos[idx] = np.arange(s)
+            first[idx] = total + s * s * np.arange(count)[:, None] + pos[idx]
+            size[idx] = s
+            total += count * s * s
+        return first, pos, size, total
+
+    def split(self, flat: np.ndarray) -> tuple:
+        """The (count, s, s) stacks of a flat buffer laid out as ``slots``."""
+        out, at = [], 0
+        for count, s in (idx.shape for idx in self.classes):
+            out.append(flat[at:at + count * s * s].reshape(count, s, s))
+            at += count * s * s
+        return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def whole_partition(dim: int) -> Partition:
+    """The one-block partition of dim indices."""
+    return Partition(dim, (np.arange(dim)[None, :],))
+
+
+def partition_by(labels) -> Partition:
+    """The partition of range(len(labels)) into blocks of equal label."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    _, first, sizes = np.unique(labels[order], return_index=True,
+                                return_counts=True)
+    blocks = np.split(order, first[1:])
+    return Partition(len(labels), tuple(
+        np.stack([b for b in blocks if len(b) == s])
+        for s in np.unique(sizes)))
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Occupation basis over a negation-closed mode set, total <= cap."""
@@ -84,6 +147,13 @@ class FockBasis:
         v = np.zeros(self.dim)
         v[self.index[tuple([0] * self.n_modes)]] = 1.0
         return v
+
+    @cached_property
+    def sectors(self) -> Partition:
+        """The basis states grouped by total momentum P = sum p n_p."""
+        P = self.states @ np.array(self.modes, dtype=np.int64)
+        _, label = np.unique(P, axis=0, return_inverse=True)
+        return partition_by(label.reshape(-1))
 
     @cached_property
     def ladders(self) -> dict:
@@ -141,32 +211,103 @@ def build_basis(modes, cap: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
     return FockBasis(modes, cap, arr, index, neg, p2)
 
 
-@dataclass(frozen=True)
 class LinearOperator:
-    """Dense matrix over a FockBasis with its symbol tag."""
+    """Operator over a FockBasis with its symbol tag, stored as one
+    (count, s, s) stack of dense blocks per size class of a Partition.
 
-    mat: np.ndarray
-    tag: str
-    hermitian: bool = False
+    LinearOperator(mat, tag, hermitian) holds a dense matrix as the
+    one-block partition; ``from_blocks`` takes the stacks of any
+    partition.  ``mat`` assembles the dense matrix when asked for it.
+    """
 
-    def __post_init__(self):
-        if self.hermitian:
-            r = hermiticity_residual(self.mat)
+    def __init__(self, mat, tag: str, hermitian: bool = False):
+        mat = np.asarray(mat)
+        self._set(whole_partition(mat.shape[0]), (mat[None],), tag,
+                  hermitian)
+
+    @classmethod
+    def from_blocks(cls, part: Partition, blocks, tag: str,
+                    hermitian: bool = False) -> "LinearOperator":
+        op = cls.__new__(cls)
+        op._set(part, tuple(blocks), tag, hermitian)
+        return op
+
+    def _set(self, part, blocks, tag, hermitian):
+        self.part, self.blocks = part, blocks
+        self.tag, self.hermitian = tag, hermitian
+        if hermitian:
+            r = self.residual()
             if r > HERMITIAN_TOL:
                 raise ConsistencyError(
-                    f"{self.tag}: hermiticity residual {r:.3e}")
+                    f"{tag}: hermiticity residual {r:.3e}")
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.part.dim
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense matrix, assembled from the blocks on every call (the
+        one-block partition hands out its matrix itself)."""
+        if self.part is whole_partition(self.dim):
+            return self.blocks[0][0]
+        out = np.zeros((self.dim, self.dim),
+                       dtype=np.result_type(*self.blocks))
+        for idx, blk in zip(self.part.classes, self.blocks):
+            out[idx[:, :, None], idx[:, None, :]] = blk
+        return out
+
+    def residual(self, sign: float = 1.0) -> float:
+        """Hermiticity residual over the blocks (antihermiticity for
+        sign -1)."""
+        return max(hermiticity_residual(b, sign) for b in self.blocks)
+
+    def lowest(self, solve) -> tuple[float, np.ndarray]:
+        """Smallest eigenvalue over all blocks and its eigenvector in
+        basis order.  ``solve`` maps a (count, s, s) stack to the lowest
+        eigenpair of each of its blocks: values (count,) and vectors
+        (count, s)."""
+        best = None
+        for idx, blk in zip(self.part.classes, self.blocks):
+            vals, vecs = solve(blk)
+            k = int(np.argmin(vals))
+            if best is None or vals[k] < best[0]:
+                best = float(vals[k]), idx[k], vecs[k]
+        val, idx, v = best
+        vec = np.zeros(self.dim, dtype=v.dtype)
+        vec[idx] = v
+        return val, vec
 
     def expectation(self, vec: np.ndarray) -> float:
-        val = np.vdot(vec, self.mat @ vec)
-        return float(val.real)
+        val = sum(np.einsum("ki,kij,kj->", vec[idx].conj(), blk, vec[idx])
+                  for idx, blk in zip(self.part.classes, self.blocks))
+        return float(np.real(val))
 
 
-def hermiticity_residual(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.conj().T)))
+def hermiticity_residual(mat: np.ndarray, sign: float = 1.0) -> float:
+    """max |mat - sign mat^*| of a matrix or a stack of matrices."""
+    return float(np.max(np.abs(mat - sign * np.swapaxes(mat, -1, -2).conj())))
+
+
+def common(*ops) -> tuple:
+    """The operators on one partition: as they are when they share one,
+    else as dense matrices on the one-block partition."""
+    if len({op.dim for op in ops}) > 1:
+        raise ConfigError("operator dimensions differ")
+    if all(op.part is ops[0].part for op in ops):
+        return ops
+    return tuple(LinearOperator(op.mat, op.tag, op.hermitian) for op in ops)
+
+
+def combine(terms, tag: str, hermitian: bool = False) -> LinearOperator:
+    """sum of coef * op over the (coef, op) pairs, added left to right,
+    block by block on the operators' common partition."""
+    coefs, ops = zip(*terms)
+    ops = common(*ops)
+    blocks = [coefs[0] * b for b in ops[0].blocks]
+    for coef, op in zip(coefs[1:], ops[1:]):
+        blocks = [acc + coef * b for acc, b in zip(blocks, op.blocks)]
+    return LinearOperator.from_blocks(ops[0].part, blocks, tag, hermitian)
 
 
 def _ladder_matrix(basis: FockBasis, kind: str, i: int):
@@ -176,19 +317,37 @@ def _ladder_matrix(basis: FockBasis, kind: str, i: int):
         raise ConfigError(f"unknown ladder kind {kind!r}") from None
 
 
+# momentum a ladder adds to a state: +p for a creator, -p for an annihilator
+_CHARGE = {"a": -1, "b": -1, "ad": 1, "bd": 1}
+
+
+def _conserves_momentum(basis: FockBasis, ops) -> bool:
+    px = py = 0
+    for kind, i in ops:
+        if kind not in _CHARGE:
+            raise ConfigError(f"unknown ladder kind {kind!r}")
+        px += _CHARGE[kind] * basis.modes[i][0]
+        py += _CHARGE[kind] * basis.modes[i][1]
+    return px == py == 0
+
+
 def build_operator(basis: FockBasis, terms, tag: str,
                    hermitian: bool = False) -> LinearOperator:
-    """Assemble sum of coefficient * product of ladder matrices into a
-    dense matrix.
+    """Assemble sum of coefficient * product of ladder matrices.
 
     A product is a list of (kind, mode index) pairs, leftmost written
-    first; kinds are 'a', 'ad', 'b' and 'bd'.
+    first; kinds are 'a', 'ad', 'b' and 'bd'.  When every product
+    conserves total momentum the operator is stored in the momentum
+    sectors of the basis, otherwise on the one-block partition.
     """
-    mat = np.zeros((basis.dim, basis.dim))
+    terms = [(coef, ops) for coef, ops in terms if coef != 0.0]
+    part = (basis.sectors
+            if all(_conserves_momentum(basis, ops) for _, ops in terms)
+            else whole_partition(basis.dim))
+    first, pos, size, total = part.slots
+    flat = np.zeros(total)
     start = np.arange(basis.dim)
     for coef, ops in terms:
-        if coef == 0.0:
-            continue
         # every factor has at most one nonzero per column, so the product
         # follows each column's single path, rightmost factor first
         cols, rows, amp = start, start, np.ones(basis.dim)
@@ -198,8 +357,8 @@ def build_operator(basis: FockBasis, terms, tag: str,
             cols, rows, amp = cols[keep], rows[keep], amp[keep]
             amp *= vals[rows]
             rows = dest[rows]
-        mat[rows, cols] += coef * amp
-    return LinearOperator(mat, tag, hermitian)
+        flat[first[cols] + pos[rows] * size[cols]] += coef * amp
+    return LinearOperator.from_blocks(part, part.split(flat), tag, hermitian)
 
 
 def ladder(basis: FockBasis, mode, kind: str) -> LinearOperator:
@@ -210,19 +369,30 @@ def ladder(basis: FockBasis, mode, kind: str) -> LinearOperator:
     return LinearOperator(mat, f"{kind}_{mode}")
 
 
+def _diagonal(basis: FockBasis, values: np.ndarray,
+              tag: str) -> LinearOperator:
+    """diag(values), stored in the momentum sectors of the basis."""
+    part = basis.sectors
+    blocks = []
+    for idx in part.classes:
+        s = idx.shape[1]
+        blk = np.zeros(idx.shape + (s,))
+        blk[:, np.arange(s), np.arange(s)] = values[idx]
+        blocks.append(blk)
+    return LinearOperator.from_blocks(part, blocks, tag, hermitian=True)
+
+
 def number_operator(basis: FockBasis) -> LinearOperator:
-    return LinearOperator(np.diag(basis.totals().astype(float)), "N+",
-                          hermitian=True)
+    return _diagonal(basis, basis.totals().astype(float), "N+")
 
 
 def diagonal_in_total(basis: FockBasis, func, tag: str) -> LinearOperator:
     vals = np.array([func(int(n)) for n in basis.totals()], dtype=float)
-    return LinearOperator(np.diag(vals), tag, hermitian=True)
+    return _diagonal(basis, vals, tag)
 
 
 def kinetic_operator(basis: FockBasis) -> LinearOperator:
-    diag = (basis.states * basis.mode_p2).sum(axis=1)
-    return LinearOperator(np.diag(diag), "K", hermitian=True)
+    return _diagonal(basis, (basis.states * basis.mode_p2).sum(axis=1), "K")
 
 
 def _vhat(pot: RadialPotential, params: GPParameters, mode) -> float:
@@ -276,9 +446,9 @@ def hamiltonian_pieces(basis: FockBasis, pot: RadialPotential,
     for i, vm in enumerate(vhat):
         terms2.append((N * vm, [("bd", i), ("b", i)]))
         terms2.append((-vm, [("ad", i), ("a", i)]))
-    L2 = LinearOperator(
-        K.mat + build_operator(basis, terms2, "L2-int").mat
-        + _pair_operator(basis, [N * vm for vm in vhat], 1.0, "L2-pair").mat,
+    L2 = combine([
+        (1.0, K), (1.0, build_operator(basis, terms2, "L2-int")),
+        (1.0, _pair_operator(basis, [N * vm for vm in vhat], 1.0, "L2-pair"))],
         "L2", hermitian=True)
 
     L3 = _cubic_operator(basis, vhat, math.sqrt(N), "L3")
@@ -335,26 +505,30 @@ def generators(basis: FockBasis, table: KernelTable,
     A = _cubic_operator(basis, eta, 1.0 / math.sqrt(params.N), "A",
                         sign=-1.0)
     for gen in (B, A):
-        r = float(np.max(np.abs(gen.mat + gen.mat.conj().T)))
+        r = gen.residual(-1.0)
         if r > HERMITIAN_TOL:
             raise ConsistencyError(f"{gen.tag} not antihermitian ({r:.3e})")
     return {"B": B, "A": A}
 
 
 def conjugate(op: LinearOperator, gen: LinearOperator) -> LinearOperator:
-    """e^{-gen} op e^{gen} with certified unitarity of e^{gen}."""
-    if op.dim != gen.dim:
-        raise ConfigError("dimension mismatch in conjugation")
-    r = float(np.max(np.abs(gen.mat + gen.mat.conj().T)))
+    """e^{-gen} op e^{gen} with certified unitarity of e^{gen}, block by
+    block on the common partition of op and gen."""
+    op, gen = common(op, gen)
+    r = gen.residual(-1.0)
     if r > HERMITIAN_TOL:
         raise ConsistencyError(f"generator not antihermitian ({r:.3e})")
-    U = expm(gen.mat)
-    unit = float(np.max(np.abs(U.conj().T @ U - np.eye(op.dim))))
+    blocks, unit = [], 0.0
+    for blk, g in zip(op.blocks, gen.blocks):
+        U = expm(g)
+        Uh = np.swapaxes(U, -1, -2).conj()
+        unit = max(unit, float(np.max(np.abs(Uh @ U - np.eye(U.shape[-1])))))
+        blocks.append(Uh @ blk @ U)
     if unit > 1e-10:
         raise ConsistencyError(f"exponential not unitary ({unit:.3e})")
-    mat = U.conj().T @ op.mat @ U
-    return LinearOperator(mat, f"conj({op.tag};{gen.tag})",
-                          hermitian=op.hermitian)
+    return LinearOperator.from_blocks(op.part, blocks,
+                                      f"conj({op.tag};{gen.tag})",
+                                      hermitian=op.hermitian)
 
 
 def remainder_d(basis: FockBasis, mode, table: KernelTable,
@@ -381,33 +555,30 @@ def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
     vhat = [_vhat(pot, params, m) for m in basis.modes]
     K = kinetic_operator(basis)
     VN = potential_operator(basis, pot, params)
-    HN = LinearOperator(K.mat + VN.mat, "H_N", hermitian=True)
+    HN = combine([(1.0, K), (1.0, VN)], "H_N", hermitian=True)
     v0 = fourier_transform_radial(pot, 0.0)
 
     # the omega pair operator, shared by G_eff and R_eff
-    quad = _pair_operator(basis, omega, 1.0, "quad").mat
-
-    # each sum is accumulated in place, left to right, so no piece or
-    # partial sum outlives its addition (dense matrices dominate memory)
-    G = diagonal_in_total(
+    quad = _pair_operator(basis, omega, 1.0, "quad")
+    G_diag = diagonal_in_total(
         basis,
         lambda n: 0.5 * w0 * (N - 1) * (1 - n / N)
         + (2 * N * v0 - 0.5 * w0) * n * (1 - n / N),
-        "G-diag").mat
-    G += quad
-    G += _cubic_operator(basis, vhat, math.sqrt(N), "G-cubic").mat
-    G += HN.mat
-    G_eff = LinearOperator(G, "G_eff", hermitian=True)
+        "G-diag")
+    G_eff = combine([
+        (1.0, G_diag), (1.0, quad),
+        (1.0, _cubic_operator(basis, vhat, math.sqrt(N), "G-cubic")),
+        (1.0, HN)], "G_eff", hermitian=True)
 
-    R = diagonal_in_total(
+    R_diag = diagonal_in_total(
         basis,
         lambda n: 0.5 * (N - 1) * w0 * (1 - n / N)
         + 0.5 * w0 * n * (1 - n / N) + w0 * n * (1 - n / N),
-        "R-diag").mat
-    R += quad
-    R += _cubic_operator(basis, omega, 1.0 / math.sqrt(N), "R-cubic").mat
-    R += HN.mat
-    R_eff = LinearOperator(R, "R_eff", hermitian=True)
+        "R-diag")
+    R_eff = combine([
+        (1.0, R_diag), (1.0, quad),
+        (1.0, _cubic_operator(basis, omega, 1.0 / math.sqrt(N), "R-cubic")),
+        (1.0, HN)], "R_eff", hermitian=True)
     return {"G_eff": G_eff, "R_eff": R_eff, "H_N": HN, "K": K, "V_N": VN}
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.optimize import brentq
 from scipy.special import j0, j1, y0, y1
 
@@ -87,8 +87,8 @@ class ZeroEnergySolution:
         if self.is_free:
             return np.broadcast_to(np.float64(self.phi[0]), r.shape).copy()
         r0 = self.pot.r0
-        inner = self._dense.sol(np.minimum(r, r0))[0]
-        val_r0 = float(self._dense.sol(r0)[0])
+        inner = self._dense(np.minimum(r, r0))[0]
+        val_r0 = float(self._dense(r0)[0])
         with np.errstate(divide="ignore"):
             outer = val_r0 + self.log_slope * np.log(
                 np.maximum(r, r0) / r0)
@@ -99,7 +99,7 @@ class ZeroEnergySolution:
         if self.is_free:
             return np.zeros_like(r)
         r0 = self.pot.r0
-        inner = self._dense.sol(np.minimum(r, r0))[1]
+        inner = self._dense(np.minimum(r, r0))[1]
         with np.errstate(divide="ignore"):
             outer = self.log_slope / np.maximum(r, r0)
         return np.where(r <= r0, inner, outer)
@@ -260,21 +260,39 @@ class AsymptoticsReport:
                                             self.e4))
 
 
-def _integrate_interior(pot: RadialPotential, lam: float, r_end: float):
-    """Regular solution of the radial equation on (0, r_end], unnormalized."""
+def _pieces(pot: RadialPotential, lo: float, hi: float):
+    """[lo, hi] cut at the nodes of a tabulated V.  Its kinks there are
+    invisible to the step-size control, so the ODE solvers restart at
+    each node and no step straddles one."""
+    cuts = [lo, hi]
+    if pot.table_r is not None:
+        cuts += [t for t in pot.table_r if lo < t < hi]
+    cuts = np.unique(cuts)
+    return zip(cuts[:-1], cuts[1:])
+
+
+def _integrate_interior(pot: RadialPotential, lam: float,
+                        r_end: float) -> OdeSolution:
+    """Regular solution (f, f') of the radial equation on (0, r_end],
+    unnormalized, as a piecewise dense solution."""
     v0 = float(pot(0.0))
     h = r_end * 1e-7
     c = (0.5 * v0 - lam) / 4.0
-    y0_ = np.array([1.0 + c * h * h, 2.0 * c * h])
+    y = np.array([1.0 + c * h * h, 2.0 * c * h])
 
     def rhs(r, y):
         return [y[1], (0.5 * pot(r) - lam) * y[0] - y[1] / r]
 
-    sol = solve_ivp(rhs, (h, r_end), y0_, method="RK45", dense_output=True,
-                    rtol=_ODE_RTOL, atol=_ODE_ATOL)
-    if not sol.success:
-        raise SolverError(f"radial ODE failed: {sol.message}")
-    return sol
+    ts, interpolants = [h], []
+    for lo, hi in _pieces(pot, h, r_end):
+        sol = solve_ivp(rhs, (lo, hi), y, method="RK45", dense_output=True,
+                        rtol=_ODE_RTOL, atol=_ODE_ATOL)
+        if not sol.success:
+            raise SolverError(f"radial ODE failed: {sol.message}")
+        ts.extend(sol.sol.ts[1:])
+        interpolants.extend(sol.sol.interpolants)
+        y = sol.y[:, -1]
+    return OdeSolution(ts, interpolants)
 
 
 def interior_series(pot: RadialPotential) -> InteriorSeries:
@@ -298,14 +316,8 @@ def interior_series(pot: RadialPotential) -> InteriorSeries:
         dds[1:] -= coupling * s[:-1]
         return np.concatenate((ds, dds))
 
-    # a tabulated V has kinks at its nodes, which the step-size control
-    # does not see: restart there, so that no step straddles one
-    cuts = [h, r0]
-    if pot.table_r is not None:
-        cuts += [t for t in pot.table_r if h < t < r0]
-    cuts = np.unique(cuts)
-    rs, ys = [cuts[:1]], [y0_[:, None]]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    rs, ys = [np.array([h])], [y0_[:, None]]
+    for lo, hi in _pieces(pot, h, r0):
         sol = solve_ivp(rhs, (lo, hi), ys[-1][:, -1], method="RK45",
                         rtol=_ODE_RTOL, atol=_ODE_ATOL)
         if not sol.success:
@@ -336,7 +348,7 @@ def scattering_length(pot: RadialPotential, fit_lo: float = 1.0,
     vals = np.empty_like(nodes)
     ders = np.empty_like(nodes)
     vals[0], ders[0] = 1.0, 0.0
-    y = sol.sol(nodes[1:])
+    y = sol(nodes[1:])
     vals[1:], ders[1:] = y[0], y[1]
 
     if np.any(vals <= 0.0):
@@ -371,7 +383,7 @@ def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
     r0 = pot.r0
     at_r0 = series.boundary(lam)
     if at_r0 is None:
-        interior = _integrate_interior(pot, lam, r0).sol
+        interior = _integrate_interior(pot, lam, r0)
         at_r0 = interior(r0)
     else:
         interior = partial(series.profile, lam)

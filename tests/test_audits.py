@@ -11,7 +11,8 @@ from gp2d.audits import (InequalityReport, condensation_lower_bound,
                          smooth_partition, square_completion_check)
 from gp2d.errors import ConfigError
 from gp2d.fock import (LinearOperator, build_basis, effective_hamiltonians,
-                       kinetic_operator, number_operator, shell_modes)
+                       kinetic_operator, number_operator, partition_by,
+                       shell_modes)
 from gp2d.kernels import GPParameters, renormalized_potential
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.scattering import neumann_ground_state
@@ -90,6 +91,40 @@ def test_min_constant_same_for_real_and_complex_cast(audit_setup):
          for t in rhs], "cast")
     assert real.constant > 0
     assert (real.constant, real.passed) == (cast.constant, cast.passed)
+
+
+def _random_blocks(rng, part, shift):
+    """Symmetric random blocks over part, each shifted by shift * 1."""
+    blocks = []
+    for idx in part.classes:
+        m = rng.normal(size=idx.shape + (idx.shape[1],))
+        blocks.append(m + np.swapaxes(m, 1, 2)
+                      + shift * np.eye(idx.shape[1]))
+    return blocks
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_min_constant_blockwise_equals_one_block(seed):
+    # a block-diagonal operator whose blocks sit on a random permutation
+    # of the indices: stored blockwise or as one dense block, it gets the
+    # same constant, verdict and extremal eigenvalue
+    rng = np.random.default_rng(seed)
+    part = partition_by(rng.integers(0, 9, size=40))
+    lhs = LinearOperator.from_blocks(part, _random_blocks(rng, part, 0.0),
+                                     "lhs", hermitian=True)
+    rhs = LinearOperator.from_blocks(part, _random_blocks(rng, part, 12.0),
+                                     "rhs", hermitian=True)
+    blocked = min_constant(lhs, [rhs], "blocked")
+    whole = min_constant(LinearOperator(lhs.mat, "lhs", hermitian=True),
+                         [LinearOperator(rhs.mat, "rhs", hermitian=True)],
+                         "whole")
+    assert 0 < blocked.constant < math.inf
+    assert (blocked.constant, blocked.passed) == (whole.constant,
+                                                  whole.passed)
+    assert blocked.min_eigenvalue == pytest.approx(whole.min_eigenvalue,
+                                                   rel=1e-9, abs=1e-12)
+    assert blocked.tolerance == whole.tolerance
 
 
 def test_report_serializes():

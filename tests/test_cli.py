@@ -1,12 +1,14 @@
 import inspect
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from gp2d import scattering
-from gp2d.cli import main
+from gp2d import cli, scattering
+from gp2d.cli import main, write_manifest
 from gp2d.config import RunConfig, fingerprint
+from gp2d.fock import LinearOperator
 
 FAST = """\
 N_min = 10
@@ -116,6 +118,53 @@ def test_fock_audit_larger_shell(tmp_path):
     report = json.loads((out / "fock_audit.json").read_text())
     assert report["pass"] is True
     assert report["unitary_map_modes"] == [[1, 0], [0, 1], [-1, 0], [0, -1]]
+
+
+def test_fock_audit_builds_each_ladder_once(tmp_path, fast_cfg,
+                                            monkeypatch):
+    built = []
+    original = cli.ladder
+
+    def counted(basis, mode, kind):
+        built.append((mode, kind))
+        return original(basis, mode, kind)
+
+    monkeypatch.setattr(cli, "ladder", counted)
+    assert run(["fock-audit", "--config", fast_cfg, "--out", tmp_path]) == 0
+    # a and b of each of the 4 modes, once each
+    assert sorted(built) == sorted(set(built)) and len(built) == 8
+
+
+def test_shell8_runs_without_dense_matrices(tmp_path, monkeypatch):
+    # lower-bound and energy-sweep assemble, certify and eigensolve every
+    # operator block by block: no dense matrix is ever asked for
+    def refuse(op):
+        raise AssertionError(f"dense matrix of {op.tag} requested")
+
+    monkeypatch.setattr(LinearOperator, "mat", property(refuse))
+    path = tmp_path / "run.cfg"
+    path.write_text("shell = 8\nfock_n_max = 5\nN_step = 10\n")
+    for command in ("lower-bound", "energy-sweep"):
+        assert run([command, "--config", path, "--out", tmp_path / "o"]) == 0
+
+
+def test_interrupted_manifest_write_keeps_previous(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    write_manifest({"commands": {"scatter": "pass"}}, path)
+    before = path.read_text()
+    original = Path.write_text
+
+    def torn(self, data, *args, **kwargs):
+        original(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("device full")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    with pytest.raises(OSError):
+        write_manifest({"commands": {"scatter": "fail", "neumann": "pass"}},
+                       path)
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert json.loads(before) == {"commands": {"scatter": "pass"}}
 
 
 def test_fock_audit_default_shell_names_no_modes(tmp_path, fast_cfg):

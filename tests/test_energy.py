@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from gp2d import energy
 from gp2d.config import RunConfig, fingerprint
 from gp2d.energy import (EnergyRecord, Pipeline, SweepDataset, compute_record,
                          depletion_products, ground_state, load_dataset,
                          sweep, sweep_grid, vacuum_slope_fit,
                          vacuum_upper_bound, write_dataset)
-from gp2d.fock import LinearOperator, build_basis, shell_modes
+from gp2d.fock import (LinearOperator, build_basis, effective_hamiltonians,
+                       shell_modes)
 from gp2d.kernels import GPParameters, renormalized_potential
 from gp2d.lattice import TWO_PI, build_lattice
 
@@ -42,6 +44,31 @@ def test_ground_state_depletion_range(step_pot):
     op = LinearOperator((m + m.T).astype(complex), "rand", hermitian=True)
     _, _, depletion = ground_state(op, basis)
     assert 0.0 <= depletion <= 1.0
+
+
+def test_ground_state_blockwise_matches_dense(step_pot, step_a,
+                                             monkeypatch):
+    # the lowest eigenpair over the momentum sectors is the lowest of the
+    # whole matrix, whether each block is solved densely or by Lanczos
+    from gp2d.scattering import neumann_ground_state
+    params = GPParameters(3, 2.5)
+    sol = neumann_ground_state(step_pot, params.R, a=step_a)
+    renorm = renormalized_potential(params, sol.lam_R2,
+                                    build_lattice(TWO_PI * 8))
+    basis = build_basis(shell_modes(8), 3)
+    R = effective_hamiltonians(basis, renorm, step_pot, params)["R_eff"]
+    assert R.part is basis.sectors
+    e0, vec, depletion = ground_state(R, basis)
+    dense = LinearOperator(R.mat, "R dense", hermitian=True)
+    e0_d, vec_d, depletion_d = ground_state(dense, basis)
+    assert e0 == pytest.approx(e0_d, rel=1e-13)
+    assert depletion == pytest.approx(depletion_d, rel=1e-10)
+    assert abs(vec @ vec_d) == pytest.approx(1.0, rel=1e-12)
+    assert R.expectation(vec) == pytest.approx(e0, rel=1e-12)
+    monkeypatch.setattr(energy, "DENSE_EIG_CAP", 8)
+    e0_l, _, depletion_l = ground_state(R, basis)
+    assert e0_l == pytest.approx(e0, rel=1e-10)
+    assert depletion_l == pytest.approx(depletion, rel=1e-8)
 
 
 def test_record_csv_row_format():

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from gp2d import fock
 from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
                        conjugate, diagonal_in_total,
                        effective_hamiltonians, export_operator, generators,
                        hamiltonian_pieces, hermiticity_residual,
                        kinetic_operator, ladder, number_operator,
-                       remainder_d, shell_modes, unitary_excitation_map)
+                       partition_by, remainder_d, shell_modes,
+                       unitary_excitation_map, whole_partition)
 from gp2d.kernels import (GPParameters, eta_coefficients,
                           renormalized_potential)
 from gp2d.lattice import TWO_PI, build_lattice
@@ -103,6 +106,124 @@ def test_build_operator_matches_per_state_reference(shape, coef, ops):
     assert got.dtype == np.float64
     # entry for entry, zeros included: elements dropped at the cap stay 0
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+class Weights:
+    """Stands in for the eta table and the renormalized potential: smooth
+    weights of the mode, drawn per example."""
+
+    def __init__(self, c, d, w0):
+        self.c, self.d, self.omega0 = c, d, w0
+
+    def eta_at(self, n1, n2):
+        return self.c * math.exp(-0.3 * (n1 * n1 + n2 * n2)) + self.d * n1
+
+    def omega_at(self, p_norm):
+        return self.d + self.c * math.cos(p_norm / 7.0)
+
+
+def _dense_brute_force(monkeypatch):
+    """Make every operator of gp2d.fock a dense matrix assembled state by
+    state by the reference interpreter, on the one-block partition."""
+    monkeypatch.setattr(fock, "build_operator", lambda basis, terms, tag,
+                        hermitian=False: LinearOperator(
+                            _reference_operator(basis, list(terms)), tag,
+                            hermitian))
+    monkeypatch.setattr(fock, "_diagonal", lambda basis, values, tag:
+                        LinearOperator(np.diag(values), tag, hermitian=True))
+
+
+def _all_operators(basis, pot, params, weights):
+    pieces = hamiltonian_pieces(basis, pot, params)
+    eff = effective_hamiltonians(basis, weights, pot, params)
+    gens = generators(basis, weights, params)
+    return {"K": pieces["K"], "V_N": pieces["V_N"], "L2": pieces["L2"],
+            "L3": pieces["L3"], "G_eff": eff["G_eff"],
+            "R_eff": eff["R_eff"], "B": gens["B"], "A": gens["A"]}
+
+
+@given(shape=st.sampled_from(sorted(ORACLE_BASES)),
+       v0=st.floats(0.5, 20.0), b=st.floats(0.3, 2.0),
+       n_particles=st.integers(3, 9), alpha=st.floats(1.0, 3.0),
+       c=st.floats(-2.0, 2.0), d=st.floats(-1.0, 1.0),
+       w0=st.floats(0.0, 20.0))
+@settings(max_examples=25, deadline=None)
+def test_sector_blocks_match_dense_brute_force(shape, v0, b, n_particles,
+                                               alpha, c, d, w0):
+    basis = ORACLE_BASES[shape]
+    pot, params = step(v0, b), GPParameters(n_particles, alpha)
+    weights = Weights(c, d, w0)
+    got = _all_operators(basis, pot, params, weights)
+    with pytest.MonkeyPatch.context() as m:
+        _dense_brute_force(m)
+        want = _all_operators(basis, pot, params, weights)
+    for key, op in got.items():
+        assert op.part is basis.sectors, key
+        assert want[key].part is whole_partition(basis.dim), key
+        dense, ref = op.mat, want[key].mat
+        # terms can cancel to an exact zero in one assembly and to a
+        # rounding residue in the other
+        scale = max(np.abs(ref).max(), 1.0)
+        np.testing.assert_allclose(dense, ref, rtol=1e-13,
+                                   atol=1e-14 * scale, err_msg=key)
+        # the brute-force matrix has nothing outside the sectors
+        np.testing.assert_array_equal(ref[dense == 0.0], 0.0)
+
+
+def test_sectors_split_by_total_momentum():
+    basis = build_basis(shell_modes(8), 4)
+    momentum = basis.states @ np.array(basis.modes)
+    seen = np.concatenate([idx.ravel() for idx in basis.sectors.classes])
+    assert sorted(seen) == list(range(basis.dim))
+    for idx in basis.sectors.classes:
+        assert np.all(np.diff(idx, axis=1) > 0)     # basis order inside
+        for block in idx:
+            assert len({tuple(p) for p in momentum[block]}) == 1
+    # one sector per distinct momentum: 81 at shell 8, N = 4
+    assert sum(len(idx) for idx in basis.sectors.classes) == len(
+        {tuple(p) for p in momentum}) == 81
+
+
+def test_non_conserving_string_is_one_block():
+    basis = ORACLE_BASES[(8, 2)]
+    kept = build_operator(basis, [(1.0, [("ad", 0), ("a", 0)])], "n_0")
+    assert kept.part is basis.sectors
+    moved = build_operator(basis, [(1.0, [("ad", 0), ("a", 1)])], "hop")
+    assert moved.part is whole_partition(basis.dim)
+    np.testing.assert_array_equal(
+        moved.mat, _reference_operator(basis, [(1.0, [("ad", 0),
+                                                      ("a", 1)])]))
+    # a sum with one non-conserving string is stored whole as well
+    mixed = build_operator(basis, [(1.0, [("ad", 0), ("a", 0)]),
+                                   (0.5, [("bd", 2)])], "mixed")
+    assert mixed.part is whole_partition(basis.dim)
+
+
+def test_mixed_partitions_meet_on_one_block(fock_setup):
+    params, _, table, _, basis = fock_setup
+    B = generators(basis, table, params)["B"]
+    dense = LinearOperator(number_operator(basis).mat, "N+ dense",
+                           hermitian=True)
+    blocked = conjugate(number_operator(basis), B)
+    met = conjugate(dense, B)
+    assert blocked.part is basis.sectors
+    assert met.part is whole_partition(basis.dim)
+    np.testing.assert_allclose(met.mat, blocked.mat, rtol=0, atol=1e-13)
+    # e^{-B} N e^{B}, with the exponential taken of the whole matrix
+    want = expm(-B.mat) @ dense.mat @ expm(B.mat)
+    np.testing.assert_allclose(blocked.mat, want, rtol=0, atol=1e-13)
+
+
+def test_partition_by_groups_equal_labels():
+    labels = np.array([2, 0, 2, 1, 0, 2, 3])
+    part = partition_by(labels)
+    assert [idx.tolist() for idx in part.classes] == [[[3], [6]],
+                                                      [[1, 4]],
+                                                      [[0, 2, 5]]]
+    first, pos, size, total = part.slots
+    assert total == 1 + 1 + 4 + 9
+    assert pos.tolist() == [0, 0, 1, 0, 1, 2, 0]
+    assert size.tolist() == [3, 2, 3, 1, 2, 3, 1]
 
 
 def test_build_operator_rejects_unknown_kind():

@@ -241,21 +241,44 @@ def test_series_falls_back_to_direct_shooting(monkeypatch):
     assert abs(sol.f_prime_at(np.array([R]))[0]) < 1e-10
 
 
+# V is piecewise linear on 8 pieces, with a kink at every inner node
+KINK_NODES = np.linspace(0.0, 1.0, 9)
+KINKED = tabulated(KINK_NODES,
+                   np.array([3, 2.5, 4, 1, 2, 0.5, 1.5, 0.7, 0.0]))
+
+
+def node_to_node(pot, lam):
+    """(f, f') at r0 of the regular solution, integrated node to node at
+    tight tolerance, so that no step sees a kink."""
+    h = 1e-7
+    c = (0.5 * pot(0.0) - lam) / 4.0
+    y = np.array([1.0 + c * h * h, 2.0 * c * h])
+    for lo, hi in zip(np.r_[h, KINK_NODES[1:-1]], KINK_NODES[1:]):
+        y = solve_ivp(lambda r, u: [u[1], (0.5 * pot(r) - lam) * u[0]
+                                    - u[1] / r], (lo, hi), y,
+                      method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
+    return y
+
+
 def test_series_restarts_at_table_kinks():
-    # V is piecewise linear: a reference integrated node to node at tight
-    # tolerance sees no kink inside a step
-    nodes = np.linspace(0.0, 1.0, 9)
-    pot = tabulated(nodes, np.array([3, 2.5, 4, 1, 2, 0.5, 1.5, 0.7, 0.0]))
-    series = interior_series(pot)
+    series = interior_series(KINKED)
     for lam in (1e-6, 0.1, 0.5):
-        h = 1e-7
-        c = (0.5 * pot(0.0) - lam) / 4.0
-        y = np.array([1.0 + c * h * h, 2.0 * c * h])
-        for lo, hi in zip(np.r_[h, nodes[1:-1]], nodes[1:]):
-            y = solve_ivp(lambda r, u: [u[1], (0.5 * pot(r) - lam) * u[0]
-                                        - u[1] / r], (lo, hi), y,
-                          method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
-        np.testing.assert_allclose(series.boundary(lam), y, rtol=1e-11)
+        np.testing.assert_allclose(series.boundary(lam),
+                                   node_to_node(KINKED, lam), rtol=1e-11)
+
+
+def test_direct_shooting_restarts_at_table_kinks():
+    # the lambda r0^2 >> 1 fallback and the scattering length integrate
+    # the interior directly; they too restart at the nodes
+    for lam in (1e-6, 0.1, 0.5):
+        got = scattering._integrate_interior(KINKED, lam, KINKED.r0)
+        np.testing.assert_allclose(got(KINKED.r0), node_to_node(KINKED, lam),
+                                   rtol=1e-11)
+    zero = scattering_length(KINKED)
+    r0 = np.array([KINKED.r0])
+    np.testing.assert_allclose(
+        [zero.phi_at(r0)[0], zero.phi_prime_at(r0)[0]],
+        node_to_node(KINKED, 0.0), rtol=1e-11)
 
 
 def test_series_of_another_potential_rejected(step_pot):
