@@ -19,7 +19,7 @@ from .kernels import (GPParameters, eta_coefficients,
                       omega_lattice_sum, chi_hat)
 from .fock import (build_basis, shell_modes, ladder, hamiltonian_pieces,
                    generators, conjugate, effective_hamiltonians,
-                   unitary_excitation_map)
+                   gn_effective_hamiltonian, unitary_excitation_map)
 from .audits import (min_constant, localization_check,
                      condensation_lower_bound, gn_condensation_shape)
 from .energy import vacuum_upper_bound, ground_state, sweep

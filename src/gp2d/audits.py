@@ -80,8 +80,8 @@ def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
     def min_eig(c: float) -> float:
         return _min_eigenvalue(shifted(c))
 
-    if min_eig(0.0) >= -slack:
-        ev, vec = smallest_eigenpair(shifted(0.0))
+    ev, vec = smallest_eigenpair(shifted(0.0))
+    if ev >= -slack:
         return InequalityReport(statement, 0.0, ev, lhs.dim, cap, True,
                                 slack, _profile(vec))
 

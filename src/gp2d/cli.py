@@ -37,12 +37,12 @@ def _regime_note(alpha: float) -> None:
 def cmd_scatter(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     zsol = pipe.zero
     print(f"scattering length a = {zsol.a:.9g}  "
-          f"(log-fit residual {zsol.fit_residual:.2e})")
+          f"(log slope {zsol.log_slope:.9g})")
     path = out / "scatter.json"
     path.write_text(json.dumps({
-        "a": zsol.a, "fit_residual": zsol.fit_residual,
-        "log_slope": zsol.log_slope, "vhat0": fourier_transform_radial(
-            pipe.pot, 0.0)}, sort_keys=True) + "\n")
+        "a": zsol.a, "log_slope": zsol.log_slope,
+        "vhat0": fourier_transform_radial(pipe.pot, 0.0)},
+        sort_keys=True) + "\n")
     return True, [path]
 
 

@@ -34,11 +34,11 @@ DENSE_EIG_CAP = 4000
 class Pipeline:
     """The chain of one run, each link computed on first use and kept.
 
-    potential -> zero-energy solution (scattering length a) and the
-    interior lambda-series -> Neumann profile on the disk of radius
-    R = e^N ell -> eta table and omega_hat, all on the run's single
-    momentum lattice.  The last three are kept per (N, alpha).  Every
-    command of a run reads from one Pipeline.
+    potential -> interior lambda-series, whose lambda = 0 term is the
+    zero-energy solution (scattering length a) -> Neumann profile on the
+    disk of radius R = e^N ell -> eta table and omega_hat, all on the
+    run's single momentum lattice.  The last three are kept per
+    (N, alpha).  Every command of a run reads from one Pipeline.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -51,7 +51,7 @@ class Pipeline:
 
     @cached_property
     def zero(self) -> ZeroEnergySolution:
-        return scattering_length(self.pot)
+        return scattering_length(self.pot, self.series)
 
     @cached_property
     def series(self) -> InteriorSeries | None:
@@ -73,7 +73,7 @@ class Pipeline:
 
     def neumann(self, N: int, alpha: float) -> NeumannSolution:
         return self._once("neumann", N, alpha, lambda p: neumann_ground_state(
-            self.pot, p.R, a=self.zero.a, series=self.series))
+            self.pot, p.R, series=self.series))
 
     def renorm(self, N: int, alpha: float) -> RenormPotential:
         return self._once("renorm", N, alpha, lambda p: renormalized_potential(

@@ -543,33 +543,34 @@ def remainder_d(basis: FockBasis, mode, table: KernelTable,
     return LinearOperator(mat, f"d_{mode}")
 
 
+def _h_n(basis: FockBasis, pot: RadialPotential,
+         params: GPParameters) -> tuple:
+    """K, V_N and H_N = K + V_N."""
+    K = kinetic_operator(basis)
+    VN = potential_operator(basis, pot, params)
+    return K, VN, combine([(1.0, K), (1.0, VN)], "H_N", hermitian=True)
+
+
+def _omega_pair(basis: FockBasis, renorm: RenormPotential) -> tuple:
+    """omega_hat at the modes and its pair operator, the quadratic part
+    of both G_eff and R_eff."""
+    omega = [float(renorm.omega_at(TWO_PI * math.hypot(*m)))
+             for m in basis.modes]
+    return omega, _pair_operator(basis, omega, 1.0, "quad")
+
+
 def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
                            pot: RadialPotential,
                            params: GPParameters) -> dict:
-    """Quadratically and cubically renormalized effective Hamiltonians."""
+    """The cubically renormalized R_eff and the pieces of H_N it holds.
+
+    G_eff, which only the G_N statements read, has its own builder,
+    ``gn_effective_hamiltonian``.
+    """
     N = params.N
     w0 = renorm.omega0
-
-    omega = [float(renorm.omega_at(TWO_PI * math.hypot(*m)))
-             for m in basis.modes]
-    vhat = [_vhat(pot, params, m) for m in basis.modes]
-    K = kinetic_operator(basis)
-    VN = potential_operator(basis, pot, params)
-    HN = combine([(1.0, K), (1.0, VN)], "H_N", hermitian=True)
-    v0 = fourier_transform_radial(pot, 0.0)
-
-    # the omega pair operator, shared by G_eff and R_eff
-    quad = _pair_operator(basis, omega, 1.0, "quad")
-    G_diag = diagonal_in_total(
-        basis,
-        lambda n: 0.5 * w0 * (N - 1) * (1 - n / N)
-        + (2 * N * v0 - 0.5 * w0) * n * (1 - n / N),
-        "G-diag")
-    G_eff = combine([
-        (1.0, G_diag), (1.0, quad),
-        (1.0, _cubic_operator(basis, vhat, math.sqrt(N), "G-cubic")),
-        (1.0, HN)], "G_eff", hermitian=True)
-
+    K, VN, HN = _h_n(basis, pot, params)
+    omega, quad = _omega_pair(basis, renorm)
     R_diag = diagonal_in_total(
         basis,
         lambda n: 0.5 * (N - 1) * w0 * (1 - n / N)
@@ -579,7 +580,30 @@ def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
         (1.0, R_diag), (1.0, quad),
         (1.0, _cubic_operator(basis, omega, 1.0 / math.sqrt(N), "R-cubic")),
         (1.0, HN)], "R_eff", hermitian=True)
-    return {"G_eff": G_eff, "R_eff": R_eff, "H_N": HN, "K": K, "V_N": VN}
+    return {"R_eff": R_eff, "H_N": HN, "K": K, "V_N": VN}
+
+
+def gn_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
+                             pot: RadialPotential,
+                             params: GPParameters) -> LinearOperator:
+    """The quadratically renormalized G_eff, whose cubic term carries
+    sqrt(N) Vhat: the operator of ``gn_condensation_shape`` and
+    ``depletion_chain_check``."""
+    N = params.N
+    w0 = renorm.omega0
+    _, _, HN = _h_n(basis, pot, params)
+    _, quad = _omega_pair(basis, renorm)
+    vhat = [_vhat(pot, params, m) for m in basis.modes]
+    v0 = fourier_transform_radial(pot, 0.0)
+    G_diag = diagonal_in_total(
+        basis,
+        lambda n: 0.5 * w0 * (N - 1) * (1 - n / N)
+        + (2 * N * v0 - 0.5 * w0) * n * (1 - n / N),
+        "G-diag")
+    return combine([
+        (1.0, G_diag), (1.0, quad),
+        (1.0, _cubic_operator(basis, vhat, math.sqrt(N), "G-cubic")),
+        (1.0, HN)], "G_eff", hermitian=True)
 
 
 # ---------------------------------------------------------------------------

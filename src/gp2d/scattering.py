@@ -40,16 +40,11 @@ class RadialGrid:
     """Strictly increasing radial nodes, first node at 0."""
 
     nodes: np.ndarray
-    scheme: str = "uniform-in-core+log-tail"
 
     def __post_init__(self):
         n = np.asarray(self.nodes, float)
         if n[0] != 0.0 or np.any(np.diff(n) <= 0):
             raise ConsistencyError("grid must start at 0 and be increasing")
-
-    @property
-    def rmax(self) -> float:
-        return float(self.nodes[-1])
 
 
 def make_grid(r_core: float, r_max: float, n_core: int = 64,
@@ -66,43 +61,35 @@ def make_grid(r_core: float, r_max: float, n_core: int = 64,
 
 @dataclass(frozen=True)
 class ZeroEnergySolution:
-    """Regular zero-energy solution and the extracted scattering length."""
+    """Regular zero-energy solution phi, phi(0) = 1, and the scattering
+    length: the lambda = 0 term of the interior series inside the range,
+    the exact log profile c log(r/a) outside it."""
 
-    grid: RadialGrid
-    phi: np.ndarray
-    phi_prime: np.ndarray
     a: float                      # scattering length; 0 flags the free case
     log_slope: float              # c in phi(r) = c log(r/a) outside the range
-    fit_residual: float
     pot: RadialPotential = field(repr=False)
-    _dense: object = field(default=None, repr=False)
+    series: InteriorSeries | None = field(default=None, repr=False)
 
     @property
     def is_free(self) -> bool:
         return self.a == 0.0
 
-    def phi_at(self, r):
-        """Evaluate phi anywhere (analytic log continuation outside r0)."""
+    def _at(self, r):
         r = np.asarray(r, float)
         if self.is_free:
-            return np.broadcast_to(np.float64(self.phi[0]), r.shape).copy()
+            return np.ones_like(r), np.zeros_like(r)
         r0 = self.pot.r0
-        inner = self._dense(np.minimum(r, r0))[0]
-        val_r0 = float(self._dense(r0)[0])
-        with np.errstate(divide="ignore"):
-            outer = val_r0 + self.log_slope * np.log(
-                np.maximum(r, r0) / r0)
-        return np.where(r <= r0, inner, outer)
+        inside = r <= r0
+        phi, dphi = self.series.profile(0.0, np.minimum(r, r0))
+        out = np.maximum(r, r0)
+        return (np.where(inside, phi, self.log_slope * np.log(out / self.a)),
+                np.where(inside, dphi, self.log_slope / out))
+
+    def phi_at(self, r):
+        return self._at(r)[0]
 
     def phi_prime_at(self, r):
-        r = np.asarray(r, float)
-        if self.is_free:
-            return np.zeros_like(r)
-        r0 = self.pot.r0
-        inner = self._dense(np.minimum(r, r0))[1]
-        with np.errstate(divide="ignore"):
-            outer = self.log_slope / np.maximum(r, r0)
-        return np.where(r <= r0, inner, outer)
+        return self._at(r)[1]
 
 
 @dataclass(frozen=True)
@@ -198,6 +185,20 @@ class InteriorSeries:
         if np.any(np.abs(terms[:, -1]) > _SERIES_TRUNC_REL * np.abs(vals)):
             return None
         return vals
+
+    def log_tail(self) -> tuple[float, float]:
+        """(a, c) of the zero-energy solution c log(r/a) beyond r0.
+
+        V = 0 there, so the log form is exact and matches the lambda = 0
+        term at r0: c = r0 u_0'(r0), a = r0 exp(-u_0(r0) / c).
+        """
+        r0 = self.pot.r0
+        phi, dphi = self.s[:, 0, -1]          # s_0 = u_0
+        c = r0 * dphi
+        if not (phi > 0.0 and c > 0.0):
+            raise ConsistencyError("zero-energy solution must be positive "
+                                   "and rising at r0 (V >= 0)")
+        return float(r0 * np.exp(-phi / c)), float(c)
 
     def profile(self, lam: float, r) -> np.ndarray:
         """(f, f') at radii r <= r0.
@@ -328,48 +329,26 @@ def interior_series(pot: RadialPotential) -> InteriorSeries:
                           np.concatenate(ys, axis=1).reshape(2, n, -1))
 
 
-def scattering_length(pot: RadialPotential, fit_lo: float = 1.0,
-                      fit_hi: float = 2.0, n_fit: int = 64,
-                      residual_tol: float = 1e-8) -> ZeroEnergySolution:
-    """Scattering length from the regular zero-energy solution.
+def _series_of(pot: RadialPotential,
+               series: InteriorSeries | None) -> InteriorSeries:
+    """``series`` checked to belong to ``pot``, or integrated when None."""
+    if series is None:
+        return interior_series(pot)
+    if series.pot is not pot:
+        raise ConsistencyError("interior series of another potential")
+    return series
 
-    Integrates outward from the origin and fits c log(r/a) on the window
-    (fit_lo * r0, fit_hi * r0], where the log form is exact.
-    """
-    r0 = pot.r0
-    grid = make_grid(r0 / 100.0, fit_hi * r0, n_core=48, n_tail=200)
+
+def scattering_length(pot: RadialPotential,
+                      series: InteriorSeries | None = None
+                      ) -> ZeroEnergySolution:
+    """Scattering length from the regular zero-energy solution, the
+    lambda = 0 term of the interior series (integrated here when not
+    given); see ``InteriorSeries.log_tail``."""
     if pot.is_zero:
-        ones = np.ones_like(grid.nodes)
-        return ZeroEnergySolution(grid, ones, np.zeros_like(ones), 0.0, 0.0,
-                                  0.0, pot)
-
-    sol = _integrate_interior(pot, 0.0, fit_hi * r0)
-    nodes = grid.nodes
-    vals = np.empty_like(nodes)
-    ders = np.empty_like(nodes)
-    vals[0], ders[0] = 1.0, 0.0
-    y = sol(nodes[1:])
-    vals[1:], ders[1:] = y[0], y[1]
-
-    if np.any(vals <= 0.0):
-        raise ConsistencyError("zero-energy solution crossed zero (V >= 0)")
-
-    window = (nodes > fit_lo * r0) & (nodes <= fit_hi * r0)
-    if window.sum() < 4:
-        raise SolverError("fit window contains too few grid nodes")
-    x = np.log(nodes[window])
-    yv = vals[window]
-    coef = np.polynomial.polynomial.polyfit(x, yv, 1)
-    slope, intercept = float(coef[1]), float(coef[0])
-    resid = float(np.max(np.abs(intercept + slope * x - yv)) /
-                  np.max(np.abs(yv)))
-    if slope <= 0.0:
-        raise ConsistencyError("log slope must be positive for V >= 0")
-    a = float(np.exp(-intercept / slope))
-    if resid > residual_tol:
-        raise SolverError(f"log fit residual {resid:.3e} above tolerance")
-    return ZeroEnergySolution(grid, vals, ders, a, slope, resid, pot,
-                              _dense=sol)
+        return ZeroEnergySolution(0.0, 0.0, pot)
+    series = _series_of(pot, series)
+    return ZeroEnergySolution(*series.log_tail(), pot, series)
 
 
 def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
@@ -395,8 +374,7 @@ def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
     return gprime_R, (c1, c2), interior
 
 
-def neumann_ground_state(pot: RadialPotential, R: float,
-                         a: float | None = None, n_grid: int = 400,
+def neumann_ground_state(pot: RadialPotential, R: float, n_grid: int = 400,
                          series: InteriorSeries | None = None
                          ) -> NeumannSolution:
     """Lowest Neumann eigenpair on [0, R], normalized to f(R) = 1.
@@ -416,12 +394,8 @@ def neumann_ground_state(pot: RadialPotential, R: float,
         return NeumannSolution(grid, ones, 1.0 - ones, np.zeros_like(ones),
                                0.0, R, 0.0, pot)
 
-    if a is None:
-        a = scattering_length(pot).a
-    if series is None:
-        series = interior_series(pot)
-    elif series.pot is not pot:
-        raise ConsistencyError("interior series of another potential")
+    series = _series_of(pot, series)
+    a, _ = series.log_tail()
     L = np.log(R / a)
     if L <= 0:
         raise SolverError("R must exceed the scattering length")
@@ -451,7 +425,7 @@ def neumann_ground_state(pot: RadialPotential, R: float,
     scale = 1.0 / fR
 
     sol = NeumannSolution(grid, np.empty(0), np.empty(0), np.empty(0),
-                          float(lam), R, float(a), pot,
+                          float(lam), R, a, pot,
                           _interior=interior, _c_bessel=(c1, c2),
                           _scale=float(scale))
     f_vals = sol.f_at(grid.nodes)

@@ -16,5 +16,5 @@ def step_a(step_pot):
 
 
 @pytest.fixture(scope="session")
-def neumann_r50(step_pot, step_a):
-    return neumann_ground_state(step_pot, 50.0, a=step_a)
+def neumann_r50(step_pot):
+    return neumann_ground_state(step_pot, 50.0)

@@ -34,9 +34,9 @@ def report(number, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def radius_sweep(step_pot, step_a):
+def radius_sweep(step_pot):
     t0 = time.perf_counter()
-    sols = {R: neumann_ground_state(step_pot, R, a=step_a)
+    sols = {R: neumann_ground_state(step_pot, R)
             for R in (1.0e3, 1.0e4, 1.0e5, 1.0e6)}
     reports = {R: validate_neumann_asymptotics(s) for R, s in sols.items()}
     return reports, time.perf_counter() - t0
@@ -74,13 +74,13 @@ def test_acceptance_3_scattering_length_oracle():
                   f"{elapsed:.2f}s (<5s)")
 
 
-def test_acceptance_4_kernel_bounds(step_pot, step_a):
+def test_acceptance_4_kernel_bounds(step_pot):
     t0 = time.perf_counter()
     lat = build_lattice(TWO_PI * 12)
     sups, norms, resid = [], [], []
     for n in (8, 10, 12, 14):
         params = GPParameters(n, 3.0)
-        sol = neumann_ground_state(step_pot, params.R, a=step_a)
+        sol = neumann_ground_state(step_pot, params.R)
         table = eta_coefficients(sol, params, lat, per_efold=12)
         renorm = renormalized_potential(params, sol.lam_R2, lat)
         rep = scattering_residual(table, renorm, step_pot, params, sol,
@@ -102,14 +102,14 @@ def test_acceptance_4_kernel_bounds(step_pot, step_a):
            f"{elapsed:.1f}s (<120s)")
 
 
-def test_acceptance_5_renormalized_potential(step_pot, step_a):
+def test_acceptance_5_renormalized_potential(step_pot):
     t0 = time.perf_counter()
     alpha = 1.5
     lat = build_lattice(TWO_PI * 4)
     devs, gaps = [], []
     for n in range(10, 41):
         params = GPParameters(n, alpha)
-        sol = neumann_ground_state(step_pot, params.R, a=step_a)
+        sol = neumann_ground_state(step_pot, params.R)
         renorm = renormalized_potential(params, sol.lam_R2, lat)
         target = 4.0 * math.pi * (1.0 + alpha * math.log(n) / n)
         devs.append(abs(renorm.omega0 - target) * n)
@@ -126,11 +126,11 @@ def test_acceptance_5_renormalized_potential(step_pot, step_a):
            f"N=10..40, {elapsed:.1f}s (<120s)")
 
 
-def test_acceptance_6_exact_algebra(step_pot, step_a):
+def test_acceptance_6_exact_algebra(step_pot):
     t0 = time.perf_counter()
     n_particles = 3
     params = GPParameters(n_particles, 2.5)
-    sol = neumann_ground_state(step_pot, params.R, a=step_a)
+    sol = neumann_ground_state(step_pot, params.R)
     lat = build_lattice(TWO_PI * 8)
     table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
@@ -179,9 +179,9 @@ def test_acceptance_6_exact_algebra(step_pot, step_a):
                   f"4-mode shell at N=3, {elapsed:.1f}s (<60s)")
 
 
-def _audit_constants(step_pot, step_a, n_particles, cap, lat):
+def _audit_constants(step_pot, n_particles, cap, lat):
     params = GPParameters(n_particles, 2.5)
-    sol = neumann_ground_state(step_pot, params.R, a=step_a)
+    sol = neumann_ground_state(step_pot, params.R)
     table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), cap)
@@ -223,9 +223,9 @@ def test_acceptance_7_inequality_audits(step_pot, step_a):
     ok = True
     details = []
     for n_particles in (3, 4, 5):
-        base = _audit_constants(step_pot, step_a, n_particles,
+        base = _audit_constants(step_pot, n_particles,
                                 n_particles, lat)
-        grown = _audit_constants(step_pot, step_a, n_particles,
+        grown = _audit_constants(step_pot, n_particles,
                                  n_particles + 1, lat)
         for rep_b, rep_g in zip(base, grown):
             ok = ok and rep_b.passed and rep_g.passed
@@ -243,7 +243,7 @@ def test_acceptance_7_inequality_audits(step_pot, step_a):
                   f"({'; '.join(details)}), {elapsed:.1f}s (<300s)")
 
 
-def test_acceptance_8_energy_trajectory(step_pot, step_a, tmp_path):
+def test_acceptance_8_energy_trajectory(step_pot, tmp_path):
     t0 = time.perf_counter()
     alpha = 1.5
     cfg = RunConfig(alpha=alpha, n_min=10, n_max=60, n_step=2,
@@ -258,7 +258,7 @@ def test_acceptance_8_energy_trajectory(step_pot, step_a, tmp_path):
     sandwich_ok = True
     for n_particles in range(3, cfg.fock_n_max + 1):
         params = GPParameters(n_particles, cfg.fock_alpha)
-        sol = neumann_ground_state(step_pot, params.R, a=step_a)
+        sol = neumann_ground_state(step_pot, params.R)
         renorm = renormalized_potential(params, sol.lam_R2, lat)
         basis = build_basis(shell_modes(4), n_particles)
         ops = effective_hamiltonians(basis, renorm, step_pot, params)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gp2d import audits
 from gp2d.audits import (InequalityReport, condensation_lower_bound,
                          depletion_chain_check, gn_condensation_shape,
                          localization_check, min_constant, number_profile,
                          smooth_partition, square_completion_check)
 from gp2d.errors import ConfigError
 from gp2d.fock import (LinearOperator, build_basis, effective_hamiltonians,
-                       kinetic_operator, number_operator, partition_by,
-                       shell_modes)
+                       gn_effective_hamiltonian, kinetic_operator,
+                       number_operator, partition_by, shell_modes)
 from gp2d.kernels import GPParameters, renormalized_potential
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.scattering import neumann_ground_state
@@ -24,13 +25,14 @@ def diag_op(values, tag="D"):
 
 
 @pytest.fixture(scope="module")
-def audit_setup(step_pot, step_a):
+def audit_setup(step_pot):
     params = GPParameters(3, 2.5)
-    sol = neumann_ground_state(step_pot, params.R, a=step_a)
+    sol = neumann_ground_state(step_pot, params.R)
     lat = build_lattice(TWO_PI * 8)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), 3)
     ops = effective_hamiltonians(basis, renorm, step_pot, params)
+    ops["G_eff"] = gn_effective_hamiltonian(basis, renorm, step_pot, params)
     return params, renorm, basis, ops
 
 
@@ -41,10 +43,21 @@ def test_min_constant_exact_diagonal_case():
     assert rep.constant == pytest.approx(2.0, rel=2e-3)
 
 
-def test_min_constant_already_negative():
+def test_min_constant_already_negative(monkeypatch):
+    # C = 0 and its eigenpair come from one eigh; no eigvalsh before it
+    calls = []
+    original = audits.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(audits, "eigvalsh", counted)
     rep = min_constant(diag_op([-1.0, -3.0]), [diag_op([1.0, 1.0])], "neg")
     assert rep.passed
     assert rep.constant == 0.0
+    assert rep.min_eigenvalue == pytest.approx(1.0)
+    assert calls == []
 
 
 def test_min_constant_unbounded():

@@ -44,6 +44,24 @@ def test_observed_functions_resolve(spans):
         assert not attr.startswith("_")
 
 
+# The arguments the observers of spans.py read by name from the bound call.
+OBSERVED_PARAMETERS = {
+    "scattering.neumann_ground_state": ("R",),
+    "kernels.eta_coefficients": ("sol", "params", "lat", "per_efold"),
+    "potentials.fourier_transform_radial": ("k",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED_PARAMETERS))
+def test_observed_parameters_exist(spans, name):
+    assert name in spans.OBSERVERS
+    layer, attr = name.split(".")
+    fn = getattr(importlib.import_module(f"gp2d.{layer}"), attr)
+    params = inspect.signature(fn).parameters
+    for arg in OBSERVED_PARAMETERS[name]:
+        assert arg in params, f"{name}({arg}=...)"
+
+
 def test_build_operator_result_has_dim():
     basis = build_basis(shell_modes(4), 2)
     op = build_operator(basis, [(1.0, [("ad", 0), ("a", 0)])], "n_0")

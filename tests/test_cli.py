@@ -105,9 +105,10 @@ def test_all_integrates_interior_once(tmp_path, fast_cfg, monkeypatch):
 
     monkeypatch.setattr(scattering, "solve_ivp", counted)
     assert run(["all", "--config", fast_cfg, "--out", tmp_path / "o"]) == 0
-    # the zero-energy solution and the interior lambda-series, each once;
-    # none of the nine Neumann radii integrates its own interior
-    assert len(solves) == 2
+    # the interior lambda-series, once: the zero-energy solution is its
+    # lambda = 0 term, and none of the nine Neumann radii integrates its
+    # own interior
+    assert len(solves) == 1
 
 
 def test_fock_audit_larger_shell(tmp_path):

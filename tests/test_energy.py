@@ -19,7 +19,7 @@ SMALL = RunConfig(n_min=10, n_max=14, n_step=2, fock_n_max=4,
                   cutoff=TWO_PI * 4)
 
 
-def test_vacuum_upper_bound_formula(step_pot, step_a, neumann_r50):
+def test_vacuum_upper_bound_formula(step_pot, neumann_r50):
     params = GPParameters(10, 1.5)
     renorm = renormalized_potential(params, neumann_r50.lam_R2,
                                     build_lattice(TWO_PI * 2))
@@ -46,13 +46,13 @@ def test_ground_state_depletion_range(step_pot):
     assert 0.0 <= depletion <= 1.0
 
 
-def test_ground_state_blockwise_matches_dense(step_pot, step_a,
+def test_ground_state_blockwise_matches_dense(step_pot,
                                              monkeypatch):
     # the lowest eigenpair over the momentum sectors is the lowest of the
     # whole matrix, whether each block is solved densely or by Lanczos
     from gp2d.scattering import neumann_ground_state
     params = GPParameters(3, 2.5)
-    sol = neumann_ground_state(step_pot, params.R, a=step_a)
+    sol = neumann_ground_state(step_pot, params.R)
     renorm = renormalized_potential(params, sol.lam_R2,
                                     build_lattice(TWO_PI * 8))
     basis = build_basis(shell_modes(8), 3)

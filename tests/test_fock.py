@@ -12,10 +12,10 @@ from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
                        conjugate, diagonal_in_total,
                        effective_hamiltonians, export_operator, generators,
-                       hamiltonian_pieces, hermiticity_residual,
-                       kinetic_operator, ladder, number_operator,
-                       partition_by, remainder_d, shell_modes,
-                       unitary_excitation_map, whole_partition)
+                       gn_effective_hamiltonian, hamiltonian_pieces,
+                       hermiticity_residual, kinetic_operator, ladder,
+                       number_operator, partition_by, remainder_d,
+                       shell_modes, unitary_excitation_map, whole_partition)
 from gp2d.kernels import (GPParameters, eta_coefficients,
                           renormalized_potential)
 from gp2d.lattice import TWO_PI, build_lattice
@@ -26,9 +26,9 @@ N = 3
 
 
 @pytest.fixture(scope="module")
-def fock_setup(step_pot, step_a):
+def fock_setup(step_pot):
     params = GPParameters(N, 2.5)
-    sol = neumann_ground_state(step_pot, params.R, a=step_a)
+    sol = neumann_ground_state(step_pot, params.R)
     lat = build_lattice(TWO_PI * 8)
     table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
@@ -138,7 +138,8 @@ def _all_operators(basis, pot, params, weights):
     eff = effective_hamiltonians(basis, weights, pot, params)
     gens = generators(basis, weights, params)
     return {"K": pieces["K"], "V_N": pieces["V_N"], "L2": pieces["L2"],
-            "L3": pieces["L3"], "G_eff": eff["G_eff"],
+            "L3": pieces["L3"],
+            "G_eff": gn_effective_hamiltonian(basis, weights, pot, params),
             "R_eff": eff["R_eff"], "B": gens["B"], "A": gens["A"]}
 
 
@@ -240,6 +241,7 @@ def test_operators_are_real(fock_setup, step_pot):
     ops = [*hamiltonian_pieces(basis, step_pot, params).values(),
            *effective_hamiltonians(basis, renorm, step_pot,
                                    params).values(),
+           gn_effective_hamiltonian(basis, renorm, step_pot, params),
            *gens.values(), conjugate(number_operator(basis), gens["B"])]
     for op in ops:
         assert op.mat.dtype == np.float64, op.tag
@@ -389,6 +391,7 @@ def test_remainder_is_small(fock_setup):
 def test_effective_hamiltonians(fock_setup, step_pot):
     params, _, _, renorm, basis = fock_setup
     ops = effective_hamiltonians(basis, renorm, step_pot, params)
+    ops["G_eff"] = gn_effective_hamiltonian(basis, renorm, step_pot, params)
     vac = basis.vacuum()
     for key in ("G_eff", "R_eff", "H_N"):
         assert hermiticity_residual(ops[key].mat) <= 1e-12

@@ -18,9 +18,9 @@ from gp2d.scattering import neumann_ground_state
 
 
 @pytest.fixture(scope="module")
-def kernel_setup(step_pot, step_a):
+def kernel_setup(step_pot):
     params = GPParameters(8, 3.0)
-    sol = neumann_ground_state(step_pot, params.R, a=step_a)
+    sol = neumann_ground_state(step_pot, params.R)
     lat = build_lattice(TWO_PI * 8)
     table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
@@ -92,10 +92,10 @@ def test_eta_symmetry_is_exact(kernel_setup):
     assert table.eta_at(2, 1) == table.eta_at(1, 2)
 
 
-def test_parseval_norm_saturates(step_pot, step_a):
+def test_parseval_norm_saturates(step_pot):
     # at a generous cutoff the lattice sum approaches the position-space norm
     params = GPParameters(3, 2.5)
-    sol = neumann_ground_state(step_pot, params.R, a=step_a)
+    sol = neumann_ground_state(step_pot, params.R)
     lat = build_lattice(TWO_PI * 24)
     table = eta_coefficients(sol, params, lat)
     assert table.norm2_lattice == pytest.approx(table.norm2, rel=2e-3)
@@ -144,12 +144,12 @@ def test_renormalized_potential_values(kernel_setup):
     assert renorm.omega_at(p) == pytest.approx(want, rel=1e-12)
 
 
-def test_omega_zero_mode_near_coupling_asymptote(step_pot, step_a):
+def test_omega_zero_mode_near_coupling_asymptote(step_pot):
     # omega0 approaches 4*pi*(1 + alpha*log N / N) as N grows
     devs = []
     for n in (10, 30):
         params = GPParameters(n, 1.0)
-        sol = neumann_ground_state(step_pot, params.R, a=step_a)
+        sol = neumann_ground_state(step_pot, params.R)
         ren = renormalized_potential(params, sol.lam_R2,
                                      build_lattice(TWO_PI * 2))
         target = 4 * math.pi * (1 + math.log(n) / n)

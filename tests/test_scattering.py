@@ -52,12 +52,12 @@ def step_neumann_lambda(v0, b, R, lo, hi):
     return brentq(mismatch, lo, hi, rtol=8.9e-16, xtol=1e-280)
 
 
-def direct_shooting(pot, R, a, series, monkeypatch):
+def direct_shooting(pot, R, series, monkeypatch):
     """The Neumann solution with every lambda shot by integrating the
     interior ODE at that lambda: the fallback path, taken everywhere."""
     with monkeypatch.context() as m:
         m.setattr(InteriorSeries, "boundary", lambda self, lam: None)
-        return neumann_ground_state(pot, R, a=a, series=series)
+        return neumann_ground_state(pot, R, series=series)
 
 
 SERIES_POTENTIALS = {"step 2/1": step(2.0, 1.0),
@@ -67,7 +67,7 @@ SERIES_POTENTIALS = {"step 2/1": step(2.0, 1.0),
 
 @pytest.fixture(scope="module")
 def series_cases():
-    return {name: (pot, scattering_length(pot).a, interior_series(pot))
+    return {name: (pot, interior_series(pot))
             for name, pot in SERIES_POTENTIALS.items()}
 
 
@@ -79,8 +79,7 @@ def test_bessel_library_reference_values():
 @pytest.mark.parametrize("v0,b", [(0.5, 1.0), (2.0, 1.0), (50.0, 0.3)])
 def test_step_scattering_length_closed_form(v0, b):
     sol = scattering_length(step(v0, b))
-    assert sol.a == pytest.approx(step_scattering_length(v0, b), rel=1e-8)
-    assert sol.fit_residual < 1e-8
+    assert sol.a == pytest.approx(step_scattering_length(v0, b), rel=1e-12)
 
 
 def test_bump_scattering_length_frozen_oracle():
@@ -142,7 +141,7 @@ def test_potential_integral_quadrature_oracle(step_pot, neumann_r50):
 
 def test_trial_wavenumber_matches_eigenvalue(step_pot, step_a):
     R = 1.0e3
-    sol = neumann_ground_state(step_pot, R, a=step_a)
+    sol = neumann_ground_state(step_pot, R)
     oracle = trial_wavenumber(R, step_a)
     # outside the interaction range the true mode is the Bessel trial mode
     assert oracle.k ** 2 == pytest.approx(sol.lam, rel=1e-6)
@@ -151,14 +150,14 @@ def test_trial_wavenumber_matches_eigenvalue(step_pot, step_a):
 def test_trial_upper_bound_sits_above_eigenvalue(step_pot, step_a):
     zero_sol = scattering_length(step_pot)
     for R in (1.0e3, 1.0e4):
-        sol = neumann_ground_state(step_pot, R, a=step_a)
+        sol = neumann_ground_state(step_pot, R)
         ub = trial_upper_bound(trial_wavenumber(R, step_a), zero_sol)
         assert ub >= sol.lam * (1.0 - 1e-12)
         assert ub <= sol.lam * (1.0 + 1e-6)
 
 
 def test_asymptotics_report_finite(step_pot, step_a):
-    sol = neumann_ground_state(step_pot, 1.0e3, a=step_a)
+    sol = neumann_ground_state(step_pot, 1.0e3)
     rep = validate_neumann_asymptotics(sol)
     for val in (rep.e1, rep.e2, rep.e3, rep.e4):
         assert math.isfinite(val) and val > 0
@@ -184,9 +183,9 @@ def test_neumann_requires_radius_beyond_range(step_pot):
 @pytest.mark.parametrize("name", sorted(SERIES_POTENTIALS))
 @pytest.mark.parametrize("R", [1.3, 4.0, 1.0e3, 1.0e15])
 def test_series_matches_direct_shooting(series_cases, name, R, monkeypatch):
-    pot, a, series = series_cases[name]
-    sol = neumann_ground_state(pot, R, a=a, series=series)
-    ref = direct_shooting(pot, R, a, series, monkeypatch)
+    pot, series = series_cases[name]
+    sol = neumann_ground_state(pot, R, series=series)
+    ref = direct_shooting(pot, R, series, monkeypatch)
     assert sol.lam == pytest.approx(ref.lam, rel=1e-10)
     r = np.concatenate((np.linspace(0.0, pot.r0, 41),
                         np.geomspace(pot.r0, R, 41)))
@@ -268,8 +267,8 @@ def test_series_restarts_at_table_kinks():
 
 
 def test_direct_shooting_restarts_at_table_kinks():
-    # the lambda r0^2 >> 1 fallback and the scattering length integrate
-    # the interior directly; they too restart at the nodes
+    # the lambda r0^2 >> 1 fallback integrates the interior directly and
+    # the scattering length reads the series; both restart at the nodes
     for lam in (1e-6, 0.1, 0.5):
         got = scattering._integrate_interior(KINKED, lam, KINKED.r0)
         np.testing.assert_allclose(got(KINKED.r0), node_to_node(KINKED, lam),
@@ -282,14 +281,16 @@ def test_direct_shooting_restarts_at_table_kinks():
 
 
 def test_series_of_another_potential_rejected(step_pot):
+    other = interior_series(step(2.0, 1.0))
     with pytest.raises(ConsistencyError):
-        neumann_ground_state(step_pot, 50.0,
-                             series=interior_series(step(2.0, 1.0)))
+        neumann_ground_state(step_pot, 50.0, series=other)
+    with pytest.raises(ConsistencyError):
+        scattering_length(step_pot, series=other)
 
 
-def test_neumann_without_sign_change_raises(step_pot, step_a, monkeypatch):
+def test_neumann_without_sign_change_raises(step_pot, monkeypatch):
     # a mismatch of one sign over the whole scan has no root to report
     monkeypatch.setattr(scattering, "_neumann_mismatch",
                         lambda series, R, lam: (1.0, (1.0, 0.0), None))
     with pytest.raises(SolverError, match="no sign change"):
-        neumann_ground_state(step_pot, 50.0, a=step_a)
+        neumann_ground_state(step_pot, 50.0)
