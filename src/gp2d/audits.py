@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from numpy.linalg import eigh, eigvalsh
+from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, solve
 
 from .errors import ConsistencyError
 from .fock import (FockBasis, LinearOperator, combine, common,
@@ -27,7 +27,6 @@ from .fock import (FockBasis, LinearOperator, combine, common,
 from .kernels import GPParameters, RenormPotential, omega_lattice_sum
 
 PSD_SLACK = 1e-9
-UNBOUNDED_CAP = 1e6
 
 
 @dataclass
@@ -68,39 +67,45 @@ def _min_eigenvalue(op: LinearOperator) -> float:
     return min(float(eigvalsh(b)[:, 0].min()) for b in op.blocks)
 
 
+def _pencil_top(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Largest eigenvalue over a stack of pencils (lhs, rhs) with rhs
+    positive definite: that of L^-1 lhs L^-H for rhs = L L^H.  Raises
+    LinAlgError where some rhs is not positive definite."""
+    low = cholesky(rhs)
+    half = solve(low, lhs)                                   # L^-1 lhs
+    white = solve(low, np.swapaxes(half, -1, -2).conj())     # ... L^-H
+    return float(eigvalsh(white)[:, -1].max())
+
+
 def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
-                 cap: int = 0, rel_tol: float = 1e-3) -> InequalityReport:
-    """Smallest c >= 0 with c * sum(rhs) - lhs >= -slack, by PSD bisection."""
+                 cap: int = 0) -> InequalityReport:
+    """Smallest c >= 0 with c * sum(rhs) - lhs >= -slack.
+
+    When lhs <= slack already, c = 0.  Otherwise c is the top eigenvalue
+    of the pencil (lhs, rhs), one whitened eigensolve per size class, and
+    is certified by one more eigensolve of c * rhs - lhs.  A rhs that is
+    not positive definite gets no finite constant.
+    """
     lhs, rhs = common(lhs, combine([(1.0, t) for t in rhs_terms], "rhs"))
     slack = PSD_SLACK * _scale(lhs)
 
     def shifted(c: float) -> LinearOperator:
         return combine([(c, rhs), (-1.0, lhs)], "shifted")
 
-    def min_eig(c: float) -> float:
-        return _min_eigenvalue(shifted(c))
-
     ev, vec = smallest_eigenpair(shifted(0.0))
     if ev >= -slack:
         return InequalityReport(statement, 0.0, ev, lhs.dim, cap, True,
                                 slack, _profile(vec))
-
-    hi = 1.0
-    while min_eig(hi) < -slack:
-        hi *= 2.0
-        if hi > UNBOUNDED_CAP:
-            return InequalityReport(statement, math.inf, min_eig(hi / 2),
-                                    lhs.dim, cap, False, slack,
-                                    notes="no certificate below 1e6")
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) >= -slack:
-            hi = mid
-        else:
-            lo = mid
-    ev, vec = smallest_eigenpair(shifted(hi))
-    return InequalityReport(statement, hi, ev, lhs.dim, cap, ev >= -slack,
+    try:
+        c = max(0.0, max(_pencil_top(a, b)
+                         for a, b in zip(lhs.blocks, rhs.blocks)))
+    except LinAlgError:
+        return InequalityReport(statement, math.inf, ev, lhs.dim, cap,
+                                False, slack,
+                                notes="rhs is not positive definite and "
+                                      "lhs is not <= 0: no finite constant")
+    ev, vec = smallest_eigenpair(shifted(c))
+    return InequalityReport(statement, c, ev, lhs.dim, cap, ev >= -slack,
                             slack, _profile(vec))
 
 
@@ -141,8 +146,8 @@ class LocalizationReport:
 
 
 def localization_check(R_eff: LinearOperator, basis: FockBasis, M: float,
-                       H_N: LinearOperator, params: GPParameters,
-                       partition=smooth_partition) -> LocalizationReport:
+                       H_N: LinearOperator,
+                       params: GPParameters) -> LocalizationReport:
     """Double-commutator localization of R_eff in the occupation number.
 
     Verifies the exact identity
@@ -151,7 +156,7 @@ def localization_check(R_eff: LinearOperator, basis: FockBasis, M: float,
     double-commutator remainder is controlled by (log N / M^2)(H_N + 1).
     """
     x = basis.totals() / M
-    fv, gv = partition(x)
+    fv, gv = smooth_partition(x)
     if np.max(np.abs(fv ** 2 + gv ** 2 - 1.0)) > 1e-12:
         raise ConsistencyError("partition pair does not square to one")
 

@@ -49,7 +49,8 @@ def cmd_scatter(pipe: Pipeline, out: Path) -> tuple[bool, list]:
 def cmd_neumann(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     sol = pipe.neumann(pipe.cfg.n_value, pipe.cfg.alpha)
     rep = validate_neumann_asymptotics(sol)
-    ok = (np.min(sol.f) >= -1e-10 and np.max(sol.f) <= 1 + 1e-10
+    f = sol.f_at(sol.nodes)
+    ok = (np.min(f) >= -1e-10 and np.max(f) <= 1 + 1e-10
           and rep.all_finite)
     print(f"neumann R={sol.R:.6g} lambda*R^2={sol.lam_R2:.9g} "
           f"e1={rep.e1:.3g} e2={rep.e2:.3g} e3={rep.e3:.3g} "

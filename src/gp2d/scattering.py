@@ -36,30 +36,6 @@ _SERIES_TRUNC_REL = 1e-14   # bound on the first dropped term / the sum
 
 
 @dataclass(frozen=True)
-class RadialGrid:
-    """Strictly increasing radial nodes, first node at 0."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.nodes, float)
-        if n[0] != 0.0 or np.any(np.diff(n) <= 0):
-            raise ConsistencyError("grid must start at 0 and be increasing")
-
-
-def make_grid(r_core: float, r_max: float, n_core: int = 64,
-              n_tail: int = 256) -> RadialGrid:
-    """Uniform nodes inside r_core, log-spaced out to r_max."""
-    core = np.linspace(0.0, r_core, n_core + 1)
-    if r_max > r_core:
-        tail = np.geomspace(r_core, r_max, n_tail + 1)[1:]
-        nodes = np.concatenate((core, tail))
-    else:
-        nodes = core
-    return RadialGrid(nodes)
-
-
-@dataclass(frozen=True)
 class ZeroEnergySolution:
     """Regular zero-energy solution phi, phi(0) = 1, and the scattering
     length: the lambda = 0 term of the interior series inside the range,
@@ -94,12 +70,10 @@ class ZeroEnergySolution:
 
 @dataclass(frozen=True)
 class NeumannSolution:
-    """Ground state of the radial Neumann problem on a disk of radius R."""
+    """Ground state of the radial Neumann problem on a disk of radius R,
+    normalized to f(R) = 1: the interior profile inside the range, the
+    exact J0/Y0 tail outside it."""
 
-    grid: RadialGrid
-    f: np.ndarray
-    w: np.ndarray
-    f_prime: np.ndarray
     lam: float
     R: float
     a: float
@@ -117,38 +91,35 @@ class NeumannSolution:
         """Dimensionless eigenvalue group lambda * R^2."""
         return float(self.lam * self.R ** 2)
 
-    def f_at(self, r):
+    @property
+    def nodes(self) -> np.ndarray:
+        """Radial nodes on which the profile is checked and exported: 64
+        uniform steps out to min(r0, R) / 2, then 400 log-spaced ones out
+        to R."""
+        r_core = min(self.pot.r0, self.R) / 2.0
+        return np.concatenate((np.linspace(0.0, r_core, 65),
+                               np.geomspace(r_core, self.R, 401)[1:]))
+
+    def _at(self, r):
         r = np.asarray(r, float)
         if self._interior is None:            # free case: f == 1
-            return np.ones_like(r)
+            return np.ones_like(r), np.zeros_like(r)
         r0 = self.pot.r0
-        out = np.empty_like(r)
         inside = r <= r0
-        if np.any(inside):
-            out[inside] = self._scale * self._interior(r[inside])[0]
-        if np.any(~inside):
-            k = np.sqrt(self.lam)
-            c1, c2 = self._c_bessel
-            rr = r[~inside]
-            out[~inside] = self._scale * (c1 * j0(k * rr) + c2 * y0(k * rr))
-        return out
+        f_in, fp_in = self._interior(np.minimum(r, r0))
+        k = np.sqrt(self.lam)
+        c1, c2 = self._c_bessel
+        kr = k * np.maximum(r, r0)
+        f_out = self._scale * (c1 * j0(kr) + c2 * y0(kr))
+        fp_out = -self._scale * k * (c1 * j1(kr) + c2 * y1(kr))
+        return (np.where(inside, self._scale * f_in, f_out),
+                np.where(inside, self._scale * fp_in, fp_out))
+
+    def f_at(self, r):
+        return self._at(r)[0]
 
     def f_prime_at(self, r):
-        r = np.asarray(r, float)
-        if self._interior is None:
-            return np.zeros_like(r)
-        r0 = self.pot.r0
-        out = np.empty_like(r)
-        inside = r <= r0
-        if np.any(inside):
-            out[inside] = self._scale * self._interior(r[inside])[1]
-        if np.any(~inside):
-            k = np.sqrt(self.lam)
-            c1, c2 = self._c_bessel
-            rr = r[~inside]
-            out[~inside] = -self._scale * k * (c1 * j1(k * rr)
-                                               + c2 * y1(k * rr))
-        return out
+        return self._at(r)[1]
 
     def w_at(self, r):
         return 1.0 - self.f_at(r)
@@ -374,7 +345,7 @@ def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
     return gprime_R, (c1, c2), interior
 
 
-def neumann_ground_state(pot: RadialPotential, R: float, n_grid: int = 400,
+def neumann_ground_state(pot: RadialPotential, R: float,
                          series: InteriorSeries | None = None
                          ) -> NeumannSolution:
     """Lowest Neumann eigenpair on [0, R], normalized to f(R) = 1.
@@ -388,11 +359,8 @@ def neumann_ground_state(pot: RadialPotential, R: float, n_grid: int = 400,
     r0 = pot.r0
     if R <= r0 and not pot.is_zero:
         raise SolverError(f"Neumann radius {R} must exceed the range {r0}")
-    grid = make_grid(min(r0, R) / 2.0, R, n_core=64, n_tail=n_grid)
     if pot.is_zero:
-        ones = np.ones_like(grid.nodes)
-        return NeumannSolution(grid, ones, 1.0 - ones, np.zeros_like(ones),
-                               0.0, R, 0.0, pot)
+        return NeumannSolution(0.0, R, 0.0, pot)
 
     series = _series_of(pot, series)
     a, _ = series.log_tail()
@@ -424,17 +392,11 @@ def neumann_ground_state(pot: RadialPotential, R: float, n_grid: int = 400,
         raise SolverError("degenerate boundary value")
     scale = 1.0 / fR
 
-    sol = NeumannSolution(grid, np.empty(0), np.empty(0), np.empty(0),
-                          float(lam), R, a, pot,
-                          _interior=interior, _c_bessel=(c1, c2),
-                          _scale=float(scale))
-    f_vals = sol.f_at(grid.nodes)
-    fp_vals = sol.f_prime_at(grid.nodes)
+    sol = NeumannSolution(float(lam), R, a, pot, _interior=interior,
+                          _c_bessel=(c1, c2), _scale=float(scale))
+    f_vals = sol.f_at(sol.nodes)
     if np.any(np.diff(np.sign(f_vals[f_vals != 0.0])) != 0):
         raise SolverError("interior node detected: not the ground state")
-    object.__setattr__(sol, "f", f_vals)
-    object.__setattr__(sol, "w", 1.0 - f_vals)
-    object.__setattr__(sol, "f_prime", fp_vals)
     return sol
 
 
@@ -537,8 +499,10 @@ def validate_neumann_asymptotics(sol: NeumannSolution) -> AsymptoticsReport:
 
 
 def export_solution_csv(sol: NeumannSolution, path) -> None:
-    """Write (r, f, w, f') columns for the solution grid."""
+    """Write (r, f, w, f') columns on the solution's nodes."""
+    nodes = sol.nodes
+    f, f_prime = sol._at(nodes)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r,f,w,fprime\n")
-        for r, f, w, fp in zip(sol.grid.nodes, sol.f, sol.w, sol.f_prime):
+        for r, f, w, fp in zip(nodes, f, 1.0 - f, f_prime):
             fh.write(f"{r:.17g},{f:.17g},{w:.17g},{fp:.17g}\n")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,11 @@ from gp2d.audits import (InequalityReport, condensation_lower_bound,
                          depletion_chain_check, gn_condensation_shape,
                          localization_check, min_constant, number_profile,
                          smooth_partition, square_completion_check)
+from gp2d.config import RunConfig
+from gp2d.energy import Pipeline
 from gp2d.errors import ConfigError
-from gp2d.fock import (LinearOperator, build_basis, effective_hamiltonians,
+from gp2d.fock import (LinearOperator, build_basis, combine,
+                       effective_hamiltonians,
                        gn_effective_hamiltonian, kinetic_operator,
                        number_operator, partition_by, shell_modes)
 from gp2d.kernels import GPParameters, renormalized_potential
@@ -40,7 +44,7 @@ def test_min_constant_exact_diagonal_case():
     # diag(2, 0) <= c * I first holds at c = 2
     rep = min_constant(diag_op([2.0, 0.0]), [diag_op([1.0, 1.0])], "toy")
     assert rep.passed
-    assert rep.constant == pytest.approx(2.0, rel=2e-3)
+    assert rep.constant == pytest.approx(2.0, rel=1e-12)
 
 
 def test_min_constant_already_negative(monkeypatch):
@@ -67,13 +71,30 @@ def test_min_constant_unbounded():
     assert not math.isfinite(rep.constant) or rep.constant >= 1e6
 
 
+def test_min_constant_singular_rhs_lhs_nonpositive():
+    # rhs = diag(1, 0) is singular, but lhs <= 0 needs no multiple of it
+    rep = min_constant(diag_op([-1.0, 0.0]), [diag_op([1.0, 0.0])], "sing")
+    assert rep.passed
+    assert rep.constant == 0.0
+
+
+def test_min_constant_singular_rhs_lhs_positive_on_kernel():
+    # lhs is positive on ker(rhs) = span(e_1): no finite constant
+    lhs = LinearOperator(np.array([[1.0, 0.5], [0.5, 1.0]]), "lhs",
+                         hermitian=True)
+    rep = min_constant(lhs, [diag_op([1.0, 0.0])], "kernel")
+    assert not rep.passed
+    assert rep.constant == math.inf
+    assert "not positive definite" in rep.notes
+
+
 def test_min_constant_multiple_rhs_terms():
     # terms are summed: rhs = diag(2, 2), so the constant is 2
     lhs = diag_op([4.0, 4.0])
     rep = min_constant(lhs, [diag_op([1.0, 0.0]), diag_op([1.0, 2.0])],
                        "multi")
     assert rep.passed
-    assert rep.constant == pytest.approx(2.0, rel=2e-3)
+    assert rep.constant == pytest.approx(2.0, rel=1e-12)
 
 
 def test_min_constant_dimension_mismatch():
@@ -88,7 +109,7 @@ def test_min_constant_scales_with_lhs(t):
     rhs = [diag_op([1.0, 1.0])]
     c1 = min_constant(base, rhs, "scale-1").constant
     c2 = min_constant(diag_op([3.0 * t, t]), rhs, "scale-t").constant
-    assert c2 == pytest.approx(t * c1, rel=5e-3)
+    assert c2 == pytest.approx(t * c1, rel=1e-12)
 
 
 def test_min_constant_same_for_real_and_complex_cast(audit_setup):
@@ -133,11 +154,104 @@ def test_min_constant_blockwise_equals_one_block(seed):
                          [LinearOperator(rhs.mat, "rhs", hermitian=True)],
                          "whole")
     assert 0 < blocked.constant < math.inf
-    assert (blocked.constant, blocked.passed) == (whole.constant,
-                                                  whole.passed)
+    # an exact eigenvalue agrees across storage layouts to rounding only
+    assert blocked.constant == pytest.approx(whole.constant, rel=1e-12)
+    assert blocked.passed == whole.passed
     assert blocked.min_eigenvalue == pytest.approx(whole.min_eigenvalue,
                                                    rel=1e-9, abs=1e-12)
     assert blocked.tolerance == whole.tolerance
+
+
+def bisection_constant(lhs, rhs, rel_tol=1e-3):
+    """The certifier before the pencil eigensolve, kept as a reference:
+    the upper end hi of a bracket [lo, hi] with hi - lo <= rel_tol * hi
+    around the smallest c >= 0 with c * rhs - lhs >= -slack."""
+    slack = audits.PSD_SLACK * audits._scale(lhs)
+
+    def holds(c):
+        op = combine([(c, rhs), (-1.0, lhs)], "shifted")
+        return min(np.linalg.eigvalsh(b)[:, 0].min()
+                   for b in op.blocks) >= -slack
+
+    if holds(0.0):
+        return 0.0
+    hi = 1.0
+    while not holds(hi):
+        hi *= 2.0
+        assert hi <= 1e6, "no certificate below 1e6"
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), gap=st.floats(0.05, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_min_constant_within_bisection_bracket(seed, gap):
+    # on random positive-definite block pencils the exact constant lies in
+    # the old bisection bracket, up to the slack the bisection allowed
+    rng = np.random.default_rng(seed)
+    part = partition_by(rng.integers(0, 7, size=30))
+    lhs = LinearOperator.from_blocks(part, _random_blocks(rng, part, 0.0),
+                                     "lhs", hermitian=True)
+    rhs_blocks = []
+    for idx in part.classes:
+        m = rng.normal(size=idx.shape + (idx.shape[1],))
+        rhs_blocks.append(m @ np.swapaxes(m, 1, 2)
+                          + gap * np.eye(idx.shape[1]))
+    rhs = LinearOperator.from_blocks(part, rhs_blocks, "rhs",
+                                     hermitian=True)
+    rep = min_constant(lhs, [rhs], "pencil")
+    hi = bisection_constant(lhs, rhs)
+    rhs_min = min(np.linalg.eigvalsh(b)[:, 0].min() for b in rhs.blocks)
+    assert rep.passed
+    assert hi * (1 - 1e-3) <= rep.constant <= hi + rep.tolerance / rhs_min
+
+
+@pytest.fixture(scope="module", params=[8, 12])
+def shell_lower_bound(request):
+    """condensation_lower_bound as ``gp2d lower-bound`` runs it at N = 4
+    on a larger shell: its report, the pencil it certified and the
+    batched eigvalsh calls it made."""
+    cfg = RunConfig(shell=request.param)
+    pipe = Pipeline(cfg)
+    basis, ops = pipe.hamiltonians(4, cfg.fock_alpha)
+    seen, calls = {}, []
+    certify, eigvalsh = audits.min_constant, audits.eigvalsh
+
+    def spy(lhs, rhs_terms, *args, **kwargs):
+        seen.update(lhs=lhs, rhs=rhs_terms)
+        return certify(lhs, rhs_terms, *args, **kwargs)
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return eigvalsh(stack)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audits, "min_constant", spy)
+        mp.setattr(audits, "eigvalsh", counted)
+        rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis,
+                                       pipe.renorm(4, cfg.fock_alpha),
+                                       pipe.params(4, cfg.fock_alpha),
+                                       c=cfg.c_lower)
+    return request.param, basis, rep, seen["lhs"], seen["rhs"], calls
+
+
+def test_lower_bound_constant_is_pencil_top(shell_lower_bound):
+    _, _, rep, lhs, (rhs,), _ = shell_lower_bound
+    want = scipy.linalg.eigh(lhs.mat, rhs.mat, eigvals_only=True)[-1]
+    assert rep.passed
+    assert rep.constant == pytest.approx(want, rel=1e-10)
+
+
+def test_lower_bound_one_eigvalsh_per_size_class(shell_lower_bound):
+    # one whitened eigensolve per size class of momentum sectors
+    shell, basis, _, _, _, calls = shell_lower_bound
+    assert len(calls) == len(basis.sectors.classes) == {8: 12, 12: 17}[shell]
 
 
 def test_report_serializes():
