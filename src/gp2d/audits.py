@@ -227,7 +227,7 @@ def square_completion_check(renorm: RenormPotential, params: GPParameters,
     p2 = renorm.lattice.norms2
     lhs = np.abs(renorm.omega) ** 2 / (4.0 * (1.0 - mu) * p2)
     worst = float(np.max(lhs - 0.5 * renorm.omega0))
-    S = omega_lattice_sum(renorm, params)
+    S = omega_lattice_sum(renorm)
     return {
         "mu": mu,
         "scalar_margin": worst,

@@ -12,15 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import j0, j1
 
 from .errors import ConfigError, ConsistencyError, SizeError
 from .lattice import MomentumLattice, TWO_PI
 from .potentials import RadialPotential, fourier_transform_radial
-from .quadrature import gl_nodes_weights, panel_bounds_hankel
+from .quadrature import (geometric_bounds, gl_nodes_weights,
+                         panel_bounds_hankel)
 from .scattering import NeumannSolution
 
 _N_OVERFLOW = 300
@@ -193,13 +194,21 @@ class RenormPotential:
 
     g_N: float
     lattice: MomentumLattice
-    omega: np.ndarray
     omega0: float
     params: GPParameters = field(repr=False)
 
+    @property
+    def scale(self) -> float:
+        """N^(-alpha), the radius of the disk that omega_hat smears over."""
+        return float(self.params.N) ** (-self.params.alpha)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """omega_hat at every lattice mode."""
+        return self.omega_at(np.sqrt(self.lattice.norms2))
+
     def omega_at(self, p_norm):
-        scale = float(self.params.N) ** (-self.params.alpha)
-        return self.g_N * chi_hat(np.asarray(p_norm, float) * scale)
+        return self.g_N * chi_hat(np.asarray(p_norm, float) * self.scale)
 
 
 def renormalized_potential(params: GPParameters, lam_R2: float,
@@ -207,55 +216,100 @@ def renormalized_potential(params: GPParameters, lam_R2: float,
     """g_N = 2 N * (lambda R^2) and its disk-smeared lattice profile."""
     if lam_R2 < 0 or not np.isfinite(lam_R2):
         raise ConfigError(f"invalid eigenvalue group {lam_R2}")
-    g = 2.0 * params.N * lam_R2
-    scale = float(params.N) ** (-params.alpha)
-    omega = g * chi_hat(np.sqrt(lat.norms2) * scale)
-    return RenormPotential(float(g), lat, omega, float(np.pi * g), params)
+    g = float(2.0 * params.N * lam_R2)
+    return RenormPotential(g, lat, float(np.pi * g), params)
 
 
-def omega_lattice_sum(renorm: RenormPotential, params: GPParameters,
-                      n_exact: int = 3000) -> float:
+# rho1 * gap past which doubling rho1 moves S by less than 1e-12 relative:
+# the cutoff's transform at the nearest dual frequency (measured for gaps
+# 0.5 .. 1)
+_RHO_TIMES_GAP = 40.0
+# rho1 at which the algebraic (rho1^-7/2) aliasing left when the gap closes
+# is below 1e-9 relative (measured for scales 0.5 .. 3)
+_RHO_ALGEBRAIC = 160.0
+# beyond this wavenumber the tail integral is its Hankel asymptotic,
+# 1/(3 pi K^3) - cos(2K)/(2 pi K^4), which is exact to 1e-16 there
+_K_ASYMPTOTIC = 1000.0
+
+
+def _smooth_step(t):
+    """C-infinity step: 1 for t <= 0, 0 for t >= 1, psi(t) + psi(1-t) = 1."""
+    t = np.clip(t, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        rise = np.exp(-1.0 / t)
+        fall = np.exp(-1.0 / (1.0 - t))
+    return fall / (rise + fall)
+
+
+def _split_radius(scale: float) -> float:
+    """Inner radius rho1 of the cutoff band [rho1, 2 rho1] for this scale.
+
+    rho1 = 40 / gap with gap = 1 - 2 * scale, capped at the radius that
+    meets the algebraic error of a closed gap.
+    """
+    gap = 1.0 - 2.0 * scale
+    return _RHO_TIMES_GAP / max(gap, _RHO_TIMES_GAP / _RHO_ALGEBRAIC)
+
+
+def _chi2_lattice_sum(scale: float, rho1: float) -> float:
+    """sum over n != 0 of chi_hat(2 pi scale |n|)^2 / |n|^2 by the split
+    f = f psi + f (1 - psi) with the cutoff band [rho1, 2 rho1]."""
+    rho2 = 2.0 * rho1
+    # lattice part: the summand depends on q = |n|^2 only; the quadrant
+    # {i >= 1, j >= 0} and its three rotations tile Z^2 minus the origin
+    m = int(rho2)
+    i = np.arange(m + 1)
+    counts = np.bincount((i[1:, None] ** 2 + i[None, :] ** 2).ravel())
+    q = np.flatnonzero(counts[:int(rho2 * rho2)])
+    r = np.sqrt(q)
+    inner = math.fsum(4.0 * counts[q] * chi_hat(TWO_PI * scale * r) ** 2 / q
+                      * _smooth_step((r - rho1) / (rho2 - rho1)))
+
+    # integral part: 2 pi int chi_hat(2 pi scale r)^2 (1 - psi(r)) dr / r
+    # = 8 pi^3 int J1(k)^2 (1 - psi) dk / k^3 with k = 2 pi scale r, on
+    # panels no wider than pi (half a period of J1^2), geometric near 0
+    k1, k2 = TWO_PI * scale * rho1, TWO_PI * scale * rho2
+    k_far = max(k2, _K_ASYMPTOTIC)
+    n_band = max(8, math.ceil((k2 - k1) / np.pi))
+    bounds = np.unique(np.concatenate((
+        np.linspace(k1, k2, n_band + 1), np.arange(k2, k_far, np.pi),
+        geometric_bounds(k2, k_far) if k2 < k_far else [k_far])))
+    nodes, wts = gl_nodes_weights(bounds)
+    outer = np.dot(wts, j1(nodes) ** 2 / nodes ** 3
+                   * (1.0 - _smooth_step((nodes - k1) / (k2 - k1))))
+    outer += (1.0 / (3.0 * k_far ** 3)
+              - math.cos(2.0 * k_far) / (2.0 * k_far ** 4)) / np.pi
+    return inner + 8.0 * np.pi ** 3 * outer
+
+
+def omega_lattice_sum(renorm: RenormPotential) -> float:
     """S = 1/4 sum over nonzero lattice modes of |omega_hat(p)|^2 / p^2.
 
-    Exact octant-reduced summation out to |n| = n_exact, then an integral
-    tail (the summand is smooth on the lattice scale out there).  Row sums
-    are combined with compensated addition.
+    With p = 2 pi n and s = renorm.scale, S = g_N^2 / (16 pi^2) times the
+    lattice sum of f(n) = chi_hat(2 pi s |n|)^2 / |n|^2.  A C-infinity
+    radial cutoff psi, 1 for |n| <= rho1 and 0 for |n| >= rho2 = 2 rho1,
+    splits f = f psi + f (1 - psi).  f psi is summed exactly over the
+    lattice points with 0 < |n| < rho2, once per distinct |n|^2 with its
+    multiplicity.  The lattice sum of f (1 - psi) is replaced by its
+    integral over the plane: a Gauss-Legendre band on [rho1, rho2] and the
+    tail 8 pi^3 int J1(k)^2 / k^3 dk from k = 2 pi s rho2.
+
+    Error: by Poisson summation the dropped terms are the transform of
+    f (1 - psi) at the dual frequencies m != 0.  chi_hat(2 pi s .)^2 has
+    its spectrum in |xi| <= 2 s, so that transform is the cutoff's smooth,
+    rapidly decaying transform, of width 1 / rho1, seen a distance
+    gap = 1 - 2 s away: the error falls off faster than any power of
+    rho1 * gap, and rho1 = 40 / gap leaves S within 1e-12 of the converged
+    value.  When the gap is small or closed (ell_scale < 1 admits
+    s >= 1/2), the spectrum's edge, which vanishes like a 3/2 power, meets
+    the dual lattice and the error only decays like rho1^(-7/2), so rho1
+    stops at 160, where that error is below 1e-9.
     """
     if renorm.g_N == 0.0:
         return 0.0
-    scale = float(params.N) ** (-params.alpha)
-    if TWO_PI * n_exact < TWO_PI / scale:
-        import warnings
-        warnings.warn("exact summation range below N^alpha; tail integral "
-                      "carries most of the weight", stacklevel=2)
+    scale = renorm.scale
     pref = renorm.g_N ** 2 / (16.0 * np.pi ** 2)
-
-    def chi2_over_n2(n2_int):
-        k = TWO_PI * scale * np.sqrt(n2_int)
-        return chi_hat(k) ** 2 / n2_int
-
-    rows = []
-    for i in range(0, n_exact + 1):
-        j = np.arange(i, n_exact + 1)
-        if i == 0:
-            j = j[1:]
-        s2 = (i * i + j * j).astype(float)
-        keep = s2 <= n_exact * n_exact
-        j = j[keep]
-        s2 = s2[keep]
-        if len(j) == 0:
-            continue
-        mult = np.where((j == i) | (i == 0), 4.0, 8.0)
-        rows.append(float(np.sum(mult * chi2_over_n2(s2))))
-    exact = math.fsum(rows)
-
-    k1 = TWO_PI * scale * n_exact
-    integrand = lambda k: j1(k) ** 2 / k ** 3
-    k_big = max(200.0, 4.0 * k1)
-    tail_int, _ = quad(integrand, k1, k_big, limit=500)
-    tail_int += 1.0 / (3.0 * np.pi * k_big ** 3)
-    tail = 8.0 * np.pi ** 3 * tail_int
-    return pref * (exact + tail)
+    return pref * _chi2_lattice_sum(scale, _split_radius(scale))
 
 
 @dataclass(frozen=True)

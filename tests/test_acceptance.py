@@ -113,7 +113,7 @@ def test_acceptance_5_renormalized_potential(step_pot):
         renorm = renormalized_potential(params, sol.lam_R2, lat)
         target = 4.0 * math.pi * (1.0 + alpha * math.log(n) / n)
         devs.append(abs(renorm.omega0 - target) * n)
-        gaps.append(omega_lattice_sum(renorm, params)
+        gaps.append(omega_lattice_sum(renorm)
                     - 2.0 * math.pi * alpha * math.log(n))
     elapsed = time.perf_counter() - t0
     dev_band = max(devs) / min(devs)

@@ -18,7 +18,7 @@ from gp2d.fock import (LinearOperator, build_basis, combine,
                        effective_hamiltonians,
                        gn_effective_hamiltonian, kinetic_operator,
                        number_operator, partition_by, shell_modes)
-from gp2d.kernels import GPParameters, renormalized_potential
+from gp2d.kernels import GPParameters, chi_hat, renormalized_potential
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.scattering import neumann_ground_state
 
@@ -114,17 +114,21 @@ def test_min_constant_scales_with_lhs(t):
 
 def test_min_constant_same_for_real_and_complex_cast(audit_setup):
     # the certifier takes operators as they come: a real operator and its
-    # complex128 cast give the same constant and verdict
+    # complex128 cast give the same constant and verdict.  The identity
+    # term makes the rhs positive definite, as in condensation_lower_bound,
+    # so the constant is finite
     _, _, basis, ops = audit_setup
-    lhs, rhs = ops["R_eff"], [ops["H_N"], number_operator(basis)]
+    lhs = ops["R_eff"]
+    rhs = [ops["H_N"], number_operator(basis), audits._identity(basis)]
     assert lhs.mat.dtype == np.float64
     real = min_constant(lhs, rhs, "real")
     cast = min_constant(
         LinearOperator(lhs.mat.astype(complex), "cast", hermitian=True),
         [LinearOperator(t.mat.astype(complex), t.tag, hermitian=True)
          for t in rhs], "cast")
-    assert real.constant > 0
-    assert (real.constant, real.passed) == (cast.constant, cast.passed)
+    assert math.isfinite(real.constant) and real.constant > 0
+    assert cast.constant == pytest.approx(real.constant, rel=1e-12)
+    assert cast.passed == real.passed
 
 
 def _random_blocks(rng, part, shift):
@@ -313,6 +317,19 @@ def test_square_completion_scalars(audit_setup):
     assert out["scalar_pass"]
     assert 0 < out["mu"] < 1
     assert out["lattice_sum"] > 0
+    assert out["lattice_sum_minus_log"] == pytest.approx(
+        out["lattice_sum"] - 2.0 * math.pi * params.alpha
+        * math.log(params.N), rel=1e-15, abs=1e-15)
+    # the margin, mode by mode from the disk transform
+    mu = 0.1 / math.log(params.N)
+    margins = []
+    for p in renorm.lattice.points:
+        p2 = float(p @ p)
+        omega = renorm.g_N * chi_hat(math.sqrt(p2)
+                                     * params.N ** -params.alpha)
+        margins.append(omega ** 2 / (4.0 * (1.0 - mu) * p2)
+                       - 0.5 * renorm.omega0)
+    assert out["scalar_margin"] == pytest.approx(max(margins), rel=1e-12)
 
 
 def test_gn_shape_free_gas_closed_form(audit_setup):

@@ -58,6 +58,18 @@ def test_fock_audit_command(tmp_path, fast_cfg):
     assert report
 
 
+def test_lower_bound_default_lattice_sum(tmp_path, capsys):
+    # the default config's lattice sum, frozen from the n_exact = 3000
+    # octant sum it replaced; the printed gap does not move
+    out = tmp_path / "out"
+    assert run(["lower-bound", "--out", out]) == 0
+    assert "lattice-sum-gap=27.567" in capsys.readouterr().out
+    scalars = json.loads(
+        (out / "lower_bound.json").read_text().splitlines()[1])
+    assert scalars["lattice_sum"] == pytest.approx(49.34268112692694,
+                                                   rel=1e-8)
+
+
 def test_all_command_and_manifest(tmp_path, fast_cfg):
     out = tmp_path / "out"
     code = run(["all", "--config", fast_cfg, "--out", out,

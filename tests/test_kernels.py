@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import j0
+from scipy.special import j0, j1
 
 from gp2d.errors import ConfigError, SizeError
-from gp2d.kernels import (GPParameters, chi_hat, eta_coefficients, eta_value,
+from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
+                          chi_hat, eta_coefficients, eta_value,
                           export_kernels_csv, kernel_sup_product,
                           omega_lattice_sum, renormalized_potential,
                           scattering_residual, w_squared_integral)
@@ -157,12 +158,57 @@ def test_omega_zero_mode_near_coupling_asymptote(step_pot):
     assert devs[1] < devs[0]
 
 
+def _brute_chi2_sum(scale, n_exact=3000):
+    """sum over n != 0 of chi_hat(2 pi scale |n|)^2 / |n|^2: every octant
+    lattice point out to |n| = n_exact, row by row, then the integral tail
+    8 pi^3 int J1^2 / k^3 from 2 pi scale n_exact."""
+    rows = []
+    for i in range(n_exact + 1):
+        j = np.arange(max(i, 1), n_exact + 1)
+        s2 = (i * i + j * j).astype(float)
+        j, s2 = j[s2 <= n_exact ** 2], s2[s2 <= n_exact ** 2]
+        mult = np.where((j == i) | (i == 0), 4.0, 8.0)
+        rows.append(float(np.sum(mult * chi_hat(TWO_PI * scale
+                                                * np.sqrt(s2)) ** 2 / s2)))
+    k1 = TWO_PI * scale * n_exact
+    k_far = max(1000.0, 4.0 * k1)
+    edges = np.linspace(k1, k_far, int((k_far - k1) / 50.0) + 2)
+    tail = math.fsum(quad(lambda k: j1(k) ** 2 / k ** 3, a, b, limit=200,
+                          epsabs=0.0, epsrel=1e-12)[0]
+                     for a, b in zip(edges[:-1], edges[1:]))
+    tail += 1.0 / (3.0 * math.pi * k_far ** 3)
+    return math.fsum(rows) + 8.0 * math.pi ** 3 * tail
+
+
+# (N, alpha, ell_scale): gaps 1 - 2 N^-alpha from 1.0 down to 0.07
+# (N = 3, alpha = 0.7), and one closed gap, -0.41, that ell_scale < 1 admits
+ORACLE_GRID = [(3, 2.5, 1.0), (4, 2.5, 1.0), (10, 1.5, 1.0), (40, 1.5, 1.0),
+               (60, 1.5, 1.0), (4, 1.0, 1.0), (3, 0.7, 1.0), (2, 0.5, 0.5)]
+
+
+@pytest.mark.parametrize("n, alpha, ell_scale", ORACLE_GRID)
+def test_omega_lattice_sum_matches_brute_force(n, alpha, ell_scale):
+    params = GPParameters(n, alpha, ell_scale)
+    renorm = renormalized_potential(params, 0.7, build_lattice(TWO_PI * 2))
+    assert 3000 >= n ** alpha          # the exact range covers N^alpha
+    want = renorm.g_N ** 2 / (16.0 * math.pi ** 2) \
+        * _brute_chi2_sum(renorm.scale)
+    assert omega_lattice_sum(renorm) == pytest.approx(want, rel=1e-8)
+
+
 def test_omega_lattice_sum_cutoff_independent(kernel_setup):
-    params, _, _, _, renorm = kernel_setup
-    s1 = omega_lattice_sum(renorm, params, n_exact=800)
-    s2 = omega_lattice_sum(renorm, params, n_exact=2000)
-    assert s1 == pytest.approx(s2, rel=1e-6)
-    assert s1 > 0
+    # doubling the cutoff band from the chosen radius leaves S in place
+    # wherever the spectral gap 1 - 2 scale is at least 1/2
+    _, _, _, _, renorm = kernel_setup
+    scales = [renorm.scale] + [float(n) ** -a for n, a, e in ORACLE_GRID
+                               if e == 1.0 and float(n) ** -a <= 0.25]
+    assert len(scales) == 7
+    for s in scales:
+        rho = _split_radius(s)
+        base = _chi2_lattice_sum(s, rho)
+        assert base > 0
+        assert _chi2_lattice_sum(s, 2.0 * rho) == pytest.approx(base,
+                                                               rel=1e-10)
 
 
 def test_scattering_residual_small(kernel_setup, step_pot):
