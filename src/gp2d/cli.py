@@ -88,7 +88,7 @@ def cmd_kernels(pipe: Pipeline, out: Path) -> tuple[bool, list]:
 
 def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     cfg = pipe.cfg
-    n = min(3, cfg.fock_n_max)
+    n = 3
     params = pipe.params(n, cfg.fock_alpha)
     basis, ops = pipe.hamiltonians(n, cfg.fock_alpha)
     tol = 1e-10

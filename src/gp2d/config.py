@@ -48,6 +48,9 @@ class RunConfig:
             raise ConfigError("N must be at least 2")
         if self.n_max < self.n_min or self.n_step < 1:
             raise ConfigError("invalid N range")
+        if self.fock_n_max < 3:
+            raise ConfigError("fock_n_max must be at least 3: the Fock "
+                              "sweep starts at N = 3")
         if self.cutoff < TWO_PI:
             raise ConfigError("cutoff must be at least 2*pi")
         if self.shell not in (4, 8, 12):

@@ -395,9 +395,13 @@ def kinetic_operator(basis: FockBasis) -> LinearOperator:
     return _diagonal(basis, (basis.states * basis.mode_p2).sum(axis=1), "K")
 
 
-def _vhat(pot: RadialPotential, params: GPParameters, mode) -> float:
-    k = TWO_PI * math.hypot(*mode) * math.exp(-params.N)
-    return fourier_transform_radial(pot, k)
+def _vhat(pot: RadialPotential, params: GPParameters, vecs) -> np.ndarray:
+    """Vhat(2 pi v / e^N) at integer vectors v: one transform over their
+    distinct |v|^2."""
+    n2 = (np.asarray(vecs) ** 2).sum(axis=-1)
+    uniq, inv = np.unique(n2, return_inverse=True)
+    k = TWO_PI * np.sqrt(uniq) * math.exp(-params.N)
+    return fourier_transform_radial(pot, k)[inv]
 
 
 def potential_operator(basis: FockBasis, pot: RadialPotential,
@@ -410,8 +414,7 @@ def potential_operator(basis: FockBasis, pot: RadialPotential,
     """
     modes = basis.modes
     mode_set = {m: i for i, m in enumerate(modes)}
-    vhat = lru_cache(maxsize=None)(lambda r: _vhat(pot, params, r))
-    terms = []
+    shifts, products = [], []
     for ip, p in enumerate(modes):
         for iq, q in enumerate(modes):
             for ipr, pr in enumerate(modes):       # pr = p + r
@@ -422,9 +425,11 @@ def potential_operator(basis: FockBasis, pot: RadialPotential,
                 iqr = mode_set.get(qr)
                 if iqr is None:
                     continue
-                terms.append((0.5 * vhat(r),
-                              [("ad", ipr), ("ad", iq), ("a", iqr),
-                               ("a", ip)]))
+                shifts.append(r)
+                products.append([("ad", ipr), ("ad", iq), ("a", iqr),
+                                 ("a", ip)])
+    terms = [(0.5 * v, ops)
+             for v, ops in zip(_vhat(pot, params, shifts), products)]
     return build_operator(basis, terms, "V_N", hermitian=True)
 
 
@@ -441,7 +446,7 @@ def hamiltonian_pieces(basis: FockBasis, pot: RadialPotential,
         lambda n: 0.5 * v0 * ((N - 1) * (N - n) + n * (N - n)),
         "L0")
 
-    vhat = [_vhat(pot, params, m) for m in basis.modes]
+    vhat = _vhat(pot, params, basis.modes)
     terms2 = []
     for i, vm in enumerate(vhat):
         terms2.append((N * vm, [("bd", i), ("b", i)]))
@@ -593,7 +598,7 @@ def gn_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
     w0 = renorm.omega0
     _, _, HN = _h_n(basis, pot, params)
     _, quad = _omega_pair(basis, renorm)
-    vhat = [_vhat(pot, params, m) for m in basis.modes]
+    vhat = _vhat(pot, params, basis.modes)
     v0 = fourier_transform_radial(pot, 0.0)
     G_diag = diagonal_in_total(
         basis,

@@ -4,21 +4,24 @@ The radial reduction of -Delta u + V u / 2 = lambda u is
 
     -u'' - u'/r + V(r) u / 2 = lambda u.
 
-Inside the range of the potential the equation is integrated numerically
-with regular initial data at the origin; outside, the solution is an exact
-combination of Bessel functions (log profile at zero energy), so solvers
-match onto the analytic tail instead of integrating across many decades.
-The interior problem does not depend on the disk radius and its regular
-solution is entire in lambda, so Neumann shooting integrates its power
-series in lambda once per potential (``InteriorSeries``).
+Inside the range of the potential the regular solution is computed
+numerically; outside, it is an exact combination of Bessel functions (log
+profile at zero energy), so solvers match onto the analytic tail instead
+of integrating across many decades.  The interior problem does not depend
+on the disk radius and its regular solution is entire in lambda, so
+Neumann shooting builds its power series in lambda once per potential
+(``InteriorSeries``), by Chebyshev collocation on panels.  Only where the
+truncated series is not accurate (lambda r0^2 >> 1) is the interior ODE
+integrated at that lambda.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebvander
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.optimize import brentq
 from scipy.special import j0, j1, y0, y1
@@ -33,6 +36,10 @@ _ODE_RTOL = 1e-11
 _ODE_ATOL = 1e-13
 _SERIES_ORDER = 16          # highest power of lambda kept
 _SERIES_TRUNC_REL = 1e-14   # bound on the first dropped term / the sum
+_PANEL_NODES = 36           # collocation nodes per series panel
+_PANEL_KAPPA_WIDTH = 2.0    # kappa times the widest series panel
+_PANEL_TAIL_REL = 1e-14     # resolution bound on a panel's trailing terms
+_PANEL_MIN_REL = 1e-9       # narrowest series panel, relative to r0
 
 
 @dataclass(frozen=True)
@@ -131,16 +138,33 @@ class InteriorSeries:
 
     f(r; lambda) = sum_k lambda^k u_k(r), where
     -u_k'' - u_k'/r + V u_k / 2 = u_{k-1}, u_0(0) = 1 and u_k(0) = 0.
-    Stored are the integrator's steps ``r`` (r0 last) and there the
-    components s_k = u_k / ((r0^2/4)^k / (k!)^2) and their derivatives for
-    k = 0 .. K+1: dividing by the size of the free-space terms at r0 keeps
-    every component of order one there.  Terms up to K are summed; term
-    K+1 estimates the truncation error.
+    The components are scaled, s_k = u_k / ((r0^2/4)^k / (k!)^2): dividing
+    by the size of the free-space terms at r0 keeps every component of
+    order one there.  Terms up to K are summed; term K+1 estimates the
+    truncation error.
+
+    Stored are the panel edges 0 = e_0 < ... < e_P = r0 and, per panel,
+    the Chebyshev coefficients of s_k and s_k' (k = 0 .. K+1) in the
+    panel's own variable x in [-1, 1], from collocation in s_k''
+    (``_panel_series``).  The panel rule: panels are cut at the nodes of
+    a tabulated V, so V is smooth on each; they are at most 2 / kappa
+    wide, kappa = max(sqrt(v0 / 2), 1 / r0), so s_0 grows by at most
+    about e^2 across one; and a panel is bisected until the last three
+    Chebyshev coefficients of s_0'', integrated once and twice over its
+    half-width h (times h and h max(h, 1)), are below _PANEL_TAIL_REL of
+    max(|s_0|, |s_0'|) on it.  The error argument: integrating an
+    interpolant is exact, so the collocation error on a panel is that of
+    interpolating s'', the size of the dropped tail the rule bounds; the
+    integral form keeps each panel's matrix a bounded perturbation of I,
+    so rounding is not amplified; and an error in the values handed to
+    the next panel grows no faster than the solution, so relative errors
+    add over the panels.  s_k for k >= 1 is driven by s_{k-1} through the
+    same operator and is no rougher than s_0.
     """
 
     pot: RadialPotential = field(repr=False)
-    r: np.ndarray = field(repr=False)
-    s: np.ndarray = field(repr=False)     # (2, K+2, len(r)): s_k, s_k'
+    edges: np.ndarray = field(repr=False)    # (P+1,)
+    coef: np.ndarray = field(repr=False)     # (P, 2, K+2, n+2): s_k, s_k'
 
     def _weights(self, lam: float) -> np.ndarray:
         """(lambda r0^2 / 4)^k / (k!)^2 for k = 0 .. K+1."""
@@ -148,10 +172,16 @@ class InteriorSeries:
         k = np.arange(1, _SERIES_ORDER + 2)
         return np.concatenate(([1.0], np.cumprod(x / (k * k))))
 
+    @cached_property
+    def at_r0(self) -> np.ndarray:
+        """(2, K+2): s_k and s_k' at r0, the right end of the last panel,
+        where every T_m is 1."""
+        return self.coef[-1].sum(axis=-1)
+
     def boundary(self, lam: float):
         """(f(r0), f'(r0)) at lambda, or None where the first dropped term
         exceeds _SERIES_TRUNC_REL of either sum."""
-        terms = self._weights(lam) * self.s[:, :, -1]
+        terms = self._weights(lam) * self.at_r0
         vals = terms[:, :-1].sum(axis=1)
         if np.any(np.abs(terms[:, -1]) > _SERIES_TRUNC_REL * np.abs(vals)):
             return None
@@ -164,7 +194,7 @@ class InteriorSeries:
         term at r0: c = r0 u_0'(r0), a = r0 exp(-u_0(r0) / c).
         """
         r0 = self.pot.r0
-        phi, dphi = self.s[:, 0, -1]          # s_0 = u_0
+        phi, dphi = self.at_r0[:, 0]          # s_0 = u_0
         c = r0 * dphi
         if not (phi > 0.0 and c > 0.0):
             raise ConsistencyError("zero-energy solution must be positive "
@@ -172,29 +202,16 @@ class InteriorSeries:
         return float(r0 * np.exp(-phi / c)), float(c)
 
     def profile(self, lam: float, r) -> np.ndarray:
-        """(f, f') at radii r <= r0.
-
-        Between two steps f is the quintic through f, f' and
-        f'' = (V/2 - lambda) f - f'/r at both ends; the ODE gives f'', so
-        the steps alone, one array, carry the whole profile.
-        """
-        f, fp = self._weights(lam)[:-1] @ self.s[:, :-1]
-        fpp = (0.5 * self.pot(self.r) - lam) * f - fp / self.r
+        """(f, f') at radii r <= r0: the lambda-weighted sum of the
+        Chebyshev series on the panel that holds each r."""
+        coef = self._weights(lam)[:-1] @ self.coef[:, :, :-1]  # (P, 2, M)
         r = np.asarray(r, float)
-        i = np.clip(np.searchsorted(self.r, r) - 1, 0, len(self.r) - 2)
-        h = self.r[i + 1] - self.r[i]
-        t = (r - self.r[i]) / h
-        dp = f[i + 1] - f[i]
-        m0, m1 = h * fp[i], h * fp[i + 1]
-        a0, a1 = h * h * fpp[i], h * h * fpp[i + 1]
-        c = (f[i], m0, 0.5 * a0,
-             10 * dp - 6 * m0 - 4 * m1 - 0.5 * (3 * a0 - a1),
-             -15 * dp + 8 * m0 + 7 * m1 + 0.5 * (3 * a0 - 2 * a1),
-             6 * dp - 3 * (m0 + m1) - 0.5 * (a0 - a1))
-        val = ((((c[5] * t + c[4]) * t + c[3]) * t + c[2]) * t + c[1]) * t
-        der = (((5 * c[5] * t + 4 * c[4]) * t + 3 * c[3]) * t
-               + 2 * c[2]) * t + c[1]
-        return np.array([val + c[0], der / h])
+        p = np.clip(np.searchsorted(self.edges, r) - 1, 0,
+                    len(self.edges) - 2)
+        lo, hi = self.edges[p], self.edges[p + 1]
+        x = (2.0 * r - lo - hi) / (hi - lo)
+        t = chebvander(x, coef.shape[-1] - 1).reshape(x.shape + (-1,))
+        return np.einsum("...m,...dm->d...", t, coef[p])
 
 
 @dataclass(frozen=True)
@@ -234,8 +251,8 @@ class AsymptoticsReport:
 
 def _pieces(pot: RadialPotential, lo: float, hi: float):
     """[lo, hi] cut at the nodes of a tabulated V.  Its kinks there are
-    invisible to the step-size control, so the ODE solvers restart at
-    each node and no step straddles one."""
+    invisible to step-size control and spoil a polynomial fit, so the ODE
+    solver restarts at each node and no series panel straddles one."""
     cuts = [lo, hi]
     if pot.table_r is not None:
         cuts += [t for t in pot.table_r if lo < t < hi]
@@ -267,42 +284,104 @@ def _integrate_interior(pot: RadialPotential, lam: float,
     return OdeSolution(ts, interpolants)
 
 
-def interior_series(pot: RadialPotential) -> InteriorSeries:
-    """Integrate the lambda-series of the regular interior solution once.
+def _cheb_tables(n: int):
+    """First-kind Chebyshev nodes x on [-1, 1] (ascending; neither end is
+    a node), and the maps from values at x of a degree n-1 interpolant to
+    the Chebyshev coefficients of its integrals from -1, once (n+1
+    coefficients) and twice (n+2), and to their values at x."""
+    x = -np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    to_coef = (2.0 / n) * chebvander(x, n - 1).T
+    to_coef[0] *= 0.5
+    int1 = chebint(to_coef, lbnd=-1.0)
+    int2 = chebint(to_coef, m=2, lbnd=-1.0)
+    return (x, to_coef, int1, int2, chebvander(x, n) @ int1,
+            chebvander(x, n + 1) @ int2)
 
-    One ODE system in the scaled components of ``InteriorSeries``, started
-    from the same small-r Taylor data as ``_integrate_interior``.
+
+_CHEB_X, _TO_COEF, _INT1, _INT2, _Q1, _Q2 = _cheb_tables(_PANEL_NODES)
+
+
+def _panel_series(pot: RadialPotential, lo: float, hi: float,
+                  start: np.ndarray, coupling: np.ndarray):
+    """Chebyshev coefficients (2, K+2, n+2) of s_k and s_k' on [lo, hi],
+    from their values ``start`` = (alpha_k, beta_k) at lo; None when the
+    lambda = 0 term is not resolved there.
+
+    The unknowns are sigma_k = s_k'' at the nodes r = lo + h (x + 1).
+    With Q1 and Q2 integrating an interpolant once and twice from x = -1,
+    s_k' = beta_k + h Q1 sigma_k and
+    s_k = alpha_k + beta_k (r - lo) + h^2 Q2 sigma_k, so level k solves
+
+        (I + (h / r) Q1 - (V/2) h^2 Q2) sigma_k
+            = -(4 k^2 / r0^2) s_{k-1} - beta_k / r
+              + (V/2) (alpha_k + beta_k (r - lo)),
+
+    one inverse (one LU) for all K+2 levels.  No node sits at r = 0.
+    """
+    h = 0.5 * (hi - lo)
+    r = lo + h * (_CHEB_X + 1.0)
+    half_v = 0.5 * pot(r)
+    inv = np.linalg.inv(np.eye(len(r)) + (h / r)[:, None] * _Q1
+                        - (h * h * half_v)[:, None] * _Q2)
+    sigma = np.empty((len(coupling), len(r)))
+    s_prev = np.zeros(len(r))                 # coupling[0] is 0
+    for k, (alpha, beta) in enumerate(start.T):
+        line = alpha + beta * (r - lo)
+        rhs = half_v * line - beta / r - coupling[k] * s_prev
+        sigma[k] = inv @ rhs
+        s_prev = line + h * h * (_Q2 @ sigma[k])
+        if k == 0:
+            tail = np.abs(_TO_COEF[-3:] @ sigma[0]).max()
+            size = max(np.abs(s_prev).max(),
+                       np.abs(beta + h * (_Q1 @ sigma[0])).max())
+            if h * max(h, 1.0) * tail > _PANEL_TAIL_REL * size:
+                return None
+    coef = np.zeros((2, len(coupling), len(r) + 2))
+    coef[0] = h * h * (sigma @ _INT2.T)
+    coef[0, :, 0] += start[0] + h * start[1]      # alpha + beta h (x + 1)
+    coef[0, :, 1] += h * start[1]
+    coef[1, :, :-1] = h * (sigma @ _INT1.T)
+    coef[1, :, 0] += start[1]
+    return coef
+
+
+def interior_series(pot: RadialPotential) -> InteriorSeries:
+    """Build the lambda-series of the regular interior solution once.
+
+    Chebyshev collocation in s_k'' (``_panel_series``), marched panel by
+    panel from s_k(0) = [k = 0], s_k'(0) = 0; the panel rule is in
+    ``InteriorSeries``.
     """
     r0 = pot.r0
-    n = _SERIES_ORDER + 2
-    coupling = 4.0 * np.arange(1, n) ** 2 / r0 ** 2   # s_{k-1} enters s_k''
-    v0 = float(pot(0.0))
-    h = r0 * 1e-7
-    y0_ = np.zeros(2 * n)
-    y0_[0], y0_[n] = 1.0 + v0 * h * h / 8.0, v0 * h / 4.0
-    y0_[1], y0_[n + 1] = -(h / r0) ** 2, -2.0 * h / r0 ** 2
-
-    def rhs(r, y):
-        s, ds = y[:n], y[n:]
-        dds = 0.5 * pot(r) * s - ds / r
-        dds[1:] -= coupling * s[:-1]
-        return np.concatenate((ds, dds))
-
-    rs, ys = [np.array([h])], [y0_[:, None]]
-    for lo, hi in _pieces(pot, h, r0):
-        sol = solve_ivp(rhs, (lo, hi), ys[-1][:, -1], method="RK45",
-                        rtol=_ODE_RTOL, atol=_ODE_ATOL)
-        if not sol.success:
-            raise SolverError(f"interior series ODE failed: {sol.message}")
-        rs.append(sol.t[1:])
-        ys.append(sol.y[:, 1:])
-    return InteriorSeries(pot, np.concatenate(rs),
-                          np.concatenate(ys, axis=1).reshape(2, n, -1))
+    coupling = 4.0 * np.arange(_SERIES_ORDER + 2) ** 2 / r0 ** 2
+    width = _PANEL_KAPPA_WIDTH / max(np.sqrt(0.5 * pot.v0), 1.0 / r0)
+    todo = []
+    for lo, hi in _pieces(pot, 0.0, r0):
+        cuts = np.linspace(lo, hi, int(np.ceil((hi - lo) / width)) + 1)
+        todo.extend(zip(cuts[:-1], cuts[1:]))
+    todo.reverse()                            # the next panel is last
+    start = np.zeros((2, len(coupling)))
+    start[0, 0] = 1.0
+    edges, coefs = [0.0], []
+    while todo:
+        lo, hi = todo.pop()
+        coef = _panel_series(pot, lo, hi, start, coupling)
+        if coef is None:
+            if hi - lo < _PANEL_MIN_REL * r0:
+                raise SolverError(f"interior series unresolved on "
+                                  f"[{lo!r}, {hi!r}]")
+            mid = 0.5 * (lo + hi)
+            todo += [(mid, hi), (lo, mid)]
+            continue
+        edges.append(hi)
+        coefs.append(coef)
+        start = coef.sum(axis=-1)             # values at x = 1
+    return InteriorSeries(pot, np.array(edges), np.array(coefs))
 
 
 def _series_of(pot: RadialPotential,
                series: InteriorSeries | None) -> InteriorSeries:
-    """``series`` checked to belong to ``pot``, or integrated when None."""
+    """``series`` checked to belong to ``pot``, or built when None."""
     if series is None:
         return interior_series(pot)
     if series.pot is not pot:
@@ -314,7 +393,7 @@ def scattering_length(pot: RadialPotential,
                       series: InteriorSeries | None = None
                       ) -> ZeroEnergySolution:
     """Scattering length from the regular zero-energy solution, the
-    lambda = 0 term of the interior series (integrated here when not
+    lambda = 0 term of the interior series (built here when not
     given); see ``InteriorSeries.log_tail``."""
     if pot.is_zero:
         return ZeroEnergySolution(0.0, 0.0, pot)
@@ -351,7 +430,7 @@ def neumann_ground_state(pot: RadialPotential, R: float,
     """Lowest Neumann eigenpair on [0, R], normalized to f(R) = 1.
 
     Shooting on lambda: the interior solution up to the potential range,
-    read from ``series`` (integrated here when not given), is matched onto
+    read from ``series`` (built here when not given), is matched onto
     the exact J0/Y0 tail, and the boundary derivative is driven to zero by
     bracketing + Brent.  The ground state is certified by the absence of
     interior sign changes.

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gp2d import cli, scattering
+from gp2d import cli, energy, scattering
 from gp2d.cli import main, write_manifest
 from gp2d.config import RunConfig, fingerprint
 from gp2d.fock import LinearOperator
@@ -108,19 +108,26 @@ def test_all_computes_each_quantity_once(tmp_path, fast_cfg, monkeypatch):
 
 
 def test_all_integrates_interior_once(tmp_path, fast_cfg, monkeypatch):
-    solves = []
-    original = scattering.solve_ivp
+    solves, builds = [], []
+    original_ivp = scattering.solve_ivp
+    original_series = energy.interior_series
 
-    def counted(*args, **kwargs):
+    def counted_ivp(*args, **kwargs):
         solves.append(args[1])
-        return original(*args, **kwargs)
+        return original_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(scattering, "solve_ivp", counted)
+    def counted_series(pot):
+        builds.append(pot)
+        return original_series(pot)
+
+    monkeypatch.setattr(scattering, "solve_ivp", counted_ivp)
+    monkeypatch.setattr(energy, "interior_series", counted_series)
     assert run(["all", "--config", fast_cfg, "--out", tmp_path / "o"]) == 0
-    # the interior lambda-series, once: the zero-energy solution is its
-    # lambda = 0 term, and none of the nine Neumann radii integrates its
-    # own interior
-    assert len(solves) == 1
+    # the interior lambda-series, built once by collocation: the
+    # zero-energy solution is its lambda = 0 term, and none of the nine
+    # Neumann radii integrates its own interior
+    assert len(builds) == 1
+    assert solves == []
 
 
 def test_fock_audit_larger_shell(tmp_path):
@@ -215,6 +222,16 @@ def test_bad_config_exits_2(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("bogus = 1\n")
     assert run(["scatter", "--config", path, "--out", tmp_path / "o"]) == 2
+
+
+def test_fock_sweep_below_three_particles_exits_2(tmp_path, capsys):
+    path = tmp_path / "small.cfg"
+    path.write_text(FAST.replace("fock_n_max = 4", "fock_n_max = 2"))
+    assert run(["energy-sweep", "--config", path,
+                "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fock_n_max must be at least 3")
+    assert err.count("\n") == 1
 
 
 def test_default_config_is_runnable(tmp_path):

@@ -49,6 +49,7 @@ def test_bad_value_rejected():
     ("N_max = 5\nN_min = 10\n", "invalid N range"),
     ("cutoff = 1.0\n", "cutoff must be at least"),
     ("shell = 5\n", "shell must be one of"),
+    ("fock_n_max = 2\n", "Fock sweep starts at N = 3"),
     ("potential = mystery\n", "unknown potential"),
     ("threads = 0\n", "threads must be positive"),
 ])

@@ -358,6 +358,46 @@ def test_quartic_piece_positive(fock_setup, step_pot):
     assert evals.min() >= -1e-12
 
 
+def _scalar_potential_operator(basis, pot, params):
+    """V_N with one scalar transform per distinct shift r, as a reference
+    for the single array transform of ``potential_operator``."""
+    mode_set = {m: i for i, m in enumerate(basis.modes)}
+    vhat = {}
+    terms = []
+    for ip, p in enumerate(basis.modes):
+        for iq, q in enumerate(basis.modes):
+            for ipr, pr in enumerate(basis.modes):
+                r = (pr[0] - p[0], pr[1] - p[1])
+                qr = (q[0] + r[0], q[1] + r[1])
+                if qr == (0, 0) or qr not in mode_set:
+                    continue
+                if r not in vhat:
+                    vhat[r] = fourier_transform_radial(
+                        pot, TWO_PI * math.hypot(*r) * math.exp(-params.N))
+                terms.append((0.5 * vhat[r], [("ad", ipr), ("ad", iq),
+                                              ("a", mode_set[qr]),
+                                              ("a", ip)]))
+    return build_operator(basis, terms, "V_N", hermitian=True)
+
+
+@pytest.mark.parametrize("shell,n_particles,v0,b,alpha",
+                         [(4, 3, 2.0, 1.0, 2.5), (8, 5, 2.0, 1.0, 2.5),
+                          (8, 4, 20.0, 2.0, 1.0), (12, 4, 0.5, 0.3, 3.0)])
+def test_potential_operator_matches_scalar_transforms(
+        shell, n_particles, v0, b, alpha, monkeypatch):
+    basis = build_basis(shell_modes(shell), n_particles)
+    pot, params = step(v0, b), GPParameters(n_particles, alpha)
+    want = _scalar_potential_operator(basis, pot, params).mat
+    calls = []
+    monkeypatch.setattr(fock, "fourier_transform_radial",
+                        lambda *args: calls.append(args) or
+                        fourier_transform_radial(*args))
+    got = fock.potential_operator(basis, pot, params).mat
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_generators_antihermitian(fock_setup):
     params, _, table, _, basis = fock_setup
     gens = generators(basis, table, params)

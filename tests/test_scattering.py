@@ -246,16 +246,16 @@ KINKED = tabulated(KINK_NODES,
                    np.array([3, 2.5, 4, 1, 2, 0.5, 1.5, 0.7, 0.0]))
 
 
-def node_to_node(pot, lam):
+def node_to_node(pot, lam, nodes=KINK_NODES, rtol=1e-13):
     """(f, f') at r0 of the regular solution, integrated node to node at
     tight tolerance, so that no step sees a kink."""
     h = 1e-7
     c = (0.5 * pot(0.0) - lam) / 4.0
     y = np.array([1.0 + c * h * h, 2.0 * c * h])
-    for lo, hi in zip(np.r_[h, KINK_NODES[1:-1]], KINK_NODES[1:]):
+    for lo, hi in zip(np.r_[h, nodes[1:-1]], nodes[1:]):
         y = solve_ivp(lambda r, u: [u[1], (0.5 * pot(r) - lam) * u[0]
                                     - u[1] / r], (lo, hi), y,
-                      method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
+                      method="DOP853", rtol=rtol, atol=1e-16).y[:, -1]
     return y
 
 
@@ -294,3 +294,82 @@ def test_neumann_without_sign_change_raises(step_pot, monkeypatch):
                         lambda series, R, lam: (1.0, (1.0, 0.0), None))
     with pytest.raises(SolverError, match="no sign change"):
         neumann_ground_state(step_pot, 50.0)
+
+
+# lambda r0^2 from 0 to 30; the truncation check declines only above 25
+SERIES_LAM_R2 = np.linspace(0.0, 30.0, 61)
+
+
+def step_boundary(v0, b, lam):
+    """(f(b), f'(b)) of the step, f(0) = 1: I0 inside where v0/2 > lam,
+    J0 where lam > v0/2."""
+    q = 0.5 * v0 - lam
+    k = math.sqrt(abs(q))
+    if q >= 0.0:
+        return np.array([i0(k * b), k * i1(k * b)])
+    return np.array([j0(k * b), -k * j1(k * b)])
+
+
+def assert_boundary_close(series, exact, lam_r2s=SERIES_LAM_R2, tol=1e-12):
+    """series.boundary within tol of max(|f|, |f'|) wherever it accepts
+    lambda, and it accepts every lambda r0^2 <= 25."""
+    r0 = series.pot.r0
+    for lam_r2 in lam_r2s:
+        lam = lam_r2 / r0 ** 2
+        got = series.boundary(lam)
+        if got is None:
+            assert lam_r2 > 25.0
+            continue
+        want = exact(lam)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), \
+            lam_r2
+
+
+@pytest.mark.parametrize("v0,b", [(2.0, 1.0), (50.0, 0.3), (1.0e3, 1.0),
+                                  (1.0e4, 1.0)])
+def test_series_boundary_is_step_bessel(v0, b):
+    series = interior_series(step(v0, b))
+    assert_boundary_close(series, lambda lam: step_boundary(v0, b, lam))
+
+
+@pytest.mark.parametrize("v0,b", [(2.0, 1.0), (50.0, 0.3), (1.0e3, 1.0)])
+def test_series_coefficients_are_binomial_sums(v0, b):
+    # I0(sqrt(kappa0^2 - lam) r) = sum_m (kappa0^2 - lam)^m (r^2/4)^m/(m!)^2;
+    # expanding the power binomially, the lambda^k coefficient at b is
+    # (-1)^k sum_{m>=k} C(m,k) kappa0^(2(m-k)) (b^2/4)^m / (m!)^2, a sum
+    # of positive terms; scaled by (b^2/4)^k/(k!)^2 its term m = k + j is
+    # z^j k! / (j! (k+j)!), z = kappa0^2 b^2 / 4
+    series = interior_series(step(v0, b))
+    z = 0.5 * v0 * b * b / 4.0
+    for k in range(9):
+        terms, t, j = [], 1.0, 0
+        while t > 1e-18 * sum(terms, 1.0):
+            terms.append(t)
+            t *= z / ((j + 1) * (k + j + 1))
+            j += 1
+        s_k = (-1) ** k * math.fsum(terms)
+        ds_k = (-1) ** k * math.fsum(2.0 * (k + i) / b * t
+                                     for i, t in enumerate(terms))
+        got = series.at_r0[:, k]
+        assert got[0] == pytest.approx(s_k, rel=1e-12, abs=0.0)
+        assert got[1] == pytest.approx(ds_k, rel=1e-12, abs=0.0)
+
+
+def test_series_bump_panels_match_node_to_node():
+    # V's non-analytic edge at r0 takes several bisected panels; the
+    # reference integrates DOP853 node to node, 32 pieces
+    pot = gaussian_bump(3.0, 1.0)
+    series = interior_series(pot)
+    assert len(series.edges) > 2
+    assert_boundary_close(
+        series, lambda lam: node_to_node(pot, lam, np.linspace(0, 1, 33),
+                                         rtol=3e-14),
+        lam_r2s=np.linspace(0.0, 30.0, 16))
+
+
+def test_series_unresolved_panel_raises(monkeypatch):
+    # a resolution bound no panel can meet bisects down to the narrowest
+    # panel and stops there with an error, not an endless split
+    monkeypatch.setattr(scattering, "_PANEL_TAIL_REL", 0.0)
+    with pytest.raises(SolverError, match="unresolved"):
+        interior_series(step(2.0, 1.0))
