@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.linalg import eigh
-from scipy.sparse.linalg import eigsh
 
 from .config import RunConfig, fingerprint
 from .errors import ConsistencyError, Gp2dError, SolverError
@@ -96,6 +95,14 @@ class Pipeline:
 def vacuum_upper_bound(params: GPParameters, renorm) -> float:
     """Vacuum expectation of the renormalized Hamiltonian family."""
     return 0.5 * renorm.omega0 * (params.N - 1)
+
+
+def eigsh(A, **options):
+    """``scipy.sparse.linalg.eigsh``, imported on first call: only blocks
+    above DENSE_EIG_CAP need it, and scipy.sparse.linalg is slow to
+    import."""
+    from scipy.sparse.linalg import eigsh as scipy_eigsh
+    return scipy_eigsh(A, **options)
 
 
 def ground_state(op: LinearOperator, basis: FockBasis,

@@ -12,23 +12,26 @@ on the disk radius and its regular solution is entire in lambda, so
 Neumann shooting builds its power series in lambda once per potential
 (``InteriorSeries``), by Chebyshev collocation on panels.  Only where the
 truncated series is not accurate (lambda r0^2 >> 1) is the interior ODE
-integrated at that lambda.
+integrated at that lambda, with scipy's ODE solver loaded on first use.
+Roots are found by Brent's method (``_brent``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
-from scipy.integrate import OdeSolution, solve_ivp
-from scipy.optimize import brentq
 from scipy.special import j0, j1, y0, y1
 
 from .errors import ConsistencyError, SolverError
 from .potentials import RadialPotential
 from .quadrature import geometric_bounds, gl_nodes_weights
+
+if TYPE_CHECKING:
+    from scipy.integrate import OdeSolution
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -40,6 +43,16 @@ _PANEL_NODES = 36           # collocation nodes per series panel
 _PANEL_KAPPA_WIDTH = 2.0    # kappa times the widest series panel
 _PANEL_TAIL_REL = 1e-14     # resolution bound on a panel's trailing terms
 _PANEL_MIN_REL = 1e-9       # narrowest series panel, relative to r0
+
+
+def _split_profile(r: np.ndarray, r0: float, interior, tail):
+    """(f, f') at radii r: ``interior`` evaluated only at the radii
+    r <= r0, ``tail`` (cheap, exact Bessel or log forms) at max(r, r0)."""
+    vals = np.array(tail(np.maximum(r, r0)))    # (2,) + r.shape
+    inside = r <= r0
+    if inside.any():
+        vals[:, inside] = interior(r[inside])
+    return vals[0], vals[1]
 
 
 @dataclass(frozen=True)
@@ -61,12 +74,10 @@ class ZeroEnergySolution:
         r = np.asarray(r, float)
         if self.is_free:
             return np.ones_like(r), np.zeros_like(r)
-        r0 = self.pot.r0
-        inside = r <= r0
-        phi, dphi = self.series.profile(0.0, np.minimum(r, r0))
-        out = np.maximum(r, r0)
-        return (np.where(inside, phi, self.log_slope * np.log(out / self.a)),
-                np.where(inside, dphi, self.log_slope / out))
+        return _split_profile(
+            r, self.pot.r0, partial(self.series.profile, 0.0),
+            lambda out: (self.log_slope * np.log(out / self.a),
+                         self.log_slope / out))
 
     def phi_at(self, r):
         return self._at(r)[0]
@@ -111,16 +122,17 @@ class NeumannSolution:
         r = np.asarray(r, float)
         if self._interior is None:            # free case: f == 1
             return np.ones_like(r), np.zeros_like(r)
-        r0 = self.pot.r0
-        inside = r <= r0
-        f_in, fp_in = self._interior(np.minimum(r, r0))
         k = np.sqrt(self.lam)
         c1, c2 = self._c_bessel
-        kr = k * np.maximum(r, r0)
-        f_out = self._scale * (c1 * j0(kr) + c2 * y0(kr))
-        fp_out = -self._scale * k * (c1 * j1(kr) + c2 * y1(kr))
-        return (np.where(inside, self._scale * f_in, f_out),
-                np.where(inside, self._scale * fp_in, fp_out))
+
+        def tail(out):
+            kr = k * out
+            return (self._scale * (c1 * j0(kr) + c2 * y0(kr)),
+                    -self._scale * k * (c1 * j1(kr) + c2 * y1(kr)))
+
+        return _split_profile(r, self.pot.r0,
+                              lambda rin: self._scale * self._interior(rin),
+                              tail)
 
     def f_at(self, r):
         return self._at(r)[0]
@@ -260,10 +272,20 @@ def _pieces(pot: RadialPotential, lo: float, hi: float):
     return zip(cuts[:-1], cuts[1:])
 
 
+def solve_ivp(fun, t_span, y0, **options):
+    """``scipy.integrate.solve_ivp``, imported on first call: only the
+    lambda r0^2 >> 1 fallback integrates the interior ODE, and scipy's
+    ODE solvers (with scipy.optimize beneath them) are slow to import."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(fun, t_span, y0, **options)
+
+
 def _integrate_interior(pot: RadialPotential, lam: float,
                         r_end: float) -> OdeSolution:
     """Regular solution (f, f') of the radial equation on (0, r_end],
     unnormalized, as a piecewise dense solution."""
+    from scipy.integrate import OdeSolution
+
     v0 = float(pot(0.0))
     h = r_end * 1e-7
     c = (0.5 * v0 - lam) / 4.0
@@ -424,6 +446,63 @@ def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
     return gprime_R, (c1, c2), interior
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    Step for step the rules of scipy's ``brentq`` (its ``brentq.c``), so
+    the root agrees with ``scipy.optimize.brentq`` to the bit: inverse
+    quadratic or secant steps while they shrink the bracket fast enough,
+    bisection otherwise, and convergence once half the bracket is below
+    delta = (xtol + rtol |x|) / 2.  An exact zero at either end is
+    returned as it is.
+    """
+    def value(x):
+        y = float(f(x))
+        if y != y:
+            raise SolverError(f"root finder met NaN at {x!r}")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise SolverError(f"no sign change over [{xpre!r}, {xcur!r}]")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                             # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry       # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise SolverError(f"no convergence in {maxiter} Brent iterations")
+
+
 def neumann_ground_state(pot: RadialPotential, R: float,
                          series: InteriorSeries | None = None
                          ) -> NeumannSolution:
@@ -461,8 +540,8 @@ def neumann_ground_state(pot: RadialPotential, R: float,
     if bracket is None:
         raise SolverError("no sign change of the Neumann mismatch in the "
                           "scan window")
-    lam = brentq(lambda t: _neumann_mismatch(series, R, t)[0],
-                 bracket[0], bracket[1], rtol=8.9e-16, xtol=1e-280)
+    lam = _brent(lambda t: _neumann_mismatch(series, R, t)[0],
+                 bracket[0], bracket[1], xtol=1e-280, rtol=8.9e-16)
 
     _, (c1, c2), interior = _neumann_mismatch(series, R, lam)
     k = np.sqrt(lam)
@@ -513,12 +592,12 @@ def trial_wavenumber(R: float, a: float) -> TrialOracle:
         return -j1(k * R) + (j0(k * a) / y0(k * a)) * y1(k * R)
 
     ks = k_est * np.geomspace(0.05, 5.0, 200)
-    hk = np.array([h(k) for k in ks])
+    hk = h(ks)
     sign_change = np.nonzero(np.diff(np.sign(hk)) != 0)[0]
     if len(sign_change) == 0:
         raise SolverError("no root bracket for the trial wavenumber")
     i = sign_change[0]
-    k = brentq(h, ks[i], ks[i + 1], rtol=8.9e-16, xtol=1e-280)
+    k = _brent(h, ks[i], ks[i + 1], xtol=1e-280, rtol=8.9e-16)
     return TrialOracle(float(k), R, a, float(j0(k * a) / y0(k * a)))
 
 

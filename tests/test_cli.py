@@ -1,10 +1,13 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import gp2d
 from gp2d import cli, energy, scattering
 from gp2d.cli import main, write_manifest
 from gp2d.config import RunConfig, fingerprint
@@ -128,6 +131,39 @@ def test_all_integrates_interior_once(tmp_path, fast_cfg, monkeypatch):
     # Neumann radii integrates its own interior
     assert len(builds) == 1
     assert solves == []
+
+
+# Run in a fresh interpreter, since this one has imported them already.
+# Arguments: the FAST config, the shell-8 config, the output directory.
+LAZY_SCIPY_SCRIPT = """
+import json, sys
+from gp2d.cli import main
+fast, shell8, out = sys.argv[1:]
+for args in (["all", "--config", fast, "--out", out + "/all"],
+             ["lower-bound", "--config", shell8, "--out", out + "/s8"],
+             ["energy-sweep", "--config", shell8, "--out", out + "/s8"]):
+    if main(args + ["--threads", "1"]) != 0:
+        sys.exit(f"{args[0]} failed")
+lazy = ("scipy.optimize", "scipy.integrate", "scipy.sparse.linalg")
+print(json.dumps([name for name in lazy if name in sys.modules]))
+"""
+
+
+def test_cli_leaves_unused_scipy_subpackages_unloaded(tmp_path, fast_cfg):
+    # scipy.optimize, scipy.integrate and scipy.sparse.linalg cost about
+    # 0.3 s of every CLI start-up; they load only on the lambda r0^2 >> 1
+    # interior fallback and above DENSE_EIG_CAP
+    shell8 = tmp_path / "shell8.cfg"
+    shell8.write_text("shell = 8\nfock_n_max = 5\nN_step = 10\n")
+    src = str(Path(gp2d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(fast_cfg), str(shell8),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_fock_audit_larger_shell(tmp_path):

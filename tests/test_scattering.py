@@ -1,7 +1,11 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 from scipy.special import i0, i0e, i1, i1e, j0, j1, y0, y1
@@ -373,3 +377,161 @@ def test_series_unresolved_panel_raises(monkeypatch):
     monkeypatch.setattr(scattering, "_PANEL_TAIL_REL", 0.0)
     with pytest.raises(SolverError, match="unresolved"):
         interior_series(step(2.0, 1.0))
+
+
+# scipy's default brentq tolerances, and the ones gp2d's root finds use
+BRENT_TOLERANCES = [(2e-12, 4 * np.finfo(float).eps), (1e-280, 8.9e-16)]
+COEF = st.floats(-10.0, 10.0)
+
+
+@pytest.mark.parametrize("xtol,rtol", BRENT_TOLERANCES)
+@given(c=st.tuples(COEF, COEF, COEF, COEF), amp=COEF,
+       freq=st.floats(0.1, 20.0), growth=st.floats(-2.0, 2.0),
+       lo=st.floats(-5.0, 5.0), width=st.floats(1e-6, 10.0),
+       at=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_brent_matches_scipy_brentq(xtol, rtol, c, amp, freq, growth, lo,
+                                    width, at):
+    # a cubic plus sin and exp terms, shifted to vanish inside [lo, hi]
+    def g(x):
+        return (((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+                + amp * math.sin(freq * x) + math.exp(growth * x))
+
+    hi, root = lo + width, lo + at * width
+    g_root = g(root)
+
+    def f(x):
+        return g(x) - g_root
+
+    f_lo, f_hi = f(lo), f(hi)
+    assume(f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) != (f_hi < 0.0))
+    got = scattering._brent(f, lo, hi, xtol=xtol, rtol=rtol)
+    want = brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+    assert got.hex() == float(want).hex()
+
+
+def test_root_finds_match_scipy_brentq(step_pot, step_a, monkeypatch):
+    # both of the module's root finds, with brentq in place of _brent
+    sol = neumann_ground_state(step_pot, 50.0)
+    oracle = trial_wavenumber(1.0e3, step_a)
+    monkeypatch.setattr(
+        scattering, "_brent",
+        lambda f, a, b, xtol, rtol: brentq(f, a, b, xtol=xtol, rtol=rtol))
+    assert neumann_ground_state(step_pot, 50.0).lam == sol.lam
+    assert trial_wavenumber(1.0e3, step_a).k == oracle.k
+
+
+def test_brent_same_sign_bracket_raises():
+    with pytest.raises(SolverError, match="no sign change"):
+        scattering._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)
+
+
+def test_brent_out_of_iterations_raises():
+    with pytest.raises(SolverError, match="no convergence"):
+        scattering._brent(math.atan, -1.0, 3.0, 1e-280, 8.9e-16, maxiter=3)
+
+
+def test_brent_nan_raises():
+    with pytest.raises(SolverError, match="NaN"):
+        scattering._brent(lambda x: math.nan if x > 0.0 else -1.0,
+                          -1.0, 1.0, 1e-12, 1e-15)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 2.0), (-2.0, 0.0)])
+def test_brent_exact_zero_at_an_end(lo, hi):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x
+
+    root = 0.0 if lo == 0.0 else hi
+    assert scattering._brent(f, lo, hi, 1e-12, 1e-15) == root
+    assert calls == [lo, hi]
+
+
+def neumann_at_reference(sol, r):
+    """(f, f') with the interior profile evaluated at min(r, r0) for
+    every radius, and np.where picking the branch."""
+    r = np.asarray(r, float)
+    r0 = sol.pot.r0
+    f_in, fp_in = sol._interior(np.minimum(r, r0))
+    k = np.sqrt(sol.lam)
+    c1, c2 = sol._c_bessel
+    kr = k * np.maximum(r, r0)
+    f_out = sol._scale * (c1 * j0(kr) + c2 * y0(kr))
+    fp_out = -sol._scale * k * (c1 * j1(kr) + c2 * y1(kr))
+    return (np.where(r <= r0, sol._scale * f_in, f_out),
+            np.where(r <= r0, sol._scale * fp_in, fp_out))
+
+
+def zero_at_reference(zero, r):
+    r = np.asarray(r, float)
+    r0 = zero.pot.r0
+    phi, dphi = zero.series.profile(0.0, np.minimum(r, r0))
+    out = np.maximum(r, r0)
+    return (np.where(r <= r0, phi, zero.log_slope * np.log(out / zero.a)),
+            np.where(r <= r0, dphi, zero.log_slope / out))
+
+
+def same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def probe_radii(r0, R):
+    """Array and scalar probes, among them r = 0, r0 and radii past r0."""
+    nodes = np.concatenate((np.linspace(0.0, r0, 17),
+                            np.geomspace(r0, R, 17)))
+    return [nodes, 0.0, 0.5 * r0, r0, np.nextafter(r0, np.inf), 2.0 * r0, R]
+
+
+@pytest.fixture(scope="module")
+def fallback_sol():
+    # the lambda r0^2 >> 1 case: the interior profile is an ODE solution
+    pot = step(200.0, 1.0)
+    return neumann_ground_state(pot, 1.05, series=interior_series(pot))
+
+
+@pytest.mark.parametrize("which", ["series", "ode"])
+def test_neumann_profile_bitwise_as_before(which, neumann_r50, fallback_sol):
+    sol = neumann_r50 if which == "series" else fallback_sol
+    for r in [sol.nodes] + probe_radii(sol.pot.r0, sol.R):
+        f, fp = neumann_at_reference(sol, r)
+        assert same_bits(sol.f_at(r), f)
+        assert same_bits(sol.f_prime_at(r), fp)
+
+
+def test_zero_energy_profile_bitwise_as_before(step_pot, neumann_r50):
+    zero = scattering_length(step_pot)
+    for r in [neumann_r50.nodes] + probe_radii(step_pot.r0, 50.0):
+        phi, dphi = zero_at_reference(zero, r)
+        assert same_bits(zero.phi_at(r), phi)
+        assert same_bits(zero.phi_prime_at(r), dphi)
+
+
+class CountingSeries:
+    """An interior series that records the radii its profile is read at."""
+
+    def __init__(self, series):
+        self.series, self.radii = series, []
+
+    def profile(self, lam, r):
+        self.radii.append(np.ravel(r))
+        return self.series.profile(lam, r)
+
+
+def test_interior_profile_read_only_inside(step_pot, neumann_r50):
+    r0 = step_pot.r0
+    series = interior_series(step_pot)
+    in_sol, in_zero = CountingSeries(series), CountingSeries(series)
+    sol = dataclasses.replace(neumann_r50, _interior=partial(
+        in_sol.profile, neumann_r50.lam))
+    zero = dataclasses.replace(scattering_length(step_pot), series=in_zero)
+    probes = [sol.nodes] + probe_radii(r0, sol.R)
+    for r in probes:
+        sol.f_at(r)
+        zero.phi_prime_at(r)
+    inside = np.concatenate([np.ravel(r) for r in probes])
+    inside = inside[inside <= r0]
+    for counted in (in_sol, in_zero):
+        np.testing.assert_array_equal(np.concatenate(counted.radii), inside)
