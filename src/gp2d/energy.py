@@ -111,12 +111,15 @@ def ground_state(op: LinearOperator, basis: FockBasis,
     fraction of its eigenvector.  Each stack of blocks up to DENSE_EIG_CAP
     states is one batched dense eigensolve; larger blocks are solved one
     by one with Lanczos."""
-    rng = np.random.default_rng(seed)
+    rng = None  # made on first use: numpy.random is slow to import
 
     def per_block(stack):
+        nonlocal rng
         if stack.shape[-1] <= DENSE_EIG_CAP:
             vals, vecs = eigh(stack)
             return vals[:, 0], vecs[:, :, 0]
+        if rng is None:
+            rng = np.random.default_rng(seed)
         try:
             pairs = [eigsh(blk, k=1, which="SA",
                            v0=rng.standard_normal(len(blk)))

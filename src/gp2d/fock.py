@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from numpy.linalg import eigh
 
 from .errors import ConfigError, ConsistencyError, SizeError
 from .kernels import GPParameters, KernelTable, RenormPotential
@@ -112,7 +112,7 @@ def partition_by(labels) -> Partition:
     blocks = np.split(order, first[1:])
     return Partition(len(labels), tuple(
         np.stack([b for b in blocks if len(b) == s])
-        for s in np.unique(sizes)))
+        for s in sorted(set(sizes.tolist()))))
 
 
 @dataclass(frozen=True)
@@ -514,6 +514,14 @@ def generators(basis: FockBasis, table: KernelTable,
         if r > HERMITIAN_TOL:
             raise ConsistencyError(f"{gen.tag} not antihermitian ({r:.3e})")
     return {"B": B, "A": A}
+
+
+def expm(g: np.ndarray) -> np.ndarray:
+    """exp(g) of a stack of antihermitian matrices: with 1j g = V diag(w)
+    V^H Hermitian, exp(g) = V diag(exp(-1j w)) V^H; real when g is."""
+    w, v = eigh(1j * g)
+    u = (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    return u.real if np.isrealobj(g) else u
 
 
 def conjugate(op: LinearOperator, gen: LinearOperator) -> LinearOperator:

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import j0, j1
 
+from .bessel import hankel_j0, j1
 from .errors import ConfigError, ConsistencyError, SizeError
 from .lattice import MomentumLattice, TWO_PI
 from .potentials import RadialPotential, fourier_transform_radial
-from .quadrature import (geometric_bounds, gl_nodes_weights,
+from .quadrature import (geometric_bounds, gl_nodes_weights, merge_bounds,
                          panel_bounds_hankel)
 from .scattering import NeumannSolution
 
@@ -88,7 +88,7 @@ def _profile_panels(sol: NeumannSolution, params: GPParameters, freq: float,
     bounds = panel_bounds_hankel(0.0, 1.0, freq, per_efold=per_efold)
     kink = sol.pot.r0 / params.R
     if 0.0 < kink < 1.0:
-        bounds = np.unique(np.concatenate((bounds, [kink])))
+        bounds = merge_bounds(bounds, [kink])
     return bounds
 
 
@@ -99,14 +99,14 @@ def eta_profile(sol: NeumannSolution, params: GPParameters,
     eta_p = -2 pi N ell^2 * int_0^1 w(t R) J0(|p| ell t) t dt, the scaled
     Fourier coefficient of the correlation profile on the torus.  The
     profile is evaluated once, on panels split at the J0 zeros of the
-    largest requested frequency, and contracted with every |p| at once.
+    largest requested frequency, and summed against J0 at every |p| by
+    ``hankel_j0``.
     """
     freq = np.asarray(p_norms, float) * params.ell
     bounds = _profile_panels(sol, params, float(freq.max(initial=0.0)),
                              per_efold)
     nodes, wts = gl_nodes_weights(bounds)
-    weighted = wts * sol.w_at(nodes * params.R) * nodes
-    val = j0(np.multiply.outer(freq, nodes)) @ weighted
+    val = hankel_j0(freq, nodes, wts * sol.w_at(nodes * params.R) * nodes)
     return -TWO_PI * params.N * params.ell ** 2 * val
 
 
@@ -271,9 +271,9 @@ def _chi2_lattice_sum(scale: float, rho1: float) -> float:
     k1, k2 = TWO_PI * scale * rho1, TWO_PI * scale * rho2
     k_far = max(k2, _K_ASYMPTOTIC)
     n_band = max(8, math.ceil((k2 - k1) / np.pi))
-    bounds = np.unique(np.concatenate((
+    bounds = merge_bounds(
         np.linspace(k1, k2, n_band + 1), np.arange(k2, k_far, np.pi),
-        geometric_bounds(k2, k_far) if k2 < k_far else [k_far])))
+        geometric_bounds(k2, k_far) if k2 < k_far else [k_far])
     nodes, wts = gl_nodes_weights(bounds)
     outer = np.dot(wts, j1(nodes) ** 2 / nodes ** 3
                    * (1.0 - _smooth_step((nodes - k1) / (k2 - k1))))
@@ -357,8 +357,7 @@ def scattering_residual(table: KernelTable, renorm: RenormPotential,
     bounds = np.linspace(0.0, pot.r0, 65)
     nodes, wts = gl_nodes_weights(bounds)
     vw = wts * pot(nodes) * sol.w_at(nodes) * nodes
-    conv_v_exact = -params.N * np.pi * (
-        j0(np.multiply.outer(uniq * damp, nodes)) @ vw)
+    conv_v_exact = -params.N * np.pi * hankel_j0(uniq * damp, nodes, vw)
 
     eta_u = table.eta[reps]
     vhat_p = fourier_transform_radial(pot, uniq * damp)

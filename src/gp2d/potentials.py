@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j0
 
+from .bessel import hankel_j0
 from .errors import ConfigError, QuadratureError
-from .quadrature import (gl_nodes_weights, integrate_panels,
+from .quadrature import (gl_nodes_weights, integrate_panels, merge_bounds,
                          panel_bounds_hankel)
 
 TABLE_HEADER = "# radial-potential v1"
@@ -118,7 +118,7 @@ def fourier_transform_radial(pot: RadialPotential, k):
 
     Radial (Hankel) form: 2 pi int_0^r0 V(r) J0(k r) r dr.  Accepts a
     scalar or an array of wavenumbers; panels are split at the Bessel
-    zeros of the largest requested k.
+    zeros of the largest requested k, and ``hankel_j0`` sums the rule.
     """
     k = np.abs(np.asarray(k, dtype=float))
     scalar = k.ndim == 0
@@ -126,10 +126,9 @@ def fourier_transform_radial(pot: RadialPotential, k):
         return 0.0 if scalar else np.zeros(k.shape)
     bounds = panel_bounds_hankel(0.0, pot.r0, float(k.max()), per_efold=4)
     # low per_efold: V itself is not log-singular, panels resolve J0 only
-    bounds = np.unique(np.concatenate((bounds, np.linspace(0, pot.r0, 17))))
+    bounds = merge_bounds(bounds, np.linspace(0, pot.r0, 17))
     nodes, wts = gl_nodes_weights(bounds)
-    weighted = wts * pot(nodes) * nodes
-    val = 2.0 * np.pi * (j0(np.multiply.outer(k, nodes)) @ weighted)
+    val = 2.0 * np.pi * hankel_j0(k, nodes, wts * pot(nodes) * nodes)
     if not np.all(np.isfinite(val)):
         raise QuadratureError("non-finite potential transform")
     return float(val) if scalar else val

@@ -8,22 +8,37 @@ fixed 16-node Gauss-Legendre rule per panel.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import jn_zeros
+import math
 
+import numpy as np
+
+from .bessel import j0_zeros
 from .errors import QuadratureError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# enough J0 zeros for any k*r_max this package meets; extended on demand
-_J0_ZEROS = jn_zeros(0, 512)
+# J0 zeros, computed on first need and at least doubled when extended
+_J0_ZEROS = np.zeros(0)
 
 
 def _j0_zeros_up_to(x: float) -> np.ndarray:
     global _J0_ZEROS
-    while _J0_ZEROS[-1] < x:
-        _J0_ZEROS = jn_zeros(0, 2 * len(_J0_ZEROS))
-    return _J0_ZEROS[_J0_ZEROS < x]
+    # the m-th zero exceeds (m - 1/4) pi: at most x / pi + 1/4 lie below x
+    need = int(x / math.pi + 0.25)
+    if need > len(_J0_ZEROS):
+        _J0_ZEROS = j0_zeros(max(need, 2 * len(_J0_ZEROS), 64))
+    zeros = _J0_ZEROS[:need]
+    return zeros[zeros < x]
+
+
+def merge_bounds(*parts) -> np.ndarray:
+    """The sorted union of panel boundaries, each value once (a sort and a
+    neighbour comparison; unlike a bare np.unique it never loads
+    numpy.ma)."""
+    bounds = np.sort(np.concatenate(parts))
+    keep = np.ones(len(bounds), dtype=bool)
+    keep[1:] = bounds[1:] != bounds[:-1]
+    return bounds[keep]
 
 
 def geometric_bounds(a: float, b: float, per_efold: int = 8,
@@ -50,7 +65,7 @@ def panel_bounds_hankel(a: float, b: float, k: float, per_efold: int = 8,
     if k > 0.0:
         zeros = _j0_zeros_up_to(k * b) / k
         zeros = zeros[zeros > a]
-        bounds = np.unique(np.concatenate((bounds, zeros)))
+        bounds = merge_bounds(bounds, zeros)
     return bounds
 
 

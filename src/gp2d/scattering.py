@@ -18,17 +18,18 @@ Roots are found by Brent's method (``_brent``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
-from scipy.special import j0, j1, y0, y1
 
+from .bessel import jy, jy01
 from .errors import ConsistencyError, SolverError
 from .potentials import RadialPotential
-from .quadrature import geometric_bounds, gl_nodes_weights
+from .quadrature import geometric_bounds, gl_nodes_weights, merge_bounds
 
 if TYPE_CHECKING:
     from scipy.integrate import OdeSolution
@@ -43,6 +44,7 @@ _PANEL_NODES = 36           # collocation nodes per series panel
 _PANEL_KAPPA_WIDTH = 2.0    # kappa times the widest series panel
 _PANEL_TAIL_REL = 1e-14     # resolution bound on a panel's trailing terms
 _PANEL_MIN_REL = 1e-9       # narrowest series panel, relative to r0
+_K_SQUARED = np.arange(1, _SERIES_ORDER + 2) ** 2.0
 
 
 def _split_profile(r: np.ndarray, r0: float, interior, tail):
@@ -126,9 +128,9 @@ class NeumannSolution:
         c1, c2 = self._c_bessel
 
         def tail(out):
-            kr = k * out
-            return (self._scale * (c1 * j0(kr) + c2 * y0(kr)),
-                    -self._scale * k * (c1 * j1(kr) + c2 * y1(kr)))
+            j0k, y0k, j1k, y1k = jy01(k * out)
+            return (self._scale * (c1 * j0k + c2 * y0k),
+                    -self._scale * k * (c1 * j1k + c2 * y1k))
 
         return _split_profile(r, self.pot.r0,
                               lambda rin: self._scale * self._interior(rin),
@@ -180,9 +182,10 @@ class InteriorSeries:
 
     def _weights(self, lam: float) -> np.ndarray:
         """(lambda r0^2 / 4)^k / (k!)^2 for k = 0 .. K+1."""
-        x = lam * self.pot.r0 ** 2 / 4.0
-        k = np.arange(1, _SERIES_ORDER + 2)
-        return np.concatenate(([1.0], np.cumprod(x / (k * k))))
+        out = np.empty(_SERIES_ORDER + 2)
+        out[0] = 1.0
+        np.cumprod(lam * self.pot.r0 ** 2 / 4.0 / _K_SQUARED, out=out[1:])
+        return out
 
     @cached_property
     def at_r0(self) -> np.ndarray:
@@ -195,7 +198,8 @@ class InteriorSeries:
         exceeds _SERIES_TRUNC_REL of either sum."""
         terms = self._weights(lam) * self.at_r0
         vals = terms[:, :-1].sum(axis=1)
-        if np.any(np.abs(terms[:, -1]) > _SERIES_TRUNC_REL * np.abs(vals)):
+        if any(abs(t) > _SERIES_TRUNC_REL * abs(v)
+               for t, v in zip(terms[:, -1].tolist(), vals.tolist())):
             return None
         return vals
 
@@ -237,12 +241,12 @@ class TrialOracle:
     gamma: float = EULER_GAMMA
 
     def psi(self, r):
-        r = np.asarray(r, float)
-        return j0(self.k * r) - self.bessel_ratio * y0(self.k * r)
+        j0k, y0k = jy(self.k * np.asarray(r, float), 0)
+        return j0k - self.bessel_ratio * y0k
 
     def psi_prime(self, r):
-        r = np.asarray(r, float)
-        return -self.k * (j1(self.k * r) - self.bessel_ratio * y1(self.k * r))
+        j1k, y1k = jy(self.k * np.asarray(r, float), 1)
+        return -self.k * (j1k - self.bessel_ratio * y1k)
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,7 @@ def _pieces(pot: RadialPotential, lo: float, hi: float):
     cuts = [lo, hi]
     if pot.table_r is not None:
         cuts += [t for t in pot.table_r if lo < t < hi]
-    cuts = np.unique(cuts)
+    cuts = merge_bounds(cuts)
     return zip(cuts[:-1], cuts[1:])
 
 
@@ -438,11 +442,16 @@ def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
         at_r0 = interior(r0)
     else:
         interior = partial(series.profile, lam)
-    k = np.sqrt(lam)
-    mat = np.array([[j0(k * r0), y0(k * r0)],
-                    [-k * j1(k * r0), -k * y1(k * r0)]])
-    c1, c2 = np.linalg.solve(mat, at_r0)
-    gprime_R = -k * (c1 * j1(k * R) + c2 * y1(k * R))
+    k = math.sqrt(lam)
+    j0k, y0k, j1k, y1k = jy01(k * r0)
+    # (f, f')(r0) = (c1 J0 + c2 Y0, -k (c1 J1 + c2 Y1)) at k r0, by
+    # Cramer's rule; the determinant is k times the Wronskian 2 / (pi k r0)
+    f0, df0 = at_r0
+    det = k * (j1k * y0k - j0k * y1k)
+    c1 = (-k * y1k * f0 - y0k * df0) / det
+    c2 = (k * j1k * f0 + j0k * df0) / det
+    j1R, y1R = jy(k * R, 1)
+    gprime_R = -k * (c1 * j1R + c2 * y1R)
     return gprime_R, (c1, c2), interior
 
 
@@ -544,8 +553,8 @@ def neumann_ground_state(pot: RadialPotential, R: float,
                  bracket[0], bracket[1], xtol=1e-280, rtol=8.9e-16)
 
     _, (c1, c2), interior = _neumann_mismatch(series, R, lam)
-    k = np.sqrt(lam)
-    fR = c1 * j0(k * R) + c2 * y0(k * R)
+    j0R, y0R = jy(math.sqrt(lam) * R, 0)
+    fR = c1 * j0R + c2 * y0R
     if fR == 0.0:
         raise SolverError("degenerate boundary value")
     scale = 1.0 / fR
@@ -561,8 +570,7 @@ def neumann_ground_state(pot: RadialPotential, R: float,
 def rayleigh_quotient(sol: NeumannSolution) -> float:
     """int (f'^2 + V f^2 / 2) r dr / int f^2 r dr for the computed state."""
     bounds = geometric_bounds(0.0, sol.R, per_efold=16)
-    bounds = np.unique(np.concatenate((bounds,
-                                       np.linspace(0, sol.pot.r0, 33))))
+    bounds = merge_bounds(bounds, np.linspace(0, sol.pot.r0, 33))
     nodes, wts = gl_nodes_weights(bounds)
     f = sol.f_at(nodes)
     fp = sol.f_prime_at(nodes)
@@ -589,7 +597,9 @@ def trial_wavenumber(R: float, a: float) -> TrialOracle:
     k_est = np.sqrt((2.0 / L) * (1.0 + 0.75 / L)) / R
 
     def h(k):
-        return -j1(k * R) + (j0(k * a) / y0(k * a)) * y1(k * R)
+        j0a, y0a = jy(k * a, 0)
+        j1R, y1R = jy(k * R, 1)
+        return -j1R + (j0a / y0a) * y1R
 
     ks = k_est * np.geomspace(0.05, 5.0, 200)
     hk = h(ks)
@@ -598,7 +608,8 @@ def trial_wavenumber(R: float, a: float) -> TrialOracle:
         raise SolverError("no root bracket for the trial wavenumber")
     i = sign_change[0]
     k = _brent(h, ks[i], ks[i + 1], xtol=1e-280, rtol=8.9e-16)
-    return TrialOracle(float(k), R, a, float(j0(k * a) / y0(k * a)))
+    j0a, y0a = jy(k * a, 0)
+    return TrialOracle(float(k), R, a, float(j0a / y0a))
 
 
 def trial_upper_bound(oracle: TrialOracle, zero_sol: ZeroEnergySolution) -> float:

@@ -144,15 +144,18 @@ for args in (["all", "--config", fast, "--out", out + "/all"],
              ["energy-sweep", "--config", shell8, "--out", out + "/s8"]):
     if main(args + ["--threads", "1"]) != 0:
         sys.exit(f"{args[0]} failed")
-lazy = ("scipy.optimize", "scipy.integrate", "scipy.sparse.linalg")
-print(json.dumps([name for name in lazy if name in sys.modules]))
+print(json.dumps(sorted(
+    name for name in sys.modules
+    if name == "scipy" or name.startswith("scipy.")
+    or name in ("numpy.ma", "numpy.random"))))
 """
 
 
 def test_cli_leaves_unused_scipy_subpackages_unloaded(tmp_path, fast_cfg):
-    # scipy.optimize, scipy.integrate and scipy.sparse.linalg cost about
-    # 0.3 s of every CLI start-up; they load only on the lambda r0^2 >> 1
-    # interior fallback and above DENSE_EIG_CAP
+    # importing scipy costs more than a whole CLI call; only the
+    # lambda r0^2 >> 1 interior fallback and Lanczos above DENSE_EIG_CAP
+    # load it.  numpy.ma (a bare np.unique) and numpy.random (the Lanczos
+    # start vectors) are slow to import too and stay unloaded.
     shell8 = tmp_path / "shell8.cfg"
     shell8.write_text("shell = 8\nfock_n_max = 5\nN_step = 10\n")
     src = str(Path(gp2d.__file__).resolve().parents[1])

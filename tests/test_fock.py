@@ -215,6 +215,19 @@ def test_mixed_partitions_meet_on_one_block(fock_setup):
     np.testing.assert_allclose(blocked.mat, want, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("size", [1, 4, 17])
+def test_expm_matches_scipy(complex_, size):
+    rng = np.random.default_rng(size + 100 * complex_)
+    g = rng.normal(size=(5, size, size))
+    if complex_:
+        g = g + 1j * rng.normal(size=g.shape)
+    g = 0.7 * (g - np.swapaxes(g, -1, -2).conj())     # antihermitian
+    got = fock.expm(g)
+    assert np.iscomplexobj(got) == complex_
+    np.testing.assert_allclose(got, expm(g), rtol=0, atol=1e-13)
+
+
 def test_partition_by_groups_equal_labels():
     labels = np.array([2, 0, 2, 1, 0, 2, 3])
     part = partition_by(labels)

@@ -9,7 +9,8 @@ from scipy.special import j0, j1
 
 from gp2d.errors import QuadratureError
 from gp2d.quadrature import (geometric_bounds, gl_nodes_weights,
-                             integrate_panels, panel_bounds_hankel)
+                             integrate_panels, merge_bounds,
+                             panel_bounds_hankel)
 
 
 def test_polynomial_exactness():
@@ -74,3 +75,12 @@ def test_bounds_are_increasing_and_cover():
     assert bounds[0] == 0.0
     assert bounds[-1] == 2.0
     assert np.all(np.diff(bounds) > 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1e-12, 3.5, 7.0]),
+                         max_size=6), min_size=1, max_size=4))
+def test_merge_bounds_is_sorted_union(parts):
+    got = merge_bounds(*[np.array(p, float) for p in parts])
+    want = np.unique(np.concatenate([np.array(p, float) for p in parts]))
+    assert got.tobytes() == want.tobytes()

@@ -10,7 +10,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 from scipy.special import i0, i0e, i1, i1e, j0, j1, y0, y1
 
-from gp2d import scattering
+from gp2d import bessel, scattering
 from gp2d.errors import ConsistencyError, SolverError
 from gp2d.potentials import free, gaussian_bump, step, tabulated
 from gp2d.scattering import (InteriorSeries, export_solution_csv,
@@ -452,15 +452,17 @@ def test_brent_exact_zero_at_an_end(lo, hi):
 
 def neumann_at_reference(sol, r):
     """(f, f') with the interior profile evaluated at min(r, r0) for
-    every radius, and np.where picking the branch."""
+    every radius, and np.where picking the branch.  The tail calls gp2d's
+    own J0/Y0/J1/Y1 one by one: this pins the evaluation order, not the
+    Bessel values."""
     r = np.asarray(r, float)
     r0 = sol.pot.r0
     f_in, fp_in = sol._interior(np.minimum(r, r0))
     k = np.sqrt(sol.lam)
     c1, c2 = sol._c_bessel
     kr = k * np.maximum(r, r0)
-    f_out = sol._scale * (c1 * j0(kr) + c2 * y0(kr))
-    fp_out = -sol._scale * k * (c1 * j1(kr) + c2 * y1(kr))
+    f_out = sol._scale * (c1 * bessel.j0(kr) + c2 * bessel.y0(kr))
+    fp_out = -sol._scale * k * (c1 * bessel.j1(kr) + c2 * bessel.y1(kr))
     return (np.where(r <= r0, sol._scale * f_in, f_out),
             np.where(r <= r0, sol._scale * fp_in, fp_out))
 
