@@ -84,8 +84,10 @@ class Pipeline:
             per_efold=self.cfg.quad_per_efold))
 
     def hamiltonians(self, N: int, alpha: float) -> tuple[FockBasis, dict]:
-        """Excitation basis at particle cap N and its effective
-        Hamiltonians; built afresh on every call, not kept."""
+        """Excitation basis at particle cap N and the two operators the
+        commands read, {"R_eff", "H_N"} (``effective_hamiltonians``: one
+        build each, H_N's blocks added into R_eff's in place); built
+        afresh on every call, not kept."""
         basis = build_basis(shell_modes(self.cfg.shell), N)
         ops = effective_hamiltonians(basis, self.renorm(N, alpha), self.pot,
                                      self.params(N, alpha))

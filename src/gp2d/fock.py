@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 from numpy.linalg import eigh
@@ -48,14 +49,58 @@ def shell_modes(count: int = 4) -> tuple[tuple[int, int], ...]:
     raise ConfigError(f"unsupported shell size {count}")
 
 
-def _compositions(total: int, parts: int):
-    """Occupation tuples with the given total, lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _occupations(cap: int, parts: int) -> np.ndarray:
+    """Every row of ``parts`` occupation numbers with total at most cap,
+    ordered by total, then lexicographically.
+
+    Stars and bars: the rows of total t are the gaps between parts - 1
+    bars placed in t + parts - 1 slots, and bar placements in
+    lexicographic order give rows in lexicographic order.
+    """
+    blocks = []
+    for total in range(cap + 1):
+        slots = total + parts - 1
+        count = math.comb(slots, parts - 1)
+        bars = np.fromiter(
+            chain.from_iterable(combinations(range(slots), parts - 1)),
+            dtype=np.int64, count=count * (parts - 1)).reshape(count, -1)
+        edges = np.hstack((np.full((count, 1), -1), bars,
+                           np.full((count, 1), slots)))
+        blocks.append(np.diff(edges, axis=1) - 1)
+    return np.concatenate(blocks)
+
+
+class _StateLookup:
+    """Positions of occupation rows in a basis's ``states`` table.
+
+    A row's key is its mixed-radix number sum_j n_j r^(parts-1-j), radix
+    r one above the largest occupation; a row is found by binary search
+    of its key among the sorted keys of the table.
+    """
+
+    @cached_property
+    def _keys(self) -> tuple:
+        parts = self.states.shape[1]
+        radix = int(self.states.max()) + 1
+        if radix ** parts > np.iinfo(np.int64).max:
+            raise SizeError(f"occupation keys of {parts} modes in radix "
+                            f"{radix} overflow int64")
+        weights = radix ** np.arange(parts - 1, -1, -1, dtype=np.int64)
+        keys = self.states @ weights
+        order = np.argsort(keys)
+        return weights, keys, order, keys[order]
+
+    def find(self, keys) -> np.ndarray:
+        """Basis index of each key; every key must be a state's."""
+        _, _, order, ordered = self._keys
+        at = np.minimum(np.searchsorted(ordered, keys), len(ordered) - 1)
+        if not np.array_equal(ordered[at], keys):
+            raise ConfigError("occupation not in the basis")
+        return order[at]
+
+    def position(self, states) -> np.ndarray:
+        """Basis index of each occupation row of states."""
+        return self.find(np.asarray(states, dtype=np.int64) @ self._keys[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +161,12 @@ def partition_by(labels) -> Partition:
 
 
 @dataclass(frozen=True)
-class FockBasis:
+class FockBasis(_StateLookup):
     """Occupation basis over a negation-closed mode set, total <= cap."""
 
     modes: tuple
     cap: int
     states: np.ndarray = field(repr=False)
-    index: dict = field(repr=False)
     neg_mode: np.ndarray = field(repr=False)
     mode_p2: np.ndarray = field(repr=False)
 
@@ -145,15 +189,18 @@ class FockBasis:
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim)
-        v[self.index[tuple([0] * self.n_modes)]] = 1.0
+        v[self.position(np.zeros((1, self.n_modes)))] = 1.0
         return v
 
     @cached_property
     def sectors(self) -> Partition:
-        """The basis states grouped by total momentum P = sum p n_p."""
+        """The basis states grouped by total momentum P = sum p n_p,
+        sectors in lexicographic order of P: each P gets the integer code
+        (Px - min Px) * span + (Py - min Py), span the range of Py."""
         P = self.states @ np.array(self.modes, dtype=np.int64)
-        _, label = np.unique(P, axis=0, return_inverse=True)
-        return partition_by(label.reshape(-1))
+        low = P.min(axis=0)
+        span = int(P[:, 1].max() - low[1]) + 1
+        return partition_by((P[:, 0] - low[0]) * span + (P[:, 1] - low[1]))
 
     @cached_property
     def ladders(self) -> dict:
@@ -162,14 +209,12 @@ class FockBasis:
         column: column c holds amp[c] in row dest[c], and is empty when
         dest[c] < 0.  All four kinds derive from the lowering matrix a_i."""
         damp = np.sqrt((self.cap - self.totals()) / self.cap)
+        weights, keys = self._keys[:2]
         out = {"a": [], "ad": [], "b": [], "bd": []}
         for i in range(self.n_modes):
             cols = np.flatnonzero(self.states[:, i])
-            lowered = self.states[cols]
-            lowered[:, i] -= 1
-            rows = np.fromiter((self.index[s] for s in map(tuple,
-                                                          lowered.tolist())),
-                               dtype=np.int64, count=len(cols))
+            # lowering n_i lowers the key by the weight of digit i
+            rows = self.find(keys[cols] - weights[i])
             occ = np.sqrt(self.states[cols, i])
             # b_i = diag(damp) a_i; a*_i and b*_i are the transposes
             for kind, amp in (("a", occ), ("b", damp[rows] * occ)):
@@ -200,15 +245,10 @@ def build_basis(modes, cap: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
     dim = math.comb(cap + m, m)
     if dim > dim_cap:
         raise SizeError(f"basis dimension {dim} exceeds cap {dim_cap}")
-    states = []
-    for total in range(cap + 1):
-        states.extend(_compositions(total, m))
-    arr = np.array(states, dtype=np.int64)
-    index = {tuple(s): i for i, s in enumerate(states)}
     neg = np.array([modes.index((-a, -b)) for a, b in modes])
     p2 = TWO_PI ** 2 * np.array([a * a + b * b for a, b in modes],
                                 dtype=float)
-    return FockBasis(modes, cap, arr, index, neg, p2)
+    return FockBasis(modes, cap, _occupations(cap, m), neg, p2)
 
 
 class LinearOperator:
@@ -332,8 +372,10 @@ def _conserves_momentum(basis: FockBasis, ops) -> bool:
 
 
 def build_operator(basis: FockBasis, terms, tag: str,
-                   hermitian: bool = False) -> LinearOperator:
-    """Assemble sum of coefficient * product of ladder matrices.
+                   hermitian: bool = False,
+                   diagonal: np.ndarray | None = None) -> LinearOperator:
+    """Assemble sum of coefficient * product of ladder matrices, plus
+    diag(diagonal) when a per-state diagonal is given.
 
     A product is a list of (kind, mode index) pairs, leftmost written
     first; kinds are 'a', 'ad', 'b' and 'bd'.  When every product
@@ -358,6 +400,8 @@ def build_operator(basis: FockBasis, terms, tag: str,
             amp *= vals[rows]
             rows = dest[rows]
         flat[first[cols] + pos[rows] * size[cols]] += coef * amp
+    if diagonal is not None:
+        flat[first + pos * size] += diagonal
     return LinearOperator.from_blocks(part, part.split(flat), tag, hermitian)
 
 
@@ -386,13 +430,23 @@ def number_operator(basis: FockBasis) -> LinearOperator:
     return _diagonal(basis, basis.totals().astype(float), "N+")
 
 
+def _per_total(basis: FockBasis, func) -> np.ndarray:
+    """func(n) at each state's total occupation n, one call per total."""
+    return np.array([func(n) for n in range(basis.cap + 1)],
+                    dtype=float)[basis.totals()]
+
+
 def diagonal_in_total(basis: FockBasis, func, tag: str) -> LinearOperator:
-    vals = np.array([func(int(n)) for n in basis.totals()], dtype=float)
-    return _diagonal(basis, vals, tag)
+    return _diagonal(basis, _per_total(basis, func), tag)
+
+
+def _kinetic(basis: FockBasis) -> np.ndarray:
+    """The kinetic energy sum p^2 n_p of each state."""
+    return (basis.states * basis.mode_p2).sum(axis=1)
 
 
 def kinetic_operator(basis: FockBasis) -> LinearOperator:
-    return _diagonal(basis, (basis.states * basis.mode_p2).sum(axis=1), "K")
+    return _diagonal(basis, _kinetic(basis), "K")
 
 
 def _vhat(pot: RadialPotential, params: GPParameters, vecs) -> np.ndarray:
@@ -404,13 +458,14 @@ def _vhat(pot: RadialPotential, params: GPParameters, vecs) -> np.ndarray:
     return fourier_transform_radial(pot, k)[inv]
 
 
-def potential_operator(basis: FockBasis, pot: RadialPotential,
-                       params: GPParameters) -> LinearOperator:
-    """Quartic interaction, restricted to mode-closed index quadruples.
+def _potential_terms(basis: FockBasis, pot: RadialPotential,
+                     params: GPParameters) -> list:
+    """The ladder products of V_N (see ``potential_operator``), merged.
 
-    (1/2) sum over p, q, r with r != -p, -q of Vhat(r/e^N)
-    a*_{p+r} a*_q a_{q+r} a_p, keeping terms whose four indices all lie in
-    the mode set.
+    Creators commute with creators and annihilators with annihilators,
+    also at the cap, where both orders drop at the same total.  So the
+    products with one sorted creator pair and one sorted annihilator pair
+    are one product, whose coefficient is their sum.
     """
     modes = basis.modes
     mode_set = {m: i for i, m in enumerate(modes)}
@@ -426,11 +481,25 @@ def potential_operator(basis: FockBasis, pot: RadialPotential,
                 if iqr is None:
                     continue
                 shifts.append(r)
-                products.append([("ad", ipr), ("ad", iq), ("a", iqr),
-                                 ("a", ip)])
-    terms = [(0.5 * v, ops)
-             for v, ops in zip(_vhat(pot, params, shifts), products)]
-    return build_operator(basis, terms, "V_N", hermitian=True)
+                products.append((min(ipr, iq), max(ipr, iq),
+                                 min(iqr, ip), max(iqr, ip)))
+    merged = {}
+    for v, key in zip(_vhat(pot, params, shifts), products):
+        merged[key] = merged.get(key, 0.0) + 0.5 * v
+    return [(coef, [("ad", i), ("ad", j), ("a", k), ("a", l)])
+            for (i, j, k, l), coef in merged.items()]
+
+
+def potential_operator(basis: FockBasis, pot: RadialPotential,
+                       params: GPParameters) -> LinearOperator:
+    """Quartic interaction, restricted to mode-closed index quadruples.
+
+    (1/2) sum over p, q, r with r != -p, -q of Vhat(r/e^N)
+    a*_{p+r} a*_q a_{q+r} a_p, keeping terms whose four indices all lie in
+    the mode set.
+    """
+    return build_operator(basis, _potential_terms(basis, pot, params),
+                          "V_N", hermitian=True)
 
 
 def hamiltonian_pieces(basis: FockBasis, pot: RadialPotential,
@@ -460,8 +529,7 @@ def hamiltonian_pieces(basis: FockBasis, pot: RadialPotential,
     return {"K": K, "V_N": VN, "L0": L0, "L2": L2, "L3": L3, "L4": VN}
 
 
-def _pair_operator(basis: FockBasis, weights, sign: float,
-                   tag: str) -> LinearOperator:
+def _pair_terms(basis: FockBasis, weights, sign: float) -> list:
     """(1/2) sum over i of weights[i] (b*_i b*_{-i} + sign b_i b_{-i}).
 
     Hermitian for sign +1, antihermitian for sign -1.
@@ -471,11 +539,17 @@ def _pair_operator(basis: FockBasis, weights, sign: float,
         ineg = int(basis.neg_mode[i])
         terms.append((0.5 * w, [("bd", i), ("bd", ineg)]))
         terms.append((sign * 0.5 * w, [("b", i), ("b", ineg)]))
-    return build_operator(basis, terms, tag, hermitian=sign > 0)
+    return terms
 
 
-def _cubic_operator(basis: FockBasis, weights, prefactor: float, tag: str,
-                    sign: float = 1.0) -> LinearOperator:
+def _pair_operator(basis: FockBasis, weights, sign: float,
+                   tag: str) -> LinearOperator:
+    return build_operator(basis, _pair_terms(basis, weights, sign), tag,
+                          hermitian=sign > 0)
+
+
+def _cubic_terms(basis: FockBasis, weights, prefactor: float,
+                 sign: float = 1.0) -> list:
     """prefactor * sum over p, q of w_p [b*_{p+q} a*_{-p} a_q
     + sign (b*_{p+q} a*_{-p} a_q)^*], w_p = weights[index of p],
 
@@ -499,7 +573,14 @@ def _cubic_operator(basis: FockBasis, weights, prefactor: float, tag: str,
                           [("bd", isum), ("ad", ineg), ("a", iq)]))
             terms.append((sign * (prefactor * wp),
                           [("ad", iq), ("a", ineg), ("b", isum)]))
-    return build_operator(basis, terms, tag, hermitian=sign > 0)
+    return terms
+
+
+def _cubic_operator(basis: FockBasis, weights, prefactor: float, tag: str,
+                    sign: float = 1.0) -> LinearOperator:
+    return build_operator(basis,
+                          _cubic_terms(basis, weights, prefactor, sign), tag,
+                          hermitian=sign > 0)
 
 
 def generators(basis: FockBasis, table: KernelTable,
@@ -557,43 +638,52 @@ def remainder_d(basis: FockBasis, mode, table: KernelTable,
 
 
 def _h_n(basis: FockBasis, pot: RadialPotential,
-         params: GPParameters) -> tuple:
-    """K, V_N and H_N = K + V_N."""
-    K = kinetic_operator(basis)
-    VN = potential_operator(basis, pot, params)
-    return K, VN, combine([(1.0, K), (1.0, VN)], "H_N", hermitian=True)
+         params: GPParameters) -> LinearOperator:
+    """H_N = K + V_N in one build: V_N's products, K as the diagonal."""
+    return build_operator(basis, _potential_terms(basis, pot, params),
+                          "H_N", hermitian=True, diagonal=_kinetic(basis))
 
 
-def _omega_pair(basis: FockBasis, renorm: RenormPotential) -> tuple:
-    """omega_hat at the modes and its pair operator, the quadratic part
-    of both G_eff and R_eff."""
-    omega = [float(renorm.omega_at(TWO_PI * math.hypot(*m)))
-             for m in basis.modes]
-    return omega, _pair_operator(basis, omega, 1.0, "quad")
+def _plus_h_n(basis: FockBasis, HN: LinearOperator, terms,
+              diagonal: np.ndarray, tag: str) -> LinearOperator:
+    """HN + sum of terms + diag(diagonal): the terms and the diagonal in
+    one build, then HN added into its blocks in place."""
+    extra = build_operator(basis, terms, tag, diagonal=diagonal)
+    for blk, h in zip(extra.blocks, HN.blocks):
+        blk += h
+    return LinearOperator.from_blocks(extra.part, extra.blocks, tag,
+                                      hermitian=True)
+
+
+def _omega(basis: FockBasis, renorm: RenormPotential) -> list:
+    """omega_hat at the modes: the weights of the pair term of both
+    G_eff and R_eff."""
+    return [float(renorm.omega_at(TWO_PI * math.hypot(*m)))
+            for m in basis.modes]
 
 
 def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
                            pot: RadialPotential,
                            params: GPParameters) -> dict:
-    """The cubically renormalized R_eff and the pieces of H_N it holds.
+    """The cubically renormalized R_eff and H_N = K + V_N, the two
+    operators the commands read, from two builds: H_N, then R_eff as H_N
+    plus the omega_hat pair and cubic products with R_eff's diagonal.
 
     G_eff, which only the G_N statements read, has its own builder,
     ``gn_effective_hamiltonian``.
     """
     N = params.N
     w0 = renorm.omega0
-    K, VN, HN = _h_n(basis, pot, params)
-    omega, quad = _omega_pair(basis, renorm)
-    R_diag = diagonal_in_total(
+    HN = _h_n(basis, pot, params)
+    omega = _omega(basis, renorm)
+    R_diag = _per_total(
         basis,
         lambda n: 0.5 * (N - 1) * w0 * (1 - n / N)
-        + 0.5 * w0 * n * (1 - n / N) + w0 * n * (1 - n / N),
-        "R-diag")
-    R_eff = combine([
-        (1.0, R_diag), (1.0, quad),
-        (1.0, _cubic_operator(basis, omega, 1.0 / math.sqrt(N), "R-cubic")),
-        (1.0, HN)], "R_eff", hermitian=True)
-    return {"R_eff": R_eff, "H_N": HN, "K": K, "V_N": VN}
+        + 0.5 * w0 * n * (1 - n / N) + w0 * n * (1 - n / N))
+    terms = (_pair_terms(basis, omega, 1.0)
+             + _cubic_terms(basis, omega, 1.0 / math.sqrt(N)))
+    return {"R_eff": _plus_h_n(basis, HN, terms, R_diag, "R_eff"),
+            "H_N": HN}
 
 
 def gn_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
@@ -604,19 +694,16 @@ def gn_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
     ``depletion_chain_check``."""
     N = params.N
     w0 = renorm.omega0
-    _, _, HN = _h_n(basis, pot, params)
-    _, quad = _omega_pair(basis, renorm)
     vhat = _vhat(pot, params, basis.modes)
     v0 = fourier_transform_radial(pot, 0.0)
-    G_diag = diagonal_in_total(
+    G_diag = _per_total(
         basis,
         lambda n: 0.5 * w0 * (N - 1) * (1 - n / N)
-        + (2 * N * v0 - 0.5 * w0) * n * (1 - n / N),
-        "G-diag")
-    return combine([
-        (1.0, G_diag), (1.0, quad),
-        (1.0, _cubic_operator(basis, vhat, math.sqrt(N), "G-cubic")),
-        (1.0, HN)], "G_eff", hermitian=True)
+        + (2 * N * v0 - 0.5 * w0) * n * (1 - n / N))
+    terms = (_pair_terms(basis, _omega(basis, renorm), 1.0)
+             + _cubic_terms(basis, vhat, math.sqrt(N)))
+    return _plus_h_n(basis, _h_n(basis, pot, params), terms, G_diag,
+                     "G_eff")
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +712,12 @@ def gn_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
 
 
 @dataclass(frozen=True)
-class SectorBasis:
+class SectorBasis(_StateLookup):
     """Symmetric N-particle occupation basis over modes plus the zero mode."""
 
     modes: tuple          # excitation modes only; slot 0 is the zero mode
     N: int
     states: np.ndarray = field(repr=False)   # columns: (n0, n_modes...)
-    index: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -640,29 +726,24 @@ class SectorBasis:
 
 def build_sector(modes, N: int, dim_cap: int = 4000) -> SectorBasis:
     modes = tuple(tuple(m) for m in modes)
-    states = []
-    for total_exc in range(N + 1):
-        for occ in _compositions(total_exc, len(modes)):
-            states.append((N - total_exc,) + occ)
-    if len(states) > dim_cap:
-        raise SizeError(f"sector dimension {len(states)} exceeds cap")
-    arr = np.array(states, dtype=np.int64)
-    index = {tuple(s): i for i, s in enumerate(states)}
-    return SectorBasis(modes, N, arr, index)
+    dim = math.comb(N + len(modes), len(modes))
+    if dim > dim_cap:
+        raise SizeError(f"sector dimension {dim} exceeds cap")
+    exc = _occupations(N, len(modes))
+    n0 = N - exc.sum(axis=1, keepdims=True)
+    return SectorBasis(modes, N, np.hstack((n0, exc)))
 
 
 def sector_hop(sec: SectorBasis, i: int, j: int) -> np.ndarray:
     """Matrix of a*_i a_j on the fixed-N sector (slot 0 is the zero mode)."""
+    cols = np.flatnonzero(sec.states[:, j])
+    occ = sec.states[cols]
+    coef = np.sqrt(occ[:, j].astype(float))
+    occ[:, j] -= 1
+    coef *= np.sqrt(occ[:, i] + 1.0)
+    occ[:, i] += 1
     mat = np.zeros((sec.dim, sec.dim))
-    for col in range(sec.dim):
-        occ = list(sec.states[col])
-        if occ[j] == 0:
-            continue
-        coef = math.sqrt(occ[j])
-        occ[j] -= 1
-        coef *= math.sqrt(occ[i] + 1)
-        occ[i] += 1
-        mat[sec.index[tuple(occ)], col] = coef
+    mat[sec.position(occ), cols] = coef
     return mat
 
 
@@ -681,9 +762,7 @@ def unitary_excitation_map(modes, N: int) -> dict:
     if sec.dim != basis.dim:
         raise ConsistencyError("sector and excitation bases disagree")
     U = np.zeros((basis.dim, sec.dim))
-    for col in range(sec.dim):
-        occ = tuple(sec.states[col][1:])
-        U[basis.index[occ], col] = 1.0
+    U[basis.position(sec.states[:, 1:]), np.arange(sec.dim)] = 1.0
 
     nplus = number_operator(basis).mat
     eye = np.eye(basis.dim)
@@ -721,7 +800,8 @@ def export_operator(op: LinearOperator, path, tol: float = 0.0) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dim={op.dim} tag={op.tag} "
                  f"hermitian={int(op.hermitian)}\n")
-        rows, cols = np.nonzero(np.abs(op.mat) > tol)
+        mat = op.mat
+        rows, cols = np.nonzero(np.abs(mat) > tol)
         for r, c in zip(rows, cols):
-            v = op.mat[r, c]
+            v = mat[r, c]
             fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")

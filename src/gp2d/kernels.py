@@ -49,6 +49,11 @@ class GPParameters:
         if self.ell >= 0.5:
             raise ConfigError(f"ell = {self.ell:.4g} must be < 1/2; "
                               f"increase alpha or N")
+        # omega_hat smears over the disk of radius N^-alpha whatever
+        # ell_scale is, and that disk must not overlap its periodic images
+        if float(self.N) ** (-self.alpha) >= 0.5:
+            raise ConfigError(f"N^-alpha = {float(self.N) ** -self.alpha:.4g}"
+                              f" must be < 1/2; increase alpha or N")
 
     @property
     def ell(self) -> float:

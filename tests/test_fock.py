@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from gp2d import fock
 from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
-                       conjugate, diagonal_in_total,
+                       build_sector, combine, conjugate, diagonal_in_total,
                        effective_hamiltonians, export_operator, generators,
                        gn_effective_hamiltonian, hamiltonian_pieces,
                        hermiticity_residual, kinetic_operator, ladder,
@@ -78,6 +78,7 @@ def _apply_monomial(basis, ops, state):
 
 
 def _reference_operator(basis, terms):
+    index = {s: i for i, s in enumerate(map(tuple, basis.states.tolist()))}
     mat = np.zeros((basis.dim, basis.dim))
     for col in range(basis.dim):
         state = tuple(basis.states[col])
@@ -85,7 +86,7 @@ def _reference_operator(basis, terms):
             hit = _apply_monomial(basis, ops, state)
             if hit is not None:
                 amp, out = hit
-                mat[basis.index[out], col] += coef * amp
+                mat[index[out], col] += coef * amp
     return mat
 
 
@@ -122,13 +123,17 @@ class Weights:
         return self.d + self.c * math.cos(p_norm / 7.0)
 
 
+def _dense_reference(basis, terms, tag, hermitian=False, diagonal=None):
+    mat = _reference_operator(basis, list(terms))
+    if diagonal is not None:
+        mat += np.diag(diagonal)
+    return LinearOperator(mat, tag, hermitian)
+
+
 def _dense_brute_force(monkeypatch):
     """Make every operator of gp2d.fock a dense matrix assembled state by
     state by the reference interpreter, on the one-block partition."""
-    monkeypatch.setattr(fock, "build_operator", lambda basis, terms, tag,
-                        hermitian=False: LinearOperator(
-                            _reference_operator(basis, list(terms)), tag,
-                            hermitian))
+    monkeypatch.setattr(fock, "build_operator", _dense_reference)
     monkeypatch.setattr(fock, "_diagonal", lambda basis, values, tag:
                         LinearOperator(np.diag(values), tag, hermitian=True))
 
@@ -463,10 +468,136 @@ def test_unitary_excitation_map_rules():
 
 def test_diagonal_in_total(fock_setup):
     *_, basis = fock_setup
-    op = diagonal_in_total(basis, lambda n: n * (n - 1), "pairs")
+    calls = []
+    op = diagonal_in_total(basis, lambda n: calls.append(n) or n * (n - 1),
+                           "pairs")
+    assert calls == list(range(basis.cap + 1))      # once per total
     totals = basis.totals()
     np.testing.assert_allclose(np.diag(op.mat).real,
                                totals * (totals - 1), rtol=1e-14)
+
+
+def test_sectored_export_is_its_dense_copy(fock_setup, step_pot, tmp_path,
+                                           monkeypatch):
+    params, _, _, renorm, basis = fock_setup
+    op = effective_hamiltonians(basis, renorm, step_pot, params)["R_eff"]
+    assert op.part is basis.sectors
+    dense = LinearOperator(op.mat, op.tag, op.hermitian)
+    export_operator(dense, tmp_path / "dense.txt")
+    # the dense matrix of a sectored operator is assembled once
+    assembled = []
+    mat = LinearOperator.mat
+    monkeypatch.setattr(LinearOperator, "mat", property(
+        lambda self: assembled.append(1) or mat.fget(self)))
+    export_operator(op, tmp_path / "sectored.txt")
+    assert len(assembled) == 1
+    assert (tmp_path / "sectored.txt").read_bytes() == \
+        (tmp_path / "dense.txt").read_bytes()
+
+
+def _compositions_reference(total, parts):
+    """Occupation tuples with the given total in lexicographic order, by
+    the recursive generator the stars-and-bars enumeration replaced."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions_reference(total - head, parts - 1):
+            yield (head,) + rest
+
+
+@pytest.mark.parametrize("shell", [4, 8, 12])
+def test_bases_enumerate_in_reference_order(shell):
+    modes = shell_modes(shell)
+    for cap in range(1, 6):
+        want = [list(s) for t in range(cap + 1)
+                for s in _compositions_reference(t, shell)]
+        assert build_basis(modes, cap).states.tolist() == want
+        sec = build_sector(modes, cap, dim_cap=len(want))
+        assert sec.states.tolist() == [[cap - sum(s)] + s for s in want]
+
+
+def _dict_lookup_ladders(basis):
+    """The ladder tables with destinations found by dict lookup of the
+    lowered occupation tuples."""
+    index = {s: i for i, s in enumerate(map(tuple, basis.states.tolist()))}
+    damp = np.sqrt((basis.cap - basis.totals()) / basis.cap)
+    out = {"a": [], "ad": [], "b": [], "bd": []}
+    for i in range(basis.n_modes):
+        cols = np.flatnonzero(basis.states[:, i])
+        lowered = basis.states[cols]
+        lowered[:, i] -= 1
+        rows = np.array([index[s] for s in map(tuple, lowered.tolist())],
+                        dtype=np.int64)
+        occ = np.sqrt(basis.states[cols, i])
+        for kind, amp in (("a", occ), ("b", damp[rows] * occ)):
+            for k, src, dst in ((kind, cols, rows), (kind + "d", rows, cols)):
+                dest, vals = np.full(basis.dim, -1), np.zeros(basis.dim)
+                dest[src], vals[src] = dst, amp
+                out[k].append((dest, vals))
+    return out
+
+
+@pytest.mark.parametrize("shell,cap", [(4, 6), (8, 4), (12, 3)])
+def test_key_search_and_momentum_codes_match_references(shell, cap):
+    basis = build_basis(shell_modes(shell), cap)
+    want = _dict_lookup_ladders(basis)
+    assert set(basis.ladders) == set(want)
+    for kind, maps in basis.ladders.items():
+        for (dest, vals), (wdest, wvals) in zip(maps, want[kind],
+                                                strict=True):
+            np.testing.assert_array_equal(dest, wdest)
+            np.testing.assert_array_equal(vals, wvals)
+    # sectors come in the lexicographic order of P, as np.unique sorts
+    # its rows, so block order (and which of several degenerate sectors
+    # LinearOperator.lowest picks) is that of the row labels
+    P = basis.states @ np.array(basis.modes)
+    _, label = np.unique(P, axis=0, return_inverse=True)
+    ref = partition_by(label.reshape(-1))
+    for got, idx in zip(basis.sectors.classes, ref.classes, strict=True):
+        np.testing.assert_array_equal(got, idx)
+
+
+def _combined_hamiltonians(basis, renorm, pot, params):
+    """R_eff and H_N as separately built operators added by ``combine``,
+    with V_N's products unmerged."""
+    N, w0 = params.N, renorm.omega0
+    HN = combine([(1.0, kinetic_operator(basis)),
+                  (1.0, _scalar_potential_operator(basis, pot, params))],
+                 "H_N", hermitian=True)
+    omega = [float(renorm.omega_at(TWO_PI * math.hypot(*m)))
+             for m in basis.modes]
+    R_diag = diagonal_in_total(
+        basis,
+        lambda n: 0.5 * (N - 1) * w0 * (1 - n / N)
+        + 0.5 * w0 * n * (1 - n / N) + w0 * n * (1 - n / N),
+        "R-diag")
+    R_eff = combine([
+        (1.0, R_diag), (1.0, fock._pair_operator(basis, omega, 1.0, "quad")),
+        (1.0, fock._cubic_operator(basis, omega, 1.0 / math.sqrt(N),
+                                   "R-cubic")),
+        (1.0, HN)], "R_eff", hermitian=True)
+    return {"R_eff": R_eff, "H_N": HN}
+
+
+@pytest.mark.parametrize("shell,cap", [(4, 5), (8, 4), (12, 3)])
+def test_one_pass_hamiltonians_match_combined_pieces(shell, cap,
+                                                     monkeypatch):
+    basis = build_basis(shell_modes(shell), cap)
+    pot, params = step(2.0, 1.0), GPParameters(cap, 2.5)
+    weights = Weights(0.8, 0.3, 12.0)
+    want = _combined_hamiltonians(basis, weights, pot, params)
+    built = []
+    build = fock.build_operator
+    monkeypatch.setattr(fock, "build_operator", lambda *args, **kw:
+                        built.append(args[2]) or build(*args, **kw))
+    got = effective_hamiltonians(basis, weights, pot, params)
+    assert set(got) == {"R_eff", "H_N"}
+    assert len(built) == 2
+    for key, op in got.items():
+        assert op.part is basis.sectors, key
+        np.testing.assert_allclose(op.mat, want[key].mat, rtol=1e-13,
+                                   atol=0.0, err_msg=key)
 
 
 def test_export_operator(fock_setup, tmp_path):

@@ -35,6 +35,10 @@ def test_parameter_validation():
         GPParameters(10, 0.0)
     with pytest.raises(SizeError):
         GPParameters(400, 3.0).R
+    # ell = 0.354 < 1/2, but omega_hat's disk of radius N^-alpha = 0.707
+    # would overlap its periodic images
+    with pytest.raises(ConfigError):
+        GPParameters(2, 0.5, 0.5)
     p = GPParameters(10, 2.0)
     assert p.ell == pytest.approx(10.0 ** -2.0)
     assert p.R == pytest.approx(math.exp(10) * 10.0 ** -2.0)
@@ -181,9 +185,10 @@ def _brute_chi2_sum(scale, n_exact=3000):
 
 
 # (N, alpha, ell_scale): gaps 1 - 2 N^-alpha from 1.0 down to 0.07
-# (N = 3, alpha = 0.7), and one closed gap, -0.41, that ell_scale < 1 admits
+# (N = 3, alpha = 0.7), and one near-closed gap, 0.0069 (N = 2,
+# alpha = 1.01); a closed gap is rejected by GPParameters
 ORACLE_GRID = [(3, 2.5, 1.0), (4, 2.5, 1.0), (10, 1.5, 1.0), (40, 1.5, 1.0),
-               (60, 1.5, 1.0), (4, 1.0, 1.0), (3, 0.7, 1.0), (2, 0.5, 0.5)]
+               (60, 1.5, 1.0), (4, 1.0, 1.0), (3, 0.7, 1.0), (2, 1.01, 1.0)]
 
 
 @pytest.mark.parametrize("n, alpha, ell_scale", ORACLE_GRID)
