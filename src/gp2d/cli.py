@@ -73,10 +73,6 @@ def cmd_kernels(pipe: Pipeline, out: Path) -> tuple[bool, list]:
                               pipe.neumann(N, alpha),
                               per_efold=cfg.quad_per_efold)
     ok = rep.max_rel <= 1e-3
-    if rep.truncation_dominated:
-        print("warning: lattice-truncation tail dominates the residual")
-        if cfg.strict:
-            ok = False
     print(f"kernels N={params.N} |eta0|={abs(table.eta0):.3e} "
           f"(10*ell^2={10 * params.ell ** 2:.3e}) "
           f"max-rel-residual={rep.max_rel:.3e} "
@@ -227,7 +223,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--strict", action="store_true")
     parser.add_argument("--emit-plots-script", action="store_true")
     args = parser.parse_args(argv)
 
@@ -237,8 +232,6 @@ def main(argv=None) -> int:
             cfg.threads = args.threads
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.strict:
-            cfg.strict = True
         out_dir = args.out or os.environ.get("GP2D_OUT") or cfg.out_dir
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

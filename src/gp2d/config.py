@@ -39,7 +39,6 @@ class RunConfig:
     out_dir: str = "out"
     seed: int = 0
     threads: int = 1             # accepted for compatibility; no effect
-    strict: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0 or self.fock_alpha <= 0:
@@ -93,12 +92,6 @@ def _coerce(name: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r} for key "
@@ -139,9 +132,7 @@ def canonical_text(cfg: RunConfig) -> str:
             continue
         key = _FIELD_TO_KEY.get(f.name, f.name)
         val = getattr(cfg, f.name)
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        elif isinstance(val, float):
+        if isinstance(val, float):
             val = f"{val:.17g}"
         lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"

@@ -326,15 +326,11 @@ class ResidualReport:
       p^2 eta_p + (N/2) Vhat(p e^-N) + (convolution of Vhat with eta)
 
     balances the eigenvalue side N lam chi-hat + lam (chi * eta)-hat.
-    Convolutions are evaluated exactly in position space; tail_v and
-    tail_chi are the parts the truncated lattice sums miss.
+    Convolutions are evaluated exactly in position space.
     """
 
     p_norms: np.ndarray
     residual_rel: np.ndarray
-    tail_v: np.ndarray
-    tail_chi: np.ndarray
-    truncation_dominated: bool
 
     @property
     def max_rel(self) -> float:
@@ -347,9 +343,7 @@ def scattering_residual(table: KernelTable, renorm: RenormPotential,
                         per_efold: int = 8) -> ResidualReport:
     lat = table.lattice
     if pot.is_zero:
-        z = np.zeros(lat.size)
-        return ResidualReport(np.sqrt(lat.norms2), z, z.copy(), z.copy(),
-                              False)
+        return ResidualReport(np.sqrt(lat.norms2), np.zeros(lat.size))
     params.check_range(pot)
     ell = params.ell
     lam = table.lam_R2
@@ -369,29 +363,7 @@ def scattering_residual(table: KernelTable, renorm: RenormPotential,
     lhs = uniq ** 2 * eta_u + 0.5 * params.N * vhat_p + conv_v_exact
     rhs = params.N * lam * chi_hat(uniq * ell) + (lam / ell ** 2) * eta_u
     resid_u = (lhs - rhs) / (0.5 * params.N * vhat_p)
-
-    # truncated lattice convolutions at a representative point per norm,
-    # to size the part the finite lattice misses.  |p - q|^2 / (2 pi)^2 is
-    # an integer, so Vhat and chi_hat are evaluated once per distinct value
-    # and gathered through an index array.
-    q_ints = np.vstack((lat.ints, [[0, 0]]))
-    eta_all = np.concatenate((table.eta, [table.eta0]))
-    diff = lat.ints[reps][:, None, :] - q_ints[None, :, :]
-    s_u, s_inv = np.unique((diff ** 2).sum(axis=2), return_inverse=True)
-    s_inv = s_inv.reshape(len(reps), len(q_ints))
-    dn = TWO_PI * np.sqrt(s_u)
-    trunc_v = 0.5 * (fourier_transform_radial(pot, dn * damp)[s_inv]
-                     @ eta_all)
-    trunc_chi = lam * (chi_hat(dn * ell)[s_inv] @ eta_all)
-    tail_v_u = conv_v_exact - trunc_v
-    tail_chi_u = (lam / ell ** 2) * eta_u - trunc_chi
-
-    scale_u = 0.5 * params.N * vhat_p
-    dominated = bool(np.any((np.abs(tail_v_u) + np.abs(tail_chi_u))
-                            > np.abs(resid_u * scale_u) + 1e-3
-                            * np.abs(scale_u)))
-    return ResidualReport(np.sqrt(lat.norms2), resid_u[inv], tail_v_u[inv],
-                          tail_chi_u[inv], dominated)
+    return ResidualReport(np.sqrt(lat.norms2), resid_u[inv])
 
 
 def export_kernels_csv(table: KernelTable, renorm: RenormPotential,

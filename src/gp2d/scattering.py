@@ -10,9 +10,9 @@ profile at zero energy), so solvers match onto the analytic tail instead
 of integrating across many decades.  The interior problem does not depend
 on the disk radius and its regular solution is entire in lambda, so
 Neumann shooting builds its power series in lambda once per potential
-(``InteriorSeries``), by Chebyshev collocation on panels.  Only where the
-truncated series is not accurate (lambda r0^2 >> 1) is the interior ODE
-integrated at that lambda, with scipy's ODE solver loaded on first use.
+(``InteriorSeries``), by Chebyshev collocation on panels.  Where the
+truncated series is not accurate (lambda r0^2 >> 1), the same collocation
+solves the interior at that lambda alone (``_fixed_lambda_interior``).
 Roots are found by Brent's method (``_brent``).
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
@@ -31,13 +30,8 @@ from .errors import ConsistencyError, SolverError
 from .potentials import RadialPotential
 from .quadrature import geometric_bounds, gl_nodes_weights, merge_bounds
 
-if TYPE_CHECKING:
-    from scipy.integrate import OdeSolution
-
 EULER_GAMMA = 0.5772156649015328606
 
-_ODE_RTOL = 1e-11
-_ODE_ATOL = 1e-13
 _SERIES_ORDER = 16          # highest power of lambda kept
 _SERIES_TRUNC_REL = 1e-14   # bound on the first dropped term / the sum
 _PANEL_NODES = 36           # collocation nodes per series panel
@@ -220,14 +214,8 @@ class InteriorSeries:
     def profile(self, lam: float, r) -> np.ndarray:
         """(f, f') at radii r <= r0: the lambda-weighted sum of the
         Chebyshev series on the panel that holds each r."""
-        coef = self._weights(lam)[:-1] @ self.coef[:, :, :-1]  # (P, 2, M)
-        r = np.asarray(r, float)
-        p = np.clip(np.searchsorted(self.edges, r) - 1, 0,
-                    len(self.edges) - 2)
-        lo, hi = self.edges[p], self.edges[p + 1]
-        x = (2.0 * r - lo - hi) / (hi - lo)
-        t = chebvander(x, coef.shape[-1] - 1).reshape(x.shape + (-1,))
-        return np.einsum("...m,...dm->d...", t, coef[p])
+        return _panel_profile(
+            self.edges, self._weights(lam)[:-1] @ self.coef[:, :, :-1], r)
 
 
 @dataclass(frozen=True)
@@ -266,9 +254,8 @@ class AsymptoticsReport:
 
 
 def _pieces(pot: RadialPotential, lo: float, hi: float):
-    """[lo, hi] cut at the nodes of a tabulated V.  Its kinks there are
-    invisible to step-size control and spoil a polynomial fit, so the ODE
-    solver restarts at each node and no series panel straddles one."""
+    """[lo, hi] cut at the nodes of a tabulated V.  Its kinks there spoil
+    a polynomial fit, so no collocation panel straddles one."""
     cuts = [lo, hi]
     if pot.table_r is not None:
         cuts += [t for t in pot.table_r if lo < t < hi]
@@ -277,37 +264,13 @@ def _pieces(pot: RadialPotential, lo: float, hi: float):
 
 
 def solve_ivp(fun, t_span, y0, **options):
-    """``scipy.integrate.solve_ivp``, imported on first call: only the
-    lambda r0^2 >> 1 fallback integrates the interior ODE, and scipy's
-    ODE solvers (with scipy.optimize beneath them) are slow to import."""
+    """``scipy.integrate.solve_ivp``, imported on first call.  No gp2d
+    function calls it: it stays only because the benchmark's tracer
+    (``perfbench/spans.py``) rebinds this name and
+    ``tests/test_bench_contract.py`` asserts that it exists, and it goes
+    with the benchmark revision that stops rebinding it."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(fun, t_span, y0, **options)
-
-
-def _integrate_interior(pot: RadialPotential, lam: float,
-                        r_end: float) -> OdeSolution:
-    """Regular solution (f, f') of the radial equation on (0, r_end],
-    unnormalized, as a piecewise dense solution."""
-    from scipy.integrate import OdeSolution
-
-    v0 = float(pot(0.0))
-    h = r_end * 1e-7
-    c = (0.5 * v0 - lam) / 4.0
-    y = np.array([1.0 + c * h * h, 2.0 * c * h])
-
-    def rhs(r, y):
-        return [y[1], (0.5 * pot(r) - lam) * y[0] - y[1] / r]
-
-    ts, interpolants = [h], []
-    for lo, hi in _pieces(pot, h, r_end):
-        sol = solve_ivp(rhs, (lo, hi), y, method="RK45", dense_output=True,
-                        rtol=_ODE_RTOL, atol=_ODE_ATOL)
-        if not sol.success:
-            raise SolverError(f"radial ODE failed: {sol.message}")
-        ts.extend(sol.sol.ts[1:])
-        interpolants.extend(sol.sol.interpolants)
-        y = sol.y[:, -1]
-    return OdeSolution(ts, interpolants)
 
 
 def _cheb_tables(n: int):
@@ -327,11 +290,24 @@ def _cheb_tables(n: int):
 _CHEB_X, _TO_COEF, _INT1, _INT2, _Q1, _Q2 = _cheb_tables(_PANEL_NODES)
 
 
+def _panel_profile(edges: np.ndarray, coef: np.ndarray, r) -> np.ndarray:
+    """(2,) + r.shape: the Chebyshev series coef (P, 2, M) of (f, f') on
+    the panels between ``edges``, each summed on the panel that holds r."""
+    r = np.asarray(r, float)
+    p = np.clip(np.searchsorted(edges, r) - 1, 0, len(edges) - 2)
+    lo, hi = edges[p], edges[p + 1]
+    x = (2.0 * r - lo - hi) / (hi - lo)
+    t = chebvander(x, coef.shape[-1] - 1).reshape(x.shape + (-1,))
+    return np.einsum("...m,...dm->d...", t, coef[p])
+
+
 def _panel_series(pot: RadialPotential, lo: float, hi: float,
-                  start: np.ndarray, coupling: np.ndarray):
+                  start: np.ndarray, coupling: np.ndarray, lam: float):
     """Chebyshev coefficients (2, K+2, n+2) of s_k and s_k' on [lo, hi],
     from their values ``start`` = (alpha_k, beta_k) at lo; None when the
-    lambda = 0 term is not resolved there.
+    level-0 term is not resolved there.  V / 2 is shifted to V / 2 - lam:
+    the series takes lam = 0, a single level at lam is the regular
+    solution at that lambda.
 
     The unknowns are sigma_k = s_k'' at the nodes r = lo + h (x + 1).
     With Q1 and Q2 integrating an interpolant once and twice from x = -1,
@@ -346,7 +322,7 @@ def _panel_series(pot: RadialPotential, lo: float, hi: float,
     """
     h = 0.5 * (hi - lo)
     r = lo + h * (_CHEB_X + 1.0)
-    half_v = 0.5 * pot(r)
+    half_v = 0.5 * pot(r) - lam
     inv = np.linalg.inv(np.eye(len(r)) + (h / r)[:, None] * _Q1
                         - (h * h * half_v)[:, None] * _Q2)
     sigma = np.empty((len(coupling), len(r)))
@@ -371,16 +347,14 @@ def _panel_series(pot: RadialPotential, lo: float, hi: float,
     return coef
 
 
-def interior_series(pot: RadialPotential) -> InteriorSeries:
-    """Build the lambda-series of the regular interior solution once.
-
-    Chebyshev collocation in s_k'' (``_panel_series``), marched panel by
-    panel from s_k(0) = [k = 0], s_k'(0) = 0; the panel rule is in
-    ``InteriorSeries``.
-    """
+def _march(pot: RadialPotential, coupling: np.ndarray, lam: float):
+    """Panel edges (P+1,) and coefficients (P, 2, K+2, n+2) of
+    ``_panel_series`` on [0, r0], marched panel by panel from
+    s_k(0) = [k = 0], s_k'(0) = 0 under the panel rule of
+    ``InteriorSeries``, with kappa = max(sqrt|v0 / 2 - lam|, 1 / r0)."""
     r0 = pot.r0
-    coupling = 4.0 * np.arange(_SERIES_ORDER + 2) ** 2 / r0 ** 2
-    width = _PANEL_KAPPA_WIDTH / max(np.sqrt(0.5 * pot.v0), 1.0 / r0)
+    width = _PANEL_KAPPA_WIDTH / max(np.sqrt(abs(0.5 * pot.v0 - lam)),
+                                     1.0 / r0)
     todo = []
     for lo, hi in _pieces(pot, 0.0, r0):
         cuts = np.linspace(lo, hi, int(np.ceil((hi - lo) / width)) + 1)
@@ -391,10 +365,10 @@ def interior_series(pot: RadialPotential) -> InteriorSeries:
     edges, coefs = [0.0], []
     while todo:
         lo, hi = todo.pop()
-        coef = _panel_series(pot, lo, hi, start, coupling)
+        coef = _panel_series(pot, lo, hi, start, coupling, lam)
         if coef is None:
             if hi - lo < _PANEL_MIN_REL * r0:
-                raise SolverError(f"interior series unresolved on "
+                raise SolverError(f"interior solution unresolved on "
                                   f"[{lo!r}, {hi!r}]")
             mid = 0.5 * (lo + hi)
             todo += [(mid, hi), (lo, mid)]
@@ -402,7 +376,23 @@ def interior_series(pot: RadialPotential) -> InteriorSeries:
         edges.append(hi)
         coefs.append(coef)
         start = coef.sum(axis=-1)             # values at x = 1
-    return InteriorSeries(pot, np.array(edges), np.array(coefs))
+    return np.array(edges), np.array(coefs)
+
+
+def interior_series(pot: RadialPotential) -> InteriorSeries:
+    """Build the lambda-series of the regular interior solution once, by
+    Chebyshev collocation in s_k'' (``_panel_series``, ``_march``)."""
+    coupling = 4.0 * np.arange(_SERIES_ORDER + 2) ** 2 / pot.r0 ** 2
+    return InteriorSeries(pot, *_march(pot, coupling, 0.0))
+
+
+def _fixed_lambda_interior(pot: RadialPotential, lam: float):
+    """(f, f')(r0) and the profile r -> (f, f') on [0, r0] of the regular
+    solution at one lambda, f(0) = 1: the level-0 collocation of the
+    series with V / 2 shifted to V / 2 - lam, on the same panel rule."""
+    edges, coef = _march(pot, np.zeros(1), lam)
+    coef = coef[:, :, 0]                      # (P, 2, n+2)
+    return coef[-1].sum(axis=-1), partial(_panel_profile, edges, coef)
 
 
 def _series_of(pot: RadialPotential,
@@ -432,14 +422,12 @@ def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
     the interior profile r -> (f, f').
 
     The values at r0 come from the series; where its truncation check
-    fails (lambda r0^2 >> 1) the interior is integrated at this lambda.
+    fails (lambda r0^2 >> 1) the interior is solved at this lambda alone.
     """
-    pot = series.pot
-    r0 = pot.r0
+    r0 = series.pot.r0
     at_r0 = series.boundary(lam)
     if at_r0 is None:
-        interior = _integrate_interior(pot, lam, r0)
-        at_r0 = interior(r0)
+        at_r0, interior = _fixed_lambda_interior(series.pot, lam)
     else:
         interior = partial(series.profile, lam)
     k = math.sqrt(lam)

@@ -112,38 +112,42 @@ def test_all_computes_each_quantity_once(tmp_path, fast_cfg, monkeypatch):
 
 def test_all_integrates_interior_once(tmp_path, fast_cfg, monkeypatch):
     solves, builds = [], []
-    original_ivp = scattering.solve_ivp
+    original_fixed = scattering._fixed_lambda_interior
     original_series = energy.interior_series
 
-    def counted_ivp(*args, **kwargs):
+    def counted_fixed(*args):
         solves.append(args[1])
-        return original_ivp(*args, **kwargs)
+        return original_fixed(*args)
 
     def counted_series(pot):
         builds.append(pot)
         return original_series(pot)
 
-    monkeypatch.setattr(scattering, "solve_ivp", counted_ivp)
+    monkeypatch.setattr(scattering, "_fixed_lambda_interior", counted_fixed)
     monkeypatch.setattr(energy, "interior_series", counted_series)
     assert run(["all", "--config", fast_cfg, "--out", tmp_path / "o"]) == 0
     # the interior lambda-series, built once by collocation: the
     # zero-energy solution is its lambda = 0 term, and none of the nine
-    # Neumann radii integrates its own interior
+    # Neumann radii solves its own interior at a fixed lambda
     assert len(builds) == 1
     assert solves == []
 
 
 # Run in a fresh interpreter, since this one has imported them already.
 # Arguments: the FAST config, the shell-8 config, the output directory.
+# The last call takes the lambda r0^2 >> 1 path (lambda r0^2 ~ 340).
 LAZY_SCIPY_SCRIPT = """
 import json, sys
 from gp2d.cli import main
+from gp2d.potentials import step
+from gp2d.scattering import neumann_ground_state
 fast, shell8, out = sys.argv[1:]
 for args in (["all", "--config", fast, "--out", out + "/all"],
              ["lower-bound", "--config", shell8, "--out", out + "/s8"],
              ["energy-sweep", "--config", shell8, "--out", out + "/s8"]):
     if main(args + ["--threads", "1"]) != 0:
         sys.exit(f"{args[0]} failed")
+neumann_ground_state(step(2000.0, 1.0), 1.05)
 print(json.dumps(sorted(
     name for name in sys.modules
     if name == "scipy" or name.startswith("scipy.")
@@ -152,10 +156,10 @@ print(json.dumps(sorted(
 
 
 def test_cli_leaves_unused_scipy_subpackages_unloaded(tmp_path, fast_cfg):
-    # importing scipy costs more than a whole CLI call; only the
-    # lambda r0^2 >> 1 interior fallback and Lanczos above DENSE_EIG_CAP
-    # load it.  numpy.ma (a bare np.unique) and numpy.random (the Lanczos
-    # start vectors) are slow to import too and stay unloaded.
+    # importing scipy costs more than a whole CLI call; only Lanczos above
+    # DENSE_EIG_CAP loads it, and no Neumann solve does, whatever lambda.
+    # numpy.ma (a bare np.unique) and numpy.random (the Lanczos start
+    # vectors) are slow to import too and stay unloaded.
     shell8 = tmp_path / "shell8.cfg"
     shell8.write_text("shell = 8\nfock_n_max = 5\nN_step = 10\n")
     src = str(Path(gp2d.__file__).resolve().parents[1])

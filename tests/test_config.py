@@ -16,11 +16,10 @@ def test_defaults_are_valid():
 
 
 def test_parse_and_aliases():
-    cfg = parse_config("N = 14\nN_min = 12\nalpha = 2.0\nstrict = true\n")
+    cfg = parse_config("N = 14\nN_min = 12\nalpha = 2.0\n")
     assert cfg.n_value == 14
     assert cfg.n_min == 12
     assert cfg.alpha == 2.0
-    assert cfg.strict is True
 
 
 def test_parse_comments_and_blank_lines():
@@ -29,9 +28,10 @@ def test_parse_comments_and_blank_lines():
 
 
 @pytest.mark.parametrize("key", ["bogus", "cap", "tol_eig", "tol_psd",
-                                 "audits"])
+                                 "audits", "strict"])
 def test_unknown_key_rejected(key):
-    # cap, tol_eig, tol_psd and audits were once accepted but never read
+    # cap, tol_eig, tol_psd, audits and strict were once accepted; the
+    # first four were never read, strict had nothing left to harden
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config(f"{key} = 1\n")
 

@@ -13,8 +13,7 @@ from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
                           omega_lattice_sum, renormalized_potential,
                           scattering_residual, w_squared_integral)
 from gp2d.lattice import TWO_PI, build_lattice
-from gp2d.potentials import fourier_transform_radial, step
-from gp2d.quadrature import gl_nodes_weights
+from gp2d.potentials import step
 from gp2d.scattering import neumann_ground_state
 
 
@@ -221,34 +220,6 @@ def test_scattering_residual_small(kernel_setup, step_pot):
     rep = scattering_residual(table, renorm, step_pot, params, sol)
     assert rep.max_rel <= 1e-8
     assert len(rep.p_norms) == len(rep.residual_rel)
-    assert np.all(np.isfinite(rep.tail_v))
-    assert np.all(np.isfinite(rep.tail_chi))
-
-
-def test_scattering_residual_tails_match_direct_sums(kernel_setup, step_pot):
-    # direct per-mode lattice convolutions: for every mode p, transform the
-    # potential and the disk indicator at each |p - q| and sum against eta
-    params, sol, lat, table, renorm = kernel_setup
-    rep = scattering_residual(table, renorm, step_pot, params, sol)
-    damp = math.exp(-params.N)
-    lam, ell = table.lam_R2, params.ell
-    nodes, wts = gl_nodes_weights(np.linspace(0.0, step_pot.r0, 65))
-    vw = step_pot(nodes) * sol.w_at(nodes) * nodes
-    q_pts = np.vstack((lat.points, [[0.0, 0.0]]))
-    eta_all = np.concatenate((table.eta, [table.eta0]))
-    for i, p in enumerate(lat.points):
-        p_norm = math.hypot(*p)
-        conv_exact = -params.N * math.pi * np.dot(
-            wts, vw * j0(p_norm * damp * nodes))
-        d = p - q_pts
-        dn = np.hypot(d[:, 0], d[:, 1])
-        trunc_v = 0.5 * np.dot(fourier_transform_radial(step_pot, dn * damp),
-                               eta_all)
-        trunc_chi = lam * np.dot(chi_hat(dn * ell), eta_all)
-        assert rep.tail_v[i] == pytest.approx(conv_exact - trunc_v,
-                                              rel=1e-12)
-        assert rep.tail_chi[i] == pytest.approx(
-            (lam / ell ** 2) * table.eta[i] - trunc_chi, rel=1e-12)
 
 
 def test_export_kernels_csv(kernel_setup, step_a, tmp_path):

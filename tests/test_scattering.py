@@ -57,8 +57,9 @@ def step_neumann_lambda(v0, b, R, lo, hi):
 
 
 def direct_shooting(pot, R, series, monkeypatch):
-    """The Neumann solution with every lambda shot by integrating the
-    interior ODE at that lambda: the fallback path, taken everywhere."""
+    """The Neumann solution with the series' truncation check failed at
+    every lambda, which forces the fixed-lambda path: the interior is
+    solved at each lambda alone, the fallback taken everywhere."""
     with monkeypatch.context() as m:
         m.setattr(InteriorSeries, "boundary", lambda self, lam: None)
         return neumann_ground_state(pot, R, series=series)
@@ -219,17 +220,17 @@ def test_series_step_interior_is_i0(v0, b, R):
 
 def test_series_falls_back_to_direct_shooting(monkeypatch):
     # lambda r0^2 ~ 77 at the root: the truncated series fails its check,
-    # so the values at r0 and the interior profile come from the ODE at lam
+    # so the values at r0 and the interior profile are solved at lam alone
     pot, R = step(200.0, 1.0), 1.05
     series = interior_series(pot)
     shots = []
-    original = scattering._integrate_interior
+    original = scattering._fixed_lambda_interior
 
     def counted(*args):
         shots.append(args[1])
         return original(*args)
 
-    monkeypatch.setattr(scattering, "_integrate_interior", counted)
+    monkeypatch.setattr(scattering, "_fixed_lambda_interior", counted)
     sol = neumann_ground_state(pot, R, series=series)
     assert series.boundary(sol.lam) is None
     assert shots and sol.lam * pot.r0 ** 2 > 50.0
@@ -242,6 +243,31 @@ def test_series_falls_back_to_direct_shooting(monkeypatch):
                                shape, rtol=1e-10)
     assert sol.f_at(np.array([R]))[0] == pytest.approx(1.0, abs=1e-12)
     assert abs(sol.f_prime_at(np.array([R]))[0]) < 1e-10
+
+
+@pytest.mark.parametrize("v0,lam", [(2000.0, 10.0), (2000.0, 3000.0),
+                                    (2000.0, 20000.0), (2.0, 10000.0),
+                                    (50.0, 5000.0)])
+def test_fixed_lambda_interior_step_is_bessel(v0, lam):
+    # inside a step of range 1, f = I0(kappa r), kappa^2 = v0/2 - lam, for
+    # lam < v0/2 and f = J0(k r), k^2 = lam - v0/2, for lam > v0/2; lam r0^2
+    # up to 2e4, far beyond what the truncated series covers
+    pot = step(v0, 1.0)
+    (f, df), profile = scattering._fixed_lambda_interior(pot, lam)
+    r = np.linspace(0.0, 1.0, 41)
+    if lam < v0 / 2.0:
+        kappa = math.sqrt(v0 / 2.0 - lam)
+        grow = np.exp(kappa * r)
+        want = np.array([i0e(kappa * r) * grow,
+                         kappa * i1e(kappa * r) * grow])
+    else:
+        k = math.sqrt(lam - v0 / 2.0)
+        want = np.array([j0(k * r), -k * j1(k * r)])
+    scale = np.abs(want[:, -1]).max()
+    assert np.abs(np.array([f, df]) - want[:, -1]).max() <= 1e-12 * scale
+    # the profile, at each r relative to the larger of |f|, |f'| there
+    err = np.abs(profile(r) - want).max(axis=0)
+    assert np.all(err <= 1e-12 * np.abs(want).max(axis=0))
 
 
 # V is piecewise linear on 8 pieces, with a kink at every inner node
@@ -271,11 +297,11 @@ def test_series_restarts_at_table_kinks():
 
 
 def test_direct_shooting_restarts_at_table_kinks():
-    # the lambda r0^2 >> 1 fallback integrates the interior directly and
+    # the lambda r0^2 >> 1 fallback solves the interior at one lambda and
     # the scattering length reads the series; both restart at the nodes
     for lam in (1e-6, 0.1, 0.5):
-        got = scattering._integrate_interior(KINKED, lam, KINKED.r0)
-        np.testing.assert_allclose(got(KINKED.r0), node_to_node(KINKED, lam),
+        got, _ = scattering._fixed_lambda_interior(KINKED, lam)
+        np.testing.assert_allclose(got, node_to_node(KINKED, lam),
                                    rtol=1e-11)
     zero = scattering_length(KINKED)
     r0 = np.array([KINKED.r0])
@@ -489,7 +515,7 @@ def probe_radii(r0, R):
 
 @pytest.fixture(scope="module")
 def fallback_sol():
-    # the lambda r0^2 >> 1 case: the interior profile is an ODE solution
+    # the lambda r0^2 >> 1 case: the interior profile is solved at lambda
     pot = step(200.0, 1.0)
     return neumann_ground_state(pot, 1.05, series=interior_series(pot))
 
