@@ -54,13 +54,8 @@ def _scale(op: LinearOperator) -> float:
     return s if s > 0 else 1.0
 
 
-def _lowest_pairs(stack: np.ndarray):
-    vals, vecs = eigh(stack)
-    return vals[:, 0], vecs[:, :, 0]
-
-
 def smallest_eigenpair(op: LinearOperator):
-    return op.lowest(_lowest_pairs)
+    return op.lowest(eigh)
 
 
 def _min_eigenvalue(op: LinearOperator) -> float:

@@ -69,9 +69,7 @@ def cmd_kernels(pipe: Pipeline, out: Path) -> tuple[bool, list]:
         return True, []
     table = pipe.table(N, alpha)
     renorm = pipe.renorm(N, alpha)
-    rep = scattering_residual(table, renorm, pipe.pot, params,
-                              pipe.neumann(N, alpha),
-                              per_efold=cfg.quad_per_efold)
+    rep = scattering_residual(table, pipe.pot, params, pipe.neumann(N, alpha))
     ok = rep.max_rel <= 1e-3
     print(f"kernels N={params.N} |eta0|={abs(table.eta0):.3e} "
           f"(10*ell^2={10 * params.ell ** 2:.3e}) "
@@ -221,17 +219,15 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", type=str, default=None)
     parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility and ignored")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="accepted for compatibility and ignored")
     parser.add_argument("--emit-plots-script", action="store_true")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.threads is not None:
-            cfg.threads = args.threads
-        if args.seed is not None:
-            cfg.seed = args.seed
         out_dir = args.out or os.environ.get("GP2D_OUT") or cfg.out_dir
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

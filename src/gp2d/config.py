@@ -37,8 +37,6 @@ class RunConfig:
     quad_per_efold: int = 8
     c_lower: float = 0.1
     out_dir: str = "out"
-    seed: int = 0
-    threads: int = 1             # accepted for compatibility; no effect
 
     def __post_init__(self):
         if self.alpha <= 0 or self.fock_alpha <= 0:
@@ -59,8 +57,6 @@ class RunConfig:
         if self.potential not in ("step", "gaussian-bump", "free") \
                 and not self.potential.startswith("table:"):
             raise ConfigError(f"unknown potential {self.potential!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
 
     def make_potential(self):
         from . import potentials
@@ -120,9 +116,9 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
-# Execution-only knobs: they change where results are written (or nothing,
-# for threads), never the numbers, so they stay out of the fingerprint.
-_NON_SEMANTIC_FIELDS = frozenset({"out_dir", "threads"})
+# Execution-only knobs: they change where results are written, never the
+# numbers, so they stay out of the fingerprint.
+_NON_SEMANTIC_FIELDS = frozenset({"out_dir"})
 
 
 def canonical_text(cfg: RunConfig) -> str:

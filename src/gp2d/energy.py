@@ -15,7 +15,8 @@ from numpy.linalg import eigh
 from .config import RunConfig, fingerprint
 from .errors import ConsistencyError, Gp2dError, SolverError
 from .fock import (FockBasis, LinearOperator, build_basis,
-                   effective_hamiltonians, shell_modes)
+                   effective_hamiltonians, r_effective_hamiltonian,
+                   shell_modes)
 from .kernels import (GPParameters, KernelTable, RenormPotential,
                       eta_coefficients, renormalized_potential)
 from .lattice import MomentumLattice, build_lattice
@@ -27,7 +28,6 @@ from .scattering import (InteriorSeries, NeumannSolution, ZeroEnergySolution,
 SCHEMA = "gp2d-sweep-v1"
 CSV_COLUMNS = ("N", "alpha", "cutoff", "dim", "E_vac", "E0", "depletion",
                "lambda_group", "omega0", "wall_ms")
-DENSE_EIG_CAP = 4000
 
 
 class Pipeline:
@@ -83,15 +83,17 @@ class Pipeline:
             self.neumann(N, alpha), p, self.lattice,
             per_efold=self.cfg.quad_per_efold))
 
+    def basis(self, N: int) -> FockBasis:
+        """Excitation basis of the run's mode shell at particle cap N."""
+        return build_basis(shell_modes(self.cfg.shell), N)
+
     def hamiltonians(self, N: int, alpha: float) -> tuple[FockBasis, dict]:
-        """Excitation basis at particle cap N and the two operators the
-        commands read, {"R_eff", "H_N"} (``effective_hamiltonians``: one
-        build each, H_N's blocks added into R_eff's in place); built
-        afresh on every call, not kept."""
-        basis = build_basis(shell_modes(self.cfg.shell), N)
-        ops = effective_hamiltonians(basis, self.renorm(N, alpha), self.pot,
-                                     self.params(N, alpha))
-        return basis, ops
+        """The basis at cap N and the two operators lower-bound and
+        fock-audit read, {"R_eff", "H_N"} (``effective_hamiltonians``);
+        built afresh on every call, not kept."""
+        basis = self.basis(N)
+        return basis, effective_hamiltonians(
+            basis, self.renorm(N, alpha), self.pot, self.params(N, alpha))
 
 
 def vacuum_upper_bound(params: GPParameters, renorm) -> float:
@@ -100,38 +102,21 @@ def vacuum_upper_bound(params: GPParameters, renorm) -> float:
 
 
 def eigsh(A, **options):
-    """``scipy.sparse.linalg.eigsh``, imported on first call: only blocks
-    above DENSE_EIG_CAP need it, and scipy.sparse.linalg is slow to
-    import."""
+    """``scipy.sparse.linalg.eigsh``, imported on first call.  No gp2d
+    function calls it: it stays only because the benchmark's tracer
+    (``perfbench/spans.py``) rebinds this name and
+    ``tests/test_bench_contract.py`` asserts that it exists, and it goes
+    with the benchmark revision that stops rebinding it."""
     from scipy.sparse.linalg import eigsh as scipy_eigsh
     return scipy_eigsh(A, **options)
 
 
-def ground_state(op: LinearOperator, basis: FockBasis,
-                 seed: int = 0) -> tuple[float, np.ndarray, float]:
-    """Smallest eigenpair over the blocks of op and the occupation
-    fraction of its eigenvector.  Each stack of blocks up to DENSE_EIG_CAP
-    states is one batched dense eigensolve; larger blocks are solved one
-    by one with Lanczos."""
-    rng = None  # made on first use: numpy.random is slow to import
-
-    def per_block(stack):
-        nonlocal rng
-        if stack.shape[-1] <= DENSE_EIG_CAP:
-            vals, vecs = eigh(stack)
-            return vals[:, 0], vecs[:, :, 0]
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        try:
-            pairs = [eigsh(blk, k=1, which="SA",
-                           v0=rng.standard_normal(len(blk)))
-                     for blk in stack]
-        except Exception as exc:
-            raise SolverError(f"iterative eigensolve failed: {exc}")
-        return (np.array([v[0] for v, _ in pairs]),
-                np.array([w[:, 0] for _, w in pairs]))
-
-    e0, vec = op.lowest(per_block)
+def ground_state(op: LinearOperator,
+                 basis: FockBasis) -> tuple[float, np.ndarray, float]:
+    """Smallest eigenpair over the blocks of op, one batched dense
+    eigensolve per size class, and the occupation fraction of its
+    eigenvector."""
+    e0, vec = op.lowest(eigh)
     if not np.all(np.isfinite(vec)):
         raise ConsistencyError("non-finite amplitudes")
     depletion = float(basis.totals() @ np.abs(vec) ** 2) / basis.cap
@@ -181,13 +166,15 @@ def compute_record(pipe: Pipeline, N: int, alpha: float,
     the assembled effective Hamiltonian's ground state."""
     t0 = time.perf_counter()
     lam_group = pipe.neumann(N, alpha).lam_R2
-    renorm = pipe.renorm(N, alpha)
-    E_vac = vacuum_upper_bound(pipe.params(N, alpha), renorm)
+    params, renorm = pipe.params(N, alpha), pipe.renorm(N, alpha)
+    E_vac = vacuum_upper_bound(params, renorm)
     E0, depletion, dim = math.nan, math.nan, 0
     if with_fock:
-        basis, ops = pipe.hamiltonians(N, alpha)
+        # R_eff alone: no H_N is alive during the eigensolve
+        basis = pipe.basis(N)
+        R_eff = r_effective_hamiltonian(basis, renorm, pipe.pot, params)
         dim = basis.dim
-        E0, _, depletion = ground_state(ops["R_eff"], basis, pipe.cfg.seed)
+        E0, _, depletion = ground_state(R_eff, basis)
     wall = (time.perf_counter() - t0) * 1000.0
     return EnergyRecord(N, alpha, pipe.cfg.cutoff, dim, E_vac, E0, depletion,
                         lam_group, renorm.omega0, wall)
@@ -209,8 +196,7 @@ def sweep(cfg: RunConfig, csv_path=None,
     """Run the grid, skipping records already persisted for this config.
 
     Records are computed one after another from ``pipe``, the run's
-    Pipeline built from cfg (a fresh one when not given); cfg.threads has
-    no effect.
+    Pipeline built from cfg (a fresh one when not given).
     """
     fp = fingerprint(cfg)
     done, rejected = {}, 0

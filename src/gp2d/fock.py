@@ -302,17 +302,16 @@ class LinearOperator:
         sign -1)."""
         return max(hermiticity_residual(b, sign) for b in self.blocks)
 
-    def lowest(self, solve) -> tuple[float, np.ndarray]:
+    def lowest(self, eigh) -> tuple[float, np.ndarray]:
         """Smallest eigenvalue over all blocks and its eigenvector in
-        basis order.  ``solve`` maps a (count, s, s) stack to the lowest
-        eigenpair of each of its blocks: values (count,) and vectors
-        (count, s)."""
+        basis order, from one call per size class of ``eigh``, a batched
+        Hermitian eigensolver with ascending values (numpy's signature)."""
         best = None
         for idx, blk in zip(self.part.classes, self.blocks):
-            vals, vecs = solve(blk)
-            k = int(np.argmin(vals))
-            if best is None or vals[k] < best[0]:
-                best = float(vals[k]), idx[k], vecs[k]
+            vals, vecs = eigh(blk)
+            k = int(np.argmin(vals[:, 0]))
+            if best is None or vals[k, 0] < best[0]:
+                best = float(vals[k, 0]), idx[k], vecs[k, :, 0]
         val, idx, v = best
         vec = np.zeros(self.dim, dtype=v.dtype)
         vec[idx] = v
@@ -413,21 +412,9 @@ def ladder(basis: FockBasis, mode, kind: str) -> LinearOperator:
     return LinearOperator(mat, f"{kind}_{mode}")
 
 
-def _diagonal(basis: FockBasis, values: np.ndarray,
-              tag: str) -> LinearOperator:
-    """diag(values), stored in the momentum sectors of the basis."""
-    part = basis.sectors
-    blocks = []
-    for idx in part.classes:
-        s = idx.shape[1]
-        blk = np.zeros(idx.shape + (s,))
-        blk[:, np.arange(s), np.arange(s)] = values[idx]
-        blocks.append(blk)
-    return LinearOperator.from_blocks(part, blocks, tag, hermitian=True)
-
-
 def number_operator(basis: FockBasis) -> LinearOperator:
-    return _diagonal(basis, basis.totals().astype(float), "N+")
+    return build_operator(basis, [], "N+", hermitian=True,
+                          diagonal=basis.totals().astype(float))
 
 
 def _per_total(basis: FockBasis, func) -> np.ndarray:
@@ -437,7 +424,8 @@ def _per_total(basis: FockBasis, func) -> np.ndarray:
 
 
 def diagonal_in_total(basis: FockBasis, func, tag: str) -> LinearOperator:
-    return _diagonal(basis, _per_total(basis, func), tag)
+    return build_operator(basis, [], tag, hermitian=True,
+                          diagonal=_per_total(basis, func))
 
 
 def _kinetic(basis: FockBasis) -> np.ndarray:
@@ -446,7 +434,8 @@ def _kinetic(basis: FockBasis) -> np.ndarray:
 
 
 def kinetic_operator(basis: FockBasis) -> LinearOperator:
-    return _diagonal(basis, _kinetic(basis), "K")
+    return build_operator(basis, [], "K", hermitian=True,
+                          diagonal=_kinetic(basis))
 
 
 def _vhat(pot: RadialPotential, params: GPParameters, vecs) -> np.ndarray:
@@ -520,10 +509,9 @@ def hamiltonian_pieces(basis: FockBasis, pot: RadialPotential,
     for i, vm in enumerate(vhat):
         terms2.append((N * vm, [("bd", i), ("b", i)]))
         terms2.append((-vm, [("ad", i), ("a", i)]))
-    L2 = combine([
-        (1.0, K), (1.0, build_operator(basis, terms2, "L2-int")),
-        (1.0, _pair_operator(basis, [N * vm for vm in vhat], 1.0, "L2-pair"))],
-        "L2", hermitian=True)
+    L2 = build_operator(
+        basis, terms2 + _pair_terms(basis, [N * vm for vm in vhat], 1.0),
+        "L2", hermitian=True, diagonal=_kinetic(basis))
 
     L3 = _cubic_operator(basis, vhat, math.sqrt(N), "L3")
     return {"K": K, "V_N": VN, "L0": L0, "L2": L2, "L3": L3, "L4": VN}
@@ -637,24 +625,6 @@ def remainder_d(basis: FockBasis, mode, table: KernelTable,
     return LinearOperator(mat, f"d_{mode}")
 
 
-def _h_n(basis: FockBasis, pot: RadialPotential,
-         params: GPParameters) -> LinearOperator:
-    """H_N = K + V_N in one build: V_N's products, K as the diagonal."""
-    return build_operator(basis, _potential_terms(basis, pot, params),
-                          "H_N", hermitian=True, diagonal=_kinetic(basis))
-
-
-def _plus_h_n(basis: FockBasis, HN: LinearOperator, terms,
-              diagonal: np.ndarray, tag: str) -> LinearOperator:
-    """HN + sum of terms + diag(diagonal): the terms and the diagonal in
-    one build, then HN added into its blocks in place."""
-    extra = build_operator(basis, terms, tag, diagonal=diagonal)
-    for blk, h in zip(extra.blocks, HN.blocks):
-        blk += h
-    return LinearOperator.from_blocks(extra.part, extra.blocks, tag,
-                                      hermitian=True)
-
-
 def _omega(basis: FockBasis, renorm: RenormPotential) -> list:
     """omega_hat at the modes: the weights of the pair term of both
     G_eff and R_eff."""
@@ -662,36 +632,54 @@ def _omega(basis: FockBasis, renorm: RenormPotential) -> list:
             for m in basis.modes]
 
 
-def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
-                           pot: RadialPotential,
-                           params: GPParameters) -> dict:
-    """The cubically renormalized R_eff and H_N = K + V_N, the two
-    operators the commands read, from two builds: H_N, then R_eff as H_N
-    plus the omega_hat pair and cubic products with R_eff's diagonal.
-
-    G_eff, which only the G_N statements read, has its own builder,
-    ``gn_effective_hamiltonian``.
-    """
+def _r_eff(basis: FockBasis, renorm: RenormPotential, params: GPParameters,
+           potential_terms: list, kinetic: np.ndarray) -> LinearOperator:
+    """R_eff in one build: V_N's products plus the omega_hat pair and
+    cubic products, with diagonal K + R_diag."""
     N = params.N
     w0 = renorm.omega0
-    HN = _h_n(basis, pot, params)
     omega = _omega(basis, renorm)
     R_diag = _per_total(
         basis,
         lambda n: 0.5 * (N - 1) * w0 * (1 - n / N)
         + 0.5 * w0 * n * (1 - n / N) + w0 * n * (1 - n / N))
-    terms = (_pair_terms(basis, omega, 1.0)
+    terms = (potential_terms + _pair_terms(basis, omega, 1.0)
              + _cubic_terms(basis, omega, 1.0 / math.sqrt(N)))
-    return {"R_eff": _plus_h_n(basis, HN, terms, R_diag, "R_eff"),
-            "H_N": HN}
+    return build_operator(basis, terms, "R_eff", hermitian=True,
+                          diagonal=kinetic + R_diag)
+
+
+def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
+                           pot: RadialPotential,
+                           params: GPParameters) -> dict:
+    """The cubically renormalized R_eff and H_N = K + V_N, the two
+    operators of lower-bound and fock-audit, one build each from V_N's
+    products and the kinetic diagonal, both computed once.
+
+    ``r_effective_hamiltonian`` builds R_eff alone; G_eff, which only the
+    G_N statements read, has its own builder, ``gn_effective_hamiltonian``.
+    """
+    terms, kinetic = _potential_terms(basis, pot, params), _kinetic(basis)
+    return {"R_eff": _r_eff(basis, renorm, params, terms, kinetic),
+            "H_N": build_operator(basis, terms, "H_N", hermitian=True,
+                                  diagonal=kinetic)}
+
+
+def r_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
+                            pot: RadialPotential,
+                            params: GPParameters) -> LinearOperator:
+    """R_eff as ``effective_hamiltonians`` builds it, without H_N: the
+    operator whose ground state energy-sweep reads."""
+    return _r_eff(basis, renorm, params, _potential_terms(basis, pot, params),
+                  _kinetic(basis))
 
 
 def gn_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
                              pot: RadialPotential,
                              params: GPParameters) -> LinearOperator:
     """The quadratically renormalized G_eff, whose cubic term carries
-    sqrt(N) Vhat: the operator of ``gn_condensation_shape`` and
-    ``depletion_chain_check``."""
+    sqrt(N) Vhat, in one build: the operator of ``gn_condensation_shape``
+    and ``depletion_chain_check``."""
     N = params.N
     w0 = renorm.omega0
     vhat = _vhat(pot, params, basis.modes)
@@ -700,10 +688,11 @@ def gn_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
         basis,
         lambda n: 0.5 * w0 * (N - 1) * (1 - n / N)
         + (2 * N * v0 - 0.5 * w0) * n * (1 - n / N))
-    terms = (_pair_terms(basis, _omega(basis, renorm), 1.0)
+    terms = (_potential_terms(basis, pot, params)
+             + _pair_terms(basis, _omega(basis, renorm), 1.0)
              + _cubic_terms(basis, vhat, math.sqrt(N)))
-    return _plus_h_n(basis, _h_n(basis, pot, params), terms, G_diag,
-                     "G_eff")
+    return build_operator(basis, terms, "G_eff", hermitian=True,
+                          diagonal=_kinetic(basis) + G_diag)
 
 
 # ---------------------------------------------------------------------------

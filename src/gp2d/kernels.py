@@ -337,10 +337,9 @@ class ResidualReport:
         return float(np.max(np.abs(self.residual_rel)))
 
 
-def scattering_residual(table: KernelTable, renorm: RenormPotential,
-                        pot: RadialPotential, params: GPParameters,
-                        sol: NeumannSolution,
-                        per_efold: int = 8) -> ResidualReport:
+def scattering_residual(table: KernelTable, pot: RadialPotential,
+                        params: GPParameters,
+                        sol: NeumannSolution) -> ResidualReport:
     lat = table.lattice
     if pot.is_zero:
         return ResidualReport(np.sqrt(lat.norms2), np.zeros(lat.size))

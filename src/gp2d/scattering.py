@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
@@ -29,8 +29,6 @@ from .bessel import jy, jy01
 from .errors import ConsistencyError, SolverError
 from .potentials import RadialPotential
 from .quadrature import geometric_bounds, gl_nodes_weights, merge_bounds
-
-EULER_GAMMA = 0.5772156649015328606
 
 _SERIES_ORDER = 16          # highest power of lambda kept
 _SERIES_TRUNC_REL = 1e-14   # bound on the first dropped term / the sum
@@ -95,10 +93,6 @@ class NeumannSolution:
     _interior: object = field(default=None, repr=False)  # r -> (f, f')
     _c_bessel: tuple = field(default=(0.0, 0.0), repr=False)
     _scale: float = field(default=1.0, repr=False)
-
-    @property
-    def eps_R(self) -> float:
-        return float(np.sqrt(max(self.lam, 0.0)) * self.R)
 
     @property
     def lam_R2(self) -> float:
@@ -226,7 +220,6 @@ class TrialOracle:
     R: float
     a: float
     bessel_ratio: float           # J0(k a) / Y0(k a)
-    gamma: float = EULER_GAMMA
 
     def psi(self, r):
         j0k, y0k = jy(self.k * np.asarray(r, float), 0)
@@ -526,10 +519,13 @@ def neumann_ground_state(pot: RadialPotential, R: float,
 
     scan = lam_est * np.concatenate((np.geomspace(1e-3, 0.5, 12),
                                      np.linspace(0.55, 10.0, 60)))
+    # one evaluation per distinct lambda: Brent starts at the bracket
+    # ends of the scan and the tail is read at its root
+    mismatch = cache(partial(_neumann_mismatch, series, R))
     prev_l, prev_g = None, None
     bracket = None
     for lam in scan:
-        g, _, _ = _neumann_mismatch(series, R, lam)
+        g, _, _ = mismatch(lam)
         if prev_g is not None and np.sign(g) != np.sign(prev_g):
             bracket = (prev_l, lam)
             break
@@ -537,10 +533,10 @@ def neumann_ground_state(pot: RadialPotential, R: float,
     if bracket is None:
         raise SolverError("no sign change of the Neumann mismatch in the "
                           "scan window")
-    lam = _brent(lambda t: _neumann_mismatch(series, R, t)[0],
+    lam = _brent(lambda t: mismatch(t)[0],
                  bracket[0], bracket[1], xtol=1e-280, rtol=8.9e-16)
 
-    _, (c1, c2), interior = _neumann_mismatch(series, R, lam)
+    _, (c1, c2), interior = mismatch(lam)
     j0R, y0R = jy(math.sqrt(lam) * R, 0)
     fR = c1 * j0R + c2 * y0R
     if fR == 0.0:

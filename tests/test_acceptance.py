@@ -82,9 +82,7 @@ def test_acceptance_4_kernel_bounds(step_pot):
         params = GPParameters(n, 3.0)
         sol = neumann_ground_state(step_pot, params.R)
         table = eta_coefficients(sol, params, lat, per_efold=12)
-        renorm = renormalized_potential(params, sol.lam_R2, lat)
-        rep = scattering_residual(table, renorm, step_pot, params, sol,
-                                  per_efold=12)
+        rep = scattering_residual(table, step_pot, params, sol)
         sups.append(kernel_sup_product(sol, params,
                                        3 * TWO_PI * n ** 3, n_grid=800))
         norms.append(table.norm2 * n ** 3.0)

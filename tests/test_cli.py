@@ -156,10 +156,10 @@ print(json.dumps(sorted(
 
 
 def test_cli_leaves_unused_scipy_subpackages_unloaded(tmp_path, fast_cfg):
-    # importing scipy costs more than a whole CLI call; only Lanczos above
-    # DENSE_EIG_CAP loads it, and no Neumann solve does, whatever lambda.
-    # numpy.ma (a bare np.unique) and numpy.random (the Lanczos start
-    # vectors) are slow to import too and stay unloaded.
+    # importing scipy costs more than a whole CLI call, and no gp2d path
+    # loads it: not the commands, and no Neumann solve, whatever lambda.
+    # numpy.ma (a bare np.unique) and numpy.random are slow to import too
+    # and stay unloaded.
     shell8 = tmp_path / "shell8.cfg"
     shell8.write_text("shell = 8\nfock_n_max = 5\nN_step = 10\n")
     src = str(Path(gp2d.__file__).resolve().parents[1])

@@ -51,7 +51,6 @@ def test_bad_value_rejected():
     ("shell = 5\n", "shell must be one of"),
     ("fock_n_max = 2\n", "Fock sweep starts at N = 3"),
     ("potential = mystery\n", "unknown potential"),
-    ("threads = 0\n", "threads must be positive"),
 ])
 def test_validation_messages(text, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -67,10 +66,15 @@ def test_canonical_roundtrip():
 
 def test_fingerprint_ignores_execution_knobs():
     base = RunConfig()
-    assert fingerprint(RunConfig(threads=8)) == fingerprint(base)
     assert fingerprint(RunConfig(out_dir="elsewhere")) == fingerprint(base)
-    assert fingerprint(RunConfig(seed=1)) != fingerprint(base)
     assert fingerprint(RunConfig(alpha=2.0)) != fingerprint(base)
+
+
+@pytest.mark.parametrize("text", ["seed = 1\n", "threads = 2\n"])
+def test_removed_knobs_are_unknown_keys(text):
+    # nothing reads a seed or a thread count, so neither is a config key
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_config(text)
 
 
 def test_load_config_file(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gp2d import energy
+from gp2d import fock
 from gp2d.config import RunConfig, fingerprint
 from gp2d.energy import (EnergyRecord, Pipeline, SweepDataset, compute_record,
                          depletion_products, ground_state, load_dataset,
@@ -46,10 +46,9 @@ def test_ground_state_depletion_range(step_pot):
     assert 0.0 <= depletion <= 1.0
 
 
-def test_ground_state_blockwise_matches_dense(step_pot,
-                                             monkeypatch):
+def test_ground_state_blockwise_matches_dense(step_pot):
     # the lowest eigenpair over the momentum sectors is the lowest of the
-    # whole matrix, whether each block is solved densely or by Lanczos
+    # whole matrix
     from gp2d.scattering import neumann_ground_state
     params = GPParameters(3, 2.5)
     sol = neumann_ground_state(step_pot, params.R)
@@ -65,10 +64,6 @@ def test_ground_state_blockwise_matches_dense(step_pot,
     assert depletion == pytest.approx(depletion_d, rel=1e-10)
     assert abs(vec @ vec_d) == pytest.approx(1.0, rel=1e-12)
     assert R.expectation(vec) == pytest.approx(e0, rel=1e-12)
-    monkeypatch.setattr(energy, "DENSE_EIG_CAP", 8)
-    e0_l, _, depletion_l = ground_state(R, basis)
-    assert e0_l == pytest.approx(e0, rel=1e-10)
-    assert depletion_l == pytest.approx(depletion, rel=1e-8)
 
 
 def test_record_csv_row_format():
@@ -91,6 +86,22 @@ def test_compute_record_free_gas():
     # free ground state is the vacuum at zero energy
     assert rec.E0 == pytest.approx(0.0, abs=1e-12)
     assert rec.depletion == pytest.approx(0.0, abs=1e-12)
+
+
+def test_compute_record_builds_r_eff_alone(monkeypatch):
+    # one operator build per Fock record, R_eff's: no H_N is assembled
+    # for a ground state that does not read it
+    pipe = Pipeline(SMALL)
+    built = []
+    build = fock.build_operator
+    monkeypatch.setattr(fock, "build_operator", lambda *args, **kw:
+                        built.append(args[2]) or build(*args, **kw))
+    rec = compute_record(pipe, 3, SMALL.fock_alpha, True)
+    assert built == ["R_eff"]
+    # the same R_eff as the one effective_hamiltonians builds with H_N
+    basis, ops = pipe.hamiltonians(3, SMALL.fock_alpha)
+    E0, _, depletion = ground_state(ops["R_eff"], basis)
+    assert (rec.dim, rec.E0, rec.depletion) == (basis.dim, E0, depletion)
 
 
 def test_sweep_grid_composition():

@@ -134,8 +134,6 @@ def _dense_brute_force(monkeypatch):
     """Make every operator of gp2d.fock a dense matrix assembled state by
     state by the reference interpreter, on the one-block partition."""
     monkeypatch.setattr(fock, "build_operator", _dense_reference)
-    monkeypatch.setattr(fock, "_diagonal", lambda basis, values, tag:
-                        LinearOperator(np.diag(values), tag, hermitian=True))
 
 
 def _all_operators(basis, pot, params, weights):

@@ -217,7 +217,7 @@ def test_omega_lattice_sum_cutoff_independent(kernel_setup):
 
 def test_scattering_residual_small(kernel_setup, step_pot):
     params, sol, lat, table, renorm = kernel_setup
-    rep = scattering_residual(table, renorm, step_pot, params, sol)
+    rep = scattering_residual(table, step_pot, params, sol)
     assert rep.max_rel <= 1e-8
     assert len(rep.p_norms) == len(rep.residual_rel)
 

@@ -245,6 +245,30 @@ def test_series_falls_back_to_direct_shooting(monkeypatch):
     assert abs(sol.f_prime_at(np.array([R]))[0]) < 1e-10
 
 
+def test_neumann_solves_each_lambda_once(monkeypatch):
+    # lambda r0^2 ~ 340: every mismatch solves the interior at its lambda.
+    # The scan, Brent (which starts at the scan's bracket ends) and the
+    # tail at the root share one solve per distinct lambda.
+    pot, R = step(2000.0, 1.0), 1.05
+    series = interior_series(pot)
+    lams = []
+    original = scattering._fixed_lambda_interior
+
+    def counted(pot, lam):
+        lams.append(lam)
+        return original(pot, lam)
+
+    monkeypatch.setattr(scattering, "_fixed_lambda_interior", counted)
+    sol = neumann_ground_state(pot, R, series=series)
+    assert len(lams) > 10 and len(lams) == len(set(lams))
+    assert sol.lam in lams
+    # the root is bitwise that of one solve per evaluation
+    monkeypatch.setattr(scattering, "cache", lambda f: f)
+    lams.clear()
+    assert neumann_ground_state(pot, R, series=series).lam == sol.lam
+    assert len(lams) > len(set(lams))
+
+
 @pytest.mark.parametrize("v0,lam", [(2000.0, 10.0), (2000.0, 3000.0),
                                     (2000.0, 20000.0), (2.0, 10000.0),
                                     (50.0, 5000.0)])
