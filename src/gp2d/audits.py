@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import product
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, solve
 
 from .errors import ConsistencyError
-from .fock import (FockBasis, LinearOperator, combine, common,
-                   diagonal_in_total, number_operator)
+from .fock import (FockBasis, LinearOperator, build_operator, combine,
+                   common)
 from .kernels import GPParameters, RenormPotential, omega_lattice_sum
 
 PSD_SLACK = 1e-9
@@ -45,21 +46,9 @@ class InequalityReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _identity(basis: FockBasis) -> LinearOperator:
-    return diagonal_in_total(basis, lambda n: 1.0, "1")
-
-
 def _scale(op: LinearOperator) -> float:
     s = max(float(np.max(np.abs(b))) for b in op.blocks)
     return s if s > 0 else 1.0
-
-
-def smallest_eigenpair(op: LinearOperator):
-    return op.lowest(eigh)
-
-
-def _min_eigenvalue(op: LinearOperator) -> float:
-    return min(float(eigvalsh(b)[:, 0].min()) for b in op.blocks)
 
 
 def _pencil_top(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -87,7 +76,7 @@ def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
     def shifted(c: float) -> LinearOperator:
         return combine([(c, rhs), (-1.0, lhs)], "shifted")
 
-    ev, vec = smallest_eigenpair(shifted(0.0))
+    ev, vec = shifted(0.0).lowest(eigh)
     if ev >= -slack:
         return InequalityReport(statement, 0.0, ev, lhs.dim, cap, True,
                                 slack, _profile(vec))
@@ -99,7 +88,7 @@ def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
                                 False, slack,
                                 notes="rhs is not positive definite and "
                                       "lhs is not <= 0: no finite constant")
-    ev, vec = smallest_eigenpair(shifted(c))
+    ev, vec = shifted(c).lowest(eigh)
     return InequalityReport(statement, c, ev, lhs.dim, cap, ev >= -slack,
                             slack, _profile(vec))
 
@@ -114,6 +103,25 @@ def number_profile(vec: np.ndarray, basis: FockBasis) -> np.ndarray:
     out = np.zeros(basis.cap + 1)
     np.add.at(out, totals, np.abs(vec) ** 2)
     return out
+
+
+def commutator_residual(basis: FockBasis) -> float:
+    """Largest entry of [b_p, b*_q] - delta_pq (1 - Nplus/N) + a*_q a_p / N
+    and of [b_p, b_q] over all mode pairs, N = basis.cap: each one
+    ``build_operator`` call, the assembly path of every Hamiltonian."""
+    N, n, worst = basis.cap, basis.totals(), 0.0
+    for p, q in product(range(basis.n_modes), repeat=2):
+        mixed = build_operator(
+            basis, [(1.0, [("b", p), ("bd", q)]),
+                    (-1.0, [("bd", q), ("b", p)]),
+                    (1.0 / N, [("ad", q), ("a", p)])], "[b_p,b*_q]",
+            diagonal=n / N - 1.0 if p == q else None)
+        same = build_operator(basis, [(1.0, [("b", p), ("b", q)]),
+                                      (-1.0, [("b", q), ("b", p)])],
+                              "[b_p,b_q]")
+        worst = max(worst, *(float(np.max(np.abs(b)))
+                             for b in mixed.blocks + same.blocks))
+    return worst
 
 
 def smooth_partition(x):
@@ -140,16 +148,11 @@ class LocalizationReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def localization_check(R_eff: LinearOperator, basis: FockBasis, M: float,
-                       H_N: LinearOperator,
-                       params: GPParameters) -> LocalizationReport:
-    """Double-commutator localization of R_eff in the occupation number.
-
-    Verifies the exact identity
-      R = f R f + g R g + (1/2)([f,[f,R]] + [g,[g,R]])
-    for the diagonal cutoff pair f(n/M), g(n/M), then certifies that the
-    double-commutator remainder is controlled by (log N / M^2)(H_N + 1).
-    """
+def localization_identity(R_eff: LinearOperator, basis: FockBasis,
+                          M: float) -> tuple[float, LinearOperator]:
+    """Residual of the exact localization identity
+      R = f R f + g R g + Theta_M,  Theta_M = (1/2)([f,[f,R]] + [g,[g,R]])
+    for the diagonal cutoff pair f(n/M), g(n/M), and Theta_M itself."""
     x = basis.totals() / M
     fv, gv = smooth_partition(x)
     if np.max(np.abs(fv ** 2 + gv ** 2 - 1.0)) > 1e-12:
@@ -170,12 +173,20 @@ def localization_check(R_eff: LinearOperator, basis: FockBasis, M: float,
                  + g[:, :, None] * blk * g[:, None, :] + th)
         residual = max(residual, float(np.max(np.abs(recon - blk))))
         theta.append(th)
+    return residual, LinearOperator.from_blocks(R_eff.part, theta, "Theta_M",
+                                                hermitian=True)
 
+
+def localization_check(R_eff: LinearOperator, basis: FockBasis, M: float,
+                       H_N: LinearOperator,
+                       params: GPParameters) -> LocalizationReport:
+    """Double-commutator localization of R_eff in the occupation number:
+    the identity of ``localization_identity``, then a certificate that
+    its remainder Theta_M is controlled by (log N / M^2)(H_N + 1)."""
+    residual, theta_op = localization_identity(R_eff, basis, M)
     scale = math.log(params.N) / M ** 2
-    bound = combine([(scale, H_N), (scale, _identity(basis))], "scaled-H",
-                    hermitian=True)
-    theta_op = LinearOperator.from_blocks(R_eff.part, theta, "Theta_M",
-                                          hermitian=True)
+    bound = combine([(scale, H_N)], "scaled-H", hermitian=True,
+                    diagonal=np.full(basis.dim, scale))
     rep_plus = min_constant(theta_op, [bound], "theta-upper", basis.cap)
     theta_neg = combine([(-1.0, theta_op)], "-Theta_M", hermitian=True)
     rep_minus = min_constant(theta_neg, [bound], "theta-lower", basis.cap)
@@ -196,14 +207,12 @@ def condensation_lower_bound(R_eff: LinearOperator, H_N: LinearOperator,
     """
     N = params.N
     logN = math.log(N)
-    one = _identity(basis)
-    lhs = combine([(2.0 * np.pi * N, one),
-                   (0.5 * renorm.omega0, number_operator(basis)),
-                   (c / logN, H_N), (-1.0, R_eff)], "LB-deficit",
-                  hermitian=True)
-    npl2 = diagonal_in_total(basis, lambda n: n * n, "N+^2")
-    rhs = combine([(logN ** 2 / N, npl2), (1.0, one)], "penalty",
-                  hermitian=True)
+    n = basis.totals()
+    lhs = combine([(c / logN, H_N), (-1.0, R_eff)], "LB-deficit",
+                  hermitian=True,
+                  diagonal=2.0 * np.pi * N + 0.5 * renorm.omega0 * n)
+    rhs = build_operator(basis, [], "penalty", hermitian=True,
+                         diagonal=logN ** 2 / N * (n * n) + 1.0)
     rep = min_constant(lhs, [rhs], "condensation-lower-bound", basis.cap)
     rep.notes = (f"N={N} is desk scale; the bound is proved for large N, "
                  f"small-N certificates may need larger constants")
@@ -259,22 +268,18 @@ def gn_condensation_shape(G: LinearOperator, basis: FockBasis,
     """
     if c_grid is None:
         c_grid = np.linspace(0.0, (2.0 * np.pi) ** 2, 25)
-    npl = number_operator(basis)
-    base = combine([(1.0, G), (-2.0 * np.pi * params.N, _identity(basis))],
-                   "G-2piN")
-    cs, Cs = [], []
-    for c in np.asarray(c_grid, float):
-        ev = _min_eigenvalue(combine([(1.0, base), (-c, npl)], "shape"))
-        cs.append(float(c))
-        Cs.append(max(0.0, -ev))
-    return ParetoReport(cs, Cs)
+    n = basis.totals()
+    cs = [float(c) for c in np.asarray(c_grid, float)]
+    shapes = (combine([(1.0, G)], "shape",
+                      diagonal=-2.0 * np.pi * params.N - c * n) for c in cs)
+    return ParetoReport(cs, [max(0.0, -op.lowest(eigh)[0]) for op in shapes])
 
 
 def depletion_chain_check(G: LinearOperator, basis: FockBasis,
                           params: GPParameters, c: float,
                           C: float) -> dict:
     """Ground-vector consistency of the certified occupation bound."""
-    ev, vec = smallest_eigenpair(G)
+    ev, vec = G.lowest(eigh)
     n_exp = float(basis.totals() @ np.abs(vec) ** 2)
     bound = (ev - 2.0 * np.pi * params.N + C) / c if c > 0 else math.inf
     return {"n_expectation": n_exp, "bound": bound,

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audits import (condensation_lower_bound, localization_check,
-                     square_completion_check)
+from .audits import (commutator_residual, condensation_lower_bound,
+                     localization_identity, square_completion_check)
 from .config import RunConfig, fingerprint, load_config
 from .energy import Pipeline, sweep, vacuum_slope_fit, depletion_products
 from .errors import Gp2dError
-from .fock import (generators, ladder, number_operator, shell_modes,
+from .fock import (generators, r_effective_hamiltonian, shell_modes,
                    unitary_excitation_map)
 from .kernels import export_kernels_csv, scattering_residual
 from .potentials import fourier_transform_radial
@@ -81,29 +81,10 @@ def cmd_kernels(pipe: Pipeline, out: Path) -> tuple[bool, list]:
 
 
 def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
-    cfg = pipe.cfg
-    n = 3
-    params = pipe.params(n, cfg.fock_alpha)
-    basis, ops = pipe.hamiltonians(n, cfg.fock_alpha)
+    n, alpha = 3, pipe.cfg.fock_alpha
+    params, basis = pipe.params(n, alpha), pipe.basis(n)
     tol = 1e-10
-    residuals = {}
-
-    depleted = np.eye(basis.dim) - number_operator(basis).mat / n
-    a = {p: ladder(basis, p, "a").mat for p in basis.modes}
-    b = {p: ladder(basis, p, "b").mat for p in basis.modes}
-    worst_comm = 0.0
-    for p in basis.modes:
-        bp, ap = b[p], a[p]
-        for q in basis.modes:
-            bq, aq = b[q], a[q]
-            bqd = bq.conj().T
-            lhs = bp @ bqd - bqd @ bp
-            delta = 1.0 if p == q else 0.0
-            rhs = delta * depleted - aq.conj().T @ ap / n
-            worst_comm = max(worst_comm, float(np.max(np.abs(lhs - rhs))))
-            worst_comm = max(worst_comm,
-                             float(np.max(np.abs(bp @ bq - bq @ bp))))
-    residuals["commutators"] = worst_comm
+    residuals = {"commutators": commutator_residual(basis)}
 
     # the explicit map is defined on at most 4 modes: audit it on the
     # first shell, which every larger shell contains
@@ -111,12 +92,13 @@ def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     urep = unitary_excitation_map(map_modes, n)
     residuals["unitary_map"] = max(v for k, v in urep.items() if k != "pass")
 
-    gens = generators(basis, pipe.table(n, cfg.fock_alpha), params)
+    gens = generators(basis, pipe.table(n, alpha), params)
     residuals["antihermitian"] = max(g.residual(-1.0)
                                      for g in gens.values())
-    loc = localization_check(ops["R_eff"], basis, max(1.0, n ** 0.8),
-                             ops["H_N"], params)
-    residuals["localization"] = loc.identity_residual
+    R_eff = r_effective_hamiltonian(basis, pipe.renorm(n, alpha), pipe.pot,
+                                    params)
+    residuals["localization"], _ = localization_identity(
+        R_eff, basis, max(1.0, n ** 0.8))
 
     ok = all(v <= tol for v in residuals.values())
     for name, v in sorted(residuals.items()):

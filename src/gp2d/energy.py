@@ -88,9 +88,9 @@ class Pipeline:
         return build_basis(shell_modes(self.cfg.shell), N)
 
     def hamiltonians(self, N: int, alpha: float) -> tuple[FockBasis, dict]:
-        """The basis at cap N and the two operators lower-bound and
-        fock-audit read, {"R_eff", "H_N"} (``effective_hamiltonians``);
-        built afresh on every call, not kept."""
+        """The basis at cap N and the two operators lower-bound reads,
+        {"R_eff", "H_N"} (``effective_hamiltonians``); built afresh on
+        every call, not kept."""
         basis = self.basis(N)
         return basis, effective_hamiltonians(
             basis, self.renorm(N, alpha), self.pot, self.params(N, alpha))

@@ -338,15 +338,24 @@ def common(*ops) -> tuple:
     return tuple(LinearOperator(op.mat, op.tag, op.hermitian) for op in ops)
 
 
-def combine(terms, tag: str, hermitian: bool = False) -> LinearOperator:
-    """sum of coef * op over the (coef, op) pairs, added left to right,
-    block by block on the operators' common partition."""
+def combine(terms, tag: str, hermitian: bool = False,
+            diagonal: np.ndarray | None = None) -> LinearOperator:
+    """diag(diagonal), when a per-state diagonal is given, plus the sum of
+    coef * op over the (coef, op) pairs, added left to right, block by
+    block on the operators' common partition."""
     coefs, ops = zip(*terms)
     ops = common(*ops)
-    blocks = [coefs[0] * b for b in ops[0].blocks]
-    for coef, op in zip(coefs[1:], ops[1:]):
-        blocks = [acc + coef * b for acc, b in zip(blocks, op.blocks)]
-    return LinearOperator.from_blocks(ops[0].part, blocks, tag, hermitian)
+    part = ops[0].part
+    first, pos, size, total = part.slots
+    flat = np.zeros(total, dtype=np.result_type(
+        *coefs, *(op.blocks[0] for op in ops)))
+    if diagonal is not None:
+        flat[first + pos * size] = diagonal
+    blocks = part.split(flat)
+    for coef, op in zip(coefs, ops):
+        for acc, b in zip(blocks, op.blocks):
+            acc += coef * b
+    return LinearOperator.from_blocks(part, blocks, tag, hermitian)
 
 
 def _ladder_matrix(basis: FockBasis, kind: str, i: int):
@@ -653,8 +662,8 @@ def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
                            pot: RadialPotential,
                            params: GPParameters) -> dict:
     """The cubically renormalized R_eff and H_N = K + V_N, the two
-    operators of lower-bound and fock-audit, one build each from V_N's
-    products and the kinetic diagonal, both computed once.
+    operators of lower-bound, one build each from V_N's products and the
+    kinetic diagonal, both computed once.
 
     ``r_effective_hamiltonian`` builds R_eff alone; G_eff, which only the
     G_N statements read, has its own builder, ``gn_effective_hamiltonian``.
@@ -668,8 +677,8 @@ def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
 def r_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
                             pot: RadialPotential,
                             params: GPParameters) -> LinearOperator:
-    """R_eff as ``effective_hamiltonians`` builds it, without H_N: the
-    operator whose ground state energy-sweep reads."""
+    """R_eff as ``effective_hamiltonians`` builds it, without H_N: all
+    that energy-sweep and fock-audit read."""
     return _r_eff(basis, renorm, params, _potential_terms(basis, pot, params),
                   _kinetic(basis))
 

@@ -15,7 +15,7 @@ from gp2d.config import RunConfig
 from gp2d.energy import Pipeline
 from gp2d.errors import ConfigError
 from gp2d.fock import (LinearOperator, build_basis, combine,
-                       effective_hamiltonians,
+                       diagonal_in_total, effective_hamiltonians,
                        gn_effective_hamiltonian, kinetic_operator,
                        number_operator, partition_by, shell_modes)
 from gp2d.kernels import GPParameters, chi_hat, renormalized_potential
@@ -119,7 +119,8 @@ def test_min_constant_same_for_real_and_complex_cast(audit_setup):
     # so the constant is finite
     _, _, basis, ops = audit_setup
     lhs = ops["R_eff"]
-    rhs = [ops["H_N"], number_operator(basis), audits._identity(basis)]
+    rhs = [ops["H_N"], number_operator(basis),
+           diagonal_in_total(basis, lambda n: 1.0, "1")]
     assert lhs.mat.dtype == np.float64
     real = min_constant(lhs, rhs, "real")
     cast = min_constant(
@@ -141,6 +142,17 @@ def _random_blocks(rng, part, shift):
     return blocks
 
 
+def _gram_blocks(rng, part, gap):
+    """Random blocks m m^T + gap * 1 over part: positive definite for
+    gap > 0."""
+    blocks = []
+    for idx in part.classes:
+        m = rng.normal(size=idx.shape + (idx.shape[1],))
+        blocks.append(m @ np.swapaxes(m, 1, 2)
+                      + gap * np.eye(idx.shape[1]))
+    return blocks
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_min_constant_blockwise_equals_one_block(seed):
@@ -151,7 +163,7 @@ def test_min_constant_blockwise_equals_one_block(seed):
     part = partition_by(rng.integers(0, 9, size=40))
     lhs = LinearOperator.from_blocks(part, _random_blocks(rng, part, 0.0),
                                      "lhs", hermitian=True)
-    rhs = LinearOperator.from_blocks(part, _random_blocks(rng, part, 12.0),
+    rhs = LinearOperator.from_blocks(part, _gram_blocks(rng, part, 12.0),
                                      "rhs", hermitian=True)
     blocked = min_constant(lhs, [rhs], "blocked")
     whole = min_constant(LinearOperator(lhs.mat, "lhs", hermitian=True),
@@ -202,13 +214,8 @@ def test_min_constant_within_bisection_bracket(seed, gap):
     part = partition_by(rng.integers(0, 7, size=30))
     lhs = LinearOperator.from_blocks(part, _random_blocks(rng, part, 0.0),
                                      "lhs", hermitian=True)
-    rhs_blocks = []
-    for idx in part.classes:
-        m = rng.normal(size=idx.shape + (idx.shape[1],))
-        rhs_blocks.append(m @ np.swapaxes(m, 1, 2)
-                          + gap * np.eye(idx.shape[1]))
-    rhs = LinearOperator.from_blocks(part, rhs_blocks, "rhs",
-                                     hermitian=True)
+    rhs = LinearOperator.from_blocks(part, _gram_blocks(rng, part, gap),
+                                     "rhs", hermitian=True)
     rep = min_constant(lhs, [rhs], "pencil")
     hi = bisection_constant(lhs, rhs)
     rhs_min = min(np.linalg.eigvalsh(b)[:, 0].min() for b in rhs.blocks)
@@ -250,6 +257,30 @@ def test_lower_bound_constant_is_pencil_top(shell_lower_bound):
     want = scipy.linalg.eigh(lhs.mat, rhs.mat, eigvals_only=True)[-1]
     assert rep.passed
     assert rep.constant == pytest.approx(want, rel=1e-10)
+
+
+def test_lower_bound_pencil_equals_operator_sums(shell_lower_bound):
+    # the diagonals written into the pencil give, entry for entry, the
+    # sums of the diagonal operators 1, Nplus and Nplus^2 they replace
+    shell, _, _, lhs, (rhs,), _ = shell_lower_bound
+    cfg = RunConfig(shell=shell)
+    pipe = Pipeline(cfg)
+    basis, ops = pipe.hamiltonians(4, cfg.fock_alpha)
+    N, logN = 4, math.log(4)
+    one = diagonal_in_total(basis, lambda n: 1.0, "1")
+    sums = (
+        combine([(2.0 * np.pi * N, one),
+                 (0.5 * pipe.renorm(4, cfg.fock_alpha).omega0,
+                  number_operator(basis)),
+                 (cfg.c_lower / logN, ops["H_N"]), (-1.0, ops["R_eff"])],
+                "LB-deficit"),
+        combine([(logN ** 2 / N, diagonal_in_total(basis, lambda n: n * n,
+                                                   "N+^2")),
+                 (1.0, one)], "penalty"))
+    for got, want in zip((lhs, rhs), sums):
+        for pair in (zip(got.part.classes, want.part.classes),
+                     zip(got.blocks, want.blocks)):
+            assert all(np.array_equal(a, b) for a, b in pair)
 
 
 def test_lower_bound_one_eigvalsh_per_size_class(shell_lower_bound):

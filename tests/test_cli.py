@@ -5,13 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gp2d
-from gp2d import cli, energy, scattering
+from gp2d import energy, scattering
+from gp2d.audits import (commutator_residual, localization_check,
+                         localization_identity)
 from gp2d.cli import main, write_manifest
 from gp2d.config import RunConfig, fingerprint
-from gp2d.fock import LinearOperator
+from gp2d.energy import Pipeline
+from gp2d.fock import (LinearOperator, build_basis, ladder, number_operator,
+                       shell_modes)
 
 FAST = """\
 N_min = 10
@@ -173,9 +178,10 @@ def test_cli_leaves_unused_scipy_subpackages_unloaded(tmp_path, fast_cfg):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-def test_fock_audit_larger_shell(tmp_path):
+@pytest.mark.parametrize("shell", [8, 12])
+def test_fock_audit_larger_shell(tmp_path, shell):
     path = tmp_path / "run.cfg"
-    path.write_text(FAST + "shell = 8\n")
+    path.write_text(FAST + f"shell = {shell}\n")
     out = tmp_path / "out"
     assert run(["fock-audit", "--config", path, "--out", out]) == 0
     report = json.loads((out / "fock_audit.json").read_text())
@@ -183,19 +189,45 @@ def test_fock_audit_larger_shell(tmp_path):
     assert report["unitary_map_modes"] == [[1, 0], [0, 1], [-1, 0], [0, -1]]
 
 
-def test_fock_audit_builds_each_ladder_once(tmp_path, fast_cfg,
-                                            monkeypatch):
-    built = []
-    original = cli.ladder
+def dense_commutator_residual(basis):
+    """The commutator identities of the modified operators from dense
+    ladder matrices, as test_fock.py's test_canonical_commutators checks
+    them."""
+    n = basis.cap
+    eye, ntot = np.eye(basis.dim), number_operator(basis).mat
+    worst = 0.0
+    for p in basis.modes:
+        ap, bp = ladder(basis, p, "a").mat, ladder(basis, p, "b").mat
+        for q in basis.modes:
+            aq, bq = ladder(basis, q, "a").mat, ladder(basis, q, "b").mat
+            delta = 1.0 if p == q else 0.0
+            lhs = bp @ bq.T - bq.T @ bp
+            rhs = delta * (eye - ntot / n) - aq.T @ ap / n
+            worst = max(worst, np.abs(lhs - rhs).max(),
+                        np.abs(bp @ bq - bq @ bp).max())
+    return worst
 
-    def counted(basis, mode, kind):
-        built.append((mode, kind))
-        return original(basis, mode, kind)
 
-    monkeypatch.setattr(cli, "ladder", counted)
-    assert run(["fock-audit", "--config", fast_cfg, "--out", tmp_path]) == 0
-    # a and b of each of the 4 modes, once each
-    assert sorted(built) == sorted(set(built)) and len(built) == 8
+@pytest.mark.parametrize("shell", [4, 8])
+def test_fock_audit_commutators_match_dense(shell):
+    # fock-audit's assembled commutator check agrees with the dense one,
+    # and both see one ladder amplitude off by a relative 1e-6
+    basis = build_basis(shell_modes(shell), 3)
+    assert commutator_residual(basis) <= 1e-14
+    assert dense_commutator_residual(basis) <= 1e-14
+    dest, amp = basis.ladders["b"][1]
+    amp[np.flatnonzero(dest >= 0)[0]] *= 1 + 1e-6
+    assert commutator_residual(basis) > 1e-10
+    assert dense_commutator_residual(basis) > 1e-10
+    # fock-audit's localization residual is the one localization_check
+    # reports
+    cfg = RunConfig(shell=shell)
+    pipe = Pipeline(cfg)
+    basis, ops = pipe.hamiltonians(3, cfg.fock_alpha)
+    rep = localization_check(ops["R_eff"], basis, 3 ** 0.8, ops["H_N"],
+                             pipe.params(3, cfg.fock_alpha))
+    assert rep.identity_residual == localization_identity(
+        ops["R_eff"], basis, 3 ** 0.8)[0]
 
 
 def test_shell8_runs_without_dense_matrices(tmp_path, monkeypatch):

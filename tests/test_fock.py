@@ -475,6 +475,22 @@ def test_diagonal_in_total(fock_setup):
                                totals * (totals - 1), rtol=1e-14)
 
 
+def test_combine_diagonal_is_a_diagonal_term(fock_setup, step_pot):
+    # combine's diagonal adds diag(diagonal) on the operators' common
+    # partition: sectors when they share them, the one block otherwise
+    params, _, _, renorm, basis = fock_setup
+    R_eff = effective_hamiltonians(basis, renorm, step_pot, params)["R_eff"]
+    diag = np.random.default_rng(3).normal(size=basis.dim)
+    dense = 2.0 * R_eff.mat + np.diag(diag)
+    op = combine([(2.0, R_eff)], "R+D", diagonal=diag)
+    assert op.part is basis.sectors
+    np.testing.assert_array_equal(op.mat, dense)
+    whole = LinearOperator(np.eye(basis.dim), "1")
+    op = combine([(2.0, R_eff), (-1.0, whole)], "R-1+D", diagonal=diag)
+    assert op.part is whole_partition(basis.dim)
+    np.testing.assert_array_equal(op.mat, dense - np.eye(basis.dim))
+
+
 def test_sectored_export_is_its_dense_copy(fock_setup, step_pot, tmp_path,
                                            monkeypatch):
     params, _, _, renorm, basis = fock_setup
