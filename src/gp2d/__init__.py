@@ -19,9 +19,9 @@ from .kernels import (GPParameters, eta_coefficients,
                       omega_lattice_sum, chi_hat)
 from .fock import (build_basis, shell_modes, ladder, hamiltonian_pieces,
                    generators, conjugate, effective_hamiltonians,
-                   gn_effective_hamiltonian, unitary_excitation_map)
+                   unitary_excitation_map)
 from .audits import (min_constant, localization_check,
-                     condensation_lower_bound, gn_condensation_shape)
+                     condensation_lower_bound)
 from .energy import vacuum_upper_bound, ground_state, sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -39,6 +39,9 @@ class InequalityReport:
     cap: int
     passed: bool
     tolerance: float
+    # |v_i|^2 at the first 8 basis states (ordered by total occupation,
+    # vacuum first) of the lowest eigenvector of C * rhs - lhs: not a
+    # distribution over Nplus
     number_profile: list = field(default_factory=list)
     notes: str = ""
 
@@ -97,14 +100,6 @@ def _profile(vec: np.ndarray) -> list:
     return [float(x) for x in np.abs(vec[: min(len(vec), 8)]) ** 2]
 
 
-def number_profile(vec: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Probability mass of a vector per total occupation number."""
-    totals = basis.totals()
-    out = np.zeros(basis.cap + 1)
-    np.add.at(out, totals, np.abs(vec) ** 2)
-    return out
-
-
 def commutator_residual(basis: FockBasis) -> float:
     """Largest entry of [b_p, b*_q] - delta_pq (1 - Nplus/N) + a*_q a_p / N
     and of [b_p, b_q] over all mode pairs, N = basis.cap: each one
@@ -143,9 +138,6 @@ class LocalizationReport:
     theta_pass: bool
     M: float
     dim: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def localization_identity(R_eff: LinearOperator, basis: FockBasis,
@@ -240,47 +232,3 @@ def square_completion_check(renorm: RenormPotential, params: GPParameters,
         "lattice_sum_minus_log": S - 2.0 * np.pi * params.alpha
         * math.log(params.N),
     }
-
-
-@dataclass
-class ParetoReport:
-    c_values: list
-    C_values: list
-    statement: str = "occupation-growth-shape"
-
-    def best_pair(self):
-        i = int(np.argmin(self.C_values))
-        return self.c_values[i], self.C_values[i]
-
-    def to_json(self) -> str:
-        return json.dumps({"statement": self.statement,
-                           "c": self.c_values, "C": self.C_values},
-                          sort_keys=True)
-
-
-def gn_condensation_shape(G: LinearOperator, basis: FockBasis,
-                          params: GPParameters,
-                          c_grid=None) -> ParetoReport:
-    """Trade-off front for G - 2 pi N >= c * Nplus - C.
-
-    For each occupation coefficient c, the minimal admissible C is minus
-    the smallest eigenvalue of G - 2 pi N - c * Nplus (clipped at zero).
-    """
-    if c_grid is None:
-        c_grid = np.linspace(0.0, (2.0 * np.pi) ** 2, 25)
-    n = basis.totals()
-    cs = [float(c) for c in np.asarray(c_grid, float)]
-    shapes = (combine([(1.0, G)], "shape",
-                      diagonal=-2.0 * np.pi * params.N - c * n) for c in cs)
-    return ParetoReport(cs, [max(0.0, -op.lowest(eigh)[0]) for op in shapes])
-
-
-def depletion_chain_check(G: LinearOperator, basis: FockBasis,
-                          params: GPParameters, c: float,
-                          C: float) -> dict:
-    """Ground-vector consistency of the certified occupation bound."""
-    ev, vec = G.lowest(eigh)
-    n_exp = float(basis.totals() @ np.abs(vec) ** 2)
-    bound = (ev - 2.0 * np.pi * params.N + C) / c if c > 0 else math.inf
-    return {"n_expectation": n_exp, "bound": bound,
-            "pass": bool(n_exp <= bound + 1e-9)}

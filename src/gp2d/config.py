@@ -34,7 +34,6 @@ class RunConfig:
     cutoff: float = TWO_PI * 16
     shell: int = 4
     ell_scale: float = 1.0
-    quad_per_efold: int = 8
     c_lower: float = 0.1
     out_dir: str = "out"
 
@@ -52,8 +51,6 @@ class RunConfig:
             raise ConfigError("cutoff must be at least 2*pi")
         if self.shell not in (4, 8, 12):
             raise ConfigError("shell must be one of 4, 8, 12")
-        if self.quad_per_efold < 1:
-            raise ConfigError("quad_per_efold must be positive")
         if self.potential not in ("step", "gaussian-bump", "free") \
                 and not self.potential.startswith("table:"):
             raise ConfigError(f"unknown potential {self.potential!r}")

@@ -80,8 +80,7 @@ class Pipeline:
 
     def table(self, N: int, alpha: float) -> KernelTable:
         return self._once("table", N, alpha, lambda p: eta_coefficients(
-            self.neumann(N, alpha), p, self.lattice,
-            per_efold=self.cfg.quad_per_efold))
+            self.neumann(N, alpha), p, self.lattice))
 
     def basis(self, N: int) -> FockBasis:
         """Excitation basis of the run's mode shell at particle cap N."""
@@ -154,7 +153,7 @@ class SweepDataset:
     fingerprint: str
     schema: str = SCHEMA
     skipped: int = 0
-    rejected: int = 0     # rows of the persisted file that did not parse
+    rejected: int = 0     # persisted rows that did not parse or fit the grid
 
     def sorted_records(self):
         return sorted(self.records, key=lambda r: r.key())
@@ -191,27 +190,43 @@ def sweep_grid(cfg: RunConfig) -> list:
     return grid
 
 
+def _grid_point(rec: EnergyRecord) -> tuple | None:
+    """The grid point a persisted record is, (N, alpha, cutoff) rounded as
+    in ``EnergyRecord.key`` plus with_fock, or None when it has the shape
+    of no point: a Fock point has dim > 0 and finite E0 and depletion, a
+    scalar point dim == 0."""
+    if (rec.dim > 0 and math.isfinite(rec.E0)
+            and math.isfinite(rec.depletion)):
+        return rec.key() + (True,)
+    return rec.key() + (False,) if rec.dim == 0 else None
+
+
 def sweep(cfg: RunConfig, csv_path=None,
           pipe: Pipeline | None = None) -> SweepDataset:
     """Run the grid, skipping records already persisted for this config.
 
-    Records are computed one after another from ``pipe``, the run's
-    Pipeline built from cfg (a fresh one when not given).
+    A persisted row counts as done only when it is a point of the grid
+    with that point's shape (``_grid_point``); every other row is dropped
+    and counted in ``rejected``.  Records are computed one after another
+    from ``pipe``, the run's Pipeline built from cfg (a fresh one when not
+    given).
     """
     fp = fingerprint(cfg)
+    grid = {(n, round(al, 12), round(cfg.cutoff, 9), wf): (n, al, wf)
+            for n, al, wf in sweep_grid(cfg)}
     done, rejected = {}, 0
     if csv_path is not None:
         loaded = load_dataset(csv_path)
         if (loaded is not None and loaded.schema == SCHEMA
                 and loaded.fingerprint == fp):
-            done = {r.key(): r for r in loaded.records}
-            rejected = loaded.rejected
+            done = {at: rec for rec in loaded.records
+                    if (at := _grid_point(rec)) in grid}
+            rejected = loaded.rejected + len(loaded.records) - len(done)
 
     if pipe is None:
         pipe = Pipeline(cfg)
-    fresh = [compute_record(pipe, n, al, wf)
-             for (n, al, wf) in sweep_grid(cfg)
-             if (n, round(al, 12), round(cfg.cutoff, 9)) not in done]
+    fresh = [compute_record(pipe, *point)
+             for key, point in grid.items() if key not in done]
 
     records = list(done.values()) + fresh
     ds = SweepDataset(records, fp, skipped=len(done), rejected=rejected)

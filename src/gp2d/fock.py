@@ -522,7 +522,8 @@ def hamiltonian_pieces(basis: FockBasis, pot: RadialPotential,
         basis, terms2 + _pair_terms(basis, [N * vm for vm in vhat], 1.0),
         "L2", hermitian=True, diagonal=_kinetic(basis))
 
-    L3 = _cubic_operator(basis, vhat, math.sqrt(N), "L3")
+    L3 = build_operator(basis, _cubic_terms(basis, vhat, math.sqrt(N)), "L3",
+                        hermitian=True)
     return {"K": K, "V_N": VN, "L0": L0, "L2": L2, "L3": L3, "L4": VN}
 
 
@@ -537,12 +538,6 @@ def _pair_terms(basis: FockBasis, weights, sign: float) -> list:
         terms.append((0.5 * w, [("bd", i), ("bd", ineg)]))
         terms.append((sign * 0.5 * w, [("b", i), ("b", ineg)]))
     return terms
-
-
-def _pair_operator(basis: FockBasis, weights, sign: float,
-                   tag: str) -> LinearOperator:
-    return build_operator(basis, _pair_terms(basis, weights, sign), tag,
-                          hermitian=sign > 0)
 
 
 def _cubic_terms(basis: FockBasis, weights, prefactor: float,
@@ -573,20 +568,13 @@ def _cubic_terms(basis: FockBasis, weights, prefactor: float,
     return terms
 
 
-def _cubic_operator(basis: FockBasis, weights, prefactor: float, tag: str,
-                    sign: float = 1.0) -> LinearOperator:
-    return build_operator(basis,
-                          _cubic_terms(basis, weights, prefactor, sign), tag,
-                          hermitian=sign > 0)
-
-
 def generators(basis: FockBasis, table: KernelTable,
                params: GPParameters) -> dict:
     """Quadratic generator B and cubic generator A from the eta kernel."""
     eta = [table.eta_at(*m) for m in basis.modes]
-    B = _pair_operator(basis, eta, -1.0, "B")
-    A = _cubic_operator(basis, eta, 1.0 / math.sqrt(params.N), "A",
-                        sign=-1.0)
+    B = build_operator(basis, _pair_terms(basis, eta, -1.0), "B")
+    A = build_operator(
+        basis, _cubic_terms(basis, eta, 1.0 / math.sqrt(params.N), -1.0), "A")
     for gen in (B, A):
         r = gen.residual(-1.0)
         if r > HERMITIAN_TOL:
@@ -622,21 +610,9 @@ def conjugate(op: LinearOperator, gen: LinearOperator) -> LinearOperator:
                                       hermitian=op.hermitian)
 
 
-def remainder_d(basis: FockBasis, mode, table: KernelTable,
-                params: GPParameters, B: LinearOperator) -> LinearOperator:
-    """d_p = e^{-B} b_p e^{B} - cosh(eta_p) b_p - sinh(eta_p) b*_{-p}."""
-    i = basis.mode_index(mode)
-    eta_p = table.eta_at(*basis.modes[i])
-    bp = ladder(basis, mode, "b")
-    bd_neg = ladder(basis, basis.modes[int(basis.neg_mode[i])], "bd")
-    conj = conjugate(bp, B)
-    mat = conj.mat - math.cosh(eta_p) * bp.mat - math.sinh(eta_p) * bd_neg.mat
-    return LinearOperator(mat, f"d_{mode}")
-
-
 def _omega(basis: FockBasis, renorm: RenormPotential) -> list:
-    """omega_hat at the modes: the weights of the pair term of both
-    G_eff and R_eff."""
+    """omega_hat at the modes: the weights of R_eff's pair and cubic
+    terms."""
     return [float(renorm.omega_at(TWO_PI * math.hypot(*m)))
             for m in basis.modes]
 
@@ -663,10 +639,8 @@ def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
                            params: GPParameters) -> dict:
     """The cubically renormalized R_eff and H_N = K + V_N, the two
     operators of lower-bound, one build each from V_N's products and the
-    kinetic diagonal, both computed once.
-
-    ``r_effective_hamiltonian`` builds R_eff alone; G_eff, which only the
-    G_N statements read, has its own builder, ``gn_effective_hamiltonian``.
+    kinetic diagonal, both computed once.  ``r_effective_hamiltonian``
+    builds R_eff alone.
     """
     terms, kinetic = _potential_terms(basis, pot, params), _kinetic(basis)
     return {"R_eff": _r_eff(basis, renorm, params, terms, kinetic),
@@ -681,27 +655,6 @@ def r_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
     that energy-sweep and fock-audit read."""
     return _r_eff(basis, renorm, params, _potential_terms(basis, pot, params),
                   _kinetic(basis))
-
-
-def gn_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
-                             pot: RadialPotential,
-                             params: GPParameters) -> LinearOperator:
-    """The quadratically renormalized G_eff, whose cubic term carries
-    sqrt(N) Vhat, in one build: the operator of ``gn_condensation_shape``
-    and ``depletion_chain_check``."""
-    N = params.N
-    w0 = renorm.omega0
-    vhat = _vhat(pot, params, basis.modes)
-    v0 = fourier_transform_radial(pot, 0.0)
-    G_diag = _per_total(
-        basis,
-        lambda n: 0.5 * w0 * (N - 1) * (1 - n / N)
-        + (2 * N * v0 - 0.5 * w0) * n * (1 - n / N))
-    terms = (_potential_terms(basis, pot, params)
-             + _pair_terms(basis, _omega(basis, renorm), 1.0)
-             + _cubic_terms(basis, vhat, math.sqrt(N)))
-    return build_operator(basis, terms, "G_eff", hermitian=True,
-                          diagonal=_kinetic(basis) + G_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -791,15 +744,3 @@ def unitary_excitation_map(modes, N: int) -> dict:
     report["pass"] = all(v <= 1e-12 for k, v in report.items()
                          if k != "pass")
     return report
-
-
-def export_operator(op: LinearOperator, path, tol: float = 0.0) -> None:
-    """Coordinate-triplet text dump (row col re im), one header line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# dim={op.dim} tag={op.tag} "
-                 f"hermitian={int(op.hermitian)}\n")
-        mat = op.mat
-        rows, cols = np.nonzero(np.abs(mat) > tol)
-        for r, c in zip(rows, cols):
-            v = mat[r, c]
-            fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")

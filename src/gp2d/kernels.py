@@ -115,12 +115,6 @@ def eta_profile(sol: NeumannSolution, params: GPParameters,
     return -TWO_PI * params.N * params.ell ** 2 * val
 
 
-def eta_value(sol: NeumannSolution, params: GPParameters, p_norm: float,
-              per_efold: int = 8) -> float:
-    """eta at one momentum magnitude (see eta_profile)."""
-    return float(eta_profile(sol, params, p_norm, per_efold))
-
-
 def w_squared_integral(sol: NeumannSolution, params: GPParameters,
                        per_efold: int = 8) -> float:
     """Position-space norm int |w(e^N x)|^2 dx over the torus."""
@@ -132,20 +126,17 @@ def w_squared_integral(sol: NeumannSolution, params: GPParameters,
 
 @dataclass(frozen=True)
 class KernelTable:
-    """eta_p tabulated on a momentum lattice, with its scalar summaries.
+    """eta_p tabulated on a momentum lattice, with its zero mode eta0.
 
-    norm2 is the full-lattice l2 norm obtained from the position-space
-    integral (Parseval), which is cutoff-independent; norm2_lattice is the
-    truncated sum over the stored points.
+    norm2 is the l2 norm of eta over the nonzero modes of the full
+    lattice, obtained from the position-space integral (Parseval), so it
+    does not depend on the cutoff.
     """
 
     lattice: MomentumLattice
     eta: np.ndarray
-    w_hat: np.ndarray
     eta0: float
     norm2: float
-    norm_inf: float
-    norm2_lattice: float
     params: GPParameters = field(repr=False)
     lam_R2: float = 0.0
 
@@ -166,18 +157,14 @@ def eta_coefficients(sol: NeumannSolution, params: GPParameters,
         raise ConsistencyError("Neumann solution radius does not match "
                                "e^N * ell")
     if sol.pot.is_zero:
-        zeros = np.zeros(lat.size)
-        return KernelTable(lat, zeros, zeros.copy(), 0.0, 0.0, 0.0, 0.0,
-                           params, 0.0)
+        return KernelTable(lat, np.zeros(lat.size), 0.0, 0.0, params, 0.0)
     uniq, inv = lat.unique_norms()
     eta_u = eta_profile(sol, params, np.concatenate(([0.0], uniq)),
                         per_efold)
     eta0, eta = float(eta_u[0]), eta_u[1:][inv]
     total = params.N ** 2 * w_squared_integral(sol, params, per_efold)
     norm2 = math.sqrt(max(total - eta0 ** 2, 0.0))
-    return KernelTable(lat, eta, -eta / params.N, eta0, norm2,
-                       float(np.max(np.abs(eta))),
-                       float(np.linalg.norm(eta)), params, sol.lam_R2)
+    return KernelTable(lat, eta, eta0, norm2, params, sol.lam_R2)
 
 
 def kernel_sup_product(sol: NeumannSolution, params: GPParameters,

@@ -8,8 +8,7 @@ import numpy as np
 
 from .bessel import hankel_j0
 from .errors import ConfigError, QuadratureError
-from .quadrature import (gl_nodes_weights, integrate_panels, merge_bounds,
-                         panel_bounds_hankel)
+from .quadrature import gl_nodes_weights, merge_bounds, panel_bounds_hankel
 
 TABLE_HEADER = "# radial-potential v1"
 
@@ -60,14 +59,6 @@ class RadialPotential:
     def is_zero(self) -> bool:
         return self.v0 == 0.0 or (self.kind == "user-tabulated"
                                   and not np.any(self.table_v > 0))
-
-    def norm_lp(self, p: int) -> float:
-        """L^p norm of V over the plane, (2 pi int V^p r dr)^(1/p)."""
-        if self.is_zero:
-            return 0.0
-        bounds = np.linspace(0.0, self.r0, 65)
-        val = integrate_panels(lambda r: self(r) ** p * r, bounds)
-        return float((2.0 * np.pi * val) ** (1.0 / p))
 
 
 def step(v0: float, r0: float) -> RadialPotential:

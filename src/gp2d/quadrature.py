@@ -77,13 +77,3 @@ def gl_nodes_weights(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nodes = (0.5 * (hi + lo) + half * _GL_NODES).ravel()
     weights = (half * _GL_WEIGHTS).ravel()
     return nodes, weights
-
-
-def integrate_panels(func, bounds: np.ndarray) -> float:
-    """Integrate a vectorized callable over the given panel boundaries."""
-    nodes, weights = gl_nodes_weights(bounds)
-    vals = np.asarray(func(nodes), dtype=float)
-    out = float(np.dot(weights, vals))
-    if not np.isfinite(out):
-        raise QuadratureError("non-finite quadrature result")
-    return out

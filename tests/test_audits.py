@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from gp2d import audits
 from gp2d.audits import (InequalityReport, condensation_lower_bound,
-                         depletion_chain_check, gn_condensation_shape,
-                         localization_check, min_constant, number_profile,
-                         smooth_partition, square_completion_check)
+                         localization_check, min_constant, smooth_partition,
+                         square_completion_check)
 from gp2d.config import RunConfig
 from gp2d.energy import Pipeline
 from gp2d.errors import ConfigError
 from gp2d.fock import (LinearOperator, build_basis, combine,
                        diagonal_in_total, effective_hamiltonians,
-                       gn_effective_hamiltonian, kinetic_operator,
                        number_operator, partition_by, shell_modes)
 from gp2d.kernels import GPParameters, chi_hat, renormalized_potential
 from gp2d.lattice import TWO_PI, build_lattice
@@ -36,7 +34,6 @@ def audit_setup(step_pot):
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), 3)
     ops = effective_hamiltonians(basis, renorm, step_pot, params)
-    ops["G_eff"] = gn_effective_hamiltonian(basis, renorm, step_pot, params)
     return params, renorm, basis, ops
 
 
@@ -306,15 +303,6 @@ def test_smooth_partition_identity():
     assert np.all(np.diff(g) >= -1e-15)
 
 
-def test_number_profile_sums_to_one(audit_setup):
-    _, _, basis, ops = audit_setup
-    vec = np.random.default_rng(0).normal(size=basis.dim)
-    vec = vec / np.linalg.norm(vec)
-    prof = number_profile(vec.astype(complex), basis)
-    assert prof.shape == (basis.cap + 1,)
-    assert prof.sum() == pytest.approx(1.0, rel=1e-12)
-
-
 def test_localization_identity_exact(audit_setup):
     params, _, basis, ops = audit_setup
     rep = localization_check(ops["R_eff"], basis, 2.0, ops["H_N"], params)
@@ -361,35 +349,3 @@ def test_square_completion_scalars(audit_setup):
         margins.append(omega ** 2 / (4.0 * (1.0 - mu) * p2)
                        - 0.5 * renorm.omega0)
     assert out["scalar_margin"] == pytest.approx(max(margins), rel=1e-12)
-
-
-def test_gn_shape_free_gas_closed_form(audit_setup):
-    # with no interaction the trade-off at c equal to the spectral gap
-    # (2 pi)^2 costs exactly the full condensate energy 2 pi N
-    params, _, basis, _ = audit_setup
-    K = kinetic_operator(basis)
-    par = gn_condensation_shape(K, basis, params,
-                                c_grid=[0.0, (2.0 * math.pi) ** 2])
-    assert par.C_values[0] == pytest.approx(2 * math.pi * params.N,
-                                            rel=1e-12)
-    assert par.C_values[1] == pytest.approx(2 * math.pi * params.N,
-                                            rel=1e-12)
-    c_best, C_best = par.best_pair()
-    assert C_best <= max(par.C_values)
-
-
-def test_gn_shape_monotone_in_c(audit_setup):
-    params, _, basis, ops = audit_setup
-    par = gn_condensation_shape(ops["G_eff"], basis, params)
-    assert all(b >= a - 1e-12
-               for a, b in zip(par.C_values, par.C_values[1:]))
-
-
-def test_depletion_chain(audit_setup):
-    params, _, basis, ops = audit_setup
-    par = gn_condensation_shape(ops["G_eff"], basis, params,
-                                c_grid=[1.0])
-    out = depletion_chain_check(ops["G_eff"], basis, params, 1.0,
-                                par.C_values[0])
-    assert out["pass"]
-    assert out["n_expectation"] >= 0

@@ -14,7 +14,7 @@ from gp2d.audits import (commutator_residual, localization_check,
                          localization_identity)
 from gp2d.cli import main, write_manifest
 from gp2d.config import RunConfig, fingerprint
-from gp2d.energy import Pipeline
+from gp2d.energy import Pipeline, sweep_grid
 from gp2d.fock import (LinearOperator, build_basis, ladder, number_operator,
                        shell_modes)
 
@@ -324,3 +324,43 @@ def test_energy_sweep_reports_malformed_rows(tmp_path, fast_cfg, capsys):
     capsys.readouterr()
     assert run(["energy-sweep", "--config", fast_cfg, "--out", out]) == 0
     assert "rejected: 1 malformed rows of sweep.csv" in capsys.readouterr().out
+
+
+def _damage_out_of_grid(rows):
+    # a copy of the last row at an N that is no point of the grid
+    return rows + ["999," + rows[-1].split(",", 1)[1]]
+
+
+def _damage_fock_depletion(rows):
+    # the Fock rows (dim > 0) with depletion set to nan
+    out = []
+    for row in rows:
+        cells = row.split(",")
+        if int(cells[3]) > 0:
+            cells[6] = "nan"
+        out.append(",".join(cells))
+    return out
+
+
+@pytest.mark.parametrize("damage,recomputed,rejected", [
+    (_damage_out_of_grid, 0, 1), (_damage_fock_depletion, 4, 4)],
+    ids=["out-of-grid", "nan-depletion"])
+def test_energy_sweep_resumes_only_grid_rows(tmp_path, capsys, damage,
+                                             recomputed, rejected):
+    # a persisted row counts as done only when it is a grid point with
+    # that point's shape; every other row is rejected and recomputed, and
+    # the rewritten file is the undamaged one
+    out = tmp_path / "out"
+    assert run(["energy-sweep", "--out", out]) == 0
+    path = out / "sweep.csv"
+    good = path.read_text().splitlines()
+    grid = len(sweep_grid(RunConfig()))
+    assert len(good) - 2 == grid == 30
+    path.write_text("\n".join(good[:2] + damage(good[2:])) + "\n")
+    capsys.readouterr()
+    assert run(["energy-sweep", "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    assert f"skipped: {grid - recomputed} records" in stdout
+    assert f"rejected: {rejected} malformed rows" in stdout
+    assert ([ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
+            == [ln.rsplit(",", 1)[0] for ln in good])

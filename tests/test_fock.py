@@ -11,11 +11,11 @@ from gp2d import fock
 from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
                        build_sector, combine, conjugate, diagonal_in_total,
-                       effective_hamiltonians, export_operator, generators,
-                       gn_effective_hamiltonian, hamiltonian_pieces,
-                       hermiticity_residual, kinetic_operator, ladder,
-                       number_operator, partition_by, remainder_d,
-                       shell_modes, unitary_excitation_map, whole_partition)
+                       effective_hamiltonians, generators,
+                       hamiltonian_pieces, hermiticity_residual,
+                       kinetic_operator, ladder, number_operator,
+                       partition_by, shell_modes, unitary_excitation_map,
+                       whole_partition)
 from gp2d.kernels import (GPParameters, eta_coefficients,
                           renormalized_potential)
 from gp2d.lattice import TWO_PI, build_lattice
@@ -141,9 +141,8 @@ def _all_operators(basis, pot, params, weights):
     eff = effective_hamiltonians(basis, weights, pot, params)
     gens = generators(basis, weights, params)
     return {"K": pieces["K"], "V_N": pieces["V_N"], "L2": pieces["L2"],
-            "L3": pieces["L3"],
-            "G_eff": gn_effective_hamiltonian(basis, weights, pot, params),
-            "R_eff": eff["R_eff"], "B": gens["B"], "A": gens["A"]}
+            "L3": pieces["L3"], "R_eff": eff["R_eff"], "B": gens["B"],
+            "A": gens["A"]}
 
 
 @given(shape=st.sampled_from(sorted(ORACLE_BASES)),
@@ -257,7 +256,6 @@ def test_operators_are_real(fock_setup, step_pot):
     ops = [*hamiltonian_pieces(basis, step_pot, params).values(),
            *effective_hamiltonians(basis, renorm, step_pot,
                                    params).values(),
-           gn_effective_hamiltonian(basis, renorm, step_pot, params),
            *gens.values(), conjugate(number_operator(basis), gens["B"])]
     for op in ops:
         assert op.mat.dtype == np.float64, op.tag
@@ -435,24 +433,27 @@ def test_conjugation_preserves_spectrum(fock_setup, step_pot):
 
 
 def test_remainder_is_small(fock_setup):
+    # d_p = e^{-B} b_p e^{B} - cosh(eta_p) b_p - sinh(eta_p) b*_{-p}
     params, _, table, _, basis = fock_setup
     gens = generators(basis, table, params)
     mode = basis.modes[0]
-    d = remainder_d(basis, mode, table, params, gens["B"])
+    eta_p = table.eta_at(*mode)
+    neg = basis.modes[int(basis.neg_mode[0])]
+    bp = ladder(basis, mode, "b")
+    d = (conjugate(bp, gens["B"]).mat - math.cosh(eta_p) * bp.mat
+         - math.sinh(eta_p) * ladder(basis, neg, "bd").mat)
     # the non-Bogoliubov remainder carries at least one factor eta/N
     scale = np.abs(table.eta).max()
-    assert np.linalg.norm(d.mat, 2) <= 10 * scale
+    assert np.linalg.norm(d, 2) <= 10 * scale
 
 
 def test_effective_hamiltonians(fock_setup, step_pot):
     params, _, _, renorm, basis = fock_setup
     ops = effective_hamiltonians(basis, renorm, step_pot, params)
-    ops["G_eff"] = gn_effective_hamiltonian(basis, renorm, step_pot, params)
     vac = basis.vacuum()
-    for key in ("G_eff", "R_eff", "H_N"):
+    for key in ("R_eff", "H_N"):
         assert hermiticity_residual(ops[key].mat) <= 1e-12
     want = 0.5 * renorm.omega0 * (N - 1)
-    assert ops["G_eff"].expectation(vac) == pytest.approx(want, rel=1e-12)
     assert ops["R_eff"].expectation(vac) == pytest.approx(want, rel=1e-12)
 
 
@@ -489,24 +490,6 @@ def test_combine_diagonal_is_a_diagonal_term(fock_setup, step_pot):
     op = combine([(2.0, R_eff), (-1.0, whole)], "R-1+D", diagonal=diag)
     assert op.part is whole_partition(basis.dim)
     np.testing.assert_array_equal(op.mat, dense - np.eye(basis.dim))
-
-
-def test_sectored_export_is_its_dense_copy(fock_setup, step_pot, tmp_path,
-                                           monkeypatch):
-    params, _, _, renorm, basis = fock_setup
-    op = effective_hamiltonians(basis, renorm, step_pot, params)["R_eff"]
-    assert op.part is basis.sectors
-    dense = LinearOperator(op.mat, op.tag, op.hermitian)
-    export_operator(dense, tmp_path / "dense.txt")
-    # the dense matrix of a sectored operator is assembled once
-    assembled = []
-    mat = LinearOperator.mat
-    monkeypatch.setattr(LinearOperator, "mat", property(
-        lambda self: assembled.append(1) or mat.fget(self)))
-    export_operator(op, tmp_path / "sectored.txt")
-    assert len(assembled) == 1
-    assert (tmp_path / "sectored.txt").read_bytes() == \
-        (tmp_path / "dense.txt").read_bytes()
 
 
 def _compositions_reference(total, parts):
@@ -587,9 +570,12 @@ def _combined_hamiltonians(basis, renorm, pot, params):
         + 0.5 * w0 * n * (1 - n / N) + w0 * n * (1 - n / N),
         "R-diag")
     R_eff = combine([
-        (1.0, R_diag), (1.0, fock._pair_operator(basis, omega, 1.0, "quad")),
-        (1.0, fock._cubic_operator(basis, omega, 1.0 / math.sqrt(N),
-                                   "R-cubic")),
+        (1.0, R_diag),
+        (1.0, build_operator(basis, fock._pair_terms(basis, omega, 1.0),
+                             "quad", hermitian=True)),
+        (1.0, build_operator(
+            basis, fock._cubic_terms(basis, omega, 1.0 / math.sqrt(N)),
+            "R-cubic", hermitian=True)),
         (1.0, HN)], "R_eff", hermitian=True)
     return {"R_eff": R_eff, "H_N": HN}
 
@@ -612,17 +598,3 @@ def test_one_pass_hamiltonians_match_combined_pieces(shell, cap,
         assert op.part is basis.sectors, key
         np.testing.assert_allclose(op.mat, want[key].mat, rtol=1e-13,
                                    atol=0.0, err_msg=key)
-
-
-def test_export_operator(fock_setup, tmp_path):
-    *_, basis = fock_setup
-    op = number_operator(basis)
-    path = tmp_path / "op.csv"
-    export_operator(op, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#") and f"dim={basis.dim}" in lines[0]
-    entries = lines[1:]
-    # one (row col re im) entry per nonzero matrix element
-    assert len(entries) == np.count_nonzero(op.mat)
-    r, c, re, im = entries[0].split()
-    assert op.mat[int(r), int(c)] == complex(float(re), float(im))

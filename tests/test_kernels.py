@@ -8,7 +8,7 @@ from scipy.special import j0, j1
 
 from gp2d.errors import ConfigError, SizeError
 from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
-                          chi_hat, eta_coefficients, eta_value,
+                          chi_hat, eta_coefficients, eta_profile,
                           export_kernels_csv, kernel_sup_product,
                           omega_lattice_sum, renormalized_potential,
                           scattering_residual, w_squared_integral)
@@ -69,14 +69,15 @@ def test_eta_zero_mode_quadrature_oracle(kernel_setup):
 
     want = oracle(0.0)
     assert table.eta0 == pytest.approx(want, rel=1e-8)
-    assert eta_value(sol, params, 0.0) == pytest.approx(want, rel=1e-8)
+    assert float(eta_profile(sol, params, 0.0)) == pytest.approx(want,
+                                                              rel=1e-8)
     # nonzero modes |p| = 2 pi, 2 pi sqrt(5) and 2 pi 8 (the lattice edge)
     for n1, n2 in ((1, 0), (2, 1), (8, 0)):
         p_norm = TWO_PI * math.hypot(n1, n2)
         want = oracle(p_norm)
         assert table.eta_at(n1, n2) == pytest.approx(want, rel=1e-8)
-        assert eta_value(sol, params, p_norm) == pytest.approx(want,
-                                                               rel=1e-8)
+        assert float(eta_profile(sol, params, p_norm)) == pytest.approx(
+            want, rel=1e-8)
 
 
 def test_eta_sign_and_decay(kernel_setup):
@@ -84,7 +85,7 @@ def test_eta_sign_and_decay(kernel_setup):
     # eta is negative at small momentum and decays at large momentum
     assert table.eta0 < 0
     lo = abs(table.eta_at(1, 0))
-    hi = abs(eta_value(sol, params, TWO_PI * 50))
+    hi = abs(float(eta_profile(sol, params, TWO_PI * 50)))
     assert hi < lo
 
 
@@ -102,20 +103,14 @@ def test_parseval_norm_saturates(step_pot):
     sol = neumann_ground_state(step_pot, params.R)
     lat = build_lattice(TWO_PI * 24)
     table = eta_coefficients(sol, params, lat)
-    assert table.norm2_lattice == pytest.approx(table.norm2, rel=2e-3)
-    assert table.norm2_lattice <= table.norm2 * (1 + 1e-12)
+    lattice_norm = np.linalg.norm(table.eta)
+    assert lattice_norm == pytest.approx(table.norm2, rel=2e-3)
+    assert lattice_norm <= table.norm2 * (1 + 1e-12)
 
 
 def test_norm_inf_dominated_by_norm2(kernel_setup):
     _, _, _, table, _ = kernel_setup
-    assert table.norm_inf <= table.norm2 * (1 + 1e-12)
-    assert table.norm_inf == np.max(np.abs(table.eta))
-
-
-def test_w_hat_relation(kernel_setup):
-    params, _, _, table, _ = kernel_setup
-    np.testing.assert_allclose(table.w_hat, -table.eta / params.N,
-                               rtol=0, atol=0)
+    assert np.max(np.abs(table.eta)) <= table.norm2 * (1 + 1e-12)
 
 
 def test_w_squared_integral_positive(kernel_setup):
@@ -123,7 +118,7 @@ def test_w_squared_integral_positive(kernel_setup):
     val = w_squared_integral(sol, params)
     assert val > 0
     # Parseval: N^2 * integral = eta0^2 + lattice tail >= eta0^2
-    assert params.N ** 2 * val >= eta_value(sol, params, 0.0) ** 2
+    assert params.N ** 2 * val >= float(eta_profile(sol, params, 0.0)) ** 2
 
 
 def test_kernel_sup_product_saturates(kernel_setup):

@@ -79,14 +79,6 @@ def test_bump_transform_against_adaptive_quadrature():
             want, rel=1e-9, abs=1e-12)
 
 
-def test_norm_lp():
-    pot = step(2.0, 1.0)
-    # L1 over the plane: 2*pi*integral V r dr = pi*V0*b^2
-    assert pot.norm_lp(1) == pytest.approx(2.0 * math.pi, rel=1e-12)
-    assert pot.norm_lp(2) == pytest.approx(
-        math.sqrt(4.0 * math.pi), rel=1e-12)
-
-
 def test_tabulated_roundtrip(tmp_path):
     r = np.linspace(0.0, 1.0, 50)
     v = np.clip(1.0 - r, 0.0, None)
