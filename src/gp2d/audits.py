@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, solve
 
-from .errors import ConsistencyError
+from .errors import ConfigError, ConsistencyError
 from .fock import (FockBasis, LinearOperator, build_operator, combine,
-                   common)
+                   common, largest_entry)
 from .kernels import GPParameters, RenormPotential, omega_lattice_sum
 
 PSD_SLACK = 1e-9
@@ -102,20 +102,17 @@ def _profile(vec: np.ndarray) -> list:
 
 def commutator_residual(basis: FockBasis) -> float:
     """Largest entry of [b_p, b*_q] - delta_pq (1 - Nplus/N) + a*_q a_p / N
-    and of [b_p, b_q] over all mode pairs, N = basis.cap: each one
-    ``build_operator`` call, the assembly path of every Hamiltonian."""
+    and of [b_p, b_q] over all mode pairs, N = basis.cap, each one
+    ``largest_entry`` sum over its nonzero entries."""
     N, n, worst = basis.cap, basis.totals(), 0.0
     for p, q in product(range(basis.n_modes), repeat=2):
-        mixed = build_operator(
-            basis, [(1.0, [("b", p), ("bd", q)]),
-                    (-1.0, [("bd", q), ("b", p)]),
-                    (1.0 / N, [("ad", q), ("a", p)])], "[b_p,b*_q]",
-            diagonal=n / N - 1.0 if p == q else None)
-        same = build_operator(basis, [(1.0, [("b", p), ("b", q)]),
-                                      (-1.0, [("b", q), ("b", p)])],
-                              "[b_p,b_q]")
-        worst = max(worst, *(float(np.max(np.abs(b)))
-                             for b in mixed.blocks + same.blocks))
+        mixed = largest_entry(basis, [(1.0, [("b", p), ("bd", q)]),
+                                      (-1.0, [("bd", q), ("b", p)]),
+                                      (1.0 / N, [("ad", q), ("a", p)])],
+                              n / N - 1.0 if p == q else None)
+        same = largest_entry(basis, [(1.0, [("b", p), ("b", q)]),
+                                     (-1.0, [("b", q), ("b", p)])])
+        worst = max(worst, mixed, same)
     return worst
 
 
@@ -220,6 +217,9 @@ def square_completion_check(renorm: RenormPotential, params: GPParameters,
     S = (1/4) sum |omega(p)|^2/p^2 against 2 pi alpha log N.
     """
     mu = c / math.log(params.N)
+    if mu >= 1:
+        raise ConfigError(f"c / log N = {mu:.4g} must be below 1 for the "
+                          f"square completion")
     p2 = renorm.lattice.norms2
     lhs = np.abs(renorm.omega) ** 2 / (4.0 * (1.0 - mu) * p2)
     worst = float(np.max(lhs - 0.5 * renorm.omega0))

@@ -117,10 +117,10 @@ def cmd_lower_bound(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     n = min(4, cfg.fock_n_max)
     params = pipe.params(n, cfg.fock_alpha)
     renorm = pipe.renorm(n, cfg.fock_alpha)
+    scal = square_completion_check(renorm, params, c=cfg.c_lower)
     basis, ops = pipe.hamiltonians(n, cfg.fock_alpha)
     rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis, renorm,
                                    params, c=cfg.c_lower)
-    scal = square_completion_check(renorm, params, c=cfg.c_lower)
     ok = rep.passed and scal["scalar_pass"]
     print(f"lower-bound N={n} C={rep.constant:.4g} "
           f"min-eig={rep.min_eigenvalue:.3e} "

@@ -38,6 +38,9 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.alpha <= 0 or self.fock_alpha <= 0:
             raise ConfigError("alpha must be positive")
         if self.n_value < 2 or self.n_min < 2:
@@ -49,6 +52,8 @@ class RunConfig:
                               "sweep starts at N = 3")
         if self.cutoff < TWO_PI:
             raise ConfigError("cutoff must be at least 2*pi")
+        if self.c_lower < 0:
+            raise ConfigError("c_lower must be non-negative")
         if self.shell not in (4, 8, 12):
             raise ConfigError("shell must be one of 4, 8, 12")
         if self.potential not in ("step", "gaussian-bump", "free") \
@@ -109,8 +114,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    return parse_config(text)
 
 
 # Execution-only knobs: they change where results are written, never the

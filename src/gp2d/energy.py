@@ -37,16 +37,15 @@ class Pipeline:
     zero-energy solution (scattering length a) -> Neumann profile on the
     disk of radius R = e^N ell -> eta table and omega_hat, all on the
     run's single momentum lattice.  The last three are kept per
-    (N, alpha).  Every command of a run reads from one Pipeline.
+    (N, alpha).  Every command of a run reads from one Pipeline.  The
+    potential is read when the Pipeline is made, so that a bad table
+    fails before any command runs.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self.pot: RadialPotential = cfg.make_potential()
         self._memo = {}
-
-    @cached_property
-    def pot(self) -> RadialPotential:
-        return self.cfg.make_potential()
 
     @cached_property
     def zero(self) -> ZeroEnergySolution:

@@ -31,6 +31,10 @@ class RadialPotential:
     def __post_init__(self):
         if self.kind not in ("step", "gaussian-bump", "user-tabulated"):
             raise ConfigError(f"unknown potential kind {self.kind!r}")
+        numbers = [self.v0, self.r0] + [
+            t for t in (self.table_r, self.table_v) if t is not None]
+        if not all(np.all(np.isfinite(x)) for x in numbers):
+            raise ConfigError("potential values must be finite")
         if self.v0 < 0:
             raise ConfigError("potential strength must be non-negative")
         if self.r0 <= 0:
@@ -86,11 +90,15 @@ def tabulated(r: np.ndarray, v: np.ndarray) -> RadialPotential:
 
 def load_table(path) -> RadialPotential:
     """Read a two-column (r, V) text table with the v1 header line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != TABLE_HEADER:
-            raise ConfigError(f"{path}: missing header {TABLE_HEADER!r}")
-        data = np.loadtxt(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline().strip()
+            if first != TABLE_HEADER:
+                raise ConfigError(f"{path}: missing header {TABLE_HEADER!r}")
+            data = np.loadtxt(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read potential table {path}: {exc}") \
+            from None
     if data.ndim != 2 or data.shape[1] != 2:
         raise ConfigError(f"{path}: expected two columns")
     return tabulated(data[:, 0], data[:, 1])

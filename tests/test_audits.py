@@ -330,6 +330,13 @@ def test_condensation_lower_bound_certifies(audit_setup):
     assert math.isfinite(rep.constant)
 
 
+def test_square_completion_refuses_mu_at_least_one(audit_setup):
+    # mu = c / log N >= 1 flips the sign of 1 - mu in the margin
+    params, renorm, _, _ = audit_setup
+    with pytest.raises(ConfigError, match="must be below 1"):
+        square_completion_check(renorm, params, c=math.log(params.N))
+
+
 def test_square_completion_scalars(audit_setup):
     params, renorm, _, _ = audit_setup
     out = square_completion_check(renorm, params)

@@ -309,6 +309,53 @@ def test_fock_sweep_below_three_particles_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _exits_2_with_one_line(args, capsys, message):
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert err.count("\n") == 1
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    _exits_2_with_one_line(["scatter", "--config", tmp_path / "none.cfg",
+                            "--out", tmp_path / "o"], capsys,
+                           "cannot read config")
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text("v0 = nan\n")
+    _exits_2_with_one_line(["all", "--config", path, "--out", tmp_path / "o"],
+                           capsys, "v0 must be finite")
+
+
+@pytest.mark.parametrize("table,message", [
+    (None, "cannot read potential table"),
+    ("0.0 1.0\n0.5 abc\n1.0 0.0\n", "cannot read potential table"),
+    ("0.0 1.0\n0.5 nan\n1.0 0.0\n", "potential values must be finite"),
+], ids=["missing", "malformed", "nan"])
+def test_bad_potential_table_exits_2(tmp_path, capsys, table, message):
+    pot = tmp_path / "pot.tab"
+    if table is not None:
+        pot.write_text("# radial-potential v1\n" + table)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"potential = table:{pot}\n")
+    _exits_2_with_one_line(["scatter", "--config", path,
+                            "--out", tmp_path / "o"], capsys, message)
+
+
+def test_lower_bound_refuses_c_lower_beyond_log_n(tmp_path, capsys):
+    # c_lower = 2 > log 4 flips the sign of 1 - c/log N: the scalar check
+    # would pass vacuously, so the command reports an error instead
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST + "c_lower = 2.0\n")
+    assert run(["lower-bound", "--config", path,
+                "--out", tmp_path / "o"]) == 1
+    captured = capsys.readouterr()
+    assert "[ok]" not in captured.out
+    assert captured.err.startswith("lower-bound: error: c / log N")
+
+
 def test_default_config_is_runnable(tmp_path):
     # no config file: package defaults drive the scatter stage
     assert run(["scatter", "--out", tmp_path / "o"]) == 0

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from gp2d.config import (RunConfig, canonical_text, fingerprint, load_config,
                          parse_config)
 from gp2d.errors import ConfigError
-from gp2d.potentials import save_table, tabulated
+from gp2d.potentials import save_table, step, tabulated
 
 
 def test_defaults_are_valid():
@@ -51,10 +53,30 @@ def test_bad_value_rejected():
     ("shell = 5\n", "shell must be one of"),
     ("fock_n_max = 2\n", "Fock sweep starts at N = 3"),
     ("potential = mystery\n", "unknown potential"),
+    ("c_lower = -5\n", "c_lower must be non-negative"),
 ])
 def test_validation_messages(text, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config(text)
+
+
+FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(key, value):
+    # float() parses all three; a nan would slip past every comparison
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(f"{key} = {value}\n")
+
+
+def test_non_finite_potential_rejected():
+    with pytest.raises(ConfigError, match="must be finite"):
+        step(float("nan"), 1.0)
+    r = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ConfigError, match="must be finite"):
+        tabulated(r, np.array([1.0, np.nan, 0.5, 0.2, 0.0]))
 
 
 def test_canonical_roundtrip():

@@ -13,9 +13,9 @@ from gp2d.fock import (LinearOperator, build_basis, build_operator,
                        build_sector, combine, conjugate, diagonal_in_total,
                        effective_hamiltonians, generators,
                        hamiltonian_pieces, hermiticity_residual,
-                       kinetic_operator, ladder, number_operator,
-                       partition_by, shell_modes, unitary_excitation_map,
-                       whole_partition)
+                       kinetic_operator, ladder, largest_entry,
+                       number_operator, partition_by, shell_modes,
+                       unitary_excitation_map, whole_partition)
 from gp2d.kernels import (GPParameters, eta_coefficients,
                           renormalized_potential)
 from gp2d.lattice import TWO_PI, build_lattice
@@ -94,19 +94,66 @@ ORACLE_BASES = {(4, 3): build_basis(shell_modes(4), 3),
                 (8, 2): build_basis(shell_modes(8), 2)}
 
 
-@given(shape=st.sampled_from(sorted(ORACLE_BASES)),
-       coef=st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3),
-       ops=st.lists(st.tuples(st.sampled_from(["a", "ad", "b", "bd"]),
-                              st.integers(0, 7)), min_size=1, max_size=4))
+_ADJOINT = {"a": "ad", "ad": "a", "b": "bd", "bd": "b"}
+PRODUCTS = st.lists(st.tuples(st.sampled_from(sorted(_ADJOINT)),
+                              st.integers(0, 7)), min_size=1, max_size=4)
+COEFS = st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3)
+
+
+def _moved_momentum(basis, ops):
+    """The total momentum a product adds to a state: +p per creator,
+    -p per annihilator."""
+    return tuple(sum((1 if kind in ("ad", "bd") else -1) * basis.modes[i][c]
+                     for kind, i in ops) for c in (0, 1))
+
+
+@given(shape=st.sampled_from(sorted(ORACLE_BASES)), coef=COEFS,
+       ops=PRODUCTS, balanced=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_build_operator_matches_per_state_reference(shape, coef, ops):
+def test_build_operator_matches_per_state_reference(shape, coef, ops,
+                                                    balanced):
     basis = ORACLE_BASES[shape]
     ops = [(kind, i % basis.n_modes) for kind, i in ops]
+    if balanced:
+        # X X^* conserves momentum whatever X is
+        ops += [(_ADJOINT[kind], i) for kind, i in reversed(ops)]
+    if _moved_momentum(basis, ops) != (0, 0):
+        with pytest.raises(ConfigError, match="does not conserve momentum"):
+            build_operator(basis, [(coef, ops)], "oracle")
+        return
     got = build_operator(basis, [(coef, ops)], "oracle").mat
     want = _reference_operator(basis, [(coef, ops)])
     assert got.dtype == np.float64
     # entry for entry, zeros included: elements dropped at the cap stay 0
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@given(shape=st.sampled_from(sorted(ORACLE_BASES)),
+       terms=st.lists(st.tuples(COEFS, PRODUCTS), min_size=1, max_size=4),
+       diag_scale=st.one_of(st.none(), st.floats(-5.0, 5.0)))
+@settings(max_examples=150, deadline=None)
+def test_largest_entry_matches_dense_reference(shape, terms, diag_scale):
+    # products in any momentum, the ones of the commutator identities
+    basis = ORACLE_BASES[shape]
+    terms = [(coef, [(kind, i % basis.n_modes) for kind, i in ops])
+             for coef, ops in terms]
+    want = _reference_operator(basis, terms)
+    diagonal = None
+    if diag_scale is not None:
+        diagonal = diag_scale * np.cos(np.arange(basis.dim))
+        want += np.diag(diagonal)
+    # terms can cancel to a rounding residue of their own size, at most
+    # |coef| cap^2 each (one factor is at most sqrt(cap))
+    atol = 1e-14 * (sum(abs(c) for c, _ in terms) * basis.cap ** 2
+                    + abs(diag_scale or 0.0))
+    # the shared walk puts every entry where the reference does ...
+    walked = np.zeros((basis.dim, basis.dim))
+    for rows, cols, vals in fock._products(basis, terms, diagonal):
+        np.add.at(walked, (rows, cols), vals)
+    np.testing.assert_allclose(walked, want, rtol=1e-14, atol=atol)
+    # ... and the keyed sum finds the largest of them
+    assert largest_entry(basis, terms, diagonal) == pytest.approx(
+        np.abs(want).max(), rel=1e-14, abs=atol)
 
 
 class Weights:
@@ -187,19 +234,16 @@ def test_sectors_split_by_total_momentum():
         {tuple(p) for p in momentum}) == 81
 
 
-def test_non_conserving_string_is_one_block():
+def test_non_conserving_product_is_refused():
     basis = ORACLE_BASES[(8, 2)]
     kept = build_operator(basis, [(1.0, [("ad", 0), ("a", 0)])], "n_0")
     assert kept.part is basis.sectors
-    moved = build_operator(basis, [(1.0, [("ad", 0), ("a", 1)])], "hop")
-    assert moved.part is whole_partition(basis.dim)
-    np.testing.assert_array_equal(
-        moved.mat, _reference_operator(basis, [(1.0, [("ad", 0),
-                                                      ("a", 1)])]))
-    # a sum with one non-conserving string is stored whole as well
-    mixed = build_operator(basis, [(1.0, [("ad", 0), ("a", 0)]),
-                                   (0.5, [("bd", 2)])], "mixed")
-    assert mixed.part is whole_partition(basis.dim)
+    with pytest.raises(ConfigError, match="hop: .* conserve momentum"):
+        build_operator(basis, [(1.0, [("ad", 0), ("a", 1)])], "hop")
+    # one non-conserving product refuses the whole sum
+    with pytest.raises(ConfigError, match="mixed: .* conserve momentum"):
+        build_operator(basis, [(1.0, [("ad", 0), ("a", 0)]),
+                               (0.5, [("bd", 2)])], "mixed")
 
 
 def test_mixed_partitions_meet_on_one_block(fock_setup):
