@@ -18,8 +18,8 @@ from .kernels import (GPParameters, eta_coefficients,
                       renormalized_potential, scattering_residual,
                       omega_lattice_sum, chi_hat)
 from .fock import (build_basis, shell_modes, ladder, hamiltonian_pieces,
-                   generators, conjugate, effective_hamiltonians,
-                   unitary_excitation_map)
+                   generators, conjugate, effective_hamiltonians)
+from .sector import unitary_excitation_map
 from .audits import (min_constant, localization_check,
                      condensation_lower_bound)
 from .energy import vacuum_upper_bound, ground_state, sweep

@@ -17,11 +17,11 @@ from .audits import (commutator_residual, condensation_lower_bound,
 from .config import RunConfig, fingerprint, load_config
 from .energy import Pipeline, sweep, vacuum_slope_fit, depletion_products
 from .errors import Gp2dError
-from .fock import (generators, r_effective_hamiltonian, shell_modes,
-                   unitary_excitation_map)
+from .fock import generators, r_effective_hamiltonian, shell_modes
 from .kernels import export_kernels_csv, scattering_residual
 from .potentials import fourier_transform_radial
 from .scattering import export_solution_csv, validate_neumann_asymptotics
+from .sector import unitary_excitation_map
 
 COMMANDS = ("scatter", "neumann", "kernels", "fock-audit", "lower-bound",
             "energy-sweep", "all")

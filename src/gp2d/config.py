@@ -43,6 +43,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if self.alpha <= 0 or self.fock_alpha <= 0:
             raise ConfigError("alpha must be positive")
+        if self.ell_scale <= 0:
+            raise ConfigError("ell_scale must be positive")
         if self.n_value < 2 or self.n_min < 2:
             raise ConfigError("N must be at least 2")
         if self.n_max < self.n_min or self.n_step < 1:

@@ -1,13 +1,15 @@
 """Truncated excitation Fock space and its operator algebra at desk scale.
 
 Operators act on the occupation-number states with total occupation at
-most the particle cap N.  Each basis builds its ladder matrices once from
-the lowering matrices a_i: a*_i is the transpose of a_i, and b*_i that of
-b_i = diag(sqrt((N - number)/N)) a_i, the factor that makes the modified
-operators endomorphisms of the truncated space.  The transpose drops any
-element of a* that would push the total above N (the one deliberate
-deviation from the untruncated algebra).  An operator is a sum of
-coefficients times ladder products.
+most the particle cap N.  Each basis builds one table of its ladder
+matrices (``FockBasis.ladder_table``) from the lowering matrices a_i:
+a*_i is the transpose of a_i, and b*_i that of b_i = diag(sqrt((N -
+number)/N)) a_i, the factor that makes the modified operators
+endomorphisms of the truncated space.  The transpose drops any element
+of a* that would push the total above N (the one deliberate deviation
+from the untruncated algebra).  An operator is a sum of coefficients
+times ladder products, which are walked through the table in batches of
+consecutive products of equal length.
 
 Every operator of the excitation-space argument conserves the total
 momentum P = sum p n_p, so it is stored as dense blocks over the momentum
@@ -150,15 +152,21 @@ def whole_partition(dim: int) -> Partition:
 
 
 def partition_by(labels) -> Partition:
-    """The partition of range(len(labels)) into blocks of equal label."""
+    """The partition of range(len(labels)) into blocks of equal label,
+    in label order inside each size class of blocks, classes by size."""
     labels = np.asarray(labels)
     order = np.argsort(labels, kind="stable")
     _, first, sizes = np.unique(labels[order], return_index=True,
                                 return_counts=True)
-    blocks = np.split(order, first[1:])
+    by_size = np.argsort(sizes, kind="stable")
+    _, cut = np.unique(sizes[by_size], return_index=True)
     return Partition(len(labels), tuple(
-        np.stack([b for b in blocks if len(b) == s])
-        for s in sorted(set(sizes.tolist()))))
+        order[first[group][:, None] + np.arange(sizes[group[0]])]
+        for group in np.split(by_size, cut)[1:]))
+
+
+# row block of each ladder kind in ``FockBasis.ladder_table``
+_KIND = {"a": 0, "ad": 1, "b": 2, "bd": 3}
 
 
 @dataclass(frozen=True)
@@ -204,31 +212,40 @@ class FockBasis(_StateLookup):
         return partition_by((P[:, 0] - low[0]) * span + (P[:, 1] - low[1]))
 
     @cached_property
-    def ladders(self) -> dict:
-        """Sparse ladder matrices, kind ('a', 'ad', 'b', 'bd') -> one
-        (dest, amp) pair per mode.  Each has at most one nonzero per
-        column: column c holds amp[c] in row dest[c], and is empty when
-        dest[c] < 0.  All four kinds derive from the lowering matrix a_i."""
-        damp = np.sqrt((self.cap - self.totals()) / self.cap)
+    def ladder_table(self) -> tuple:
+        """Every ladder matrix as one row of the (4 m + 1, dim) tables
+        dest and amp, (kind, mode i) in row _KIND[kind] * m + i and the
+        identity, the empty product, last: column c of a row's matrix
+        holds amp[row, c] in row dest[row, c], and is empty when
+        dest[row, c] < 0.  Also each row's nonzero columns, in order.
+
+        All four kinds derive from the lowering matrices a_i, built for
+        all modes at once; a*_i and b*_i are the transposes of a_i and
+        b_i = diag(sqrt((N - number)/N)) a_i.  A creator's nonzero
+        columns are the states below the cap, the first ones in order.
+        """
+        m, dim = self.n_modes, self.dim
+        mode, col = np.nonzero(self.states.T)
         weights, keys = self._keys[:2]
-        out = {"a": [], "ad": [], "b": [], "bd": []}
-        for i in range(self.n_modes):
-            cols = np.flatnonzero(self.states[:, i])
-            # lowering n_i lowers the key by the weight of digit i
-            rows = self.find(keys[cols] - weights[i])
-            occ = np.sqrt(self.states[cols, i])
-            # b_i = diag(damp) a_i; a*_i and b*_i are the transposes
-            for kind, amp in (("a", occ), ("b", damp[rows] * occ)):
-                out[kind].append(_column_map(self.dim, rows, cols, amp))
-                out[kind + "d"].append(_column_map(self.dim, cols, rows, amp))
-        return out
-
-
-def _column_map(dim: int, rows, cols, amp) -> tuple:
-    """(dest, amp) form of a matrix with amp at (rows, cols)."""
-    dest, vals = np.full(dim, -1), np.zeros(dim)
-    dest[cols], vals[cols] = rows, amp
-    return dest, vals
+        # lowering n_i lowers the key by the weight of digit i
+        low = self.find(keys[col] - weights[mode])
+        occ = np.sqrt(self.states[col, mode])
+        damp = np.sqrt((self.cap - self.totals()) / self.cap)
+        dest = np.full((4 * m + 1, dim), -1, dtype=np.int32)
+        amp = np.zeros(dest.shape)
+        dest[-1], amp[-1] = np.arange(dim), 1.0
+        flat_dest, flat_amp = dest.reshape(-1), amp.reshape(-1)
+        for kind, vals in (("a", occ), ("b", damp[low] * occ)):
+            at = (_KIND[kind] * m + mode) * dim + col
+            flat_dest[at], flat_amp[at] = low, vals
+            # the adjoint, m rows further down, has the transposed entries
+            at += m * dim + low - col
+            flat_dest[at], flat_amp[at] = col, vals
+        lowering = np.split(col.astype(np.int32),
+                            np.cumsum(np.bincount(mode))[:-1])
+        below = dest[-1, :np.count_nonzero(self.totals() < self.cap)]
+        nonzero = (lowering + [below] * m) * 2 + [dest[-1]]
+        return dest, amp, nonzero
 
 
 def build_basis(modes, cap: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
@@ -359,15 +376,12 @@ def combine(terms, tag: str, hermitian: bool = False,
     return LinearOperator.from_blocks(part, blocks, tag, hermitian)
 
 
-def _ladder_matrix(basis: FockBasis, kind: str, i: int):
-    try:
-        return basis.ladders[kind][i]
-    except KeyError:
-        raise ConfigError(f"unknown ladder kind {kind!r}") from None
-
-
 # momentum a ladder adds to a state: +p for a creator, -p for an annihilator
 _CHARGE = {"a": -1, "b": -1, "ad": 1, "bd": 1}
+
+# entries a batch of the ladder walk starts from, at most (a product with
+# more is walked alone)
+_BATCH_ENTRIES = 4096
 
 
 def _conserves_momentum(basis: FockBasis, ops) -> bool:
@@ -380,21 +394,56 @@ def _conserves_momentum(basis: FockBasis, ops) -> bool:
     return px == py == 0
 
 
-def _products(basis: FockBasis, terms, diagonal=None):
-    """(rows, cols, coef * amp) of each product's nonzero entries, then the
-    diagonal's.  Every factor has at most one nonzero per column, so the
-    product follows each column's single path, rightmost factor first."""
-    start = np.arange(basis.dim)
+def _batches(basis: FockBasis, terms):
+    """The products in runs of consecutive products of equal length, cut
+    where the entries they start from would pass _BATCH_ENTRIES: lists
+    of (coef, ``ladder_table`` rows of the factors).  The empty product
+    is the identity, the table's last row."""
+    m, nonzero = basis.n_modes, basis.ladder_table[2]
+    row_of = {(kind, i): k * m + i for kind, k in _KIND.items()
+              for i in range(m)}
+    run, size = [], 0
     for coef, ops in terms:
-        cols, rows, amp = start, start, np.ones(basis.dim)
-        for kind, i in reversed(ops):
-            dest, vals = _ladder_matrix(basis, kind, i)
-            keep = dest[rows] >= 0
-            cols, rows, amp = cols[keep], rows[keep], amp[keep]
-            amp *= vals[rows]
-            rows = dest[rows]
-        yield rows, cols, coef * amp
+        try:
+            rows = [row_of[kind, i] for kind, i in ops] or [4 * m]
+        except KeyError as exc:
+            raise ConfigError(f"unknown ladder {exc.args[0]}") from None
+        n = len(nonzero[rows[-1]])
+        if run and (len(rows) != len(run[0][1])
+                    or size + n > _BATCH_ENTRIES):
+            yield run
+            run, size = [], 0
+        run.append((coef, rows))
+        size += n
+    if run:
+        yield run
+
+
+def _products(basis: FockBasis, terms, diagonal=None):
+    """(rows, cols, coef * amp) of the products' nonzero entries, one
+    triple per batch (``_batches``) in product order, each product in
+    column order, then the diagonal's.  Every factor has at most one
+    nonzero per column, so a product follows each column's single path,
+    rightmost factor first, from the nonzero columns of that factor."""
+    dest, amp_of, nonzero = basis.ladder_table
+    dest, amp_of = dest.ravel(), amp_of.ravel()
+    for run in _batches(basis, terms):
+        coefs, rows = zip(*run)
+        start = [nonzero[r[-1]] for r in rows]
+        term = np.repeat(np.arange(len(run)), [len(c) for c in start])
+        offsets = np.array(rows) * basis.dim
+        cols = to = np.concatenate(start)
+        amp = 1.0
+        for k in reversed(range(offsets.shape[1])):
+            at = offsets[:, k][term] + to
+            to, amp = dest[at], amp * amp_of[at]
+            keep = to >= 0
+            if not keep.all():
+                term, cols, to, amp = (term[keep], cols[keep], to[keep],
+                                       amp[keep])
+        yield to, cols, np.array(coefs)[term] * amp
     if diagonal is not None:
+        start = np.arange(basis.dim)
         yield start, start, diagonal
 
 
@@ -407,6 +456,7 @@ def build_operator(basis: FockBasis, terms, tag: str,
     A product is a list of (kind, mode index) pairs, leftmost written
     first; kinds are 'a', 'ad', 'b' and 'bd'.  Every product conserves
     total momentum, and the operator is stored in the momentum sectors.
+    Entries are added in product order (``np.add.at`` adds in order).
     """
     terms = [(coef, ops) for coef, ops in terms if coef != 0.0]
     if not all(_conserves_momentum(basis, ops) for _, ops in terms):
@@ -415,7 +465,7 @@ def build_operator(basis: FockBasis, terms, tag: str,
     first, pos, size, total = part.slots
     flat = np.zeros(total)
     for rows, cols, vals in _products(basis, terms, diagonal):
-        flat[first[cols] + pos[rows] * size[cols]] += vals
+        np.add.at(flat, first[cols] + pos[rows] * size[cols], vals)
     return LinearOperator.from_blocks(part, part.split(flat), tag, hermitian)
 
 
@@ -429,10 +479,10 @@ def largest_entry(basis: FockBasis, terms, diagonal=None) -> float:
 
 
 def ladder(basis: FockBasis, mode, kind: str) -> LinearOperator:
-    dest, vals = _ladder_matrix(basis, kind, basis.mode_index(mode))
-    cols = np.flatnonzero(dest >= 0)
     mat = np.zeros((basis.dim, basis.dim))
-    mat[dest[cols], cols] = vals[cols]
+    for rows, cols, vals in _products(
+            basis, [(1.0, [(kind, basis.mode_index(mode))])]):
+        mat[rows, cols] = vals
     return LinearOperator(mat, f"{kind}_{mode}")
 
 
@@ -471,36 +521,39 @@ def _vhat(pot: RadialPotential, params: GPParameters, vecs) -> np.ndarray:
     return fourier_transform_radial(pot, k)[inv]
 
 
-def _potential_terms(basis: FockBasis, pot: RadialPotential,
-                     params: GPParameters) -> list:
-    """The ladder products of V_N (see ``potential_operator``), merged.
+@lru_cache(maxsize=None)
+def _potential_products(modes: tuple) -> tuple:
+    """V_N's product structure on a mode set: the shift r of each (p, q, r)
+    term, the merged products in the order first met and the index of
+    each term's product among them.
 
     Creators commute with creators and annihilators with annihilators,
     also at the cap, where both orders drop at the same total.  So the
     products with one sorted creator pair and one sorted annihilator pair
     are one product, whose coefficient is their sum.
     """
-    modes = basis.modes
-    mode_set = {m: i for i, m in enumerate(modes)}
-    shifts, products = [], []
-    for ip, p in enumerate(modes):
-        for iq, q in enumerate(modes):
-            for ipr, pr in enumerate(modes):       # pr = p + r
-                r = (pr[0] - p[0], pr[1] - p[1])
-                qr = (q[0] + r[0], q[1] + r[1])    # q + r
-                if qr == (0, 0):
-                    continue
-                iqr = mode_set.get(qr)
-                if iqr is None:
-                    continue
-                shifts.append(r)
-                products.append((min(ipr, iq), max(ipr, iq),
-                                 min(iqr, ip), max(iqr, ip)))
-    merged = {}
-    for v, key in zip(_vhat(pot, params, shifts), products):
-        merged[key] = merged.get(key, 0.0) + 0.5 * v
+    index = {m: i for i, m in enumerate(modes)}
+    shifts, merged, term = [], {}, []
+    for (ip, p), (iq, q), (ipr, pr) in product(enumerate(modes), repeat=3):
+        r = (pr[0] - p[0], pr[1] - p[1])            # pr = p + r
+        # q + r, never the zero mode, which no mode set holds
+        iqr = index.get((q[0] + r[0], q[1] + r[1]))
+        if iqr is not None:
+            shifts.append(r)
+            key = (min(ipr, iq), max(ipr, iq), min(iqr, ip), max(iqr, ip))
+            term.append(merged.setdefault(key, len(merged)))
+    return np.array(shifts), tuple(merged), np.array(term)
+
+
+def _potential_terms(basis: FockBasis, pot: RadialPotential,
+                     params: GPParameters) -> list:
+    """The merged ladder products of V_N (see ``potential_operator``);
+    ``np.bincount`` adds each product's coefficients in term order."""
+    shifts, products, term = _potential_products(basis.modes)
+    coefs = np.bincount(term, weights=0.5 * _vhat(pot, params, shifts),
+                        minlength=len(products))
     return [(coef, [("ad", i), ("ad", j), ("a", k), ("a", l)])
-            for (i, j, k, l), coef in merged.items()]
+            for coef, (i, j, k, l) in zip(coefs, products)]
 
 
 def potential_operator(basis: FockBasis, pot: RadialPotential,
@@ -670,80 +723,3 @@ def r_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
     that energy-sweep and fock-audit read."""
     return _r_eff(basis, renorm, params, _potential_terms(basis, pot, params),
                   _kinetic(basis))
-
-
-# ---------------------------------------------------------------------------
-# full N-particle sector and the occupation bijection onto the truncated
-# excitation space
-
-
-@dataclass(frozen=True)
-class SectorBasis(_StateLookup):
-    """Symmetric N-particle occupation basis over modes plus the zero mode."""
-
-    modes: tuple          # excitation modes only; slot 0 is the zero mode
-    N: int
-    states: np.ndarray = field(repr=False)   # columns: (n0, n_modes...)
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-
-def build_sector(modes, N: int, dim_cap: int = 4000) -> SectorBasis:
-    modes = tuple(tuple(m) for m in modes)
-    dim = math.comb(N + len(modes), len(modes))
-    if dim > dim_cap:
-        raise SizeError(f"sector dimension {dim} exceeds cap")
-    exc = _occupations(N, len(modes))
-    n0 = N - exc.sum(axis=1, keepdims=True)
-    return SectorBasis(modes, N, np.hstack((n0, exc)))
-
-
-def sector_hop(sec: SectorBasis, i: int, j: int) -> np.ndarray:
-    """Matrix of a*_i a_j on the fixed-N sector (slot 0 is the zero mode)."""
-    cols = np.flatnonzero(sec.states[:, j])
-    occ = sec.states[cols]
-    coef = np.sqrt(occ[:, j].astype(float))
-    occ[:, j] -= 1
-    coef *= np.sqrt(occ[:, i] + 1.0)
-    occ[:, i] += 1
-    mat = np.zeros((sec.dim, sec.dim))
-    mat[sec.position(occ), cols] = coef
-    return mat
-
-
-def unitary_excitation_map(modes, N: int) -> dict:
-    """Build the occupation bijection U_N explicitly and audit its rules.
-
-    U_N sends the sector state |n0, vec n> to the excitation state |vec n>
-    (n0 = N - total is redundant).  Returns the residuals of the four
-    conjugation rules and of unitarity.
-    """
-    if N > 3 or len(modes) > 4:
-        raise SizeError("the explicit map is audited at N <= 3 with at "
-                        "most 4 modes")
-    sec = build_sector(modes, N)
-    basis = build_basis(modes, N)
-    if sec.dim != basis.dim:
-        raise ConsistencyError("sector and excitation bases disagree")
-    U = np.zeros((basis.dim, sec.dim))
-    U[basis.position(sec.states[:, 1:]), np.arange(sec.dim)] = 1.0
-
-    def rule(i, j, want):
-        # U (a*_i a_j on the sector) U^*, slot 0 the zero mode, against want
-        return float(np.max(np.abs(U @ sector_hop(sec, i, j) @ U.T - want)))
-
-    eye, idx = np.eye(basis.dim), range(basis.n_modes)
-    a = [ladder(basis, m, "a").mat for m in basis.modes]
-    sqrt_fac = np.diag(np.sqrt(np.maximum(N - basis.totals(), 0)))
-    report = {
-        "unitary": float(np.max(np.abs(U @ U.T - eye))),
-        "rule_n0": rule(0, 0, N * eye - number_operator(basis).mat),
-        "rule_create": max(rule(i + 1, 0, a[i].T @ sqrt_fac) for i in idx),
-        "rule_annihilate": max(rule(0, i + 1, sqrt_fac @ a[i]) for i in idx),
-        "rule_hop": max(rule(i + 1, j + 1, a[i].T @ a[j])
-                        for i, j in product(idx, repeat=2)),
-    }
-    report["pass"] = all(v <= 1e-12 for v in report.values())
-    return report

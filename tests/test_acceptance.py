@@ -18,7 +18,7 @@ from gp2d.energy import (depletion_products, ground_state, sweep,
                          vacuum_slope_fit)
 from gp2d.fock import (LinearOperator, build_basis, conjugate,
                        effective_hamiltonians, generators, ladder,
-                       number_operator, shell_modes, unitary_excitation_map)
+                       number_operator, shell_modes)
 from gp2d.kernels import (GPParameters, eta_coefficients, kernel_sup_product,
                           omega_lattice_sum, renormalized_potential,
                           scattering_residual)
@@ -26,6 +26,7 @@ from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.potentials import step
 from gp2d.scattering import (neumann_ground_state, scattering_length,
                              validate_neumann_asymptotics)
+from gp2d.sector import unitary_excitation_map
 
 
 def report(number, ok, detail):

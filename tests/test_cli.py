@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gp2d
-from gp2d import energy, scattering
+from gp2d import energy, fock, scattering
 from gp2d.audits import (commutator_residual, localization_check,
                          localization_identity)
 from gp2d.cli import main, write_manifest
@@ -215,8 +215,9 @@ def test_fock_audit_commutators_match_dense(shell):
     basis = build_basis(shell_modes(shell), 3)
     assert commutator_residual(basis) <= 1e-14
     assert dense_commutator_residual(basis) <= 1e-14
-    dest, amp = basis.ladders["b"][1]
-    amp[np.flatnonzero(dest >= 0)[0]] *= 1 + 1e-6
+    dest, amp = basis.ladder_table[:2]
+    row = fock._KIND["b"] * basis.n_modes + 1     # b_1
+    amp[row, np.flatnonzero(dest[row] >= 0)[0]] *= 1 + 1e-6
     assert commutator_residual(basis) > 1e-10
     assert dense_commutator_residual(basis) > 1e-10
     # fock-audit's localization residual is the one localization_check
@@ -327,6 +328,14 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     path.write_text("v0 = nan\n")
     _exits_2_with_one_line(["all", "--config", path, "--out", tmp_path / "o"],
                            capsys, "v0 must be finite")
+
+
+def test_non_positive_ell_scale_exits_2(tmp_path, capsys):
+    # rejected with the config, before any command runs
+    path = tmp_path / "ell.cfg"
+    path.write_text("ell_scale = -1\n")
+    _exits_2_with_one_line(["all", "--config", path, "--out", tmp_path / "o"],
+                           capsys, "ell_scale must be positive")
 
 
 @pytest.mark.parametrize("table,message", [

@@ -54,6 +54,8 @@ def test_bad_value_rejected():
     ("fock_n_max = 2\n", "Fock sweep starts at N = 3"),
     ("potential = mystery\n", "unknown potential"),
     ("c_lower = -5\n", "c_lower must be non-negative"),
+    ("ell_scale = -1\n", "ell_scale must be positive"),
+    ("ell_scale = 0\n", "ell_scale must be positive"),
 ])
 def test_validation_messages(text, msg):
     with pytest.raises(ConfigError, match=msg):

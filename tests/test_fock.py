@@ -10,17 +10,18 @@ from scipy.linalg import expm
 from gp2d import fock
 from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
-                       build_sector, combine, conjugate, diagonal_in_total,
+                       combine, conjugate, diagonal_in_total,
                        effective_hamiltonians, generators,
                        hamiltonian_pieces, hermiticity_residual,
                        kinetic_operator, ladder, largest_entry,
                        number_operator, partition_by, shell_modes,
-                       unitary_excitation_map, whole_partition)
+                       whole_partition)
 from gp2d.kernels import (GPParameters, eta_coefficients,
                           renormalized_potential)
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.potentials import fourier_transform_radial, step
 from gp2d.scattering import neumann_ground_state
+from gp2d.sector import build_sector, unitary_excitation_map
 
 N = 3
 
@@ -583,12 +584,18 @@ def _dict_lookup_ladders(basis):
 def test_key_search_and_momentum_codes_match_references(shell, cap):
     basis = build_basis(shell_modes(shell), cap)
     want = _dict_lookup_ladders(basis)
-    assert set(basis.ladders) == set(want)
-    for kind, maps in basis.ladders.items():
-        for (dest, vals), (wdest, wvals) in zip(maps, want[kind],
-                                                strict=True):
-            np.testing.assert_array_equal(dest, wdest)
-            np.testing.assert_array_equal(vals, wvals)
+    dest, amp, nonzero = basis.ladder_table
+    m = basis.n_modes
+    assert dest.dtype == np.int32 and dest.shape == (4 * m + 1, basis.dim)
+    for kind, k in fock._KIND.items():
+        for i, (wdest, wvals) in enumerate(want[kind]):
+            np.testing.assert_array_equal(dest[k * m + i], wdest)
+            np.testing.assert_array_equal(amp[k * m + i], wvals)
+    # the last row is the identity, the empty product
+    np.testing.assert_array_equal(dest[-1], np.arange(basis.dim))
+    np.testing.assert_array_equal(amp[-1], 1.0)
+    for row, cols in zip(dest, nonzero, strict=True):
+        np.testing.assert_array_equal(cols, np.flatnonzero(row >= 0))
     # sectors come in the lexicographic order of P, as np.unique sorts
     # its rows, so block order (and which of several degenerate sectors
     # LinearOperator.lowest picks) is that of the row labels
@@ -642,3 +649,159 @@ def test_one_pass_hamiltonians_match_combined_pieces(shell, cap,
         assert op.part is basis.sectors, key
         np.testing.assert_allclose(op.mat, want[key].mat, rtol=1e-13,
                                    atol=0.0, err_msg=key)
+
+
+# --- the batched ladder walk against the per-product walk it replaced -----
+
+WALK_BASES = {**ORACLE_BASES, (8, 4): build_basis(shell_modes(8), 4)}
+
+
+def _reference_products(basis, terms, diagonal=None):
+    """The per-product walk: every product from all dim columns, one
+    factor at a time, through per-mode (dest, amp) maps built by dict
+    lookup; yields one (rows, cols, coef * amp) per product."""
+    maps = _dict_lookup_ladders(basis)
+    start = np.arange(basis.dim)
+    for coef, ops in terms:
+        cols, rows, amp = start, start, np.ones(basis.dim)
+        for kind, i in reversed(ops):
+            dest, vals = maps[kind][i]
+            keep = dest[rows] >= 0
+            cols, rows, amp = cols[keep], rows[keep], amp[keep]
+            amp *= vals[rows]
+            rows = dest[rows]
+        yield rows, cols, coef * amp
+    if diagonal is not None:
+        yield start, start, diagonal
+
+
+def _reference_flat(basis, terms, diagonal=None):
+    """build_operator's flat sector buffer, filled product by product."""
+    first, pos, size, total = basis.sectors.slots
+    flat = np.zeros(total)
+    for rows, cols, vals in _reference_products(basis, terms, diagonal):
+        flat[first[cols] + pos[rows] * size[cols]] += vals
+    return flat
+
+
+def _joined(triples):
+    rows, cols, vals = (np.concatenate(x) for x in zip(*triples))
+    return rows.astype(np.int64), cols.astype(np.int64), vals
+
+
+def _assert_walks_equal(basis, terms, diagonal=None):
+    got = _joined(fock._products(basis, terms, diagonal))
+    want = _joined(_reference_products(basis, terms, diagonal))
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()       # bit for bit, in order
+
+
+BATCH_SIZES = [1, 7, fock._BATCH_ENTRIES]
+MIXED_PRODUCTS = st.lists(st.tuples(st.sampled_from(sorted(_ADJOINT)),
+                                    st.integers(0, 7)), max_size=3)
+
+
+@given(shape=st.sampled_from(sorted(WALK_BASES)),
+       terms=st.lists(st.tuples(COEFS, MIXED_PRODUCTS, st.booleans()),
+                      min_size=1, max_size=12),
+       batch=st.sampled_from(BATCH_SIZES), diagonal=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_batched_walk_bitwise_equals_per_product_walk(shape, terms, batch,
+                                                     diagonal):
+    basis = WALK_BASES[shape]
+    terms = [(coef, [(kind, i % basis.n_modes) for kind, i in ops])
+             for coef, ops, _ in terms] + [
+        # X X^* conserves momentum whatever X is (empty X: the identity)
+        (coef, [(kind, i % basis.n_modes) for kind, i in ops]
+         + [(_ADJOINT[kind], i % basis.n_modes) for kind, i in reversed(ops)])
+        for coef, ops, balanced in terms if balanced]
+    diag = np.sin(np.arange(basis.dim)) if diagonal else None
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fock, "_BATCH_ENTRIES", batch)
+        _assert_walks_equal(basis, terms, diag)
+        kept = [(c, ops) for c, ops in terms
+                if _moved_momentum(basis, ops) == (0, 0)]
+        if kept:
+            op = build_operator(basis, kept, "walk", diagonal=diag)
+            got = np.concatenate([b.ravel() for b in op.blocks])
+            assert got.tobytes() == _reference_flat(basis, kept,
+                                                    diag).tobytes()
+
+
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+@pytest.mark.parametrize("shell,cap", [(8, 5), (12, 3)])
+def test_batched_walk_bitwise_on_r_eff_terms(shell, cap, batch,
+                                             monkeypatch):
+    # V_N's merged products, then the omega pair and cubic products: runs
+    # of lengths 4, 2 and 3, as R_eff is built
+    basis = build_basis(shell_modes(shell), cap)
+    pot, params = step(2.0, 1.0), GPParameters(cap, 2.5)
+    omega = [0.3 + 0.1 * k for k in range(basis.n_modes)]
+    terms = (fock._potential_terms(basis, pot, params)
+             + fock._pair_terms(basis, omega, 1.0)
+             + fock._cubic_terms(basis, omega, 0.5))
+    monkeypatch.setattr(fock, "_BATCH_ENTRIES", batch)
+    _assert_walks_equal(basis, terms)
+    diag = fock._kinetic(basis)
+    op = build_operator(basis, terms, "R", hermitian=True, diagonal=diag)
+    got = np.concatenate([b.ravel() for b in op.blocks])
+    assert got.tobytes() == _reference_flat(basis, terms, diag).tobytes()
+
+
+def _reference_potential_terms(basis, pot, params):
+    """V_N's merged products by the (p, q, r) triple loop and a dict that
+    adds each product's coefficients in term order."""
+    modes = basis.modes
+    mode_set = {m: i for i, m in enumerate(modes)}
+    shifts, products = [], []
+    for ip, p in enumerate(modes):
+        for iq, q in enumerate(modes):
+            for ipr, pr in enumerate(modes):
+                r = (pr[0] - p[0], pr[1] - p[1])
+                qr = (q[0] + r[0], q[1] + r[1])
+                if qr == (0, 0) or qr not in mode_set:
+                    continue
+                iqr = mode_set[qr]
+                shifts.append(r)
+                products.append((min(ipr, iq), max(ipr, iq),
+                                 min(iqr, ip), max(iqr, ip)))
+    merged = {}
+    for v, key in zip(fock._vhat(pot, params, shifts), products):
+        merged[key] = merged.get(key, 0.0) + 0.5 * v
+    return [(coef, [("ad", i), ("ad", j), ("a", k), ("a", l)])
+            for (i, j, k, l), coef in merged.items()]
+
+
+@pytest.mark.parametrize("shell", [4, 8, 12])
+def test_potential_terms_bitwise_equal_triple_loop(shell):
+    basis = build_basis(shell_modes(shell), 3)
+    for pot, params in [(step(2.0, 1.0), GPParameters(3, 2.5)),
+                        (step(20.0, 2.0), GPParameters(4, 1.0))]:
+        got = fock._potential_terms(basis, pot, params)
+        want = _reference_potential_terms(basis, pot, params)
+        assert [ops for _, ops in got] == [ops for _, ops in want]
+        assert (np.array([c for c, _ in got]).tobytes()
+                == np.array([c for c, _ in want]).tobytes())
+
+
+def _reference_partition(labels):
+    """Size classes by the comprehension over every block per size."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    _, first, sizes = np.unique(labels[order], return_index=True,
+                                return_counts=True)
+    blocks = np.split(order, first[1:])
+    return [np.stack([b for b in blocks if len(b) == s])
+            for s in sorted(set(sizes.tolist()))]
+
+
+@given(labels=st.lists(st.integers(-5, 30), max_size=120))
+@settings(max_examples=200, deadline=None)
+def test_partition_by_matches_comprehension(labels):
+    part = partition_by(labels)
+    want = _reference_partition(labels)
+    assert part.dim == len(labels)
+    assert len(part.classes) == len(want)
+    for got, ref in zip(part.classes, want):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
