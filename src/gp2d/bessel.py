@@ -23,10 +23,10 @@ in scipy's (Cephes) functions, so at large x both carry the same phase
 error; on a log grid from 1e-10 to 1e5 the two agree within 6e-15 of
 max(|f|, min(1, sqrt(2 / (pi x)))).
 
-A Python float, and each value of an array of at most 16, takes a scalar
-path of plain float arithmetic.  The arithmetic is the same as on arrays,
-and the transcendental steps (log, cos, sin) are numpy's own on both
-paths, so a scalar result equals the array result bit for bit.
+A Python float takes a scalar path of plain float arithmetic.  The
+arithmetic is the same as on arrays, and the transcendental steps (log,
+cos, sin) are numpy's own on both paths, so a scalar result equals the
+array result bit for bit.
 ``jy01`` evaluates all four functions at once and ``jy`` one order of
 both kinds, sharing the logarithm, the amplitude and the Hankel parts;
 each value is bit for bit what ``j0``, ``y0``, ``j1`` or ``y1`` returns.
@@ -316,23 +316,12 @@ def _vector(x: np.ndarray, orders, second) -> list:
     return out
 
 
-# Arrays up to this size take the scalar path element by element: about
-# 2 us a value, against some 50 us of fixed numpy overhead per call.
-_SCALAR_MAX = 16
-
-
 def _evaluate(x, orders, second):
     """[J_n, (Y_n,) for n in orders] at x: a Python float, or an array."""
     if isinstance(x, float):
         return _scalar(float(x), orders, second)   # float64 math is slower
     x = np.asarray(x, float)
-    flat = x.ravel()
-    if flat.size > _SCALAR_MAX:
-        out = _vector(flat, orders, second)
-    else:
-        cols = [_scalar(v, orders, second) for v in flat.tolist()]
-        out = [np.array([c[i] for c in cols])
-               for i in range(len(orders) * (1 + second))]
+    out = _vector(x.ravel(), orders, second)
     return [v.reshape(x.shape)[()] for v in out]
 
 

@@ -17,7 +17,7 @@ from .audits import (commutator_residual, condensation_lower_bound,
 from .config import RunConfig, fingerprint, load_config
 from .energy import Pipeline, sweep, vacuum_slope_fit, depletion_products
 from .errors import Gp2dError
-from .fock import generators, r_effective_hamiltonian, shell_modes
+from .fock import generators, r_effective_hamiltonian
 from .kernels import export_kernels_csv, scattering_residual
 from .potentials import fourier_transform_radial
 from .scattering import export_solution_csv, validate_neumann_asymptotics
@@ -64,9 +64,6 @@ def cmd_kernels(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     cfg = pipe.cfg
     N, alpha = cfg.n_value, cfg.alpha
     params = pipe.params(N, alpha)
-    if pipe.pot.is_zero:
-        print("free potential: eta identically zero, residual 0")
-        return True, []
     table = pipe.table(N, alpha)
     renorm = pipe.renorm(N, alpha)
     rep = scattering_residual(table, pipe.pot, params, pipe.neumann(N, alpha))
@@ -85,11 +82,7 @@ def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     params, basis = pipe.params(n, alpha), pipe.basis(n)
     tol = 1e-10
     residuals = {"commutators": commutator_residual(basis)}
-
-    # the explicit map is defined on at most 4 modes: audit it on the
-    # first shell, which every larger shell contains
-    map_modes = shell_modes(4)
-    urep = unitary_excitation_map(map_modes, n)
+    urep = unitary_excitation_map(basis.modes, n)
     residuals["unitary_map"] = max(v for k, v in urep.items() if k != "pass")
 
     gens = generators(basis, pipe.table(n, alpha), params)
@@ -104,11 +97,9 @@ def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     for name, v in sorted(residuals.items()):
         print(f"fock-audit {name}: residual {v:.3e} "
               f"[{'ok' if v <= tol else 'FAIL'}]")
-    report = {"residuals": residuals, "pass": ok, "tolerance": tol}
-    if map_modes != basis.modes:
-        report["unitary_map_modes"] = [list(m) for m in map_modes]
     path = out / "fock_audit.json"
-    path.write_text(json.dumps(report, sort_keys=True) + "\n")
+    path.write_text(json.dumps({"residuals": residuals, "pass": ok,
+                                "tolerance": tol}, sort_keys=True) + "\n")
     return ok, [path]
 
 
@@ -141,19 +132,20 @@ def cmd_energy_sweep(pipe: Pipeline, out: Path) -> tuple[bool, list]:
         print(f"skipped: {ds.skipped} records (already complete)")
     if ds.rejected:
         print(f"rejected: {ds.rejected} malformed rows of {csv_path.name}")
-    slope = vacuum_slope_fit(ds)
-    target = 2.0 * math.pi * cfg.alpha
-    if cfg.potential == "free":
+    if pipe.pot.is_zero:
         # the coupling vanishes, so the vacuum curve is identically zero
-        slope_ok = abs(slope) <= 1e-12
+        slope_ok = all(r.E_vac == 0.0 for r in ds.records)
+        trend = "E_vac identically 0"
     else:
+        slope = vacuum_slope_fit(ds)
+        target = 2.0 * math.pi * cfg.alpha
         slope_ok = abs(slope - target) <= 0.15 * target
+        trend = f"slope={slope:.4f} (target {target:.4f})"
     sandwich_ok = all(r.E0 <= r.E_vac + 1e-8 * max(abs(r.E_vac), 1.0)
                       for r in ds.records if np.isfinite(r.E0))
     prods = depletion_products(ds)
-    print(f"energy-sweep: {len(ds.records)} records, slope={slope:.4f} "
-          f"(target {target:.4f}) depletion*N range "
-          f"[{min(prods):.3g},{max(prods):.3g}] "
+    print(f"energy-sweep: {len(ds.records)} records, {trend} "
+          f"depletion*N range [{min(prods):.3g},{max(prods):.3g}] "
           f"[{'ok' if slope_ok and sandwich_ok else 'FAIL'}]")
     return slope_ok and sandwich_ok, [csv_path]
 

@@ -73,39 +73,6 @@ def _occupations(cap: int, parts: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-class _StateLookup:
-    """Positions of occupation rows in a basis's ``states`` table.
-
-    A row's key is its mixed-radix number sum_j n_j r^(parts-1-j), radix
-    r one above the largest occupation; a row is found by binary search
-    of its key among the sorted keys of the table.
-    """
-
-    @cached_property
-    def _keys(self) -> tuple:
-        parts = self.states.shape[1]
-        radix = int(self.states.max()) + 1
-        if radix ** parts > np.iinfo(np.int64).max:
-            raise SizeError(f"occupation keys of {parts} modes in radix "
-                            f"{radix} overflow int64")
-        weights = radix ** np.arange(parts - 1, -1, -1, dtype=np.int64)
-        keys = self.states @ weights
-        order = np.argsort(keys)
-        return weights, keys, order, keys[order]
-
-    def find(self, keys) -> np.ndarray:
-        """Basis index of each key; every key must be a state's."""
-        _, _, order, ordered = self._keys
-        at = np.minimum(np.searchsorted(ordered, keys), len(ordered) - 1)
-        if not np.array_equal(ordered[at], keys):
-            raise ConfigError("occupation not in the basis")
-        return order[at]
-
-    def position(self, states) -> np.ndarray:
-        """Basis index of each occupation row of states."""
-        return self.find(np.asarray(states, dtype=np.int64) @ self._keys[0])
-
-
 @dataclass(frozen=True, eq=False)
 class Partition:
     """A split of the basis indices 0..dim-1 into blocks.
@@ -170,8 +137,13 @@ _KIND = {"a": 0, "ad": 1, "b": 2, "bd": 3}
 
 
 @dataclass(frozen=True)
-class FockBasis(_StateLookup):
-    """Occupation basis over a negation-closed mode set, total <= cap."""
+class FockBasis:
+    """Occupation basis over a negation-closed mode set, total <= cap.
+
+    A state's key is its mixed-radix number sum_j n_j r^(m-1-j), radix r
+    one above the largest occupation; a state is found by binary search
+    of its key among the sorted keys of ``states``.
+    """
 
     modes: tuple
     cap: int
@@ -192,6 +164,29 @@ class FockBasis(_StateLookup):
             return self.modes.index(tuple(mode))
         except ValueError:
             raise ConfigError(f"mode {mode} not in basis") from None
+
+    @cached_property
+    def _keys(self) -> tuple:
+        m, radix = self.n_modes, int(self.states.max()) + 1
+        if radix ** m > np.iinfo(np.int64).max:
+            raise SizeError(f"occupation keys of {m} modes in radix "
+                            f"{radix} overflow int64")
+        weights = radix ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        keys = self.states @ weights
+        order = np.argsort(keys)
+        return weights, keys, order, keys[order]
+
+    def find(self, keys) -> np.ndarray:
+        """Basis index of each key; every key must be a state's."""
+        _, _, order, ordered = self._keys
+        at = np.minimum(np.searchsorted(ordered, keys), len(ordered) - 1)
+        if not np.array_equal(ordered[at], keys):
+            raise ConfigError("occupation not in the basis")
+        return order[at]
+
+    def position(self, states) -> np.ndarray:
+        """Basis index of each occupation row of states."""
+        return self.find(np.asarray(states, dtype=np.int64) @ self._keys[0])
 
     def totals(self) -> np.ndarray:
         return self.states.sum(axis=1)
@@ -469,13 +464,18 @@ def build_operator(basis: FockBasis, terms, tag: str,
     return LinearOperator.from_blocks(part, part.split(flat), tag, hermitian)
 
 
+def _largest_sum(dim: int, triples) -> float:
+    """Largest |entry| of the dim x dim matrix whose entries are the
+    (rows, cols, vals) triples, summed by key row * dim + col."""
+    rows, cols, vals = map(np.concatenate, zip(*triples))
+    _, at = np.unique(rows * dim + cols, return_inverse=True)
+    return float(np.abs(np.bincount(at, weights=vals)).max(initial=0.0))
+
+
 def largest_entry(basis: FockBasis, terms, diagonal=None) -> float:
     """Largest |entry| of the operator ``build_operator`` would assemble,
-    products in any momentum: its entries summed by key row * dim + col."""
-    rows, cols, vals = map(np.concatenate,
-                           zip(*_products(basis, terms, diagonal)))
-    _, at = np.unique(rows * basis.dim + cols, return_inverse=True)
-    return float(np.abs(np.bincount(at, weights=vals)).max(initial=0.0))
+    products in any momentum, summed over its nonzero entries."""
+    return _largest_sum(basis.dim, _products(basis, terms, diagonal))
 
 
 def ladder(basis: FockBasis, mode, kind: str) -> LinearOperator:

@@ -81,10 +81,13 @@ class GPParameters:
 def chi_hat(k):
     """Fourier transform of the unit-disk indicator, 2 pi J1(|k|)/|k|."""
     k = np.abs(np.asarray(k, float))
+    if not k.ndim:
+        k = float(k)              # the plain-float path of j1
+        return TWO_PI * j1(k) / k if k > 0 else math.pi
     out = np.full_like(k, np.pi)
     nz = k > 0
     out[nz] = TWO_PI * j1(k[nz]) / k[nz]
-    return out if out.ndim else float(out)
+    return out
 
 
 def _profile_panels(sol: NeumannSolution, params: GPParameters, freq: float,

@@ -565,8 +565,6 @@ def rayleigh_quotient(sol: NeumannSolution) -> float:
 
 def potential_integral(sol: NeumannSolution) -> float:
     """2 pi int_0^r0 V(r) f_R(r) r dr."""
-    if sol.pot.is_zero:
-        return 0.0
     bounds = np.linspace(0.0, sol.pot.r0, 65)
     nodes, wts = gl_nodes_weights(bounds)
     return float(2.0 * np.pi

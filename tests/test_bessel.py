@@ -32,8 +32,8 @@ def test_scalar_path_is_array_path_bitwise(name):
     scalars = [fn(float(x)) for x in xs]
     assert all(type(v) is float for v in scalars)
     assert np.array(scalars).tobytes() == fn(xs).tobytes()
-    # numpy float64 scalars, and short arrays value by value, take the
-    # same path
+    # numpy float64 scalars take the scalar path, and short arrays give
+    # the values of long ones
     assert fn(np.float64(xs[100])) == scalars[100]
     assert fn(xs[95:105]).tobytes() == fn(xs)[95:105].tobytes()
 

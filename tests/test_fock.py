@@ -1,4 +1,5 @@
 import math
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from gp2d import fock
+from gp2d import fock, sector
 from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
                        combine, conjugate, diagonal_in_total,
@@ -21,7 +22,7 @@ from gp2d.kernels import (GPParameters, eta_coefficients,
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.potentials import fourier_transform_radial, step
 from gp2d.scattering import neumann_ground_state
-from gp2d.sector import build_sector, unitary_excitation_map
+from gp2d.sector import unitary_excitation_map
 
 N = 3
 
@@ -502,12 +503,82 @@ def test_effective_hamiltonians(fock_setup, step_pot):
     assert ops["R_eff"].expectation(vac) == pytest.approx(want, rel=1e-12)
 
 
+MAP_RULES = ("unitary", "rule_n0", "rule_create", "rule_annihilate",
+             "rule_hop")
+
+
 def test_unitary_excitation_map_rules():
-    rep = unitary_excitation_map(shell_modes(4), N)
-    assert rep["pass"]
-    for key in ("unitary", "rule_n0", "rule_create", "rule_annihilate",
-                "rule_hop"):
-        assert rep[key] <= 1e-12
+    for shell in (4, 8, 12):
+        rep = unitary_excitation_map(shell_modes(shell), N)
+        assert rep["pass"]
+        assert set(rep) == {*MAP_RULES, "pass"}
+        for key in MAP_RULES:
+            assert rep[key] <= 1e-12, (shell, key)
+
+
+def _dense_excitation_map(basis):
+    """The map audit with dense matrices: the N-particle sector enumerated
+    on its own, U_N as an explicit permutation matrix, and each rule as
+    U (a*_i a_j on the sector) U^T against the dense ladder form."""
+    n, m = basis.cap, basis.n_modes
+    sector = [(n - t,) + s for t in range(n + 1)
+              for s in _compositions_reference(t, m)]
+    index = {s: k for k, s in enumerate(sector)}
+    excitation = {s: k for k, s in enumerate(map(tuple,
+                                                 basis.states.tolist()))}
+    U = np.zeros((basis.dim, len(sector)))
+    for k, s in enumerate(sector):
+        U[excitation[s[1:]], k] = 1.0
+
+    def rule(i, j, want):
+        hop = np.zeros((len(sector), len(sector)))
+        for k, s in enumerate(sector):
+            if s[j]:
+                occ = list(s)
+                coef = math.sqrt(occ[j])
+                occ[j] -= 1
+                coef *= math.sqrt(occ[i] + 1)
+                occ[i] += 1
+                hop[index[tuple(occ)], k] = coef
+        return float(np.max(np.abs(U @ hop @ U.T - want)))
+
+    dense = {kind: [ladder(basis, p, kind).mat for p in basis.modes]
+             for kind in ("a", "ad", "b", "bd")}
+    idx, root = range(m), math.sqrt(n)
+    return {
+        "unitary": float(np.max(np.abs(U @ U.T - np.eye(basis.dim)))),
+        "rule_n0": rule(0, 0, np.diag(n - basis.totals().astype(float))),
+        "rule_create": max(rule(i + 1, 0, root * dense["bd"][i])
+                           for i in idx),
+        "rule_annihilate": max(rule(0, i + 1, root * dense["b"][i])
+                               for i in idx),
+        "rule_hop": max(rule(i + 1, j + 1, dense["ad"][i] @ dense["a"][j])
+                        for i, j in product(range(m), repeat=2)),
+    }
+
+
+@pytest.mark.parametrize("shell", [4, 8])
+def test_unitary_excitation_map_matches_dense(shell, monkeypatch):
+    # the map audit agrees with the dense construction, and both see one
+    # amplitude of any ladder kind off by a relative 1e-6 in the rule
+    # that reads that kind
+    def check(basis):
+        monkeypatch.setattr(sector, "build_basis", lambda modes, cap: basis)
+        got = unitary_excitation_map(basis.modes, N)
+        want = _dense_excitation_map(basis)
+        for key in MAP_RULES:
+            assert got[key] == pytest.approx(want[key], abs=1e-15), key
+        return got
+
+    assert check(build_basis(shell_modes(shell), N))["pass"]
+    for kind, key in (("a", "rule_hop"), ("ad", "rule_hop"),
+                      ("b", "rule_annihilate"), ("bd", "rule_create")):
+        basis = build_basis(shell_modes(shell), N)
+        dest, amp = basis.ladder_table[:2]
+        row = fock._KIND[kind] * basis.n_modes + 1
+        amp[row, np.flatnonzero(dest[row] >= 0)[0]] *= 1 + 1e-6
+        got = check(basis)
+        assert got[key] > 1e-10 and not got["pass"], kind
 
 
 def test_diagonal_in_total(fock_setup):
@@ -555,8 +626,6 @@ def test_bases_enumerate_in_reference_order(shell):
         want = [list(s) for t in range(cap + 1)
                 for s in _compositions_reference(t, shell)]
         assert build_basis(modes, cap).states.tolist() == want
-        sec = build_sector(modes, cap, dim_cap=len(want))
-        assert sec.states.tolist() == [[cap - sum(s)] + s for s in want]
 
 
 def _dict_lookup_ladders(basis):

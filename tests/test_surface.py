@@ -26,6 +26,8 @@ KEEP = {
     "localization_check": "acceptance: the certified localization bound",
     "kernel_sup_product": "acceptance: the kernel bound sup |eta| p^2",
     "conjugate": "acceptance: e^-B op e^B of the rotation constants",
+    "ladder": "read by acceptance 6-8",
+    "number_operator": "read by acceptance 6-8",
     # the writer of the table format load_table reads
     "save_table": "writes the TABLE_HEADER format beside load_table",
     # names the benchmark's tracer rebinds (perfbench/spans.py)
