@@ -24,7 +24,7 @@ from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, solve
 
 from .errors import ConfigError, ConsistencyError
 from .fock import (FockBasis, LinearOperator, build_operator, combine,
-                   common, largest_entry)
+                   common, largest_entries)
 from .kernels import GPParameters, RenormPotential, omega_lattice_sum
 
 PSD_SLACK = 1e-9
@@ -102,18 +102,19 @@ def _profile(vec: np.ndarray) -> list:
 
 def commutator_residual(basis: FockBasis) -> float:
     """Largest entry of [b_p, b*_q] - delta_pq (1 - Nplus/N) + a*_q a_p / N
-    and of [b_p, b_q] over all mode pairs, N = basis.cap, each one
-    ``largest_entry`` sum over its nonzero entries."""
-    N, n, worst = basis.cap, basis.totals(), 0.0
+    and of [b_p, b_q] over all mode pairs, N = basis.cap: the 2 m^2
+    identities summed over their nonzero entries by one
+    ``largest_entries`` call."""
+    N, n = basis.cap, basis.totals()
+    identities = []
     for p, q in product(range(basis.n_modes), repeat=2):
-        mixed = largest_entry(basis, [(1.0, [("b", p), ("bd", q)]),
-                                      (-1.0, [("bd", q), ("b", p)]),
-                                      (1.0 / N, [("ad", q), ("a", p)])],
-                              n / N - 1.0 if p == q else None)
-        same = largest_entry(basis, [(1.0, [("b", p), ("b", q)]),
-                                     (-1.0, [("b", q), ("b", p)])])
-        worst = max(worst, mixed, same)
-    return worst
+        identities += [([(1.0, [("b", p), ("bd", q)]),
+                         (-1.0, [("bd", q), ("b", p)]),
+                         (1.0 / N, [("ad", q), ("a", p)])],
+                        n / N - 1.0 if p == q else None),
+                       ([(1.0, [("b", p), ("b", q)]),
+                         (-1.0, [("b", q), ("b", p)])], None)]
+    return float(largest_entries(basis, identities).max(initial=0.0))
 
 
 def smooth_partition(x):

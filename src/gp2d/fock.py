@@ -15,8 +15,9 @@ Every operator of the excitation-space argument conserves the total
 momentum P = sum p n_p, so it is stored as dense blocks over the momentum
 sectors of the basis (``FockBasis.sectors``); sectors of equal size are
 stacked and handled by one batched call.  ``build_operator`` refuses a
-product that does not conserve P; ``largest_entry`` sums any products
-over their nonzero entries.  A matrix given whole is one dense block.
+product that does not conserve P; ``largest_entries`` sums the products
+of any number of operators, in any momentum, over their nonzero entries
+by one keyed sum.  A matrix given whole is one dense block.
 """
 
 from __future__ import annotations
@@ -242,6 +243,13 @@ class FockBasis:
         nonzero = (lowering + [below] * m) * 2 + [dest[-1]]
         return dest, amp, nonzero
 
+    @cached_property
+    def ladder_rows(self) -> dict:
+        """The ``ladder_table`` row of each ladder (kind, mode index)."""
+        m = self.n_modes
+        return {(kind, i): k * m + i for kind, k in _KIND.items()
+                for i in range(m)}
+
 
 def build_basis(modes, cap: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
     modes = tuple(tuple(int(c) for c in m) for m in modes)
@@ -394,13 +402,12 @@ def _batches(basis: FockBasis, terms):
     where the entries they start from would pass _BATCH_ENTRIES: lists
     of (coef, ``ladder_table`` rows of the factors).  The empty product
     is the identity, the table's last row."""
-    m, nonzero = basis.n_modes, basis.ladder_table[2]
-    row_of = {(kind, i): k * m + i for kind, k in _KIND.items()
-              for i in range(m)}
+    row_of, nonzero = basis.ladder_rows, basis.ladder_table[2]
+    identity = [len(nonzero) - 1]
     run, size = [], 0
     for coef, ops in terms:
         try:
-            rows = [row_of[kind, i] for kind, i in ops] or [4 * m]
+            rows = [row_of[kind, i] for kind, i in ops] or identity
         except KeyError as exc:
             raise ConfigError(f"unknown ladder {exc.args[0]}") from None
         n = len(nonzero[rows[-1]])
@@ -414,14 +421,21 @@ def _batches(basis: FockBasis, terms):
         yield run
 
 
-def _products(basis: FockBasis, terms, diagonal=None):
-    """(rows, cols, coef * amp) of the products' nonzero entries, one
-    triple per batch (``_batches``) in product order, each product in
-    column order, then the diagonal's.  Every factor has at most one
-    nonzero per column, so a product follows each column's single path,
-    rightmost factor first, from the nonzero columns of that factor."""
+def _entries(basis: FockBasis, operators):
+    """(owner, rows, cols, coef * amp) of the nonzero entries of the
+    operators, each given as (terms, diagonal or None), owner the index
+    of each entry's operator: the products of all operators in one walk,
+    one quadruple per batch (``_batches``) in product order, each
+    product in column order, then each operator's diagonal.  Every
+    factor has at most one nonzero per column, so a product follows
+    each column's single path, rightmost factor first, from the nonzero
+    columns of that factor."""
+    terms = [term for ts, _ in operators for term in ts]
+    owner_of = np.repeat(np.arange(len(operators)),
+                         [len(ts) for ts, _ in operators])
     dest, amp_of, nonzero = basis.ladder_table
     dest, amp_of = dest.ravel(), amp_of.ravel()
+    done = 0
     for run in _batches(basis, terms):
         coefs, rows = zip(*run)
         start = [nonzero[r[-1]] for r in rows]
@@ -436,10 +450,19 @@ def _products(basis: FockBasis, terms, diagonal=None):
             if not keep.all():
                 term, cols, to, amp = (term[keep], cols[keep], to[keep],
                                        amp[keep])
-        yield to, cols, np.array(coefs)[term] * amp
-    if diagonal is not None:
-        start = np.arange(basis.dim)
-        yield start, start, diagonal
+        yield owner_of[done + term], to, cols, np.array(coefs)[term] * amp
+        done += len(run)
+    start = np.arange(basis.dim)
+    for owner, (_, diagonal) in enumerate(operators):
+        if diagonal is not None:
+            yield np.full(basis.dim, owner), start, start, diagonal
+
+
+def _products(basis: FockBasis, terms, diagonal=None):
+    """(rows, cols, coef * amp) of one operator's nonzero entries, as
+    ``_entries`` walks them."""
+    for _, rows, cols, vals in _entries(basis, [(terms, diagonal)]):
+        yield rows, cols, vals
 
 
 def build_operator(basis: FockBasis, terms, tag: str,
@@ -464,18 +487,36 @@ def build_operator(basis: FockBasis, terms, tag: str,
     return LinearOperator.from_blocks(part, part.split(flat), tag, hermitian)
 
 
-def _largest_sum(dim: int, triples) -> float:
-    """Largest |entry| of the dim x dim matrix whose entries are the
-    (rows, cols, vals) triples, summed by key row * dim + col."""
-    rows, cols, vals = map(np.concatenate, zip(*triples))
-    _, at = np.unique(rows * dim + cols, return_inverse=True)
-    return float(np.abs(np.bincount(at, weights=vals)).max(initial=0.0))
+def _largest_sums(dim: int, count: int, entries) -> np.ndarray:
+    """Largest |entry| of each of count dim x dim matrices whose entries
+    are the (owner, rows, cols, vals) quadruples: summed by the int64 key
+    (owner, row, col) in the order given (``np.bincount`` adds in
+    order), then the largest |sum| per owner, 0 for one with none."""
+    if count * dim * dim > np.iinfo(np.int64).max:
+        raise SizeError(f"keys of {count} matrices of dimension {dim} "
+                        f"overflow int64")
+    out = np.zeros(count)
+    parts = tuple(zip(*entries))
+    if not parts:
+        return out
+    owner, rows, cols, vals = map(np.concatenate, parts)
+    keys = (owner.astype(np.int64) * dim + rows) * dim + cols
+    uniq, at = np.unique(keys, return_inverse=True)
+    sums = np.abs(np.bincount(at, weights=vals))
+    # the keys are sorted, so each owner's sums are one run
+    owners = uniq // (dim * dim)
+    first = np.flatnonzero(np.diff(owners, prepend=-1))
+    out[owners[first]] = np.maximum.reduceat(sums, first)
+    return out
 
 
-def largest_entry(basis: FockBasis, terms, diagonal=None) -> float:
-    """Largest |entry| of the operator ``build_operator`` would assemble,
-    products in any momentum, summed over its nonzero entries."""
-    return _largest_sum(basis.dim, _products(basis, terms, diagonal))
+def largest_entries(basis: FockBasis, operators) -> np.ndarray:
+    """Largest |entry| of each operator ``build_operator`` would assemble
+    from (terms, diagonal or None), products in any momentum: one walk
+    over all their products (``_entries``) and one keyed sum over their
+    nonzero entries (``_largest_sums``)."""
+    return _largest_sums(basis.dim, len(operators),
+                         _entries(basis, operators))
 
 
 def ladder(basis: FockBasis, mode, kind: str) -> LinearOperator:

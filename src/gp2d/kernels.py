@@ -131,17 +131,27 @@ def w_squared_integral(sol: NeumannSolution, params: GPParameters,
 class KernelTable:
     """eta_p tabulated on a momentum lattice, with its zero mode eta0.
 
-    norm2 is the l2 norm of eta over the nonzero modes of the full
-    lattice, obtained from the position-space integral (Parseval), so it
-    does not depend on the cutoff.
+    norm2, the l2 norm of eta over the nonzero modes of the full
+    lattice, is computed on first read from the position-space integral
+    (Parseval) with the table's own per_efold, so it does not depend on
+    the cutoff.  No command reads it.
     """
 
     lattice: MomentumLattice
     eta: np.ndarray
     eta0: float
-    norm2: float
     params: GPParameters = field(repr=False)
     lam_R2: float = 0.0
+    sol: NeumannSolution | None = field(default=None, repr=False)
+    per_efold: int = 8
+
+    @cached_property
+    def norm2(self) -> float:
+        if self.sol is None:                  # the free case: eta = 0
+            return 0.0
+        total = self.params.N ** 2 * w_squared_integral(
+            self.sol, self.params, self.per_efold)
+        return math.sqrt(max(total - self.eta0 ** 2, 0.0))
 
     def eta_at(self, n1: int, n2: int) -> float:
         return float(self.eta[self.lattice.index_of(n1, n2)])
@@ -160,14 +170,12 @@ def eta_coefficients(sol: NeumannSolution, params: GPParameters,
         raise ConsistencyError("Neumann solution radius does not match "
                                "e^N * ell")
     if sol.pot.is_zero:
-        return KernelTable(lat, np.zeros(lat.size), 0.0, 0.0, params, 0.0)
+        return KernelTable(lat, np.zeros(lat.size), 0.0, params, 0.0)
     uniq, inv = lat.unique_norms()
     eta_u = eta_profile(sol, params, np.concatenate(([0.0], uniq)),
                         per_efold)
-    eta0, eta = float(eta_u[0]), eta_u[1:][inv]
-    total = params.N ** 2 * w_squared_integral(sol, params, per_efold)
-    norm2 = math.sqrt(max(total - eta0 ** 2, 0.0))
-    return KernelTable(lat, eta, eta0, norm2, params, sol.lam_R2)
+    return KernelTable(lat, eta_u[1:][inv], float(eta_u[0]), params,
+                       sol.lam_R2, sol, per_efold)
 
 
 def kernel_sup_product(sol: NeumannSolution, params: GPParameters,
@@ -367,11 +375,10 @@ def export_kernels_csv(table: KernelTable, renorm: RenormPotential,
         "a": a,
     }
     lat = table.lattice
+    rows = zip(lat.ints.tolist(), np.sqrt(lat.norms2).tolist(),
+               table.eta.tolist(), renorm.omega.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        fh.write("n1,n2,p,eta_p,omega_p\n")
-        norms = np.sqrt(lat.norms2)
-        for i in range(lat.size):
-            fh.write(f"{lat.ints[i, 0]},{lat.ints[i, 1]},"
-                     f"{norms[i]:.17g},{table.eta[i]:.17g},"
-                     f"{renorm.omega[i]:.17g}\n")
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n"
+                 + "n1,n2,p,eta_p,omega_p\n"
+                 + "".join(f"{n1},{n2},{p:.17g},{eta:.17g},{omega:.17g}\n"
+                           for (n1, n2), p, eta, omega in rows))

@@ -13,7 +13,8 @@ Neumann shooting builds its power series in lambda once per potential
 (``InteriorSeries``), by Chebyshev collocation on panels.  Where the
 truncated series is not accurate (lambda r0^2 >> 1), the same collocation
 solves the interior at that lambda alone (``_fixed_lambda_interior``).
-Roots are found by Brent's method (``_brent``).
+Roots are found by Brent's method (``_brent``), the Neumann one on a
+bracket searched outward from its asymptotic estimate (``_bracket_root``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ _PANEL_KAPPA_WIDTH = 2.0    # kappa times the widest series panel
 _PANEL_TAIL_REL = 1e-14     # resolution bound on a panel's trailing terms
 _PANEL_MIN_REL = 1e-9       # narrowest series panel, relative to r0
 _K_SQUARED = np.arange(1, _SERIES_ORDER + 2) ** 2.0
+_BRACKET_RATIO = 1.25       # step of the outward bracket search
+_BRACKET_WINDOW = (1e-3, 10.0)  # its window, relative to the estimate
 
 
 def _split_profile(r: np.ndarray, r0: float, interior, tail):
@@ -283,15 +286,41 @@ def _cheb_tables(n: int):
 _CHEB_X, _TO_COEF, _INT1, _INT2, _Q1, _Q2 = _cheb_tables(_PANEL_NODES)
 
 
+def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(D, n): each row of the Chebyshev coefficients coef (D, M) summed
+    at the points x (n,) by Clenshaw's recurrence
+    b_k = (2 x b_{k+1} - b_{k+2}) + c_k, the sum (x b_1 - b_2) + c_0.
+    Every step acts point by point, so a point's bits do not depend on
+    the other points, and the temporaries are of the size of x."""
+    two_x = 2.0 * x
+    out = np.empty((len(coef), len(x)))
+    for row, res in zip(coef.tolist(), out):
+        b1, b2, t = np.zeros(len(x)), np.zeros(len(x)), np.empty(len(x))
+        for c in row[:0:-1]:
+            np.multiply(two_x, b1, out=t)
+            t -= b2
+            t += c
+            b1, b2, t = t, b1, b2
+        np.multiply(x, b1, out=t)
+        t -= b2
+        np.add(t, row[0], out=res)
+    return out
+
+
 def _panel_profile(edges: np.ndarray, coef: np.ndarray, r) -> np.ndarray:
     """(2,) + r.shape: the Chebyshev series coef (P, 2, M) of (f, f') on
-    the panels between ``edges``, each summed on the panel that holds r."""
+    the panels between ``edges``, each summed by ``_clenshaw`` on the
+    points of the panel that holds them."""
     r = np.asarray(r, float)
-    p = np.clip(np.searchsorted(edges, r) - 1, 0, len(edges) - 2)
+    flat = r.ravel()
+    p = np.clip(np.searchsorted(edges, flat) - 1, 0, len(edges) - 2)
     lo, hi = edges[p], edges[p + 1]
-    x = (2.0 * r - lo - hi) / (hi - lo)
-    t = chebvander(x, coef.shape[-1] - 1).reshape(x.shape + (-1,))
-    return np.einsum("...m,...dm->d...", t, coef[p])
+    x = (2.0 * flat - lo - hi) / (hi - lo)
+    out = np.empty((2, len(x)))
+    for k in np.flatnonzero(np.bincount(p, minlength=len(edges) - 1)):
+        at = p == k
+        out[:, at] = _clenshaw(coef[k], x[at])
+    return out.reshape((2,) + r.shape)
 
 
 def _panel_series(pot: RadialPotential, lo: float, hi: float,
@@ -493,6 +522,31 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
     raise SolverError(f"no convergence in {maxiter} Brent iterations")
 
 
+def _bracket_root(g, lam_est: float) -> float:
+    """The ground-state root of the Neumann mismatch g, by Brent's method
+    on a bracket found by stepping outward from the estimate lam_est by
+    _BRACKET_RATIO, within _BRACKET_WINDOW times lam_est.
+
+    Below the ground state f'(R) > 0, as at lambda = 0 (V >= 0), and it
+    changes sign at the ground state: the search steps up from lam_est
+    while g > 0 and down while g <= 0, until the sign changes.
+    """
+    lo_end, hi_end = (w * lam_est for w in _BRACKET_WINDOW)
+    lam, g_lam = lam_est, g(lam_est)
+    up = g_lam > 0.0
+    while True:
+        step = (min(lam * _BRACKET_RATIO, hi_end) if up
+                else max(lam / _BRACKET_RATIO, lo_end))
+        g_step = g(step)
+        if np.sign(g_step) != np.sign(g_lam):
+            lo, hi = (lam, step) if up else (step, lam)
+            return _brent(g, lo, hi, xtol=1e-280, rtol=8.9e-16)
+        if step == (hi_end if up else lo_end):
+            raise SolverError("no sign change of the Neumann mismatch in "
+                              "the search window")
+        lam, g_lam = step, g_step
+
+
 def neumann_ground_state(pot: RadialPotential, R: float,
                          series: InteriorSeries | None = None
                          ) -> NeumannSolution:
@@ -517,24 +571,10 @@ def neumann_ground_state(pot: RadialPotential, R: float,
         raise SolverError("R must exceed the scattering length")
     lam_est = (2.0 / (R * R * L)) * (1.0 + 0.75 / L)
 
-    scan = lam_est * np.concatenate((np.geomspace(1e-3, 0.5, 12),
-                                     np.linspace(0.55, 10.0, 60)))
     # one evaluation per distinct lambda: Brent starts at the bracket
-    # ends of the scan and the tail is read at its root
+    # ends of the search and the tail is read at its root
     mismatch = cache(partial(_neumann_mismatch, series, R))
-    prev_l, prev_g = None, None
-    bracket = None
-    for lam in scan:
-        g, _, _ = mismatch(lam)
-        if prev_g is not None and np.sign(g) != np.sign(prev_g):
-            bracket = (prev_l, lam)
-            break
-        prev_l, prev_g = lam, g
-    if bracket is None:
-        raise SolverError("no sign change of the Neumann mismatch in the "
-                          "scan window")
-    lam = _brent(lambda t: mismatch(t)[0],
-                 bracket[0], bracket[1], xtol=1e-280, rtol=8.9e-16)
+    lam = _bracket_root(lambda t: mismatch(t)[0], lam_est)
 
     _, (c1, c2), interior = mismatch(lam)
     j0R, y0R = jy(math.sqrt(lam) * R, 0)
@@ -653,7 +693,9 @@ def export_solution_csv(sol: NeumannSolution, path) -> None:
     """Write (r, f, w, f') columns on the solution's nodes."""
     nodes = sol.nodes
     f, f_prime = sol._at(nodes)
+    rows = zip(nodes.tolist(), f.tolist(), (1.0 - f).tolist(),
+               f_prime.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("r,f,w,fprime\n")
-        for r, f, w, fp in zip(nodes, f, 1.0 - f, f_prime):
-            fh.write(f"{r:.17g},{f:.17g},{w:.17g},{fp:.17g}\n")
+        fh.write("r,f,w,fprime\n"
+                 + "".join(f"{r:.17g},{f:.17g},{w:.17g},{fp:.17g}\n"
+                           for r, f, w, fp in rows))

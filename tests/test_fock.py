@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from gp2d import fock, sector
+from gp2d.audits import commutator_residual
 from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
                        combine, conjugate, diagonal_in_total,
                        effective_hamiltonians, generators,
                        hamiltonian_pieces, hermiticity_residual,
-                       kinetic_operator, ladder, largest_entry,
+                       kinetic_operator, ladder, largest_entries,
                        number_operator, partition_by, shell_modes,
                        whole_partition)
 from gp2d.kernels import (GPParameters, eta_coefficients,
@@ -154,7 +155,7 @@ def test_largest_entry_matches_dense_reference(shape, terms, diag_scale):
         np.add.at(walked, (rows, cols), vals)
     np.testing.assert_allclose(walked, want, rtol=1e-14, atol=atol)
     # ... and the keyed sum finds the largest of them
-    assert largest_entry(basis, terms, diagonal) == pytest.approx(
+    assert largest_entries(basis, [(terms, diagonal)])[0] == pytest.approx(
         np.abs(want).max(), rel=1e-14, abs=atol)
 
 
@@ -874,3 +875,118 @@ def test_partition_by_matches_comprehension(labels):
     for got, ref in zip(part.classes, want):
         assert got.shape == ref.shape
         np.testing.assert_array_equal(got, ref)
+
+
+# --- one keyed sum for many operators against one sum per operator -------
+
+def _per_call_largest(dim, triples):
+    """Largest |entry| of one matrix from its (rows, cols, vals) triples,
+    summed by the int64 key row * dim + col in the order given."""
+    rows, cols, vals = (np.concatenate(x) for x in zip(*triples))
+    keys = rows.astype(np.int64) * dim + cols
+    _, at = np.unique(keys, return_inverse=True)
+    return float(np.abs(np.bincount(at, weights=vals)).max(initial=0.0))
+
+
+def test_keyed_sum_keys_do_not_wrap():
+    # int32 ladder indices: 61356 * 70000 + 47296 is 2^32, which wraps to
+    # the key of (0, 0) in int32 arithmetic
+    dim = 70_000
+    rows = np.array([61356, 0], dtype=np.int32)
+    cols = np.array([47296, 0], dtype=np.int32)
+    assert (rows * np.int32(dim) + cols)[0] == 0          # the old key
+    got = fock._largest_sums(dim, 1, [(np.zeros(2, dtype=np.int64), rows,
+                                       cols, np.ones(2))])
+    assert got.tolist() == [1.0]
+    # owners count in the key too: the same entry in two matrices
+    got = fock._largest_sums(dim, 3, [(np.array([0, 2]), rows[:1].repeat(2),
+                                       cols[:1].repeat(2), np.ones(2))])
+    assert got.tolist() == [1.0, 0.0, 1.0]
+    with pytest.raises(SizeError):
+        fock._largest_sums(2 ** 20, 2 ** 24, [])
+
+
+def _commutator_identities(basis):
+    """The 2 m^2 identities of ``commutator_residual`` as (terms,
+    diagonal)."""
+    N, n = basis.cap, basis.totals()
+    out = []
+    for p, q in product(range(basis.n_modes), repeat=2):
+        out.append(([(1.0, [("b", p), ("bd", q)]),
+                     (-1.0, [("bd", q), ("b", p)]),
+                     (1.0 / N, [("ad", q), ("a", p)])],
+                    n / N - 1.0 if p == q else None))
+        out.append(([(1.0, [("b", p), ("b", q)]),
+                     (-1.0, [("b", q), ("b", p)])], None))
+    return out
+
+
+def _mutated(basis):
+    """b_1's first amplitude off by a relative 1e-6."""
+    dest, amp = basis.ladder_table[:2]
+    row = fock._KIND["b"] * basis.n_modes + 1
+    amp[row, np.flatnonzero(dest[row] >= 0)[0]] *= 1 + 1e-6
+    return basis
+
+
+@pytest.mark.parametrize("shell", [4, 8])
+@pytest.mark.parametrize("mutate", [False, True])
+def test_commutator_sums_bitwise_per_identity(shell, mutate):
+    basis = build_basis(shell_modes(shell), N)
+    if mutate:
+        basis = _mutated(basis)
+    identities = _commutator_identities(basis)
+    got = largest_entries(basis, identities)
+    want = [_per_call_largest(basis.dim, fock._products(basis, terms, diag))
+            for terms, diag in identities]
+    assert got.tolist() == want
+    worst = commutator_residual(basis)
+    assert worst == max(want)
+    assert (worst > 1e-10) == mutate
+
+
+def _per_rule_map(basis):
+    """The map audit with one keyed sum per rule: the sector side, then
+    its ladder form."""
+    n = basis.cap
+    sec = np.hstack((n - basis.totals()[:, None], basis.states))
+    found = basis.position(sec[:, 1:])
+
+    def rule(i, j, terms, diagonal=None):
+        cols = np.flatnonzero(sec[:, j])
+        occ = sec[cols]
+        coef = np.sqrt(occ[:, j].astype(float))
+        occ[:, j] -= 1
+        coef *= np.sqrt(occ[:, i] + 1.0)
+        occ[:, i] += 1
+        side = (basis.position(occ[:, 1:]), found[cols], coef)
+        form = [(r, c, -v) for r, c, v in fock._products(basis, terms,
+                                                         diagonal)]
+        return _per_call_largest(basis.dim, [side] + form)
+
+    idx, root = range(basis.n_modes), math.sqrt(n)
+    return {
+        "rule_n0": rule(0, 0, [], n - basis.totals().astype(float)),
+        "rule_create": max(rule(i + 1, 0, [(root, [("bd", i)])])
+                           for i in idx),
+        "rule_annihilate": max(rule(0, i + 1, [(root, [("b", i)])])
+                               for i in idx),
+        "rule_hop": max(rule(i + 1, j + 1, [(1.0, [("ad", i), ("a", j)])])
+                        for i, j in product(idx, repeat=2)),
+    }
+
+
+@pytest.mark.parametrize("shell", [4, 8])
+@pytest.mark.parametrize("mutate", [False, True])
+def test_map_rules_bitwise_per_rule(shell, mutate, monkeypatch):
+    basis = build_basis(shell_modes(shell), N)
+    if mutate:
+        basis = _mutated(basis)
+    monkeypatch.setattr(sector, "build_basis", lambda modes, cap: basis)
+    got = unitary_excitation_map(basis.modes, N)
+    want = _per_rule_map(basis)
+    for key, value in want.items():
+        assert got[key] == value, key
+    assert got["pass"] != mutate
+    if mutate:
+        assert got["rule_annihilate"] > 1e-10

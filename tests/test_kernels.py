@@ -6,6 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import j0, j1
 
+from gp2d import kernels
+from gp2d.cli import main
 from gp2d.errors import ConfigError, SizeError
 from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
                           chi_hat, eta_coefficients, eta_profile,
@@ -13,6 +15,7 @@ from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
                           omega_lattice_sum, renormalized_potential,
                           scattering_residual, w_squared_integral)
 from gp2d.lattice import TWO_PI, build_lattice
+from gp2d.potentials import free as free_pot
 from gp2d.potentials import step
 from gp2d.scattering import neumann_ground_state
 
@@ -226,3 +229,47 @@ def test_export_kernels_csv(kernel_setup, step_a, tmp_path):
     assert meta["N"] == params.N
     assert lines[1].split(",") == ["n1", "n2", "p", "eta_p", "omega_p"]
     assert len(lines) == 2 + lat.size
+
+
+@pytest.mark.parametrize("per_efold", [8, 12])
+def test_norm2_on_first_read_as_computed_eagerly(kernel_setup, per_efold):
+    # norm2 is not computed with the table, and on first read it is
+    # bitwise the value computed with the table before
+    params, sol, lat, _, _ = kernel_setup
+    table = eta_coefficients(sol, params, lat, per_efold)
+    assert table.per_efold == per_efold and "norm2" not in vars(table)
+    total = params.N ** 2 * w_squared_integral(sol, params, per_efold)
+    assert table.norm2 == math.sqrt(max(total - table.eta0 ** 2, 0.0))
+    free = eta_coefficients(neumann_ground_state(free_pot(), params.R),
+                            params, lat)
+    assert free.norm2 == 0.0
+
+
+def test_gp2d_all_computes_no_norm2(tmp_path, monkeypatch):
+    calls = []
+    original = kernels.w_squared_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "w_squared_integral", counted)
+    assert main(["all", "--out", str(tmp_path)]) == 0
+    assert calls == []
+
+
+def test_export_kernels_csv_bytes_as_per_row(kernel_setup, step_a, tmp_path):
+    # the file is byte for byte the one the row-by-row writer of numpy
+    # scalars made
+    params, _, lat, table, renorm = kernel_setup
+    path = tmp_path / "kernels.csv"
+    export_kernels_csv(table, renorm, step_a, path)
+    meta = {"N": params.N, "alpha": params.alpha, "ell": params.ell,
+            "g_N": renorm.g_N, "lambda_R2": table.lam_R2, "a": step_a}
+    norms = np.sqrt(lat.norms2)
+    want = ("# " + json.dumps(meta, sort_keys=True) + "\n"
+            + "n1,n2,p,eta_p,omega_p\n"
+            + "".join(f"{lat.ints[i, 0]},{lat.ints[i, 1]},"
+                      f"{norms[i]:.17g},{table.eta[i]:.17g},"
+                      f"{renorm.omega[i]:.17g}\n" for i in range(lat.size)))
+    assert path.read_bytes() == want.encode("utf-8")

@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebvander
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
@@ -587,3 +588,150 @@ def test_interior_profile_read_only_inside(step_pot, neumann_r50):
     inside = inside[inside <= r0]
     for counted in (in_sol, in_zero):
         np.testing.assert_array_equal(np.concatenate(counted.radii), inside)
+
+
+# --- Clenshaw panel sums against the chebvander sum they replaced ---------
+
+def chebvander_profile(edges, coef, r):
+    """The panel sum by the Chebyshev-Vandermonde matrix of the points and
+    each point's gathered panel coefficients."""
+    r = np.asarray(r, float)
+    p = np.clip(np.searchsorted(edges, r) - 1, 0, len(edges) - 2)
+    lo, hi = edges[p], edges[p + 1]
+    x = (2.0 * r - lo - hi) / (hi - lo)
+    t = chebvander(x, coef.shape[-1] - 1)
+    return np.einsum("...m,...dm->d...", t, coef[p]), p
+
+
+@pytest.fixture(scope="module")
+def fallback_2000():
+    # lambda r0^2 ~ 340: the interior at the root is solved at lambda alone
+    # on several panels
+    pot = step(2000.0, 1.0)
+    return neumann_ground_state(pot, 1.05, series=interior_series(pot))
+
+
+def panel_sums(pot, lam):
+    """(edges, coef) of the lambda-weighted series that
+    ``InteriorSeries.profile`` sums."""
+    series = interior_series(pot)
+    return series.edges, series._weights(lam)[:-1] @ series.coef[:, :, :-1]
+
+
+@pytest.mark.parametrize("which", ["series", "bump", "fallback"])
+def test_clenshaw_matches_chebvander_sum(which, neumann_r50, fallback_2000):
+    # a one-panel series, a bisected one (the bump's edge at r0) and the
+    # multi-panel fixed-lambda interior
+    edges, coef = {
+        "series": lambda: panel_sums(step(2.0, 1.0), neumann_r50.lam),
+        "bump": lambda: panel_sums(gaussian_bump(3.0, 1.0), 0.3),
+        "fallback": lambda: fallback_2000._interior.args}[which]()
+    if which != "series":
+        assert len(edges) > 2
+    r = np.concatenate((np.linspace(0.0, edges[-1], 2001), edges))
+    want, p = chebvander_profile(edges, coef, r)
+    got = scattering._panel_profile(edges, coef, r)
+    scale = np.abs(coef).sum(axis=-1)[p].T          # sum |c| per point
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 4.0 * eps * scale)
+
+
+def test_clenshaw_bits_do_not_depend_on_the_batch(fallback_2000):
+    # each point's value is the same bits whichever points share the call
+    edges, coef = fallback_2000._interior.args
+    assert len(edges) > 2
+    r = np.random.default_rng(5).uniform(0.0, edges[-1], 1500)
+    full = scattering._panel_profile(edges, coef, r)
+    order = np.random.default_rng(6).permutation(len(r))
+    assert same_bits(scattering._panel_profile(edges, coef, r[order]),
+                     full[:, order])
+    for part in (slice(0, 1), slice(3, 40), slice(700, None, 7)):
+        assert same_bits(scattering._panel_profile(edges, coef, r[part]),
+                         full[:, part])
+    for i in (0, 17, 1499):
+        assert same_bits(scattering._panel_profile(edges, coef, r[i]),
+                         full[:, i])
+    assert scattering._panel_profile(edges, coef, r[:0]).shape == (2, 0)
+
+
+# --- the outward bracket against the scan up from 1e-3 lam_est ------------
+
+def scan_root(series, R):
+    """lambda from the earlier bracket, a 72-point scan up from 1e-3 times
+    the estimate, and the number of mismatches it evaluates."""
+    a, _ = series.log_tail()
+    L = math.log(R / a)
+    lam_est = (2.0 / (R * R * L)) * (1.0 + 0.75 / L)
+    seen = {}
+
+    def g(lam):
+        if lam not in seen:
+            seen[lam] = scattering._neumann_mismatch(series, R, lam)[0]
+        return seen[lam]
+
+    scan = lam_est * np.concatenate((np.geomspace(1e-3, 0.5, 12),
+                                     np.linspace(0.55, 10.0, 60)))
+    for lo, hi in zip(scan[:-1], scan[1:]):
+        if np.sign(g(hi)) != np.sign(g(lo)):
+            return scattering._brent(g, lo, hi, xtol=1e-280,
+                                     rtol=8.9e-16), len(seen)
+    raise AssertionError("no bracket in the scan")
+
+
+BRACKET_RADII = [1.05, 1.3, 10.0, 1.0e3, 1.0e6, 1.0e15, 1.0e30]
+
+
+@pytest.mark.parametrize("v0", [2000.0, 200.0, 10.0, 1.0])
+def test_outward_bracket_matches_scan(v0, monkeypatch):
+    pot = step(v0, 1.0)
+    series = interior_series(pot)
+    calls = []
+    original = scattering._neumann_mismatch
+
+    def counted(series, R, lam):
+        calls.append(lam)
+        return original(series, R, lam)
+
+    for R in BRACKET_RADII:
+        want, scanned = scan_root(series, R)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(scattering, "_neumann_mismatch", counted)
+            got = neumann_ground_state(pot, R, series=series).lam
+        assert abs(got - want) <= 4.0 * np.finfo(float).eps * want, R
+        assert len(calls) == len(set(calls)) <= min(16, scanned), R
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_outward_bracket_stays_in_its_window(sign, step_pot, monkeypatch):
+    # a mismatch of one sign: the search walks to the end of the window on
+    # the side the sign points to, by the fixed ratio, and raises there
+    seen = []
+
+    def one_sign(series, R, lam):
+        seen.append(lam)
+        return sign, (1.0, 0.0), None
+
+    monkeypatch.setattr(scattering, "_neumann_mismatch", one_sign)
+    with pytest.raises(SolverError, match="no sign change"):
+        neumann_ground_state(step_pot, 50.0)
+    lo, hi = (w * seen[0] for w in scattering._BRACKET_WINDOW)
+    assert seen[-1] == (hi if sign > 0 else lo)
+    walk = np.array(seen[:-1])                # from the estimate, unclipped
+    want = scattering._BRACKET_RATIO ** (1 if sign > 0 else -1)
+    assert len(walk) > 5
+    np.testing.assert_allclose(walk[1:] / walk[:-1], want, rtol=1e-15)
+
+
+def test_export_solution_csv_bytes_as_per_row(neumann_r50, fallback_2000,
+                                              tmp_path):
+    # the file is byte for byte the one the row-by-row writer of numpy
+    # scalars made
+    for k, sol in enumerate((neumann_r50, fallback_2000)):
+        path = tmp_path / f"sol{k}.csv"
+        export_solution_csv(sol, path)
+        f, f_prime = sol._at(sol.nodes)
+        want = "r,f,w,fprime\n" + "".join(
+            f"{r:.17g},{f:.17g},{w:.17g},{fp:.17g}\n"
+            for r, f, w, fp in zip(sol.nodes, f, 1.0 - f, f_prime))
+        assert path.read_bytes() == want.encode("utf-8")
