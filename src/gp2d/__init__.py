@@ -19,9 +19,8 @@ from .kernels import (GPParameters, eta_coefficients,
                       omega_lattice_sum, chi_hat)
 from .fock import (build_basis, shell_modes, ladder, hamiltonian_pieces,
                    generators, conjugate, effective_hamiltonians)
-from .sector import unitary_excitation_map
 from .audits import (min_constant, localization_check,
-                     condensation_lower_bound)
+                     condensation_lower_bound, unitary_excitation_map)
 from .energy import vacuum_upper_bound, ground_state, sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

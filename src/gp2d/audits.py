@@ -1,5 +1,9 @@
 """Numerical certification of operator inequalities and exact identities.
 
+The exact identities are the commutators of the modified ladder
+operators and the conjugation rules of the excitation map U_N, each
+audited as the largest entry of an operator that must vanish.
+
 The certifier answers one kind of question: what is the smallest constant
 c such that c * (sum of right-hand operators) dominates a given left-hand
 operator in the positive-semidefinite order, on the truncated excitation
@@ -16,15 +20,15 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import product
+from itertools import chain, islice, product
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, solve
 
 from .errors import ConfigError, ConsistencyError
-from .fock import (FockBasis, LinearOperator, build_operator, combine,
-                   common, largest_entries)
+from .fock import (FockBasis, LinearOperator, _entries, _largest_sums,
+                   build_operator, combine, common, largest_entries)
 from .kernels import GPParameters, RenormPotential, omega_lattice_sum
 
 PSD_SLACK = 1e-9
@@ -115,6 +119,65 @@ def commutator_residual(basis: FockBasis) -> float:
                        ([(1.0, [("b", p), ("b", q)]),
                          (-1.0, [("b", q), ("b", p)])], None)]
     return float(largest_entries(basis, identities).max(initial=0.0))
+
+
+def unitary_excitation_map(basis: FockBasis) -> dict:
+    """Audit U_N, N = basis.cap, on the basis alone: the residuals of
+    unitarity and of the four conjugation rules
+
+      U a*_0 a_0 U* = N - N+,   U a*_p a_0 U* = sqrt(N) b*_p,
+      U a*_0 a_p U* = sqrt(N) b_p,   U a*_p a_q U* = a*_p a_q,
+
+    each the largest entry of the sector side minus its ladder form,
+    summed over their nonzero entries.
+
+    The symmetric N-particle states are the rows (n0, n_1, ..., n_m) with
+    n0 = N - sum n_i, slot 0 the zero mode, and U_N sends |n0, vec n> to
+    the excitation state |vec n>.  So a*_i a_j on the sector moves one
+    particle from slot j to slot i, and its image raises the state's key
+    by W[i] - W[j], W the key weights with 0 for the zero mode, which has
+    no digit.  The radix is cap + 1 and every image has total <= N, so no
+    digit carries.  The sector sides of all rules come from one ``find``
+    and go first into one keyed sum (``_largest_sums``), then the ladder
+    forms from one walk.
+    """
+    N = basis.cap
+    weights, keys = basis._keys[:2]
+    found = basis.find(keys)
+    occ = np.hstack((N - basis.totals()[:, None], basis.states))
+    idx, root = range(basis.n_modes), math.sqrt(N)
+    # each rule: (i, j) of a*_i a_j and its ladder form (terms, diagonal)
+    rules = {
+        "rule_n0": [(0, 0, ([], N - basis.totals().astype(float)))],
+        "rule_create": [(i + 1, 0, ([(root, [("bd", i)])], None))
+                        for i in idx],
+        "rule_annihilate": [(0, i + 1, ([(root, [("b", i)])], None))
+                            for i in idx],
+        "rule_hop": [(i + 1, j + 1, ([(1.0, [("ad", i), ("a", j)])], None))
+                     for i, j in product(idx, repeat=2)],
+    }
+    every = list(chain.from_iterable(rules.values()))
+    pairs = np.array([(i, j) for i, j, _ in every])
+    # a*_i a_j acts on the sector rows with n_j > 0, in basis order
+    occupied = [np.flatnonzero(column) for column in occ.T]
+    owner = np.repeat(np.arange(len(every)),
+                      [len(occupied[j]) for j in pairs[:, 1]])
+    cols = np.concatenate([occupied[j] for j in pairs[:, 1]])
+    i, j = pairs[owner].T
+    coef = np.sqrt(occ[cols, j].astype(float))
+    coef *= np.sqrt(occ[cols, i] + 1 - (i == j))
+    W = np.concatenate(([0], weights))
+    side = (owner, basis.find(keys[cols] + W[i] - W[j]), found[cols], coef)
+    forms = ((k, r, c, -v)
+             for k, r, c, v in _entries(basis, [f for *_, f in every]))
+    worst = iter(_largest_sums(basis.dim, len(every),
+                               chain([side], forms)).tolist())
+    report = {"unitary": float(np.abs(np.bincount(found, minlength=basis.dim)
+                                      - 1).max())}
+    for name, group in rules.items():
+        report[name] = max(islice(worst, len(group)))
+    report["pass"] = all(v <= 1e-12 for v in report.values())
+    return report
 
 
 def smooth_partition(x):

@@ -13,15 +13,16 @@ import numpy as np
 
 from . import __version__
 from .audits import (commutator_residual, condensation_lower_bound,
-                     localization_identity, square_completion_check)
+                     localization_identity, square_completion_check,
+                     unitary_excitation_map)
 from .config import RunConfig, fingerprint, load_config
-from .energy import Pipeline, sweep, vacuum_slope_fit, depletion_products
+from .energy import (Pipeline, depletion_products, sweep, vacuum_slope_fit,
+                     write_atomic)
 from .errors import Gp2dError
 from .fock import generators, r_effective_hamiltonian
-from .kernels import export_kernels_csv, scattering_residual
+from .kernels import kernels_csv, scattering_residual
 from .potentials import fourier_transform_radial
-from .scattering import export_solution_csv, validate_neumann_asymptotics
-from .sector import unitary_excitation_map
+from .scattering import solution_csv, validate_neumann_asymptotics
 
 COMMANDS = ("scatter", "neumann", "kernels", "fock-audit", "lower-bound",
             "energy-sweep", "all")
@@ -39,7 +40,7 @@ def cmd_scatter(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     print(f"scattering length a = {zsol.a:.9g}  "
           f"(log slope {zsol.log_slope:.9g})")
     path = out / "scatter.json"
-    path.write_text(json.dumps({
+    write_atomic(path, json.dumps({
         "a": zsol.a, "log_slope": zsol.log_slope,
         "vhat0": fourier_transform_radial(pipe.pot, 0.0)},
         sort_keys=True) + "\n")
@@ -56,7 +57,7 @@ def cmd_neumann(pipe: Pipeline, out: Path) -> tuple[bool, list]:
           f"e1={rep.e1:.3g} e2={rep.e2:.3g} e3={rep.e3:.3g} "
           f"e4={rep.e4:.3g} [{'ok' if ok else 'FAIL'}]")
     path = out / "neumann.csv"
-    export_solution_csv(sol, path)
+    write_atomic(path, solution_csv(sol))
     return ok, [path]
 
 
@@ -73,7 +74,7 @@ def cmd_kernels(pipe: Pipeline, out: Path) -> tuple[bool, list]:
           f"max-rel-residual={rep.max_rel:.3e} "
           f"[{'ok' if ok else 'FAIL'}]")
     path = out / "kernels.csv"
-    export_kernels_csv(table, renorm, pipe.zero.a, path)
+    write_atomic(path, kernels_csv(table, renorm, pipe.zero.a))
     return ok, [path]
 
 
@@ -82,7 +83,7 @@ def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     params, basis = pipe.params(n, alpha), pipe.basis(n)
     tol = 1e-10
     residuals = {"commutators": commutator_residual(basis)}
-    urep = unitary_excitation_map(basis.modes, n)
+    urep = unitary_excitation_map(basis)
     residuals["unitary_map"] = max(v for k, v in urep.items() if k != "pass")
 
     gens = generators(basis, pipe.table(n, alpha), params)
@@ -98,8 +99,8 @@ def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
         print(f"fock-audit {name}: residual {v:.3e} "
               f"[{'ok' if v <= tol else 'FAIL'}]")
     path = out / "fock_audit.json"
-    path.write_text(json.dumps({"residuals": residuals, "pass": ok,
-                                "tolerance": tol}, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps({"residuals": residuals, "pass": ok,
+                                   "tolerance": tol}, sort_keys=True) + "\n")
     return ok, [path]
 
 
@@ -119,8 +120,8 @@ def cmd_lower_bound(pipe: Pipeline, out: Path) -> tuple[bool, list]:
           f"lattice-sum-gap={scal['lattice_sum_minus_log']:.3f} "
           f"[{'ok' if ok else 'FAIL'}]")
     path = out / "lower_bound.json"
-    path.write_text(rep.to_json() + "\n"
-                    + json.dumps(scal, sort_keys=True) + "\n")
+    write_atomic(path, rep.to_json() + "\n"
+                 + json.dumps(scal, sort_keys=True) + "\n")
     return ok, [path]
 
 
@@ -172,16 +173,12 @@ plot '{csv}' every ::1 using (log($1)):($5 - 2*pi*$1) \\
 
 def emit_plots_script(out: Path) -> Path:
     path = out / "plots.gp"
-    path.write_text(PLOT_SCRIPT.format(csv="sweep.csv"))
+    write_atomic(path, PLOT_SCRIPT.format(csv="sweep.csv"))
     return path
 
 
 def write_manifest(manifest: dict, path: Path) -> None:
-    """Write to a temporary file beside path, then rename it over path, so
-    an interrupted write leaves the previous manifest whole."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:

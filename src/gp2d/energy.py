@@ -234,17 +234,27 @@ def sweep(cfg: RunConfig, csv_path=None,
     return ds
 
 
-def write_dataset(ds: SweepDataset, path) -> None:
-    """Write to a temporary file beside path, then rename it over path, so
-    an interrupted write leaves the previous file whole."""
+def write_atomic(path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over
+    path, so an interrupted write leaves the previous file whole; the
+    temporary file goes when the write fails."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema={ds.schema} fingerprint={ds.fingerprint}\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in ds.sorted_records():
-            fh.write(rec.csv_row() + "\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_dataset(ds: SweepDataset, path) -> None:
+    """Persist the sweep by ``write_atomic``: the header line, the column
+    names, then one row per record."""
+    write_atomic(path, f"# schema={ds.schema} fingerprint={ds.fingerprint}\n"
+                 + ",".join(CSV_COLUMNS) + "\n"
+                 + "".join(rec.csv_row() + "\n"
+                           for rec in ds.sorted_records()))
 
 
 def _parse_record(line: str) -> EnergyRecord:

@@ -185,16 +185,14 @@ class FockBasis:
             raise ConfigError("occupation not in the basis")
         return order[at]
 
-    def position(self, states) -> np.ndarray:
-        """Basis index of each occupation row of states."""
-        return self.find(np.asarray(states, dtype=np.int64) @ self._keys[0])
-
     def totals(self) -> np.ndarray:
         return self.states.sum(axis=1)
 
     def vacuum(self) -> np.ndarray:
+        """The unit vector at index 0: ``_occupations`` orders the states
+        by total, so the vacuum is row 0."""
         v = np.zeros(self.dim)
-        v[self.position(np.zeros((1, self.n_modes)))] = 1.0
+        v[0] = 1.0
         return v
 
     @cached_property
@@ -251,11 +249,13 @@ class FockBasis:
                 for i in range(m)}
 
 
-def build_basis(modes, cap: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
+def build_basis(modes, cap: int) -> FockBasis:
     modes = tuple(tuple(int(c) for c in m) for m in modes)
     if cap < 1:
         raise ConfigError("particle cap must be at least 1")
     mode_set = set(modes)
+    if len(mode_set) != len(modes):
+        raise ConfigError(f"mode set repeats a mode: {modes}")
     for m in modes:
         if m == (0, 0):
             raise ConfigError("the zero mode does not belong to the "
@@ -264,8 +264,9 @@ def build_basis(modes, cap: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
             raise ConfigError(f"mode set not closed under negation: {m}")
     m = len(modes)
     dim = math.comb(cap + m, m)
-    if dim > dim_cap:
-        raise SizeError(f"basis dimension {dim} exceeds cap {dim_cap}")
+    if dim > DEFAULT_DIM_CAP:
+        raise SizeError(f"basis dimension {dim} exceeds cap "
+                        f"{DEFAULT_DIM_CAP}")
     neg = np.array([modes.index((-a, -b)) for a, b in modes])
     p2 = TWO_PI ** 2 * np.array([a * a + b * b for a, b in modes],
                                 dtype=float)
@@ -337,11 +338,6 @@ class LinearOperator:
         vec = np.zeros(self.dim, dtype=v.dtype)
         vec[idx] = v
         return val, vec
-
-    def expectation(self, vec: np.ndarray) -> float:
-        val = sum(np.einsum("ki,kij,kj->", vec[idx].conj(), blk, vec[idx])
-                  for idx, blk in zip(self.part.classes, self.blocks))
-        return float(np.real(val))
 
 
 def hermiticity_residual(mat: np.ndarray, sign: float = 1.0) -> float:

@@ -363,9 +363,10 @@ def scattering_residual(table: KernelTable, pot: RadialPotential,
     return ResidualReport(np.sqrt(lat.norms2), resid_u[inv])
 
 
-def export_kernels_csv(table: KernelTable, renorm: RenormPotential,
-                       a: float, path) -> None:
-    """CSV of (n1, n2, |p|, eta_p, omega_p) under a JSON metadata header."""
+def kernels_csv(table: KernelTable, renorm: RenormPotential,
+                a: float) -> str:
+    """CSV text of (n1, n2, |p|, eta_p, omega_p) under a JSON metadata
+    header."""
     meta = {
         "N": table.params.N,
         "alpha": table.params.alpha,
@@ -377,8 +378,7 @@ def export_kernels_csv(table: KernelTable, renorm: RenormPotential,
     lat = table.lattice
     rows = zip(lat.ints.tolist(), np.sqrt(lat.norms2).tolist(),
                table.eta.tolist(), renorm.omega.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n"
-                 + "n1,n2,p,eta_p,omega_p\n"
-                 + "".join(f"{n1},{n2},{p:.17g},{eta:.17g},{omega:.17g}\n"
-                           for (n1, n2), p, eta, omega in rows))
+    return ("# " + json.dumps(meta, sort_keys=True) + "\n"
+            + "n1,n2,p,eta_p,omega_p\n"
+            + "".join(f"{n1},{n2},{p:.17g},{eta:.17g},{omega:.17g}\n"
+                      for (n1, n2), p, eta, omega in rows))

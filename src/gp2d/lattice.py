@@ -34,11 +34,6 @@ class MomentumLattice:
             raise ConfigError(f"mode ({n1},{n2}) not on the lattice")
         return int(hits[0])
 
-    def negation_index(self) -> np.ndarray:
-        """Permutation mapping each mode index to the index of -p."""
-        order = {(int(a), int(b)): i for i, (a, b) in enumerate(self.ints)}
-        return np.array([order[(-int(a), -int(b))] for a, b in self.ints])
-
     def unique_norms(self):
         """Sorted unique |p| values and the inverse map onto modes."""
         norms = np.sqrt(self.norms2)

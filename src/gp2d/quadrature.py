@@ -17,6 +17,9 @@ from .errors import QuadratureError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# the innermost geometric boundary on [0, b], relative to b
+_FLOOR_RATIO = 1e-12
+
 # J0 zeros, computed on first need and at least doubled when extended
 _J0_ZEROS = np.zeros(0)
 
@@ -41,16 +44,15 @@ def merge_bounds(*parts) -> np.ndarray:
     return bounds[keep]
 
 
-def geometric_bounds(a: float, b: float, per_efold: int = 8,
-                     floor_ratio: float = 1e-12) -> np.ndarray:
+def geometric_bounds(a: float, b: float, per_efold: int = 8) -> np.ndarray:
     """Panel boundaries on [a, b], geometric except for one panel at 0.
 
-    With ``a == 0`` the innermost boundary is placed at ``b * floor_ratio``
-    and a single closing panel [0, b*floor_ratio] is prepended.
+    With ``a == 0`` the innermost boundary is placed at ``b * _FLOOR_RATIO``
+    and a single closing panel [0, b*_FLOOR_RATIO] is prepended.
     """
     if b <= a:
         raise QuadratureError(f"empty quadrature interval [{a}, {b}]")
-    lo = max(a, b * floor_ratio)
+    lo = max(a, b * _FLOOR_RATIO)
     n = max(2, int(np.ceil(per_efold * np.log(b / lo))))
     bounds = np.geomspace(lo, b, n + 1)
     if a < lo:
@@ -58,10 +60,10 @@ def geometric_bounds(a: float, b: float, per_efold: int = 8,
     return bounds
 
 
-def panel_bounds_hankel(a: float, b: float, k: float, per_efold: int = 8,
-                        floor_ratio: float = 1e-12) -> np.ndarray:
+def panel_bounds_hankel(a: float, b: float, k: float,
+                        per_efold: int = 8) -> np.ndarray:
     """Geometric boundaries merged with the zeros of J0(k .) inside (a, b)."""
-    bounds = geometric_bounds(a, b, per_efold, floor_ratio)
+    bounds = geometric_bounds(a, b, per_efold)
     if k > 0.0:
         zeros = _j0_zeros_up_to(k * b) / k
         zeros = zeros[zeros > a]

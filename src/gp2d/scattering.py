@@ -689,13 +689,11 @@ def validate_neumann_asymptotics(sol: NeumannSolution) -> AsymptoticsReport:
     return AsymptoticsReport(float(e1), float(e2), e3, e4, float(L))
 
 
-def export_solution_csv(sol: NeumannSolution, path) -> None:
-    """Write (r, f, w, f') columns on the solution's nodes."""
+def solution_csv(sol: NeumannSolution) -> str:
+    """CSV text of (r, f, w, f') columns on the solution's nodes."""
     nodes = sol.nodes
     f, f_prime = sol._at(nodes)
     rows = zip(nodes.tolist(), f.tolist(), (1.0 - f).tolist(),
                f_prime.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("r,f,w,fprime\n"
-                 + "".join(f"{r:.17g},{f:.17g},{w:.17g},{fp:.17g}\n"
-                           for r, f, w, fp in rows))
+    return "r,f,w,fprime\n" + "".join(
+        f"{r:.17g},{f:.17g},{w:.17g},{fp:.17g}\n" for r, f, w, fp in rows)

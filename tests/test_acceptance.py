@@ -11,7 +11,7 @@ import pytest
 from scipy.special import i0, i1
 
 from gp2d.audits import (condensation_lower_bound, localization_check,
-                         min_constant)
+                         min_constant, unitary_excitation_map)
 from gp2d.cli import main as cli_main
 from gp2d.config import RunConfig
 from gp2d.energy import (depletion_products, ground_state, sweep,
@@ -26,7 +26,6 @@ from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.potentials import step
 from gp2d.scattering import (neumann_ground_state, scattering_length,
                              validate_neumann_asymptotics)
-from gp2d.sector import unitary_excitation_map
 
 
 def report(number, ok, detail):
@@ -153,7 +152,7 @@ def test_acceptance_6_exact_algebra(step_pot):
                         np.abs(bp @ bq - bq @ bp).max())
 
     # excitation-map rules and unitarity
-    umap = unitary_excitation_map(basis.modes, n_particles)
+    umap = unitary_excitation_map(basis)
     worst = max(worst, umap["unitary"], umap["rule_n0"],
                 umap["rule_create"], umap["rule_annihilate"],
                 umap["rule_hop"])

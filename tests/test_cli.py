@@ -283,6 +283,29 @@ def test_interrupted_manifest_write_keeps_previous(tmp_path, monkeypatch):
     assert json.loads(before) == {"commands": {"scatter": "pass"}}
 
 
+def test_every_artifact_goes_through_the_atomic_writer(tmp_path, fast_cfg,
+                                                      monkeypatch):
+    # the manifest and each artifact it lists are written by write_atomic,
+    # wherever a gp2d module holds it, and no temporary file is left
+    written, original = [], energy.write_atomic
+
+    def spy(path, text):
+        written.append(str(path))
+        original(path, text)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("gp2d.")
+                and getattr(mod, "write_atomic", None) is original):
+            monkeypatch.setattr(mod, "write_atomic", spy)
+    out = tmp_path / "out"
+    assert run(["all", "--config", fast_cfg, "--out", out,
+                "--emit-plots-script"]) == 0
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert len(artifacts) == 7
+    assert sorted(written) == sorted(artifacts + [str(out / "manifest.json")])
+    assert list(out.glob("*.tmp")) == []
+
+
 def test_fock_audit_default_shell_names_no_modes(tmp_path, fast_cfg):
     out = tmp_path / "out"
     assert run(["fock-audit", "--config", fast_cfg, "--out", out]) == 0

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from gp2d import fock
+from gp2d import energy, fock
 from gp2d.config import RunConfig, fingerprint
 from gp2d.energy import (EnergyRecord, Pipeline, SweepDataset, compute_record,
                          depletion_products, ground_state, load_dataset,
                          sweep, sweep_grid, vacuum_slope_fit,
-                         vacuum_upper_bound, write_dataset)
+                         vacuum_upper_bound, write_atomic, write_dataset)
 from gp2d.fock import (LinearOperator, build_basis, effective_hamiltonians,
                        shell_modes)
 from gp2d.kernels import GPParameters, renormalized_potential
@@ -63,7 +63,7 @@ def test_ground_state_blockwise_matches_dense(step_pot):
     assert e0 == pytest.approx(e0_d, rel=1e-13)
     assert depletion == pytest.approx(depletion_d, rel=1e-10)
     assert abs(vec @ vec_d) == pytest.approx(1.0, rel=1e-12)
-    assert R.expectation(vec) == pytest.approx(e0, rel=1e-12)
+    assert vec @ R.mat @ vec == pytest.approx(e0, rel=1e-12)
 
 
 def test_record_csv_row_format():
@@ -205,6 +205,21 @@ def test_interrupted_write_keeps_previous_file(tmp_path, small_csv):
     with pytest.raises(OSError):
         write_dataset(SweepDataset([Unwritable()], "fp"), path)
     assert path.read_text() == small_csv
+
+
+def test_failed_atomic_write_removes_its_temporary(tmp_path, monkeypatch):
+    # the rename fails after the temporary file is complete
+    path = tmp_path / "artifact.txt"
+    path.write_text("before")
+
+    def refuse(src, dst):
+        raise OSError("read-only")
+
+    monkeypatch.setattr(energy.os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_atomic(path, "after")
+    assert path.read_text() == "before"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_fingerprint_mismatch_recomputes(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from gp2d import fock, sector
-from gp2d.audits import commutator_residual
+from gp2d import fock
+from gp2d.audits import commutator_residual, unitary_excitation_map
 from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
                        combine, conjugate, diagonal_in_total,
@@ -23,7 +23,6 @@ from gp2d.kernels import (GPParameters, eta_coefficients,
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.potentials import fourier_transform_radial, step
 from gp2d.scattering import neumann_ground_state
-from gp2d.sector import unitary_excitation_map
 
 N = 3
 
@@ -326,8 +325,15 @@ def test_basis_dimension_is_stars_and_bars():
 
 
 def test_basis_dimension_cap():
+    # C(22, 12) = 646,646 states, refused before any is made
     with pytest.raises(SizeError):
-        build_basis(shell_modes(12), 8, dim_cap=1000)
+        build_basis(shell_modes(12), 10)
+
+
+def test_basis_rejects_repeated_modes():
+    # a repeated mode would pair with the wrong copy of its negative
+    with pytest.raises(ConfigError, match="repeats"):
+        build_basis([(1, 0), (-1, 0), (1, 0), (-1, 0)], 2)
 
 
 def test_occupations_bounded_by_cap(fock_setup):
@@ -406,10 +412,10 @@ def test_constant_piece_vacuum_value(fock_setup, step_pot):
     pieces = hamiltonian_pieces(basis, step_pot, params)
     vhat0 = fourier_transform_radial(step_pot, 0.0)
     vac = basis.vacuum()
-    assert pieces["L0"].expectation(vac) == pytest.approx(
+    assert vac @ pieces["L0"].mat @ vac == pytest.approx(
         0.5 * vhat0 * N * (N - 1), rel=1e-12)
-    assert pieces["K"].expectation(vac) == 0.0
-    assert pieces["V_N"].expectation(vac) == 0.0
+    assert vac @ pieces["K"].mat @ vac == 0.0
+    assert vac @ pieces["V_N"].mat @ vac == 0.0
 
 
 def test_quartic_piece_positive(fock_setup, step_pot):
@@ -501,7 +507,7 @@ def test_effective_hamiltonians(fock_setup, step_pot):
     for key in ("R_eff", "H_N"):
         assert hermiticity_residual(ops[key].mat) <= 1e-12
     want = 0.5 * renorm.omega0 * (N - 1)
-    assert ops["R_eff"].expectation(vac) == pytest.approx(want, rel=1e-12)
+    assert vac @ ops["R_eff"].mat @ vac == pytest.approx(want, rel=1e-12)
 
 
 MAP_RULES = ("unitary", "rule_n0", "rule_create", "rule_annihilate",
@@ -510,7 +516,7 @@ MAP_RULES = ("unitary", "rule_n0", "rule_create", "rule_annihilate",
 
 def test_unitary_excitation_map_rules():
     for shell in (4, 8, 12):
-        rep = unitary_excitation_map(shell_modes(shell), N)
+        rep = unitary_excitation_map(build_basis(shell_modes(shell), N))
         assert rep["pass"]
         assert set(rep) == {*MAP_RULES, "pass"}
         for key in MAP_RULES:
@@ -559,13 +565,12 @@ def _dense_excitation_map(basis):
 
 
 @pytest.mark.parametrize("shell", [4, 8])
-def test_unitary_excitation_map_matches_dense(shell, monkeypatch):
+def test_unitary_excitation_map_matches_dense(shell):
     # the map audit agrees with the dense construction, and both see one
     # amplitude of any ladder kind off by a relative 1e-6 in the rule
     # that reads that kind
     def check(basis):
-        monkeypatch.setattr(sector, "build_basis", lambda modes, cap: basis)
-        got = unitary_excitation_map(basis.modes, N)
+        got = unitary_excitation_map(basis)
         want = _dense_excitation_map(basis)
         for key in MAP_RULES:
             assert got[key] == pytest.approx(want[key], abs=1e-15), key
@@ -947,10 +952,17 @@ def test_commutator_sums_bitwise_per_identity(shell, mutate):
 
 def _per_rule_map(basis):
     """The map audit with one keyed sum per rule: the sector side, then
-    its ladder form."""
+    its ladder form.  States are looked up by their occupation tuples, not
+    by the basis' keys."""
     n = basis.cap
     sec = np.hstack((n - basis.totals()[:, None], basis.states))
-    found = basis.position(sec[:, 1:])
+    index = {s: k for k, s in enumerate(map(tuple, basis.states.tolist()))}
+
+    def position(rows):
+        return np.array([index[s] for s in map(tuple, rows.tolist())],
+                        dtype=np.int64)
+
+    found = position(sec[:, 1:])
 
     def rule(i, j, terms, diagonal=None):
         cols = np.flatnonzero(sec[:, j])
@@ -959,7 +971,7 @@ def _per_rule_map(basis):
         occ[:, j] -= 1
         coef *= np.sqrt(occ[:, i] + 1.0)
         occ[:, i] += 1
-        side = (basis.position(occ[:, 1:]), found[cols], coef)
+        side = (position(occ[:, 1:]), found[cols], coef)
         form = [(r, c, -v) for r, c, v in fock._products(basis, terms,
                                                          diagonal)]
         return _per_call_largest(basis.dim, [side] + form)
@@ -976,17 +988,17 @@ def _per_rule_map(basis):
     }
 
 
-@pytest.mark.parametrize("shell", [4, 8])
+@pytest.mark.parametrize("shell", [4, 8, 12])
 @pytest.mark.parametrize("mutate", [False, True])
-def test_map_rules_bitwise_per_rule(shell, mutate, monkeypatch):
-    basis = build_basis(shell_modes(shell), N)
-    if mutate:
-        basis = _mutated(basis)
-    monkeypatch.setattr(sector, "build_basis", lambda modes, cap: basis)
-    got = unitary_excitation_map(basis.modes, N)
-    want = _per_rule_map(basis)
-    for key, value in want.items():
-        assert got[key] == value, key
-    assert got["pass"] != mutate
-    if mutate:
-        assert got["rule_annihilate"] > 1e-10
+def test_map_rules_bitwise_per_rule(shell, mutate):
+    for n in (3, 5):
+        basis = build_basis(shell_modes(shell), n)
+        if mutate:
+            basis = _mutated(basis)
+        got = unitary_excitation_map(basis)
+        want = _per_rule_map(basis)
+        for key, value in want.items():
+            assert got[key] == value, (n, key)
+        assert got["pass"] != mutate
+        if mutate:
+            assert got["rule_annihilate"] > 1e-10

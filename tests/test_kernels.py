@@ -11,7 +11,7 @@ from gp2d.cli import main
 from gp2d.errors import ConfigError, SizeError
 from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
                           chi_hat, eta_coefficients, eta_profile,
-                          export_kernels_csv, kernel_sup_product,
+                          kernel_sup_product, kernels_csv,
                           omega_lattice_sum, renormalized_potential,
                           scattering_residual, w_squared_integral)
 from gp2d.lattice import TWO_PI, build_lattice
@@ -94,7 +94,7 @@ def test_eta_sign_and_decay(kernel_setup):
 
 def test_eta_symmetry_is_exact(kernel_setup):
     _, _, lat, table, _ = kernel_setup
-    neg = lat.negation_index()
+    neg = np.array([lat.index_of(-a, -b) for a, b in lat.ints.tolist()])
     np.testing.assert_array_equal(table.eta, table.eta[neg])
     assert table.eta_at(2, 1) == table.eta_at(-2, -1)
     assert table.eta_at(2, 1) == table.eta_at(1, 2)
@@ -220,11 +220,9 @@ def test_scattering_residual_small(kernel_setup, step_pot):
     assert len(rep.p_norms) == len(rep.residual_rel)
 
 
-def test_export_kernels_csv(kernel_setup, step_a, tmp_path):
+def test_export_kernels_csv(kernel_setup, step_a):
     params, sol, lat, table, renorm = kernel_setup
-    path = tmp_path / "kernels.csv"
-    export_kernels_csv(table, renorm, step_a, path)
-    lines = path.read_text().strip().splitlines()
+    lines = kernels_csv(table, renorm, step_a).strip().splitlines()
     meta = json.loads(lines[0].lstrip("# "))
     assert meta["N"] == params.N
     assert lines[1].split(",") == ["n1", "n2", "p", "eta_p", "omega_p"]
@@ -258,12 +256,10 @@ def test_gp2d_all_computes_no_norm2(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_export_kernels_csv_bytes_as_per_row(kernel_setup, step_a, tmp_path):
-    # the file is byte for byte the one the row-by-row writer of numpy
-    # scalars made
+def test_export_kernels_csv_bytes_as_per_row(kernel_setup, step_a):
+    # the text is character for character the one the row-by-row writer
+    # of numpy scalars made
     params, _, lat, table, renorm = kernel_setup
-    path = tmp_path / "kernels.csv"
-    export_kernels_csv(table, renorm, step_a, path)
     meta = {"N": params.N, "alpha": params.alpha, "ell": params.ell,
             "g_N": renorm.g_N, "lambda_R2": table.lam_R2, "a": step_a}
     norms = np.sqrt(lat.norms2)
@@ -272,4 +268,4 @@ def test_export_kernels_csv_bytes_as_per_row(kernel_setup, step_a, tmp_path):
             + "".join(f"{lat.ints[i, 0]},{lat.ints[i, 1]},"
                       f"{norms[i]:.17g},{table.eta[i]:.17g},"
                       f"{renorm.omega[i]:.17g}\n" for i in range(lat.size)))
-    assert path.read_bytes() == want.encode("utf-8")
+    assert kernels_csv(table, renorm, step_a) == want

@@ -42,7 +42,7 @@ def test_norms_match_points():
 
 def test_negation_is_involution():
     lat = build_lattice(TWO_PI * 3)
-    neg = lat.negation_index()
+    neg = np.array([lat.index_of(-a, -b) for a, b in lat.ints.tolist()])
     assert np.array_equal(neg[neg], np.arange(lat.size))
     np.testing.assert_array_equal(lat.ints[neg], -lat.ints)
 

@@ -14,10 +14,10 @@ from scipy.special import i0, i0e, i1, i1e, j0, j1, y0, y1
 from gp2d import bessel, scattering
 from gp2d.errors import ConsistencyError, SolverError
 from gp2d.potentials import free, gaussian_bump, step, tabulated
-from gp2d.scattering import (InteriorSeries, export_solution_csv,
-                             interior_series, neumann_ground_state,
-                             potential_integral, rayleigh_quotient,
-                             scattering_length, trial_upper_bound,
+from gp2d.scattering import (InteriorSeries, interior_series,
+                             neumann_ground_state, potential_integral,
+                             rayleigh_quotient, scattering_length,
+                             solution_csv, trial_upper_bound,
                              trial_wavenumber, validate_neumann_asymptotics)
 
 # Reference values frozen from 30-digit arbitrary-precision evaluation.
@@ -170,10 +170,8 @@ def test_asymptotics_report_finite(step_pot, step_a):
     assert rep.L == pytest.approx(math.log(1.0e3 / step_a), rel=1e-12)
 
 
-def test_export_solution_csv(neumann_r50, tmp_path):
-    path = tmp_path / "sol.csv"
-    export_solution_csv(neumann_r50, path)
-    rows = path.read_text().strip().splitlines()
+def test_export_solution_csv(neumann_r50):
+    rows = solution_csv(neumann_r50).strip().splitlines()
     assert rows[0].startswith("r,")
     data = np.loadtxt(rows[1:], delimiter=",")
     assert data.shape[1] == 4
@@ -723,15 +721,12 @@ def test_outward_bracket_stays_in_its_window(sign, step_pot, monkeypatch):
     np.testing.assert_allclose(walk[1:] / walk[:-1], want, rtol=1e-15)
 
 
-def test_export_solution_csv_bytes_as_per_row(neumann_r50, fallback_2000,
-                                              tmp_path):
-    # the file is byte for byte the one the row-by-row writer of numpy
-    # scalars made
-    for k, sol in enumerate((neumann_r50, fallback_2000)):
-        path = tmp_path / f"sol{k}.csv"
-        export_solution_csv(sol, path)
+def test_export_solution_csv_bytes_as_per_row(neumann_r50, fallback_2000):
+    # the text is character for character the one the row-by-row writer
+    # of numpy scalars made
+    for sol in (neumann_r50, fallback_2000):
         f, f_prime = sol._at(sol.nodes)
         want = "r,f,w,fprime\n" + "".join(
             f"{r:.17g},{f:.17g},{w:.17g},{fp:.17g}\n"
             for r, f, w, fp in zip(sol.nodes, f, 1.0 - f, f_prime))
-        assert path.read_bytes() == want.encode("utf-8")
+        assert solution_csv(sol) == want
