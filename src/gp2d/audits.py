@@ -83,7 +83,7 @@ def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
     def shifted(c: float) -> LinearOperator:
         return combine([(c, rhs), (-1.0, lhs)], "shifted")
 
-    ev, vec = shifted(0.0).lowest(eigh)
+    ev, vec = shifted(0.0).lowest(eigvalsh, eigh)
     if ev >= -slack:
         return InequalityReport(statement, 0.0, ev, lhs.dim, cap, True,
                                 slack, _profile(vec))
@@ -95,7 +95,7 @@ def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
                                 False, slack,
                                 notes="rhs is not positive definite and "
                                       "lhs is not <= 0: no finite constant")
-    ev, vec = shifted(c).lowest(eigh)
+    ev, vec = shifted(c).lowest(eigvalsh, eigh)
     return InequalityReport(statement, c, ev, lhs.dim, cap, ev >= -slack,
                             slack, _profile(vec))
 

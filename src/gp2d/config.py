@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+
+# hashlib maps OpenSSL (about 3.5 MB of a CLI call's peak RSS) to hash a
+# few hundred bytes; the interpreter's builtin SHA-256 gives the same
+# digest, and random.py takes its SHA-512 the same way
+try:
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.11
+    except ImportError:
+        from hashlib import sha256
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,4 +153,4 @@ def canonical_text(cfg: RunConfig) -> str:
 
 
 def fingerprint(cfg: RunConfig) -> str:
-    return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()[:16]
+    return sha256(canonical_text(cfg).encode()).hexdigest()[:16]

@@ -10,7 +10,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from numpy.linalg import eigh
+from numpy.linalg import eigh, eigvalsh
 
 from .config import RunConfig, fingerprint
 from .errors import ConsistencyError, Gp2dError, SolverError
@@ -37,9 +37,9 @@ class Pipeline:
     zero-energy solution (scattering length a) -> Neumann profile on the
     disk of radius R = e^N ell -> eta table and omega_hat, all on the
     run's single momentum lattice.  The last three are kept per
-    (N, alpha).  Every command of a run reads from one Pipeline.  The
-    potential is read when the Pipeline is made, so that a bad table
-    fails before any command runs.
+    (N, alpha), the excitation basis per particle cap N.  Every command
+    of a run reads from one Pipeline.  The potential is read when the
+    Pipeline is made, so that a bad table fails before any command runs.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -82,13 +82,17 @@ class Pipeline:
             self.neumann(N, alpha), p, self.lattice))
 
     def basis(self, N: int) -> FockBasis:
-        """Excitation basis of the run's mode shell at particle cap N."""
-        return build_basis(shell_modes(self.cfg.shell), N)
+        """Excitation basis of the run's mode shell at particle cap N,
+        with the ladder table it builds on first use, kept per cap."""
+        key = ("basis", N)
+        if key not in self._memo:
+            self._memo[key] = build_basis(shell_modes(self.cfg.shell), N)
+        return self._memo[key]
 
     def hamiltonians(self, N: int, alpha: float) -> tuple[FockBasis, dict]:
         """The basis at cap N and the two operators lower-bound reads,
-        {"R_eff", "H_N"} (``effective_hamiltonians``); built afresh on
-        every call, not kept."""
+        {"R_eff", "H_N"} (``effective_hamiltonians``); the operators are
+        built afresh on every call, not kept."""
         basis = self.basis(N)
         return basis, effective_hamiltonians(
             basis, self.renorm(N, alpha), self.pot, self.params(N, alpha))
@@ -111,10 +115,10 @@ def eigsh(A, **options):
 
 def ground_state(op: LinearOperator,
                  basis: FockBasis) -> tuple[float, np.ndarray, float]:
-    """Smallest eigenpair over the blocks of op, one batched dense
-    eigensolve per size class, and the occupation fraction of its
-    eigenvector."""
-    e0, vec = op.lowest(eigh)
+    """Smallest eigenpair over the blocks of op (``LinearOperator.lowest``:
+    the values of every block, the vector of the lowest block alone), and
+    the occupation fraction of its eigenvector."""
+    e0, vec = op.lowest(eigvalsh, eigh)
     if not np.all(np.isfinite(vec)):
         raise ConsistencyError("non-finite amplitudes")
     depletion = float(basis.totals() @ np.abs(vec) ** 2) / basis.cap

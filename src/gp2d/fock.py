@@ -324,20 +324,24 @@ class LinearOperator:
         sign -1)."""
         return max(hermiticity_residual(b, sign) for b in self.blocks)
 
-    def lowest(self, eigh) -> tuple[float, np.ndarray]:
+    def lowest(self, eigvalsh, eigh) -> tuple[float, np.ndarray]:
         """Smallest eigenvalue over all blocks and its eigenvector in
-        basis order, from one call per size class of ``eigh``, a batched
-        Hermitian eigensolver with ascending values (numpy's signature)."""
+        basis order.  ``eigvalsh`` (the values alone, one batched call
+        per size class) picks the block, the first of the smallest in
+        class order; ``eigh`` solves that block alone and gives the
+        value and the vector.  Both are numpy's batched Hermitian
+        eigensolvers, values ascending."""
         best = None
-        for idx, blk in zip(self.part.classes, self.blocks):
-            vals, vecs = eigh(blk)
-            k = int(np.argmin(vals[:, 0]))
-            if best is None or vals[k, 0] < best[0]:
-                best = float(vals[k, 0]), idx[k], vecs[k, :, 0]
-        val, idx, v = best
-        vec = np.zeros(self.dim, dtype=v.dtype)
-        vec[idx] = v
-        return val, vec
+        for c, blk in enumerate(self.blocks):
+            low = eigvalsh(blk)[:, 0]
+            k = int(np.argmin(low))
+            if best is None or low[k] < best[0]:
+                best = low[k], c, k
+        _, c, k = best
+        vals, vecs = eigh(self.blocks[c][k])
+        vec = np.zeros(self.dim, dtype=vecs.dtype)
+        vec[self.part.classes[c][k]] = vecs[:, 0]
+        return float(vals[0]), vec
 
 
 def hermiticity_residual(mat: np.ndarray, sign: float = 1.0) -> float:

@@ -42,14 +42,15 @@ _BRACKET_RATIO = 1.25       # step of the outward bracket search
 _BRACKET_WINDOW = (1e-3, 10.0)  # its window, relative to the estimate
 
 
-def _split_profile(r: np.ndarray, r0: float, interior, tail):
-    """(f, f') at radii r: ``interior`` evaluated only at the radii
-    r <= r0, ``tail`` (cheap, exact Bessel or log forms) at max(r, r0)."""
-    vals = np.array(tail(np.maximum(r, r0)))    # (2,) + r.shape
+def _split_profile(r: np.ndarray, r0: float, interior, tail) -> np.ndarray:
+    """(D,) + r.shape, the rows (f, f') or (f,) at radii r: ``interior``
+    evaluated only at the radii r <= r0, ``tail`` (cheap, exact Bessel or
+    log forms) at max(r, r0)."""
+    vals = np.array(tail(np.maximum(r, r0)))
     inside = r <= r0
     if inside.any():
         vals[:, inside] = interior(r[inside])
-    return vals[0], vals[1]
+    return vals
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,16 @@ class ZeroEnergySolution:
 class NeumannSolution:
     """Ground state of the radial Neumann problem on a disk of radius R,
     normalized to f(R) = 1: the interior profile inside the range, the
-    exact J0/Y0 tail outside it."""
+    exact J0/Y0 tail outside it.  ``f_at`` and ``w_at`` sum the f row of
+    the interior series and J0/Y0 alone; f' is computed only when read."""
 
     lam: float
     R: float
     a: float
     pot: RadialPotential = field(repr=False)
-    _interior: object = field(default=None, repr=False)  # r -> (f, f')
+    # (edges, coef): the panel Chebyshev series (P, 2, M) of (f, f') on
+    # [0, r0] at lam, before scaling
+    _panels: tuple = field(default=None, repr=False)
     _c_bessel: tuple = field(default=(0.0, 0.0), repr=False)
     _scale: float = field(default=1.0, repr=False)
 
@@ -111,24 +115,31 @@ class NeumannSolution:
         return np.concatenate((np.linspace(0.0, r_core, 65),
                                np.geomspace(r_core, self.R, 401)[1:]))
 
-    def _at(self, r):
+    def _at(self, r, rows: int = 2):
+        """(f, f') at radii r, or (f,) for rows = 1."""
         r = np.asarray(r, float)
-        if self._interior is None:            # free case: f == 1
-            return np.ones_like(r), np.zeros_like(r)
+        if self._panels is None:              # free case: f == 1
+            return (np.ones_like(r), np.zeros_like(r))[:rows]
         k = np.sqrt(self.lam)
         c1, c2 = self._c_bessel
+        edges, coef = self._panels
 
         def tail(out):
+            if rows == 1:
+                j0k, y0k = jy(k * out, 0)
+                return (self._scale * (c1 * j0k + c2 * y0k),)
             j0k, y0k, j1k, y1k = jy01(k * out)
             return (self._scale * (c1 * j0k + c2 * y0k),
                     -self._scale * k * (c1 * j1k + c2 * y1k))
 
-        return _split_profile(r, self.pot.r0,
-                              lambda rin: self._scale * self._interior(rin),
-                              tail)
+        return _split_profile(
+            r, self.pot.r0,
+            lambda rin: self._scale * _panel_profile(edges, coef[:, :rows],
+                                                     rin),
+            tail)
 
     def f_at(self, r):
-        return self._at(r)[0]
+        return self._at(r, rows=1)[0]
 
     def f_prime_at(self, r):
         return self._at(r)[1]
@@ -208,11 +219,15 @@ class InteriorSeries:
                                    "and rising at r0 (V >= 0)")
         return float(r0 * np.exp(-phi / c)), float(c)
 
+    def panels(self, lam: float) -> tuple:
+        """(edges, coef): the Chebyshev series (P, 2, M) of (f, f') on
+        the panels at lambda, the lambda-weighted sum of the terms."""
+        return self.edges, self._weights(lam)[:-1] @ self.coef[:, :, :-1]
+
     def profile(self, lam: float, r) -> np.ndarray:
         """(f, f') at radii r <= r0: the lambda-weighted sum of the
         Chebyshev series on the panel that holds each r."""
-        return _panel_profile(
-            self.edges, self._weights(lam)[:-1] @ self.coef[:, :, :-1], r)
+        return _panel_profile(*self.panels(lam), r)
 
 
 @dataclass(frozen=True)
@@ -308,19 +323,19 @@ def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _panel_profile(edges: np.ndarray, coef: np.ndarray, r) -> np.ndarray:
-    """(2,) + r.shape: the Chebyshev series coef (P, 2, M) of (f, f') on
-    the panels between ``edges``, each summed by ``_clenshaw`` on the
-    points of the panel that holds them."""
+    """(D,) + r.shape: the Chebyshev series coef (P, D, M) of D rows, (f,
+    f') or f alone, on the panels between ``edges``, each summed by
+    ``_clenshaw`` on the points of the panel that holds them."""
     r = np.asarray(r, float)
     flat = r.ravel()
     p = np.clip(np.searchsorted(edges, flat) - 1, 0, len(edges) - 2)
     lo, hi = edges[p], edges[p + 1]
     x = (2.0 * flat - lo - hi) / (hi - lo)
-    out = np.empty((2, len(x)))
+    out = np.empty((coef.shape[1], len(x)))
     for k in np.flatnonzero(np.bincount(p, minlength=len(edges) - 1)):
         at = p == k
         out[:, at] = _clenshaw(coef[k], x[at])
-    return out.reshape((2,) + r.shape)
+    return out.reshape(out.shape[:1] + r.shape)
 
 
 def _panel_series(pot: RadialPotential, lo: float, hi: float,
@@ -409,12 +424,13 @@ def interior_series(pot: RadialPotential) -> InteriorSeries:
 
 
 def _fixed_lambda_interior(pot: RadialPotential, lam: float):
-    """(f, f')(r0) and the profile r -> (f, f') on [0, r0] of the regular
-    solution at one lambda, f(0) = 1: the level-0 collocation of the
-    series with V / 2 shifted to V / 2 - lam, on the same panel rule."""
+    """(f, f')(r0) and the panels (edges, coef) of (f, f') on [0, r0] of
+    the regular solution at one lambda, f(0) = 1: the level-0 collocation
+    of the series with V / 2 shifted to V / 2 - lam, on the same panel
+    rule."""
     edges, coef = _march(pot, np.zeros(1), lam)
     coef = coef[:, :, 0]                      # (P, 2, n+2)
-    return coef[-1].sum(axis=-1), partial(_panel_profile, edges, coef)
+    return coef[-1].sum(axis=-1), (edges, coef)
 
 
 def _series_of(pot: RadialPotential,
@@ -441,17 +457,16 @@ def scattering_length(pot: RadialPotential,
 
 def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
     """Neumann derivative at R for given lambda, the tail coefficients and
-    the interior profile r -> (f, f').
+    the interior panels (edges, coef) of (f, f'), or None where they are
+    the series' own at lambda (``InteriorSeries.panels``).
 
     The values at r0 come from the series; where its truncation check
     fails (lambda r0^2 >> 1) the interior is solved at this lambda alone.
     """
     r0 = series.pot.r0
-    at_r0 = series.boundary(lam)
+    at_r0, panels = series.boundary(lam), None
     if at_r0 is None:
-        at_r0, interior = _fixed_lambda_interior(series.pot, lam)
-    else:
-        interior = partial(series.profile, lam)
+        at_r0, panels = _fixed_lambda_interior(series.pot, lam)
     k = math.sqrt(lam)
     j0k, y0k, j1k, y1k = jy01(k * r0)
     # (f, f')(r0) = (c1 J0 + c2 Y0, -k (c1 J1 + c2 Y1)) at k r0, by
@@ -462,7 +477,7 @@ def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
     c2 = (k * j1k * f0 + j0k * df0) / det
     j1R, y1R = jy(k * R, 1)
     gprime_R = -k * (c1 * j1R + c2 * y1R)
-    return gprime_R, (c1, c2), interior
+    return gprime_R, (c1, c2), panels
 
 
 def _brent(f, a: float, b: float, xtol: float, rtol: float,
@@ -576,14 +591,16 @@ def neumann_ground_state(pot: RadialPotential, R: float,
     mismatch = cache(partial(_neumann_mismatch, series, R))
     lam = _bracket_root(lambda t: mismatch(t)[0], lam_est)
 
-    _, (c1, c2), interior = mismatch(lam)
+    _, (c1, c2), panels = mismatch(lam)
+    if panels is None:
+        panels = series.panels(lam)
     j0R, y0R = jy(math.sqrt(lam) * R, 0)
     fR = c1 * j0R + c2 * y0R
     if fR == 0.0:
         raise SolverError("degenerate boundary value")
     scale = 1.0 / fR
 
-    sol = NeumannSolution(float(lam), R, a, pot, _interior=interior,
+    sol = NeumannSolution(float(lam), R, a, pot, _panels=panels,
                           _c_bessel=(c1, c2), _scale=float(scale))
     f_vals = sol.f_at(sol.nodes)
     if np.any(np.diff(np.sign(f_vals[f_vals != 0.0])) != 0):
@@ -596,8 +613,7 @@ def rayleigh_quotient(sol: NeumannSolution) -> float:
     bounds = geometric_bounds(0.0, sol.R, per_efold=16)
     bounds = merge_bounds(bounds, np.linspace(0, sol.pot.r0, 33))
     nodes, wts = gl_nodes_weights(bounds)
-    f = sol.f_at(nodes)
-    fp = sol.f_prime_at(nodes)
+    f, fp = sol._at(nodes)
     num = np.dot(wts, (fp ** 2 + 0.5 * sol.pot(nodes) * f ** 2) * nodes)
     den = np.dot(wts, f ** 2 * nodes)
     return float(num / den)

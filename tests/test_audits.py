@@ -45,15 +45,16 @@ def test_min_constant_exact_diagonal_case():
 
 
 def test_min_constant_already_negative(monkeypatch):
-    # C = 0 and its eigenpair come from one eigh; no eigvalsh before it
+    # C = 0 and its eigenpair come from one lowest eigenpair of -lhs; no
+    # pencil is whitened before it
     calls = []
-    original = audits.eigvalsh
+    original = audits.cholesky
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(audits, "eigvalsh", counted)
+    monkeypatch.setattr(audits, "cholesky", counted)
     rep = min_constant(diag_op([-1.0, -3.0]), [diag_op([1.0, 1.0])], "neg")
     assert rep.passed
     assert rep.constant == 0.0
@@ -224,24 +225,28 @@ def test_min_constant_within_bisection_bracket(seed, gap):
 def shell_lower_bound(request):
     """condensation_lower_bound as ``gp2d lower-bound`` runs it at N = 4
     on a larger shell: its report, the pencil it certified and the
-    batched eigvalsh calls it made."""
+    batched eigvalsh and cholesky calls it made."""
     cfg = RunConfig(shell=request.param)
     pipe = Pipeline(cfg)
     basis, ops = pipe.hamiltonians(4, cfg.fock_alpha)
-    seen, calls = {}, []
-    certify, eigvalsh = audits.min_constant, audits.eigvalsh
+    seen, calls = {}, {"eigvalsh": [], "cholesky": []}
+    certify = audits.min_constant
+    solvers = {name: getattr(audits, name) for name in calls}
 
     def spy(lhs, rhs_terms, *args, **kwargs):
         seen.update(lhs=lhs, rhs=rhs_terms)
         return certify(lhs, rhs_terms, *args, **kwargs)
 
-    def counted(stack):
-        calls.append(stack.shape)
-        return eigvalsh(stack)
+    def counted(name):
+        def solver(stack):
+            calls[name].append(stack.shape)
+            return solvers[name](stack)
+        return solver
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(audits, "min_constant", spy)
-        mp.setattr(audits, "eigvalsh", counted)
+        for name in calls:
+            mp.setattr(audits, name, counted(name))
         rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis,
                                        pipe.renorm(4, cfg.fock_alpha),
                                        pipe.params(4, cfg.fock_alpha),
@@ -281,9 +286,14 @@ def test_lower_bound_pencil_equals_operator_sums(shell_lower_bound):
 
 
 def test_lower_bound_one_eigvalsh_per_size_class(shell_lower_bound):
-    # one whitened eigensolve per size class of momentum sectors
+    # one whitened eigensolve per size class of momentum sectors, and
+    # one values-first pass over the classes for each of the two lowest
+    # eigenpairs (of -lhs, then of C rhs - lhs)
     shell, basis, _, _, _, calls = shell_lower_bound
-    assert len(calls) == len(basis.sectors.classes) == {8: 12, 12: 17}[shell]
+    classes = len(basis.sectors.classes)
+    assert classes == {8: 12, 12: 17}[shell]
+    assert len(calls["cholesky"]) == classes
+    assert len(calls["eigvalsh"]) == 3 * classes
 
 
 def test_report_serializes():

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import os
@@ -157,6 +158,21 @@ def test_all_integrates_interior_once(tmp_path, fast_cfg, monkeypatch):
     assert solves == []
 
 
+def test_all_builds_each_basis_once(tmp_path, monkeypatch):
+    # fock-audit, lower-bound and energy-sweep share the basis of a cap:
+    # one build per cap 3..fock_n_max on the default config
+    caps = []
+    original = energy.build_basis
+
+    def counted(modes, cap):
+        caps.append(cap)
+        return original(modes, cap)
+
+    monkeypatch.setattr(energy, "build_basis", counted)
+    assert run(["all", "--out", tmp_path / "o"]) == 0
+    assert sorted(caps) == list(range(3, RunConfig().fock_n_max + 1))
+
+
 # Run in a fresh interpreter, since this one has imported them already.
 # Arguments: the FAST config, the shell-8 config, the output directory.
 # The last call takes the lambda r0^2 >> 1 path (lambda r0^2 ~ 340).
@@ -175,15 +191,20 @@ neumann_ground_state(step(2000.0, 1.0), 1.05)
 print(json.dumps(sorted(
     name for name in sys.modules
     if name == "scipy" or name.startswith("scipy.")
-    or name in ("numpy.ma", "numpy.random"))))
+    or name in ("numpy.ma", "numpy.random", "hashlib", "_hashlib"))))
 """
+
+# an interpreter without a builtin SHA-256 takes it from hashlib (OpenSSL)
+BUILTIN_SHA256 = any(importlib.util.find_spec(name)
+                     for name in ("_sha2", "_sha256"))
 
 
 def test_cli_leaves_unused_scipy_subpackages_unloaded(tmp_path, fast_cfg):
     # importing scipy costs more than a whole CLI call, and no gp2d path
     # loads it: not the commands, and no Neumann solve, whatever lambda.
     # numpy.ma (a bare np.unique) and numpy.random are slow to import too
-    # and stay unloaded.
+    # and stay unloaded, and so does hashlib, which maps OpenSSL to hash
+    # the config into its fingerprint.
     shell8 = tmp_path / "shell8.cfg"
     shell8.write_text("shell = 8\nfock_n_max = 5\nN_step = 10\n")
     src = str(Path(gp2d.__file__).resolve().parents[1])
@@ -194,7 +215,11 @@ def test_cli_leaves_unused_scipy_subpackages_unloaded(tmp_path, fast_cfg):
          str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    if not BUILTIN_SHA256:
+        loaded = [name for name in loaded
+                  if name not in ("hashlib", "_hashlib")]
+    assert loaded == []
 
 
 @pytest.mark.parametrize("shell", [8, 12])

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -92,6 +93,23 @@ def test_fingerprint_ignores_execution_knobs():
     base = RunConfig()
     assert fingerprint(RunConfig(out_dir="elsewhere")) == fingerprint(base)
     assert fingerprint(RunConfig(alpha=2.0)) != fingerprint(base)
+
+
+@given(n=st.integers(2, 40), alpha=st.floats(0.5, 4.0),
+       v0=st.floats(0.1, 20.0), shell=st.sampled_from([4, 8, 12]),
+       potential=st.sampled_from(["step", "gaussian-bump", "free"]))
+@settings(max_examples=50, deadline=None)
+def test_fingerprint_is_hashlib_sha256(n, alpha, v0, shell, potential):
+    # the builtin SHA-256 the fingerprint uses is hashlib's digest, so
+    # sweep files written before still resume
+    cfg = RunConfig(n_value=n, alpha=alpha, v0=v0, shell=shell,
+                    potential=potential)
+    want = hashlib.sha256(canonical_text(cfg).encode()).hexdigest()[:16]
+    assert fingerprint(cfg) == want
+
+
+def test_default_fingerprint_frozen():
+    assert fingerprint(RunConfig()) == "ded4f1b1c3984f84"
 
 
 @pytest.mark.parametrize("text", ["seed = 1\n", "threads = 2\n"])

@@ -10,6 +10,8 @@ from scipy.linalg import expm
 
 from gp2d import fock
 from gp2d.audits import commutator_residual, unitary_excitation_map
+from gp2d.config import RunConfig
+from gp2d.energy import Pipeline, ground_state
 from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
                        combine, conjugate, diagonal_in_total,
@@ -1002,3 +1004,75 @@ def test_map_rules_bitwise_per_rule(shell, mutate):
         assert got["pass"] != mutate
         if mutate:
             assert got["rule_annihilate"] > 1e-10
+
+
+# --- LinearOperator.lowest: values first, one eigenvector ----------------
+
+def lowest_eigh_every_block(op):
+    """The lowest eigenpair as ``lowest`` found it by ``eigh`` on every
+    block: the first smallest value in class order, and its vector."""
+    best = None
+    for idx, blk in zip(op.part.classes, op.blocks):
+        vals, vecs = np.linalg.eigh(blk)
+        k = int(np.argmin(vals[:, 0]))
+        if best is None or vals[k, 0] < best[0]:
+            best = float(vals[k, 0]), idx[k], vecs[k, :, 0]
+    val, idx, v = best
+    vec = np.zeros(op.dim, dtype=v.dtype)
+    vec[idx] = v
+    return val, vec
+
+
+@given(shape=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 5)),
+                      min_size=1, max_size=4,
+                      unique_by=lambda size_count: size_count[0]),
+       seed=st.integers(0, 2 ** 32 - 1), tie=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_lowest_values_first_matches_eigh_on_every_block(shape, seed, tie):
+    # random symmetric blocks in size classes of random sectors; with
+    # ``tie`` the last block of each class repeats its first
+    rng = np.random.default_rng(seed)
+    labels, label = [], 0
+    for size, count in shape:
+        for _ in range(count):
+            labels += [label] * size
+            label += 1
+    part = partition_by(rng.permutation(labels))
+    blocks = []
+    for idx in part.classes:
+        m = rng.normal(size=(len(idx), idx.shape[1], idx.shape[1]))
+        blk = m + np.swapaxes(m, 1, 2)
+        if tie:
+            blk[-1] = blk[0]
+        blocks.append(blk)
+    op = LinearOperator.from_blocks(part, blocks, "rand", hermitian=True)
+    val, vec = op.lowest(np.linalg.eigvalsh, np.linalg.eigh)
+    want, want_vec = lowest_eigh_every_block(op)
+    minima = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(b)[:, 0] for b in blocks]))
+    if len(minima) == 1 or minima[1] - minima[0] > 1e-12:
+        assert val == want
+        sign = 1.0 if vec @ want_vec > 0 else -1.0
+        np.testing.assert_allclose(sign * vec, want_vec, rtol=0, atol=1e-12)
+    else:
+        assert abs(val - want) <= 1e-12
+    mat = op.mat
+    assert np.abs(mat @ vec - val * vec).max() <= 1e-10
+    assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_ground_state_values_first_on_r_eff(cap):
+    # energy-sweep's eigensolve at shell 8: E0 to the bit, the depletion
+    # to 1e-14, against eigh on every block
+    cfg = RunConfig(shell=8)
+    pipe = Pipeline(cfg)
+    basis = pipe.basis(cap)
+    op = fock.r_effective_hamiltonian(
+        basis, pipe.renorm(cap, cfg.fock_alpha), pipe.pot,
+        pipe.params(cap, cfg.fock_alpha))
+    e0, _, depletion = ground_state(op, basis)
+    want, want_vec = lowest_eigh_every_block(op)
+    want_depletion = float(basis.totals() @ want_vec ** 2) / cap
+    assert e0 == want
+    assert abs(depletion - want_depletion) <= 1e-14 * want_depletion

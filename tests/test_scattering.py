@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -276,7 +275,7 @@ def test_fixed_lambda_interior_step_is_bessel(v0, lam):
     # lam < v0/2 and f = J0(k r), k^2 = lam - v0/2, for lam > v0/2; lam r0^2
     # up to 2e4, far beyond what the truncated series covers
     pot = step(v0, 1.0)
-    (f, df), profile = scattering._fixed_lambda_interior(pot, lam)
+    (f, df), panels = scattering._fixed_lambda_interior(pot, lam)
     r = np.linspace(0.0, 1.0, 41)
     if lam < v0 / 2.0:
         kappa = math.sqrt(v0 / 2.0 - lam)
@@ -289,7 +288,7 @@ def test_fixed_lambda_interior_step_is_bessel(v0, lam):
     scale = np.abs(want[:, -1]).max()
     assert np.abs(np.array([f, df]) - want[:, -1]).max() <= 1e-12 * scale
     # the profile, at each r relative to the larger of |f|, |f'| there
-    err = np.abs(profile(r) - want).max(axis=0)
+    err = np.abs(scattering._panel_profile(*panels, r) - want).max(axis=0)
     assert np.all(err <= 1e-12 * np.abs(want).max(axis=0))
 
 
@@ -506,7 +505,7 @@ def neumann_at_reference(sol, r):
     Bessel values."""
     r = np.asarray(r, float)
     r0 = sol.pot.r0
-    f_in, fp_in = sol._interior(np.minimum(r, r0))
+    f_in, fp_in = scattering._panel_profile(*sol._panels, np.minimum(r, r0))
     k = np.sqrt(sol.lam)
     c1, c2 = sol._c_bessel
     kr = k * np.maximum(r, r0)
@@ -552,6 +551,19 @@ def test_neumann_profile_bitwise_as_before(which, neumann_r50, fallback_sol):
         assert same_bits(sol.f_prime_at(r), fp)
 
 
+@pytest.mark.parametrize("which", ["series", "fallback"])
+def test_f_alone_bitwise_as_with_f_prime(which, neumann_r50, fallback_2000):
+    # f_at and w_at sum the f row and J0/Y0 alone; their values are the
+    # bits of the f row of the (f, f') evaluation
+    sol = neumann_r50 if which == "series" else fallback_2000
+    if which == "fallback":
+        assert sol.lam * sol.pot.r0 ** 2 > 100.0
+    for r in [sol.nodes] + probe_radii(sol.pot.r0, sol.R):
+        f = sol._at(r)[0]
+        assert same_bits(sol.f_at(r), f)
+        assert same_bits(sol.w_at(r), 1.0 - f)
+
+
 def test_zero_energy_profile_bitwise_as_before(step_pot, neumann_r50):
     zero = scattering_length(step_pot)
     for r in [neumann_r50.nodes] + probe_radii(step_pot.r0, 50.0):
@@ -571,21 +583,29 @@ class CountingSeries:
         return self.series.profile(lam, r)
 
 
-def test_interior_profile_read_only_inside(step_pot, neumann_r50):
+def test_interior_profile_read_only_inside(step_pot, neumann_r50,
+                                          monkeypatch):
     r0 = step_pot.r0
-    series = interior_series(step_pot)
-    in_sol, in_zero = CountingSeries(series), CountingSeries(series)
-    sol = dataclasses.replace(neumann_r50, _interior=partial(
-        in_sol.profile, neumann_r50.lam))
+    in_zero = CountingSeries(interior_series(step_pot))
     zero = dataclasses.replace(scattering_length(step_pot), series=in_zero)
-    probes = [sol.nodes] + probe_radii(r0, sol.R)
+    probes = [neumann_r50.nodes] + probe_radii(r0, neumann_r50.R)
     for r in probes:
-        sol.f_at(r)
         zero.phi_prime_at(r)
+    # the Neumann profile sums its own panels: count the radii summed
+    in_sol = []
+    original = scattering._panel_profile
+
+    def counted(edges, coef, r):
+        in_sol.append(np.ravel(r))
+        return original(edges, coef, r)
+
+    monkeypatch.setattr(scattering, "_panel_profile", counted)
+    for r in probes:
+        neumann_r50.f_at(r)
     inside = np.concatenate([np.ravel(r) for r in probes])
     inside = inside[inside <= r0]
-    for counted in (in_sol, in_zero):
-        np.testing.assert_array_equal(np.concatenate(counted.radii), inside)
+    for radii in (in_sol, in_zero.radii):
+        np.testing.assert_array_equal(np.concatenate(radii), inside)
 
 
 # --- Clenshaw panel sums against the chebvander sum they replaced ---------
@@ -623,7 +643,7 @@ def test_clenshaw_matches_chebvander_sum(which, neumann_r50, fallback_2000):
     edges, coef = {
         "series": lambda: panel_sums(step(2.0, 1.0), neumann_r50.lam),
         "bump": lambda: panel_sums(gaussian_bump(3.0, 1.0), 0.3),
-        "fallback": lambda: fallback_2000._interior.args}[which]()
+        "fallback": lambda: fallback_2000._panels}[which]()
     if which != "series":
         assert len(edges) > 2
     r = np.concatenate((np.linspace(0.0, edges[-1], 2001), edges))
@@ -636,7 +656,7 @@ def test_clenshaw_matches_chebvander_sum(which, neumann_r50, fallback_2000):
 
 def test_clenshaw_bits_do_not_depend_on_the_batch(fallback_2000):
     # each point's value is the same bits whichever points share the call
-    edges, coef = fallback_2000._interior.args
+    edges, coef = fallback_2000._panels
     assert len(edges) > 2
     r = np.random.default_rng(5).uniform(0.0, edges[-1], 1500)
     full = scattering._panel_profile(edges, coef, r)
