@@ -21,7 +21,7 @@ from .errors import ConfigError, ConsistencyError, SizeError
 from .lattice import MomentumLattice, TWO_PI
 from .potentials import RadialPotential, fourier_transform_radial
 from .quadrature import (geometric_bounds, gl_nodes_weights, merge_bounds,
-                         panel_bounds_hankel)
+                         panel_bounds_hankel, support_rule)
 from .scattering import NeumannSolution
 
 _N_OVERFLOW = 300
@@ -90,14 +90,13 @@ def chi_hat(k):
     return out
 
 
-def _profile_panels(sol: NeumannSolution, params: GPParameters, freq: float,
-                    per_efold: int = 8) -> np.ndarray:
-    """Panel boundaries on t in [0,1] for integrands w(t R) J0(freq t) t."""
-    bounds = panel_bounds_hankel(0.0, 1.0, freq, per_efold=per_efold)
-    kink = sol.pot.r0 / params.R
-    if 0.0 < kink < 1.0:
-        bounds = merge_bounds(bounds, [kink])
-    return bounds
+def _profile_rule(sol: NeumannSolution, params: GPParameters, freq: float,
+                  per_efold: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on t in [0,1] for integrands w(t R) J0(freq t) t,
+    cut also at the breaks of V, where w is not smooth."""
+    return gl_nodes_weights(merge_bounds(
+        panel_bounds_hankel(0.0, 1.0, freq, per_efold=per_efold),
+        np.minimum(sol.pot.breaks / params.R, 1.0)))
 
 
 def eta_profile(sol: NeumannSolution, params: GPParameters,
@@ -111,9 +110,8 @@ def eta_profile(sol: NeumannSolution, params: GPParameters,
     ``hankel_j0``.
     """
     freq = np.asarray(p_norms, float) * params.ell
-    bounds = _profile_panels(sol, params, float(freq.max(initial=0.0)),
-                             per_efold)
-    nodes, wts = gl_nodes_weights(bounds)
+    nodes, wts = _profile_rule(sol, params, float(freq.max(initial=0.0)),
+                               per_efold)
     val = hankel_j0(freq, nodes, wts * sol.w_at(nodes * params.R) * nodes)
     return -TWO_PI * params.N * params.ell ** 2 * val
 
@@ -121,8 +119,7 @@ def eta_profile(sol: NeumannSolution, params: GPParameters,
 def w_squared_integral(sol: NeumannSolution, params: GPParameters,
                        per_efold: int = 8) -> float:
     """Position-space norm int |w(e^N x)|^2 dx over the torus."""
-    bounds = _profile_panels(sol, params, 0.0, per_efold)
-    nodes, wts = gl_nodes_weights(bounds)
+    nodes, wts = _profile_rule(sol, params, 0.0, per_efold)
     w = sol.w_at(nodes * params.R)
     return float(TWO_PI * params.ell ** 2 * np.dot(wts, w * w * nodes))
 
@@ -350,8 +347,7 @@ def scattering_residual(table: KernelTable, pot: RadialPotential,
 
     # exact convolution (N/2) sum_q Vhat((p-q)/e^N) eta_q, via the product
     # V(s) w(s) in position space
-    bounds = np.linspace(0.0, pot.r0, 65)
-    nodes, wts = gl_nodes_weights(bounds)
+    nodes, wts = support_rule(pot.breaks, float(uniq[-1] * damp))
     vw = wts * pot(nodes) * sol.w_at(nodes) * nodes
     conv_v_exact = -params.N * np.pi * hankel_j0(uniq * damp, nodes, vw)
 

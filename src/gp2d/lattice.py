@@ -21,7 +21,6 @@ class MomentumLattice:
 
     cutoff: float
     ints: np.ndarray       # shape (M, 2) integer coordinates
-    points: np.ndarray     # shape (M, 2) momenta
     norms2: np.ndarray     # |p|^2
 
     @property
@@ -54,8 +53,5 @@ def build_lattice(cutoff: float) -> MomentumLattice:
     ints = ints[keep]
     norms2 = norms2[keep]
     order = np.lexsort((ints[:, 1], ints[:, 0], norms2))
-    ints = ints[order]
-    norms2 = norms2[order]
-    return MomentumLattice(float(cutoff), ints, TWO_PI * ints.astype(float),
-                           norms2)
+    return MomentumLattice(float(cutoff), ints[order], norms2[order])
 

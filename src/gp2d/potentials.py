@@ -8,7 +8,7 @@ import numpy as np
 
 from .bessel import hankel_j0
 from .errors import ConfigError, QuadratureError
-from .quadrature import gl_nodes_weights, merge_bounds, panel_bounds_hankel
+from .quadrature import support_rule
 
 TABLE_HEADER = "# radial-potential v1"
 
@@ -58,6 +58,12 @@ class RadialPotential:
             return np.where(r < self.r0, val, 0.0)
         return np.interp(r, self.table_r, self.table_v, left=self.table_v[0],
                          right=0.0)
+
+    @property
+    def breaks(self) -> np.ndarray:
+        """0, the kinks of V inside (0, r0) (a table's nodes), then r0."""
+        r = np.zeros(0) if self.table_r is None else self.table_r
+        return np.concatenate(([0.0], r[(r > 0) & (r < self.r0)], [self.r0]))
 
     @property
     def is_zero(self) -> bool:
@@ -116,17 +122,14 @@ def fourier_transform_radial(pot: RadialPotential, k):
     """2D Fourier transform of V at radial wavenumber(s) k >= 0.
 
     Radial (Hankel) form: 2 pi int_0^r0 V(r) J0(k r) r dr.  Accepts a
-    scalar or an array of wavenumbers; panels are split at the Bessel
-    zeros of the largest requested k, and ``hankel_j0`` sums the rule.
+    scalar or an array of wavenumbers; ``hankel_j0`` sums the support rule
+    of V, cut at the Bessel zeros of the largest requested k.
     """
     k = np.abs(np.asarray(k, dtype=float))
     scalar = k.ndim == 0
     if pot.is_zero:
         return 0.0 if scalar else np.zeros(k.shape)
-    bounds = panel_bounds_hankel(0.0, pot.r0, float(k.max()), per_efold=4)
-    # low per_efold: V itself is not log-singular, panels resolve J0 only
-    bounds = merge_bounds(bounds, np.linspace(0, pot.r0, 17))
-    nodes, wts = gl_nodes_weights(bounds)
+    nodes, wts = support_rule(pot.breaks, float(k.max()))
     val = 2.0 * np.pi * hankel_j0(k, nodes, wts * pot(nodes) * nodes)
     if not np.all(np.isfinite(val)):
         raise QuadratureError("non-finite potential transform")

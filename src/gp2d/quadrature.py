@@ -1,9 +1,9 @@
 """Panel Gauss-Legendre quadrature tuned for radial Hankel-type integrals.
 
-Integrands here are products of a smooth (often logarithmically varying)
-radial profile with an oscillatory Bessel factor J0(k r).  Panels are split
-at the zeros of J0(k .) and geometrically refined toward the origin, with a
-fixed 16-node Gauss-Legendre rule per panel.
+Integrands here are radial profiles times J0(k r), on panels split at the
+zeros of J0(k .) with 16 Gauss-Legendre nodes each: geometrically refined
+toward the origin for a log-varying profile (``panel_bounds_hankel``), or
+equal and cut at V's kinks on the support of V (``support_rule``).
 """
 
 from __future__ import annotations
@@ -79,3 +79,12 @@ def gl_nodes_weights(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nodes = (0.5 * (hi + lo) + half * _GL_NODES).ravel()
     weights = (half * _GL_WEIGHTS).ravel()
     return nodes, weights
+
+
+def support_rule(breaks: np.ndarray, k: float = 0.0):
+    """Nodes and weights on the support [0, r0 = breaks[-1]] of V: 64 equal
+    panels, cut at the breaks of V and at the zeros of J0(k .)."""
+    r0 = float(breaks[-1])
+    zeros = _j0_zeros_up_to(k * r0) / k if k > 0.0 else []
+    return gl_nodes_weights(merge_bounds(np.linspace(0.0, r0, 65), breaks,
+                                         zeros))

@@ -29,7 +29,8 @@ from numpy.polynomial.chebyshev import chebint, chebvander
 from .bessel import jy, jy01
 from .errors import ConsistencyError, SolverError
 from .potentials import RadialPotential
-from .quadrature import geometric_bounds, gl_nodes_weights, merge_bounds
+from .quadrature import (geometric_bounds, gl_nodes_weights, merge_bounds,
+                         support_rule)
 
 _SERIES_ORDER = 16          # highest power of lambda kept
 _SERIES_TRUNC_REL = 1e-14   # bound on the first dropped term / the sum
@@ -162,8 +163,8 @@ class InteriorSeries:
     Stored are the panel edges 0 = e_0 < ... < e_P = r0 and, per panel,
     the Chebyshev coefficients of s_k and s_k' (k = 0 .. K+1) in the
     panel's own variable x in [-1, 1], from collocation in s_k''
-    (``_panel_series``).  The panel rule: panels are cut at the nodes of
-    a tabulated V, so V is smooth on each; they are at most 2 / kappa
+    (``_panel_series``).  The panel rule: panels are cut at the breaks
+    of V, so V is smooth on each; they are at most 2 / kappa
     wide, kappa = max(sqrt(v0 / 2), 1 / r0), so s_0 grows by at most
     about e^2 across one; and a panel is bisected until the last three
     Chebyshev coefficients of s_0'', integrated once and twice over its
@@ -262,16 +263,6 @@ class AsymptoticsReport:
     def all_finite(self) -> bool:
         return all(np.isfinite(v) for v in (self.e1, self.e2, self.e3,
                                             self.e4))
-
-
-def _pieces(pot: RadialPotential, lo: float, hi: float):
-    """[lo, hi] cut at the nodes of a tabulated V.  Its kinks there spoil
-    a polynomial fit, so no collocation panel straddles one."""
-    cuts = [lo, hi]
-    if pot.table_r is not None:
-        cuts += [t for t in pot.table_r if lo < t < hi]
-    cuts = merge_bounds(cuts)
-    return zip(cuts[:-1], cuts[1:])
 
 
 def solve_ivp(fun, t_span, y0, **options):
@@ -393,7 +384,7 @@ def _march(pot: RadialPotential, coupling: np.ndarray, lam: float):
     width = _PANEL_KAPPA_WIDTH / max(np.sqrt(abs(0.5 * pot.v0 - lam)),
                                      1.0 / r0)
     todo = []
-    for lo, hi in _pieces(pot, 0.0, r0):
+    for lo, hi in zip(pot.breaks[:-1], pot.breaks[1:]):
         cuts = np.linspace(lo, hi, int(np.ceil((hi - lo) / width)) + 1)
         todo.extend(zip(cuts[:-1], cuts[1:]))
     todo.reverse()                            # the next panel is last
@@ -562,6 +553,11 @@ def _bracket_root(g, lam_est: float) -> float:
         lam, g_lam = step, g_step
 
 
+def neumann_estimate(R: float, L: float) -> float:
+    """The asymptotic Neumann lambda 2/(R^2 L) (1 + 3/(4 L)), L = log(R/a)."""
+    return (2.0 / (R * R * L)) * (1.0 + 0.75 / L)
+
+
 def neumann_ground_state(pot: RadialPotential, R: float,
                          series: InteriorSeries | None = None
                          ) -> NeumannSolution:
@@ -584,7 +580,7 @@ def neumann_ground_state(pot: RadialPotential, R: float,
     L = np.log(R / a)
     if L <= 0:
         raise SolverError("R must exceed the scattering length")
-    lam_est = (2.0 / (R * R * L)) * (1.0 + 0.75 / L)
+    lam_est = neumann_estimate(R, L)
 
     # one evaluation per distinct lambda: Brent starts at the bracket
     # ends of the search and the tail is read at its root
@@ -621,8 +617,7 @@ def rayleigh_quotient(sol: NeumannSolution) -> float:
 
 def potential_integral(sol: NeumannSolution) -> float:
     """2 pi int_0^r0 V(r) f_R(r) r dr."""
-    bounds = np.linspace(0.0, sol.pot.r0, 65)
-    nodes, wts = gl_nodes_weights(bounds)
+    nodes, wts = support_rule(sol.pot.breaks)
     return float(2.0 * np.pi
                  * np.dot(wts, sol.pot(nodes) * sol.f_at(nodes) * nodes))
 
@@ -632,7 +627,7 @@ def trial_wavenumber(R: float, a: float) -> TrialOracle:
     if not R > a > 0:
         raise SolverError("need R > a > 0")
     L = np.log(R / a)
-    k_est = np.sqrt((2.0 / L) * (1.0 + 0.75 / L)) / R
+    k_est = math.sqrt(neumann_estimate(R, L))
 
     def h(k):
         j0a, y0a = jy(k * a, 0)
@@ -688,7 +683,7 @@ def validate_neumann_asymptotics(sol: NeumannSolution) -> AsymptoticsReport:
         return AsymptoticsReport(0.0, 0.0, 0.0, 0.0, np.inf)
     R, a = sol.R, sol.a
     L = np.log(R / a)
-    lam_ref = (2.0 / (R * R * L)) * (1.0 + 0.75 / L)
+    lam_ref = neumann_estimate(R, L)
     e1 = abs(sol.lam - lam_ref) * R * R * L ** 3 / 2.0
     e2 = abs(potential_integral(sol) - 4.0 * np.pi / L) * L * L
 

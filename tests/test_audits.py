@@ -359,7 +359,7 @@ def test_square_completion_scalars(audit_setup):
     # the margin, mode by mode from the disk transform
     mu = 0.1 / math.log(params.N)
     margins = []
-    for p in renorm.lattice.points:
+    for p in TWO_PI * renorm.lattice.ints:
         p2 = float(p @ p)
         omega = renorm.g_N * chi_hat(math.sqrt(p2)
                                      * params.N ** -params.alpha)

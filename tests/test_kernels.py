@@ -16,7 +16,7 @@ from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
                           scattering_residual, w_squared_integral)
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.potentials import free as free_pot
-from gp2d.potentials import step
+from gp2d.potentials import gaussian_bump, save_table, step
 from gp2d.scattering import neumann_ground_state
 
 
@@ -218,6 +218,26 @@ def test_scattering_residual_small(kernel_setup, step_pot):
     rep = scattering_residual(table, step_pot, params, sol)
     assert rep.max_rel <= 1e-8
     assert len(rep.p_norms) == len(rep.residual_rel)
+
+
+def test_kernels_on_a_sampled_bump_table(tmp_path, capsys):
+    # V is linear between 41 samples of the bump: eta's panels, Vhat and
+    # the convolution all cut at its nodes, so the residual is rounding
+    table = tmp_path / "bump.tab"
+    save_table(gaussian_bump(2.0, 1.0), table, n=41)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"potential = table:{table}\n")
+    assert main(["kernels", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 0
+    report = capsys.readouterr().out
+    residual = float(report.split("max-rel-residual=")[1].split()[0])
+    assert residual <= 1e-12
+    # the collocation panels were cut at the nodes before the quadratures
+    # were: a and lambda R^2 keep the bits frozen from that collocation
+    with open(tmp_path / "o" / "kernels.csv", encoding="utf-8") as fh:
+        meta = json.loads(fh.readline()[1:])
+    assert meta["a"] == 0.003981846554512065
+    assert meta["lambda_R2"] == 0.1531403675680371
 
 
 def test_export_kernels_csv(kernel_setup, step_a):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import j0, j1
 
 from gp2d.errors import ConfigError
+from gp2d.quadrature import support_rule
 from gp2d.potentials import (RadialPotential, fourier_transform_radial, free,
                              gaussian_bump, load_table, save_table, step,
                              tabulated)
@@ -52,6 +54,62 @@ def test_step_transform_matches_closed_form():
         want = 2.0 * math.pi * 2.0 * j1(k) / k
         got = fourier_transform_radial(pot, k)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_step_transform_to_rounding_up_to_k_100():
+    # the rule: summed with scipy's J0 it gives the closed form to 5e-16
+    # of max |Vhat| = pi v0 r0^2; through hankel_j0, whose moment series
+    # cancels terms of up to about 10 times the sum for 5 < k r0 <= 6.45,
+    # to 2.5e-15 of it
+    v0, r0 = 2.0, 0.8
+    pot = step(v0, r0)
+    ks = np.linspace(0.05, 100.0, 1999)
+    want = 2.0 * math.pi * v0 * r0 * j1(ks * r0) / ks
+    size = math.pi * v0 * r0 * r0
+    rule = []
+    for k in ks:
+        nodes, wts = support_rule(pot.breaks, k)
+        rule.append(2.0 * math.pi * np.dot(wts * v0 * nodes, j0(k * nodes)))
+    assert np.abs(np.array(rule) - want).max() <= 1e-15 * size
+    got = fourier_transform_radial(pot, ks)
+    assert np.abs(got - want).max() <= 4e-15 * size
+
+
+def _piecewise_linear_transform(r, v, k):
+    """2 pi int V J0(k r) r dr for V linear between the nodes (r, v), to
+    30 digits, piece by piece."""
+    mp.mp.dps = 30
+    k = mp.mpf(k)
+    total = mp.mpf(0)
+    for ra, rb, va, vb in zip(*(map(mp.mpf, x) for x in
+                                (r[:-1], r[1:], v[:-1], v[1:]))):
+        slope = (vb - va) / (rb - ra)
+        total += mp.quad(lambda x: (va + slope * (x - ra))
+                         * mp.besselj(0, k * x) * x, [ra, rb])
+    return 2 * mp.pi * total
+
+
+def test_table_transform_exact_between_kinks():
+    # a random 25-node table: its kinks are breaks of the support rule,
+    # so the rule integrates the piecewise-linear V to rounding
+    rng = np.random.default_rng(25)
+    r = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 23)), [1.0]))
+    v = np.concatenate((rng.uniform(0.2, 3.0, 24), [0.0]))
+    pot = tabulated(r, v)
+    np.testing.assert_array_equal(pot.breaks, r)
+    for k in (0.0, 3.0, 30.0):
+        want = float(_piecewise_linear_transform(r, v, k))
+        assert abs(fourier_transform_radial(pot, k) - want) <= \
+            1e-13 * abs(want)
+
+
+def test_breaks_are_the_kinks_inside_the_support():
+    assert step(2.0, 0.7).breaks.tolist() == [0.0, 0.7]
+    assert gaussian_bump(2.0, 0.7).breaks.tolist() == [0.0, 0.7]
+    # a node at 0 or past r0 is no break
+    pot = tabulated(np.array([0.0, 0.2, 0.5, 0.9, 1.3]),
+                    np.array([1.0, 2.0, 0.5, 0.0, 0.0]))
+    assert pot.breaks.tolist() == [0.0, 0.2, 0.5, 0.9]
 
 
 def test_transform_at_zero_is_area_integral():

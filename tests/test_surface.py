@@ -3,10 +3,11 @@
 The surfaces are the public top-level functions and classes and the
 public methods and properties of public classes.  A surface counts as
 read when some definition of src/gp2d outside its own names it: as a
-loaded name, an attribute or an imported name (a method or property by
-its bare name, as an attribute).  ``__init__.py`` does not count, since
-re-exporting a name is not reading it.  What only the tests read goes,
-unless it is listed in KEEP with the reason it stays.
+loaded name that the definition does not bind itself (as a parameter or
+an assigned name), an attribute or an imported name (a method or
+property by its bare name, as an attribute).  ``__init__.py`` does not
+count, since re-exporting a name is not reading it.  What only the
+tests read goes, unless it is listed in KEEP with the reason it stays.
 """
 import ast
 from pathlib import Path
@@ -22,6 +23,8 @@ KEEP = {
                          "solution",
     "hamiltonian_pieces": "oracle: K, V_N and L0-L4 as separate operators, "
                           "built a second way",
+    "y0": "oracle: the single Y0 that jy01's second value must equal bit "
+          "for bit",
     "y1": "oracle: the single Y1 that jy01's fourth value must equal bit "
           "for bit",
     "FockBasis.vacuum": "oracle: the state whose L0 and R_eff values the "
@@ -42,16 +45,23 @@ KEEP = {
 
 
 def _reads(nodes) -> set:
-    names = set()
+    """Names the definition reads; a loaded name that it binds itself
+    (not as a global) is its own, not a read of a surface."""
+    names, loaded, bound, shared = set(), set(), set(), set()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                names.add(sub.id)
+            if isinstance(sub, ast.Name):
+                (loaded if isinstance(sub.ctx, ast.Load) else bound).add(
+                    sub.id)
+            elif isinstance(sub, ast.arg):
+                bound.add(sub.arg)
             elif isinstance(sub, ast.Attribute):
                 names.add(sub.attr)
             elif isinstance(sub, ast.ImportFrom):
                 names.update(alias.name for alias in sub.names)
-    return names
+            elif isinstance(sub, (ast.Global, ast.Nonlocal)):
+                shared.update(sub.names)
+    return names | (loaded - (bound - shared))
 
 
 def _units(node):

@@ -15,7 +15,6 @@ with the same script.  Needs only the standard library and numpy.
 """
 
 import argparse
-import inspect
 import json
 import os
 import resource
@@ -42,12 +41,8 @@ def one_run(shell: int, n: int) -> dict:
     t0 = time.perf_counter()
     basis = pipe.basis(n)
     op = r_effective_hamiltonian(basis, renorm, pipe.pot, params)
-    # commits before the values-first ``lowest`` pass ``eigh`` alone
-    solvers = (np.linalg.eigvalsh, np.linalg.eigh)
-    if len(inspect.signature(op.lowest).parameters) == 1:
-        solvers = solvers[1:]
     t1 = time.perf_counter()
-    e0, _ = op.lowest(*solvers)
+    e0, _ = op.lowest(np.linalg.eigvalsh, np.linalg.eigh)
     t2 = time.perf_counter()
     return {"dim": basis.dim,
             "largest_block": max(idx.shape[1] for idx in op.part.classes),
