@@ -13,7 +13,10 @@ the untruncated limit.
 
 Operators are handled block by block: the spectrum of an operator is the
 union of its blocks' spectra, and each size class of blocks is one batched
-eigensolve.
+eigensolve.  On an orbit partition (``fock.FockBasis.orbits``) each stored
+block stands for every sector of its orbit, whose blocks are its own with
+the states permuted, so the stored blocks alone carry every extreme
+eigenvalue and constant.
 """
 
 from __future__ import annotations

@@ -117,7 +117,10 @@ def ground_state(op: LinearOperator,
                  basis: FockBasis) -> tuple[float, np.ndarray, float]:
     """Smallest eigenpair over the blocks of op (``LinearOperator.lowest``:
     the values of every block, the vector of the lowest block alone), and
-    the occupation fraction of its eigenvector."""
+    the occupation fraction of its eigenvector.  On an orbit partition the
+    vector lies in the stored sector of its orbit; a symmetry maps it to
+    the other sectors' and keeps every occupation total, so the fraction
+    is the same there."""
     e0, vec = op.lowest(eigvalsh, eigh)
     if not np.all(np.isfinite(vec)):
         raise ConsistencyError("non-finite amplitudes")

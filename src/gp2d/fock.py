@@ -18,6 +18,17 @@ stacked and handled by one batched call.  ``build_operator`` refuses a
 product that does not conserve P; ``largest_entries`` sums the products
 of any number of operators, in any momentum, over their nonzero entries
 by one keyed sum.  A matrix given whole is one dense block.
+
+Every coefficient of the excitation-space operators depends on |p| or
+|p - q| alone, so they commute with the signed permutations of (x, y)
+that map the mode set onto itself, and such a symmetry g maps the block
+of sector P onto that of gP by a permutation of states.
+``build_operator`` checks that an operator commutes with the group and
+then walks and stores one sector per orbit (``FockBasis.orbits``); the
+eigensolves, certificates and conjugations work on the stored blocks,
+whose spectra are the operator's, and ``LinearOperator.mat`` and
+``common`` rebuild the other sectors.  An operator that lacks the
+symmetry is stored on every sector.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import eigh
@@ -82,19 +94,28 @@ class Partition:
     index array; inside a block the indices keep basis order.  An
     operator on a partition stores one (count, s, s) stack per class and
     is zero outside its blocks.
+
+    An orbit partition stores one block per orbit of a group of state
+    permutations that the operators on it commute with.  ``full`` is the
+    partition of all blocks, and ``source`` maps every basis index to
+    the stored index that stands for it, row and column alike: entry
+    (x, y) of an operator is its stored entry (source[x], source[y]).
     """
 
     dim: int
-    classes: tuple
+    classes: tuple = field(repr=False)
+    full: Partition | None = field(default=None, repr=False)
+    source: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def slots(self) -> tuple:
         """Where basis index x sits in the stacks laid end to end, flat:
         entry (row r, column c) of a block is at first[c] + pos[r] *
-        size[c].  Also returns the total flat length."""
-        first = np.empty(self.dim, dtype=np.int64)
-        pos = np.empty(self.dim, dtype=np.int64)
-        size = np.empty(self.dim, dtype=np.int64)
+        size[c].  Also returns the total flat length.  Indices outside
+        the stored blocks get slot 0."""
+        first = np.zeros(self.dim, dtype=np.int64)
+        pos = np.zeros(self.dim, dtype=np.int64)
+        size = np.zeros(self.dim, dtype=np.int64)
         total = 0
         for idx in self.classes:
             count, s = idx.shape
@@ -104,6 +125,11 @@ class Partition:
             total += count * s * s
         return first, pos, size, total
 
+    @cached_property
+    def stored(self) -> np.ndarray:
+        """The indices in the stored blocks, ascending."""
+        return np.sort(np.concatenate([idx.ravel() for idx in self.classes]))
+
     def split(self, flat: np.ndarray) -> tuple:
         """The (count, s, s) stacks of a flat buffer laid out as ``slots``."""
         out, at = [], 0
@@ -111,6 +137,23 @@ class Partition:
             out.append(flat[at:at + count * s * s].reshape(count, s, s))
             at += count * s * s
         return tuple(out)
+
+    def expand(self, blocks) -> tuple:
+        """The stacks of ``full`` rebuilt from the stored stacks."""
+        flat = np.concatenate([blk.reshape(-1) for blk in blocks])
+        first, pos, size, _ = self.slots
+        out = []
+        for idx in self.full.classes:
+            src = self.source[idx]
+            out.append(flat[first[src][:, None, :]
+                            + pos[src][:, :, None] * size[src][:, None, :]])
+        return tuple(out)
+
+    def invariant(self, diagonal: np.ndarray) -> bool:
+        """Whether a per-state diagonal is the same, to within
+        _SYMMETRY_ULPS, on every index as on the stored index that stands
+        for it; always on a partition that stores all its blocks."""
+        return self.full is None or _close(diagonal[self.source], diagonal)
 
 
 @lru_cache(maxsize=None)
@@ -135,6 +178,35 @@ def partition_by(labels) -> Partition:
 
 # row block of each ladder kind in ``FockBasis.ladder_table``
 _KIND = {"a": 0, "ad": 1, "b": 2, "bd": 3}
+
+# the signed permutations (x, y) -> (a x + b y, c x + d y) as (a, b, c, d),
+# the identity first
+_SIGNED_PERMUTATIONS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1),
+                        (0, 1, -1, 0), (1, 0, 0, -1), (-1, 0, 0, 1),
+                        (0, 1, 1, 0), (0, -1, -1, 0))
+
+# how far, in units of the larger magnitude's rounding, two coefficients
+# or diagonal values an operator's symmetry maps onto each other may lie
+# apart: np.bincount sums V_N's merged coefficients in term order, so
+# some differ from their images by one ulp
+_SYMMETRY_ULPS = 4
+
+
+def _close(a, b) -> bool:
+    """Whether a and b agree elementwise to _SYMMETRY_ULPS."""
+    return np.array_equal(a, b) or bool(np.all(
+        np.abs(a - b) <= _SYMMETRY_ULPS * np.finfo(float).eps
+        * np.maximum(np.abs(a), np.abs(b))))
+
+
+@lru_cache(maxsize=None)
+def _symmetry(modes: tuple) -> np.ndarray:
+    """The signed permutations of (x, y) that map the mode set onto
+    itself, as permutations of the mode indices, the identity first."""
+    index = {m: i for i, m in enumerate(modes)}
+    group = [[index.get((a * x + b * y, c * x + d * y)) for x, y in modes]
+             for a, b, c, d in _SIGNED_PERMUTATIONS]
+    return np.array([g for g in group if None not in g])
 
 
 @dataclass(frozen=True)
@@ -196,14 +268,54 @@ class FockBasis:
         return v
 
     @cached_property
-    def sectors(self) -> Partition:
-        """The basis states grouped by total momentum P = sum p n_p,
-        sectors in lexicographic order of P: each P gets the integer code
-        (Px - min Px) * span + (Py - min Py), span the range of Py."""
+    def _codes(self) -> np.ndarray:
+        """Each state's total momentum P = sum p n_p as an integer code
+        (Px - min Px) * span + (Py - min Py), span the range of Py, so
+        that codes order the P lexicographically."""
         P = self.states @ np.array(self.modes, dtype=np.int64)
         low = P.min(axis=0)
         span = int(P[:, 1].max() - low[1]) + 1
-        return partition_by((P[:, 0] - low[0]) * span + (P[:, 1] - low[1]))
+        return (P[:, 0] - low[0]) * span + (P[:, 1] - low[1])
+
+    @cached_property
+    def sectors(self) -> Partition:
+        """The basis states grouped by total momentum P, sectors in
+        lexicographic order of P."""
+        return partition_by(self._codes)
+
+    @cached_property
+    def orbits(self) -> Partition:
+        """The sectors as an orbit partition of the mode set's symmetry
+        group (``_symmetry``): one stored sector per orbit of P, the
+        first in class order.
+
+        A symmetry g maps mode i to mode g(i) and state n to the state
+        with occupation n_i at g(i), whose key is sum_i n_i W[g(i)];
+        every ladder a_i becomes a_g(i), so an operator that commutes with
+        g has on sector gP the block of sector P with its states mapped by
+        g.  The stored index of a state is its image under the first
+        symmetry that maps its sector to the first one of the orbit.
+        """
+        weights = self._keys[0][_symmetry(self.modes)]
+        full, codes = self.sectors, self._codes
+        members = np.concatenate([idx.reshape(-1) for idx in full.classes])
+        head = np.concatenate([idx[:, 0] for idx in full.classes])
+        sizes = np.concatenate([np.full(len(idx), idx.shape[1])
+                                for idx in full.classes])
+        reached = codes[self.find(weights @ self.states[head].T)]
+        g = np.empty(self.dim, dtype=np.int64)
+        g[members] = np.repeat(np.argmin(reached, axis=0), sizes)
+        source = self.find(np.einsum("ij,ij->i", self.states, weights[g]))
+        return Partition(self.dim, tuple(idx[source[idx[:, 0]] == idx[:, 0]]
+                                         for idx in full.classes),
+                         full, source)
+
+    @cached_property
+    def orbit_starts(self) -> list:
+        """Each ``ladder_table`` row's nonzero columns in the stored
+        sectors of ``orbits``: where a walk of their blocks starts."""
+        keep = self.orbits.source == np.arange(self.dim)
+        return [cols[keep[cols]] for cols in self.ladder_table[2]]
 
     @cached_property
     def ladder_table(self) -> tuple:
@@ -311,6 +423,8 @@ class LinearOperator:
     def mat(self) -> np.ndarray:
         """The dense matrix, assembled from the blocks on every call (the
         one-block partition hands out its matrix itself)."""
+        if self.part.full is not None:
+            return self.expanded().mat
         if self.part is whole_partition(self.dim):
             return self.blocks[0][0]
         out = np.zeros((self.dim, self.dim),
@@ -318,6 +432,16 @@ class LinearOperator:
         for idx, blk in zip(self.part.classes, self.blocks):
             out[idx[:, :, None], idx[:, None, :]] = blk
         return out
+
+    def expanded(self) -> LinearOperator:
+        """The operator with all its blocks stored: itself, or on an
+        orbit partition its blocks rebuilt on the full partition."""
+        if self.part.full is None:
+            return self
+        op = LinearOperator.from_blocks(self.part.full,
+                                        self.part.expand(self.blocks), self.tag)
+        op.hermitian = self.hermitian
+        return op
 
     def residual(self, sign: float = 1.0) -> float:
         """Hermiticity residual over the blocks (antihermiticity for
@@ -351,11 +475,16 @@ def hermiticity_residual(mat: np.ndarray, sign: float = 1.0) -> float:
 
 def common(*ops) -> tuple:
     """The operators on one partition: as they are when they share one,
-    else as dense matrices on the one-block partition."""
+    else on the full partition when that is one they all expand to (see
+    ``LinearOperator.expanded``), else as dense matrices on the one-block
+    partition."""
     if len({op.dim for op in ops}) > 1:
         raise ConfigError("operator dimensions differ")
     if all(op.part is ops[0].part for op in ops):
         return ops
+    full = tuple(op.expanded() for op in ops)
+    if all(op.part is full[0].part for op in full):
+        return full
     return tuple(LinearOperator(op.mat, op.tag, op.hermitian) for op in ops)
 
 
@@ -363,15 +492,19 @@ def combine(terms, tag: str, hermitian: bool = False,
             diagonal: np.ndarray | None = None) -> LinearOperator:
     """diag(diagonal), when a per-state diagonal is given, plus the sum of
     coef * op over the (coef, op) pairs, added left to right, block by
-    block on the operators' common partition."""
+    block on the operators' common partition; on its full partition when
+    that is an orbit partition whose symmetries the diagonal lacks."""
     coefs, ops = zip(*terms)
     ops = common(*ops)
+    if diagonal is not None and not ops[0].part.invariant(diagonal):
+        ops = tuple(op.expanded() for op in ops)
     part = ops[0].part
     first, pos, size, total = part.slots
     flat = np.zeros(total, dtype=np.result_type(
         *coefs, *(op.blocks[0] for op in ops)))
     if diagonal is not None:
-        flat[first + pos * size] = diagonal
+        at = part.stored
+        flat[first[at] + pos[at] * size[at]] = diagonal[at]
     blocks = part.split(flat)
     for coef, op in zip(coefs, ops):
         for acc, b in zip(blocks, op.blocks):
@@ -379,68 +512,76 @@ def combine(terms, tag: str, hermitian: bool = False,
     return LinearOperator.from_blocks(part, blocks, tag, hermitian)
 
 
-# momentum a ladder adds to a state: +p for a creator, -p for an annihilator
-_CHARGE = {"a": -1, "b": -1, "ad": 1, "bd": 1}
-
 # entries a batch of the ladder walk starts from, at most (a product with
 # more is walked alone)
 _BATCH_ENTRIES = 4096
 
 
-def _conserves_momentum(basis: FockBasis, ops) -> bool:
-    px = py = 0
-    for kind, i in ops:
-        if kind not in _CHARGE:
-            raise ConfigError(f"unknown ladder kind {kind!r}")
-        px += _CHARGE[kind] * basis.modes[i][0]
-        py += _CHARGE[kind] * basis.modes[i][1]
-    return px == py == 0
-
-
-def _batches(basis: FockBasis, terms):
-    """The products in runs of consecutive products of equal length, cut
-    where the entries they start from would pass _BATCH_ENTRIES: lists
-    of (coef, ``ladder_table`` rows of the factors).  The empty product
+class _Terms(NamedTuple):
+    """Coefficients and products, each product as the ``ladder_table``
+    rows of its factors, leftmost first, and padded on the right to one
+    length with the row number 4 m + 1, past the table; the empty product
     is the identity, the table's last row."""
-    row_of, nonzero = basis.ladder_rows, basis.ladder_table[2]
-    identity = [len(nonzero) - 1]
-    run, size = [], 0
-    for coef, ops in terms:
-        try:
-            rows = [row_of[kind, i] for kind, i in ops] or identity
-        except KeyError as exc:
-            raise ConfigError(f"unknown ladder {exc.args[0]}") from None
-        n = len(nonzero[rows[-1]])
-        if run and (len(rows) != len(run[0][1])
-                    or size + n > _BATCH_ENTRIES):
-            yield run
-            run, size = [], 0
-        run.append((coef, rows))
+
+    coefs: np.ndarray
+    rows: np.ndarray
+    lengths: np.ndarray
+
+    def split(self, n: int) -> tuple:
+        """The first n terms and the rest."""
+        return (_Terms(*(x[:n] for x in self)),
+                _Terms(*(x[n:] for x in self)))
+
+
+def _terms(basis: FockBasis, terms) -> _Terms:
+    """The (coef, product) terms as ``_Terms``."""
+    row_of, m = basis.ladder_rows, basis.n_modes
+    lengths = np.array([len(ops) for _, ops in terms], dtype=np.int64)
+    try:
+        flat = np.fromiter((row_of[kind, i] for _, ops in terms
+                            for kind, i in ops), dtype=np.int64,
+                           count=int(lengths.sum()))
+    except KeyError as exc:
+        raise ConfigError(f"unknown ladder {exc.args[0]}") from None
+    rows = np.full((len(terms), max(lengths.max(initial=1), 1)), 4 * m + 1,
+                   dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = flat
+    empty = lengths == 0
+    rows[empty, 0], lengths[empty] = 4 * m, 1
+    return _Terms(np.fromiter((coef for coef, _ in terms), dtype=float,
+                              count=len(terms)), rows, lengths)
+
+
+def _batches(starts, terms: _Terms):
+    """Index ranges (lo, hi) of runs of consecutive products of equal
+    length, cut where the entries they start from would pass
+    _BATCH_ENTRIES."""
+    lengths = terms.lengths.tolist()
+    last = terms.rows[np.arange(len(lengths)), terms.lengths - 1].tolist()
+    lo, size = 0, 0
+    for t, (length, row) in enumerate(zip(lengths, last)):
+        n = len(starts[row])
+        if t > lo and (length != lengths[lo] or size + n > _BATCH_ENTRIES):
+            yield lo, t
+            lo, size = t, 0
         size += n
-    if run:
-        yield run
+    if lengths:
+        yield lo, len(lengths)
 
 
-def _entries(basis: FockBasis, operators):
-    """(owner, rows, cols, coef * amp) of the nonzero entries of the
-    operators, each given as (terms, diagonal or None), owner the index
-    of each entry's operator: the products of all operators in one walk,
-    one quadruple per batch (``_batches``) in product order, each
-    product in column order, then each operator's diagonal.  Every
-    factor has at most one nonzero per column, so a product follows
-    each column's single path, rightmost factor first, from the nonzero
-    columns of that factor."""
-    terms = [term for ts, _ in operators for term in ts]
-    owner_of = np.repeat(np.arange(len(operators)),
-                         [len(ts) for ts, _ in operators])
-    dest, amp_of, nonzero = basis.ladder_table
-    dest, amp_of = dest.ravel(), amp_of.ravel()
-    done = 0
-    for run in _batches(basis, terms):
-        coefs, rows = zip(*run)
-        start = [nonzero[r[-1]] for r in rows]
-        term = np.repeat(np.arange(len(run)), [len(c) for c in start])
-        offsets = np.array(rows) * basis.dim
+def _walk(basis: FockBasis, terms: _Terms, starts):
+    """(term, rows, cols, coef * amp) of the nonzero entries of the
+    products, term the index of each entry's product: one quadruple per
+    batch (``_batches``), products in order, each in column order from
+    the columns ``starts`` lists for its rightmost factor's row.  Every
+    factor has at most one nonzero per column, so a product follows each
+    column's single path, rightmost factor first."""
+    dest, amp_of = (table.ravel() for table in basis.ladder_table[:2])
+    for lo, hi in _batches(starts, terms):
+        rows = terms.rows[lo:hi, :terms.lengths[lo]]
+        start = [starts[r] for r in rows[:, -1].tolist()]
+        term = np.repeat(np.arange(hi - lo), [len(c) for c in start])
+        offsets = rows * basis.dim
         cols = to = np.concatenate(start)
         amp = 1.0
         for k in reversed(range(offsets.shape[1])):
@@ -450,8 +591,20 @@ def _entries(basis: FockBasis, operators):
             if not keep.all():
                 term, cols, to, amp = (term[keep], cols[keep], to[keep],
                                        amp[keep])
-        yield owner_of[done + term], to, cols, np.array(coefs)[term] * amp
-        done += len(run)
+        yield lo + term, to, cols, terms.coefs[lo:hi][term] * amp
+
+
+def _entries(basis: FockBasis, operators):
+    """(owner, rows, cols, coef * amp) of the nonzero entries of the
+    operators, each given as (terms, diagonal or None), in any momentum,
+    owner the index of each entry's operator: the products of all
+    operators in one walk from every column (``_walk``), then each
+    operator's diagonal."""
+    terms = _terms(basis, [term for ts, _ in operators for term in ts])
+    owner_of = np.repeat(np.arange(len(operators)),
+                         [len(ts) for ts, _ in operators])
+    for term, rows, cols, vals in _walk(basis, terms, basis.ladder_table[2]):
+        yield owner_of[term], rows, cols, vals
     start = np.arange(basis.dim)
     for owner, (_, diagonal) in enumerate(operators):
         if diagonal is not None:
@@ -465,6 +618,101 @@ def _products(basis: FockBasis, terms, diagonal=None):
         yield rows, cols, vals
 
 
+@lru_cache(maxsize=None)
+def _charge(modes: tuple) -> np.ndarray:
+    """The momentum each ``_Terms`` row number adds: +p for a creator, -p
+    for an annihilator, 0 for the identity and the padding."""
+    p = np.array(modes)
+    return np.vstack((-p, p, -p, p, np.zeros((2, 2), dtype=p.dtype)))
+
+
+def _conserving(basis: FockBasis, terms, tag: str) -> _Terms:
+    """The terms with a nonzero coefficient, refused unless every product
+    conserves total momentum: a creator adds its mode's p, an annihilator
+    takes it away."""
+    terms = _terms(basis, [(coef, ops) for coef, ops in terms if coef != 0.0])
+    if _charge(basis.modes)[terms.rows].sum(axis=1).any():
+        raise ConfigError(f"{tag}: a product does not conserve momentum")
+    return terms
+
+
+@lru_cache(maxsize=64)
+def _product_images(modes: tuple, shape: tuple, rows: bytes) -> tuple | None:
+    """How the symmetries of the mode set (``_symmetry``) permute a list
+    of products given as ``_Terms`` rows: the index of each product among
+    the distinct products, and the index of its image under each
+    symmetry but the identity in turn, or None when some image is not in
+    the list.  A symmetry maps table row k m + i to k m + g(i) and keeps
+    the identity and the padding.  Products are compared as integer keys
+    with the factors of each run of one kind in order, since those
+    commute, also at the cap.  It depends on the products alone, so it
+    is kept per product list."""
+    m, group = len(modes), _symmetry(modes)
+    rows = np.frombuffer(rows, dtype=np.int64).reshape(shape)
+    radix = 4 * m + 2
+    if radix ** shape[1] > 2 ** 62:
+        return None
+    kind = rows // m
+    run = np.zeros_like(rows)
+    np.cumsum(kind[:, 1:] != kind[:, :-1], axis=1, out=run[:, 1:])
+    images = np.hstack(((np.arange(4)[:, None] * m + group[:, None, :])
+                        .reshape(len(group), 4 * m),
+                        np.tile([4 * m, 4 * m + 1], (len(group), 1))))
+    keys = np.sort(run * radix + images[:, rows], axis=-1) % radix @ (
+        radix ** np.arange(shape[1], dtype=np.int64))
+    uniq, inv = np.unique(keys[0], return_inverse=True)
+    found = np.minimum(np.searchsorted(uniq, keys[1:].ravel()), len(uniq) - 1)
+    if not np.array_equal(uniq[found], keys[1:].ravel()):
+        return None
+    return inv, found, np.tile(inv, len(group) - 1)
+
+
+def _symmetric(basis: FockBasis, terms: _Terms, diagonal=None) -> bool:
+    """Whether sum coef * product + diag(diagonal) commutes with each
+    symmetry g of the mode set, to within _SYMMETRY_ULPS: the diagonal is
+    ``Partition.invariant`` on ``orbits``, and every product's image (a_i
+    to a_g(i) for every kind) is a product of the sum
+    (``_product_images``) with an equal coefficient, the coefficients of
+    equal products summed first."""
+    if diagonal is not None and not basis.orbits.invariant(diagonal):
+        return False
+    images = _product_images(basis.modes, terms.rows.shape,
+                             terms.rows.tobytes())
+    if images is None:
+        return False
+    inv, found, every = images
+    sums = np.bincount(inv, weights=terms.coefs)
+    return _close(sums[found], sums[every])
+
+
+def _fill(basis: FockBasis, part: Partition, flat: np.ndarray,
+          terms: _Terms, diagonal=None) -> np.ndarray:
+    """Add the entries of sum coef * product + diag(diagonal) in the
+    blocks of part to flat, the buffer laid out as ``part.slots``, and
+    return it: products in order, each from the columns of the stored
+    blocks only, then the diagonal.  ``np.add.at`` adds in order."""
+    first, pos, size, _ = part.slots
+    starts = (basis.ladder_table[2] if part.full is None
+              else basis.orbit_starts)
+    for _, r, c, vals in _walk(basis, terms, starts):
+        np.add.at(flat, first[c] + pos[r] * size[c], vals)
+    if diagonal is not None:
+        at = part.stored
+        flat[first[at] + pos[at] * size[at]] += diagonal[at]
+    return flat
+
+
+class _SharedPrefix(list):
+    """Terms whose first ``count`` are shared with another build: the
+    first build that walks them on a partition leaves a copy of the
+    buffer they fill in ``buffers``, and the next build on that
+    partition takes it over instead of walking them again."""
+
+    def __init__(self, terms, count: int, buffers: dict):
+        super().__init__(terms)
+        self.count, self.buffers = count, buffers
+
+
 def build_operator(basis: FockBasis, terms, tag: str,
                    hermitian: bool = False,
                    diagonal: np.ndarray | None = None) -> LinearOperator:
@@ -473,17 +721,26 @@ def build_operator(basis: FockBasis, terms, tag: str,
 
     A product is a list of (kind, mode index) pairs, leftmost written
     first; kinds are 'a', 'ad', 'b' and 'bd'.  Every product conserves
-    total momentum, and the operator is stored in the momentum sectors.
-    Entries are added in product order (``np.add.at`` adds in order).
+    total momentum, and the operator is stored in the momentum sectors:
+    on one sector per orbit of the basis' symmetry group
+    (``FockBasis.orbits``) when it commutes with the group
+    (``_symmetric``), else on every sector.  Entries are added in
+    product order (``_fill``); terms given as a ``_SharedPrefix`` start
+    from the buffer of their shared products when another build left it.
     """
-    terms = [(coef, ops) for coef, ops in terms if coef != 0.0]
-    if not all(_conserves_momentum(basis, ops) for _, ops in terms):
-        raise ConfigError(f"{tag}: a product does not conserve momentum")
-    part = basis.sectors
-    first, pos, size, total = part.slots
-    flat = np.zeros(total)
-    for rows, cols, vals in _products(basis, terms, diagonal):
-        np.add.at(flat, first[cols] + pos[rows] * size[cols], vals)
+    products = _conserving(basis, terms, tag)
+    part = (basis.orbits if _symmetric(basis, products, diagonal)
+            else basis.sectors)
+    flat = np.zeros(part.slots[3])
+    if isinstance(terms, _SharedPrefix):
+        shared, products = products.split(
+            sum(coef != 0.0 for coef, _ in terms[:terms.count]))
+        if (left := terms.buffers.pop(part, None)) is None:
+            _fill(basis, part, flat, shared)
+            terms.buffers[part] = flat.copy()
+        else:
+            flat = left
+    _fill(basis, part, flat, products, diagonal)
     return LinearOperator.from_blocks(part, part.split(flat), tag, hermitian)
 
 
@@ -726,10 +983,10 @@ def _omega(basis: FockBasis, renorm: RenormPotential) -> list:
             for m in basis.modes]
 
 
-def _r_eff(basis: FockBasis, renorm: RenormPotential, params: GPParameters,
-           potential_terms: list, kinetic: np.ndarray) -> LinearOperator:
-    """R_eff in one build: V_N's products plus the omega_hat pair and
-    cubic products, with diagonal K + R_diag."""
+def _r_eff_rest(basis: FockBasis, renorm: RenormPotential,
+                params: GPParameters) -> tuple:
+    """What R_eff adds to V_N and K: the omega_hat pair and cubic
+    products, and the diagonal R_diag."""
     N = params.N
     w0 = renorm.omega0
     omega = _omega(basis, renorm)
@@ -737,30 +994,38 @@ def _r_eff(basis: FockBasis, renorm: RenormPotential, params: GPParameters,
         basis,
         lambda n: 0.5 * (N - 1) * w0 * (1 - n / N)
         + 0.5 * w0 * n * (1 - n / N) + w0 * n * (1 - n / N))
-    terms = (potential_terms + _pair_terms(basis, omega, 1.0)
-             + _cubic_terms(basis, omega, 1.0 / math.sqrt(N)))
-    return build_operator(basis, terms, "R_eff", hermitian=True,
-                          diagonal=kinetic + R_diag)
+    return (_pair_terms(basis, omega, 1.0)
+            + _cubic_terms(basis, omega, 1.0 / math.sqrt(N))), R_diag
 
 
 def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
                            pot: RadialPotential,
                            params: GPParameters) -> dict:
     """The cubically renormalized R_eff and H_N = K + V_N, the two
-    operators of lower-bound, one build each from V_N's products and the
-    kinetic diagonal, both computed once.  ``r_effective_hamiltonian``
-    builds R_eff alone.
-    """
-    terms, kinetic = _potential_terms(basis, pot, params), _kinetic(basis)
-    return {"R_eff": _r_eff(basis, renorm, params, terms, kinetic),
-            "H_N": build_operator(basis, terms, "H_N", hermitian=True,
-                                  diagonal=kinetic)}
+    operators of lower-bound, one build each with V_N's products walked
+    once (``_SharedPrefix``): R_eff adds the omega_hat pair and cubic
+    entries, then its diagonal K + R_diag, to V_N's buffer, and H_N adds
+    the kinetic diagonal K to a copy of it.  Every entry is summed in
+    the order of a build of its own."""
+    potential = _potential_terms(basis, pot, params)
+    rest, R_diag = _r_eff_rest(basis, renorm, params)
+    kinetic, walked = _kinetic(basis), {}
+    return {"R_eff": build_operator(
+                basis, _SharedPrefix(potential + rest, len(potential), walked),
+                "R_eff", hermitian=True, diagonal=kinetic + R_diag),
+            "H_N": build_operator(
+                basis, _SharedPrefix(potential, len(potential), walked),
+                "H_N", hermitian=True, diagonal=kinetic)}
 
 
 def r_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
                             pot: RadialPotential,
                             params: GPParameters) -> LinearOperator:
     """R_eff as ``effective_hamiltonians`` builds it, without H_N: all
-    that energy-sweep and fock-audit read."""
-    return _r_eff(basis, renorm, params, _potential_terms(basis, pot, params),
-                  _kinetic(basis))
+    that energy-sweep and fock-audit read.  One build of V_N's products
+    and the omega_hat pair and cubic products, with diagonal
+    K + R_diag."""
+    rest, R_diag = _r_eff_rest(basis, renorm, params)
+    return build_operator(basis, _potential_terms(basis, pot, params) + rest,
+                          "R_eff", hermitian=True,
+                          diagonal=_kinetic(basis) + R_diag)

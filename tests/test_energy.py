@@ -56,7 +56,7 @@ def test_ground_state_blockwise_matches_dense(step_pot):
                                     build_lattice(TWO_PI * 8))
     basis = build_basis(shell_modes(8), 3)
     R = effective_hamiltonians(basis, renorm, step_pot, params)["R_eff"]
-    assert R.part is basis.sectors
+    assert R.part is basis.orbits
     e0, vec, depletion = ground_state(R, basis)
     dense = LinearOperator(R.mat, "R dense", hermitian=True)
     e0_d, vec_d, depletion_d = ground_state(dense, basis)

@@ -211,8 +211,12 @@ def test_sector_blocks_match_dense_brute_force(shape, v0, b, n_particles,
     with pytest.MonkeyPatch.context() as m:
         _dense_brute_force(m)
         want = _all_operators(basis, pot, params, weights)
+    # every weight depends on |p| alone but eta's d * n1 part, so all
+    # operators are stored on the orbit blocks except B and A at d != 0
+    radial = {"K", "V_N", "L2", "L3", "R_eff"} | ({"B", "A"} if d == 0.0
+                                                  else set())
     for key, op in got.items():
-        assert op.part is basis.sectors, key
+        assert op.part is basis.orbits or key not in radial, key
         assert want[key].part is whole_partition(basis.dim), key
         dense, ref = op.mat, want[key].mat
         # terms can cancel to an exact zero in one assembly and to a
@@ -257,7 +261,7 @@ def test_mixed_partitions_meet_on_one_block(fock_setup):
                            hermitian=True)
     blocked = conjugate(number_operator(basis), B)
     met = conjugate(dense, B)
-    assert blocked.part is basis.sectors
+    assert blocked.part is basis.orbits
     assert met.part is whole_partition(basis.dim)
     np.testing.assert_allclose(met.mat, blocked.mat, rtol=0, atol=1e-13)
     # e^{-B} N e^{B}, with the exponential taken of the whole matrix
@@ -723,7 +727,7 @@ def test_one_pass_hamiltonians_match_combined_pieces(shell, cap,
     assert set(got) == {"R_eff", "H_N"}
     assert len(built) == 2
     for key, op in got.items():
-        assert op.part is basis.sectors, key
+        assert op.part is basis.orbits, key
         np.testing.assert_allclose(op.mat, want[key].mat, rtol=1e-13,
                                    atol=0.0, err_msg=key)
 
@@ -752,12 +756,16 @@ def _reference_products(basis, terms, diagonal=None):
         yield start, start, diagonal
 
 
-def _reference_flat(basis, terms, diagonal=None):
-    """build_operator's flat sector buffer, filled product by product."""
-    first, pos, size, total = basis.sectors.slots
+def _reference_flat(basis, terms, diagonal=None, part=None):
+    """build_operator's flat buffer on part (the sectors by default),
+    filled product by product with the entries in its stored blocks."""
+    part = basis.sectors if part is None else part
+    first, pos, size, total = part.slots
+    kept = np.isin(np.arange(basis.dim), part.stored)
     flat = np.zeros(total)
     for rows, cols, vals in _reference_products(basis, terms, diagonal):
-        flat[first[cols] + pos[rows] * size[cols]] += vals
+        at = kept[cols]
+        flat[first[cols[at]] + pos[rows[at]] * size[cols[at]]] += vals[at]
     return flat
 
 
@@ -801,8 +809,8 @@ def test_batched_walk_bitwise_equals_per_product_walk(shape, terms, batch,
         if kept:
             op = build_operator(basis, kept, "walk", diagonal=diag)
             got = np.concatenate([b.ravel() for b in op.blocks])
-            assert got.tobytes() == _reference_flat(basis, kept,
-                                                    diag).tobytes()
+            assert got.tobytes() == _reference_flat(basis, kept, diag,
+                                                    op.part).tobytes()
 
 
 @pytest.mark.parametrize("batch", BATCH_SIZES)
@@ -1076,3 +1084,161 @@ def test_ground_state_values_first_on_r_eff(cap):
     want_depletion = float(basis.totals() @ want_vec ** 2) / cap
     assert e0 == want
     assert abs(depletion - want_depletion) <= 1e-14 * want_depletion
+
+
+# --- one momentum sector per orbit of the lattice symmetries --------------
+
+# the eight signed permutations of (x, y); shells 4, 8 and 12 are closed
+# under all of them
+SIGNED = [np.array(g) for g in ([[1, 0], [0, 1]], [[0, -1], [1, 0]],
+                                [[-1, 0], [0, -1]], [[0, 1], [-1, 0]],
+                                [[1, 0], [0, -1]], [[-1, 0], [0, 1]],
+                                [[0, 1], [1, 0]], [[0, -1], [-1, 0]])]
+
+
+def _every_sector(monkeypatch):
+    """Make build_operator store every momentum sector."""
+    monkeypatch.setattr(fock, "_symmetric", lambda *args: False)
+
+
+ORBIT_BASES = {(8, 3): build_basis(shell_modes(8), 3),
+               (12, 2): build_basis(shell_modes(12), 2)}
+
+
+@given(shape=st.sampled_from(sorted(ORBIT_BASES)),
+       v0=st.floats(0.5, 20.0), b=st.floats(0.3, 2.0),
+       alpha=st.floats(1.5, 3.0), c=st.floats(-2.0, 2.0),
+       d=st.floats(-1.0, 1.0), w0=st.floats(0.0, 20.0))
+@settings(max_examples=20, deadline=None)
+def test_orbit_blocks_reproduce_every_sector_spectrum(shape, v0, b, alpha,
+                                                       c, d, w0):
+    basis = ORBIT_BASES[shape]
+    pot, params = step(v0, b), GPParameters(basis.cap, alpha)
+    weights = Weights(c, d, w0)        # omega_at depends on |p| alone
+    got = effective_hamiltonians(basis, weights, pot, params)
+    with pytest.MonkeyPatch.context() as m:
+        _every_sector(m)
+        want = effective_hamiltonians(basis, weights, pot, params)
+    P = basis.states @ np.array(basis.modes)
+    orbits = {frozenset(tuple(g @ p) for g in SIGNED) for p in P}
+    for key, op in got.items():
+        assert op.part is basis.orbits, key
+        assert want[key].part is basis.sectors, key
+        stored = {}
+        for idx, blk in zip(op.part.classes, op.blocks):
+            for i, vals in zip(idx, np.linalg.eigvalsh(blk)):
+                stored[tuple(P[i[0]])] = vals
+        # one stored sector per orbit of P
+        assert len(stored) == len(orbits)
+        scale = max(np.abs(blk).max() for blk in want[key].blocks)
+        for idx, blk in zip(want[key].part.classes, want[key].blocks):
+            for i, vals in zip(idx, np.linalg.eigvalsh(blk)):
+                hit = {tuple(g @ P[i[0]]) for g in SIGNED} & set(stored)
+                assert len(hit) == 1, key
+                np.testing.assert_allclose(stored[hit.pop()], vals, rtol=0,
+                                           atol=1e-12 * scale, err_msg=key)
+
+
+def test_orbits_follow_the_symmetry_of_the_mode_set():
+    # a rectangle's modes are closed under the two mirrors and the half
+    # turn only
+    basis = build_basis([(1, 0), (-1, 0), (0, 2), (0, -2)], 4)
+    group = [g for g in SIGNED
+             if {tuple(g @ m) for m in basis.modes} == set(basis.modes)]
+    assert len(group) == 4
+    P = basis.states @ np.array(basis.modes)
+    orbits = {frozenset(tuple(g @ p) for g in group) for p in P}
+    assert sum(len(idx) for idx in basis.orbits.classes) == len(orbits)
+    pot, params = step(2.0, 1.0), GPParameters(4, 2.5)
+    weights = Weights(0.8, 0.3, 12.0)
+    got = effective_hamiltonians(basis, weights, pot, params)
+    with pytest.MonkeyPatch.context() as m:
+        _every_sector(m)
+        want = effective_hamiltonians(basis, weights, pot, params)
+    for key, op in got.items():
+        assert op.part is basis.orbits, key
+        ref = want[key].mat
+        assert (np.abs(op.mat - ref).max()
+                <= 4 * np.finfo(float).eps * np.abs(ref).max()), key
+
+
+def _pipeline_operators(shell, cap):
+    """R_eff, H_N, B, A, L2 and L3 of the default config at one shell and
+    particle cap."""
+    cfg = RunConfig(shell=shell)
+    pipe = Pipeline(cfg)
+    basis, alpha = pipe.basis(cap), cfg.fock_alpha
+    params = pipe.params(cap, alpha)
+    pieces = hamiltonian_pieces(basis, pipe.pot, params)
+    return basis, {**effective_hamiltonians(basis, pipe.renorm(cap, alpha),
+                                            pipe.pot, params),
+                   **generators(basis, pipe.table(cap, alpha), params),
+                   "L2": pieces["L2"], "L3": pieces["L3"]}
+
+
+@pytest.mark.parametrize("shell,cap", [(4, 5), (8, 4), (12, 3)])
+def test_orbit_matrices_equal_every_sector_build(shell, cap):
+    basis, got = _pipeline_operators(shell, cap)
+    with pytest.MonkeyPatch.context() as m:
+        _every_sector(m)
+        every, want = _pipeline_operators(shell, cap)
+    eps = np.finfo(float).eps
+    for key, op in got.items():
+        assert op.part is basis.orbits, key
+        assert want[key].part is every.sectors, key
+        dense, ref = op.mat, want[key].mat
+        assert np.abs(dense - ref).max() <= 4 * eps * np.abs(ref).max(), key
+        # the stored blocks are the every-sector build's, bit for bit
+        for idx, blk in zip(op.part.classes, op.blocks):
+            assert np.array_equal(blk, ref[idx[:, :, None],
+                                           idx[:, None, :]]), key
+
+
+def test_r_eff_walks_v_n_products_once(fock_setup, step_pot):
+    params, _, _, renorm, basis = fock_setup
+    walked = []
+    walk = fock._walk
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fock, "_walk", lambda basis, terms, starts:
+                  walked.append(len(terms.coefs)) or walk(basis, terms,
+                                                          starts))
+        effective_hamiltonians(basis, renorm, step_pot, params)
+    rest = fock._r_eff_rest(basis, renorm, params)[0]
+    assert sum(walked) == len(fock._potential_terms(basis, step_pot, params)
+                              + rest)
+
+
+def _omega_mutated_terms(basis, weights, params, k):
+    """R_eff's products and diagonal with omega_hat at mode k scaled by
+    1 + 1e-6."""
+    omega = fock._omega(basis, weights)
+    omega[k] *= 1 + 1e-6
+    R_diag = fock._r_eff_rest(basis, weights, params)[1]
+    terms = (fock._potential_terms(basis, step(2.0, 1.0), params)
+             + fock._pair_terms(basis, omega, 1.0)
+             + fock._cubic_terms(basis, omega, 1.0 / math.sqrt(params.N)))
+    return terms, fock._kinetic(basis) + R_diag
+
+
+@pytest.mark.parametrize("case", ["n0", "omega", "diagonal"])
+@pytest.mark.parametrize("shape", sorted(ORACLE_BASES))
+def test_operators_without_the_symmetry_keep_every_sector(shape, case):
+    basis = ORACLE_BASES[shape]
+    params = GPParameters(basis.cap, 2.5)
+    if case == "n0":
+        # the occupation of one mode, as tests/test_bench_contract.py builds
+        terms, diagonal = [(1.0, [("ad", 0), ("a", 0)])], None
+    elif case == "omega":
+        terms, diagonal = _omega_mutated_terms(
+            basis, Weights(0.8, 0.3, 12.0), params, basis.n_modes - 1)
+    else:
+        # V_N, which has the symmetry, plus a diagonal that has not
+        terms = fock._potential_terms(basis, step(2.0, 1.0), params)
+        diagonal = np.cos(np.arange(basis.dim))
+    op = build_operator(basis, terms, case, diagonal=diagonal)
+    assert op.part is basis.sectors
+    want = _reference_operator(basis, terms)
+    if diagonal is not None:
+        want += np.diag(diagonal)
+    np.testing.assert_allclose(op.mat, want, rtol=1e-13,
+                               atol=1e-14 * np.abs(want).max())

@@ -1,17 +1,20 @@
 """Time the Fock layer at fixed sizes, one fresh process per run.
 
 Usage: python3 tools/fock_layer_timing.py [--repeats K] [--src DIR]
-                                          [--sizes 8/4,8/5,12/6,12/7]
+                                          [--sizes 8/5,12/6,12/7,12/8]
 
 For each shell/N it starts K fresh interpreters (BLAS pinned to one
 thread).  Each builds the run's ω̂ first (default config at that shell,
 ``fock_alpha``), then times the basis plus one R_eff build
 (``Pipeline.basis`` and ``r_effective_hamiltonian``) and the lowest
 eigenpair over the blocks (``LinearOperator.lowest`` with numpy's
-``eigvalsh`` and ``eigh``), and reports its own peak RSS.  The table gives the median and
-range over the K runs.  ``--src`` points at the ``src`` directory of the
-checkout to time (default: this one), so two commits can be compared
-with the same script.  Needs only the standard library and numpy.
+``eigvalsh`` and ``eigh``), and reports its own peak RSS, the number of
+stored blocks against the number of momentum sectors (fewer when R_eff
+is stored on one sector per symmetry orbit) and the MB the stored blocks
+take.  The table gives the median and range over the K runs.  ``--src``
+points at the ``src`` directory of the checkout to time (default: this
+one), so two commits can be compared with the same script.  Needs only
+the standard library and numpy.
 """
 
 import argparse
@@ -24,7 +27,7 @@ import sys
 import time
 from pathlib import Path
 
-SIZES = "8/4,8/5,12/6,12/7"
+SIZES = "8/5,12/6,12/7,12/8"
 
 
 def one_run(shell: int, n: int) -> dict:
@@ -46,6 +49,9 @@ def one_run(shell: int, n: int) -> dict:
     t2 = time.perf_counter()
     return {"dim": basis.dim,
             "largest_block": max(idx.shape[1] for idx in op.part.classes),
+            "blocks": sum(len(idx) for idx in op.part.classes),
+            "sectors": sum(len(idx) for idx in basis.sectors.classes),
+            "stored_mb": sum(blk.nbytes for blk in op.blocks) / 1e6,
             "build_s": t1 - t0, "lowest_s": t2 - t1, "e0": e0,
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0}
@@ -82,14 +88,16 @@ def main() -> None:
         return
     print(f"src: {args.src.resolve()}  repeats: {args.repeats}  "
           f"BLAS threads: 1")
-    print("| shell/N | dim | largest block | basis + R_eff build | "
-          "`lowest` | peak RSS |")
-    print("| --- | --- | --- | --- | --- | --- |")
+    print("| shell/N | dim | largest block | stored blocks / sectors | "
+          "stored | basis + R_eff build | `lowest` | peak RSS |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     for size in args.sizes.split(","):
         shell, n = map(int, size.split("/"))
         runs = [spawn(args.src.resolve(), shell, n)
                 for _ in range(args.repeats)]
         print(f"| {size} | {runs[0]['dim']:,} | {runs[0]['largest_block']} "
+              f"| {runs[0]['blocks']} / {runs[0]['sectors']} "
+              f"| {runs[0]['stored_mb']:.0f} MB "
               f"| {summary([r['build_s'] for r in runs], '{:.3f}')} s "
               f"| {summary([r['lowest_s'] for r in runs], '{:.3f}')} s "
               f"| {summary([r['peak_rss_mb'] for r in runs], '{:.0f}')} MB |",
