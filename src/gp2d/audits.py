@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, islice, product
-from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, solve
@@ -37,8 +37,7 @@ from .kernels import GPParameters, RenormPotential, omega_lattice_sum
 PSD_SLACK = 1e-9
 
 
-@dataclass
-class InequalityReport:
+class InequalityReport(NamedTuple):
     statement: str
     constant: float
     min_eigenvalue: float
@@ -49,11 +48,11 @@ class InequalityReport:
     # |v_i|^2 at the first 8 basis states (ordered by total occupation,
     # vacuum first) of the lowest eigenvector of C * rhs - lhs: not a
     # distribution over Nplus
-    number_profile: list = field(default_factory=list)
+    number_profile: tuple = ()
     notes: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
 
 def _scale(op: LinearOperator) -> float:
@@ -103,8 +102,8 @@ def min_constant(lhs: LinearOperator, rhs_terms, statement: str,
                             slack, _profile(vec))
 
 
-def _profile(vec: np.ndarray) -> list:
-    return [float(x) for x in np.abs(vec[: min(len(vec), 8)]) ** 2]
+def _profile(vec: np.ndarray) -> tuple:
+    return tuple(float(x) for x in np.abs(vec[: min(len(vec), 8)]) ** 2)
 
 
 def commutator_residual(basis: FockBasis) -> float:
@@ -195,8 +194,7 @@ def smooth_partition(x):
     return np.cos(theta), np.sin(theta)
 
 
-@dataclass
-class LocalizationReport:
+class LocalizationReport(NamedTuple):
     identity_residual: float
     theta_constant: float
     theta_pass: bool
@@ -270,9 +268,9 @@ def condensation_lower_bound(R_eff: LinearOperator, H_N: LinearOperator,
     rhs = build_operator(basis, [], "penalty", hermitian=True,
                          diagonal=logN ** 2 / N * (n * n) + 1.0)
     rep = min_constant(lhs, [rhs], "condensation-lower-bound", basis.cap)
-    rep.notes = (f"N={N} is desk scale; the bound is proved for large N, "
-                 f"small-N certificates may need larger constants")
-    return rep
+    return rep._replace(
+        notes=f"N={N} is desk scale; the bound is proved for large N, "
+              f"small-N certificates may need larger constants")
 
 
 def square_completion_check(renorm: RenormPotential, params: GPParameters,

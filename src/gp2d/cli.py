@@ -233,6 +233,10 @@ def main(argv=None) -> int:
     except Gp2dError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # the output directory could not be made or an artifact written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

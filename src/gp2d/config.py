@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -21,7 +20,6 @@ except ImportError:
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass
 class RunConfig:
     """Validated settings for a laboratory run.
 
@@ -29,6 +27,9 @@ class RunConfig:
     builds run at N from 3 up to fock_n_max with their own exponent
     fock_alpha, chosen so the microscopic disk still contains the
     potential at small N.
+
+    The annotated class attributes below are the fields (``FIELD_TYPES``)
+    and their defaults; ``RunConfig(**values)`` takes any of them by name.
     """
 
     potential: str = "step"
@@ -47,10 +48,15 @@ class RunConfig:
     c_lower: float = 0.1
     out_dir: str = "out"
 
-    def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite")
+    def __init__(self, **values):
+        for name in values:
+            if name not in FIELD_TYPES:
+                raise TypeError(f"RunConfig has no field {name!r}")
+        for name, kind in FIELD_TYPES.items():
+            value = values.get(name, getattr(RunConfig, name))
+            if kind == "float" and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
+            setattr(self, name, value)
         if self.alpha <= 0 or self.fock_alpha <= 0:
             raise ConfigError("alpha must be positive")
         if self.ell_scale <= 0:
@@ -72,6 +78,15 @@ class RunConfig:
                 and not self.potential.startswith("table:"):
             raise ConfigError(f"unknown potential {self.potential!r}")
 
+    def __eq__(self, other):
+        if type(other) is not RunConfig:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "RunConfig(" + ", ".join(
+            f"{name}={value!r}" for name, value in vars(self).items()) + ")"
+
     def make_potential(self):
         from . import potentials
         if self.potential == "step":
@@ -83,7 +98,8 @@ class RunConfig:
         return potentials.load_table(self.potential[len("table:"):])
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# each field's name and type ("str", "int" or "float"), in definition order
+FIELD_TYPES = dict(RunConfig.__annotations__)
 
 # config-file keys are spelled like the physics, not like the attributes
 _KEY_TO_FIELD = {
@@ -96,7 +112,7 @@ _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 
 
 def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
+    kind = FIELD_TYPES[name]
     try:
         if kind == "int":
             return int(raw)
@@ -119,7 +135,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, raw = (part.strip() for part in body.split("=", 1))
         name = _KEY_TO_FIELD.get(key, key)
-        if name not in _FIELD_TYPES:
+        if name not in FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         values[name] = _coerce(name, raw)
     return RunConfig(**values)
@@ -141,11 +157,11 @@ _NON_SEMANTIC_FIELDS = frozenset({"out_dir"})
 
 def canonical_text(cfg: RunConfig) -> str:
     lines = []
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
-        if f.name in _NON_SEMANTIC_FIELDS:
+    for name in sorted(FIELD_TYPES):
+        if name in _NON_SEMANTIC_FIELDS:
             continue
-        key = _FIELD_TO_KEY.get(f.name, f.name)
-        val = getattr(cfg, f.name)
+        key = _FIELD_TO_KEY.get(name, name)
+        val = getattr(cfg, name)
         if isinstance(val, float):
             val = f"{val:.17g}"
         lines.append(f"{key} = {val}")

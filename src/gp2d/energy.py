@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import eigh, eigvalsh
+from numpy.linalg import eigh, eigvalsh, lstsq
 
 from .config import RunConfig, fingerprint
 from .errors import ConsistencyError, Gp2dError, SolverError
@@ -128,8 +128,7 @@ def ground_state(op: LinearOperator,
     return e0, vec, depletion
 
 
-@dataclass(frozen=True)
-class EnergyRecord:
+class EnergyRecord(NamedTuple):
     N: int
     alpha: float
     cutoff: float
@@ -153,8 +152,7 @@ class EnergyRecord:
         ])
 
 
-@dataclass
-class SweepDataset:
+class SweepDataset(NamedTuple):
     records: list
     fingerprint: str
     schema: str = SCHEMA
@@ -314,8 +312,13 @@ def vacuum_slope_fit(ds: SweepDataset) -> float:
         raise SolverError("not enough trajectory records for a slope fit")
     x = np.log([float(n) for n, _ in pts])
     y = np.array([ev - 2.0 * np.pi * n for n, ev in pts])
-    coef = np.polynomial.polynomial.polyfit(x, y, 1)
-    return float(coef[1])
+    # numpy.polynomial's polyfit(x, y, 1), step for step: the columns 1
+    # and x scaled to unit norm, lstsq at rcond = len(x) * eps, the
+    # scaling undone
+    lhs = np.array([np.ones_like(x), x])
+    scl = np.sqrt(np.square(lhs).sum(1))
+    coef = lstsq(lhs.T / scl, y, len(x) * np.finfo(float).eps)[0]
+    return float(coef[1] / scl[1])
 
 
 def depletion_products(ds: SweepDataset) -> list:

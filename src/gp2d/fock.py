@@ -34,7 +34,6 @@ symmetry is stored on every sector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
 from typing import NamedTuple
@@ -86,7 +85,6 @@ def _occupations(cap: int, parts: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-@dataclass(frozen=True, eq=False)
 class Partition:
     """A split of the basis indices 0..dim-1 into blocks.
 
@@ -102,10 +100,11 @@ class Partition:
     (x, y) of an operator is its stored entry (source[x], source[y]).
     """
 
-    dim: int
-    classes: tuple = field(repr=False)
-    full: Partition | None = field(default=None, repr=False)
-    source: np.ndarray | None = field(default=None, repr=False)
+    def __init__(self, dim: int, classes: tuple,
+                 full: Partition | None = None,
+                 source: np.ndarray | None = None):
+        self.dim, self.classes = dim, classes
+        self.full, self.source = full, source
 
     @cached_property
     def slots(self) -> tuple:
@@ -209,7 +208,6 @@ def _symmetry(modes: tuple) -> np.ndarray:
     return np.array([g for g in group if None not in g])
 
 
-@dataclass(frozen=True)
 class FockBasis:
     """Occupation basis over a negation-closed mode set, total <= cap.
 
@@ -218,11 +216,10 @@ class FockBasis:
     of its key among the sorted keys of ``states``.
     """
 
-    modes: tuple
-    cap: int
-    states: np.ndarray = field(repr=False)
-    neg_mode: np.ndarray = field(repr=False)
-    mode_p2: np.ndarray = field(repr=False)
+    def __init__(self, modes: tuple, cap: int, states: np.ndarray,
+                 neg_mode: np.ndarray, mode_p2: np.ndarray):
+        self.modes, self.cap, self.states = modes, cap, states
+        self.neg_mode, self.mode_p2 = neg_mode, mode_p2
 
     @property
     def dim(self) -> int:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .scattering import NeumannSolution
 _N_OVERFLOW = 300
 
 
-@dataclass(frozen=True)
 class GPParameters:
     """Particle count and the interaction-range exponent.
 
@@ -35,11 +34,8 @@ class GPParameters:
     unit torus; the microscopic disk radius is R = e^N * ell.
     """
 
-    N: int
-    alpha: float
-    ell_scale: float = 1.0
-
-    def __post_init__(self):
+    def __init__(self, N: int, alpha: float, ell_scale: float = 1.0):
+        self.N, self.alpha, self.ell_scale = N, alpha, ell_scale
         if self.N < 2 or int(self.N) != self.N:
             raise ConfigError("N must be an integer >= 2")
         if self.alpha <= 0:
@@ -124,7 +120,6 @@ def w_squared_integral(sol: NeumannSolution, params: GPParameters,
     return float(TWO_PI * params.ell ** 2 * np.dot(wts, w * w * nodes))
 
 
-@dataclass(frozen=True)
 class KernelTable:
     """eta_p tabulated on a momentum lattice, with its zero mode eta0.
 
@@ -134,13 +129,12 @@ class KernelTable:
     the cutoff.  No command reads it.
     """
 
-    lattice: MomentumLattice
-    eta: np.ndarray
-    eta0: float
-    params: GPParameters = field(repr=False)
-    lam_R2: float = 0.0
-    sol: NeumannSolution | None = field(default=None, repr=False)
-    per_efold: int = 8
+    def __init__(self, lattice: MomentumLattice, eta: np.ndarray,
+                 eta0: float, params: GPParameters, lam_R2: float = 0.0,
+                 sol: NeumannSolution | None = None, per_efold: int = 8):
+        self.lattice, self.eta, self.eta0 = lattice, eta, eta0
+        self.params, self.lam_R2 = params, lam_R2
+        self.sol, self.per_efold = sol, per_efold
 
     @cached_property
     def norm2(self) -> float:
@@ -188,14 +182,13 @@ def kernel_sup_product(sol: NeumannSolution, params: GPParameters,
     return float(np.max(np.abs(vals) * ps ** 2))
 
 
-@dataclass(frozen=True)
 class RenormPotential:
     """Soft effective interaction omega_hat(p) = g_N chi_hat(p / N^alpha)."""
 
-    g_N: float
-    lattice: MomentumLattice
-    omega0: float
-    params: GPParameters = field(repr=False)
+    def __init__(self, g_N: float, lattice: MomentumLattice, omega0: float,
+                 params: GPParameters):
+        self.g_N, self.lattice = g_N, lattice
+        self.omega0, self.params = omega0, params
 
     @property
     def scale(self) -> float:
@@ -312,8 +305,7 @@ def omega_lattice_sum(renorm: RenormPotential) -> float:
     return pref * _chi2_lattice_sum(scale, _split_radius(scale))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Momentum-space consistency check of the correlation kernel.
 
     For each stored momentum magnitude, measures how well

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,8 +11,7 @@ from .errors import ConfigError
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class MomentumLattice:
+class MomentumLattice(NamedTuple):
     """Nonzero modes p = 2 pi (n1, n2) with |p| <= cutoff.
 
     Modes are ordered by (|p|^2, n1, n2) so that every consumer sees the

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .bessel import hankel_j0
@@ -13,7 +11,6 @@ from .quadrature import support_rule
 TABLE_HEADER = "# radial-potential v1"
 
 
-@dataclass(frozen=True)
 class RadialPotential:
     """Radial pair potential V(r) >= 0 vanishing beyond its range r0.
 
@@ -22,13 +19,11 @@ class RadialPotential:
     evaluation interpolates linearly and is zero outside the table.
     """
 
-    kind: str
-    v0: float
-    r0: float
-    table_r: np.ndarray | None = field(default=None, repr=False)
-    table_v: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, kind: str, v0: float, r0: float,
+                 table_r: np.ndarray | None = None,
+                 table_v: np.ndarray | None = None):
+        self.kind, self.v0, self.r0 = kind, v0, r0
+        self.table_r, self.table_v = table_r, table_v
         if self.kind not in ("step", "gaussian-bump", "user-tabulated"):
             raise ConfigError(f"unknown potential kind {self.kind!r}")
         numbers = [self.v0, self.r0] + [

@@ -15,7 +15,19 @@ import numpy as np
 from .bessel import j0_zeros
 from .errors import QuadratureError
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the 16-point Gauss-Legendre rule on [-1, 1], numpy.polynomial's
+# leggauss(16) to the bit (it is symmetric to the bit): the positive nodes
+# ascending, each with its weight
+_GL_HALF = np.array([(0.09501250983763744, 0.18945061045506864),
+                     (0.2816035507792589, 0.18260341504492364),
+                     (0.45801677765722737, 0.16915651939500265),
+                     (0.6178762444026438, 0.1495959888165767),
+                     (0.755404408355003, 0.12462897125553407),
+                     (0.8656312023878318, 0.0951585116824926),
+                     (0.9445750230732326, 0.062253523938647456),
+                     (0.9894009349916499, 0.027152459411754176)])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 
 # the innermost geometric boundary on [0, b], relative to b
 _FLOOR_RATIO = 1e-12

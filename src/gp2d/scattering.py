@@ -20,11 +20,10 @@ bracket searched outward from its asymptotic estimate (``_bracket_root``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .bessel import jy, jy01
 from .errors import ConsistencyError, SolverError
@@ -54,16 +53,15 @@ def _split_profile(r: np.ndarray, r0: float, interior, tail) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class ZeroEnergySolution:
+class ZeroEnergySolution(NamedTuple):
     """Regular zero-energy solution phi, phi(0) = 1, and the scattering
     length: the lambda = 0 term of the interior series inside the range,
     the exact log profile c log(r/a) outside it."""
 
     a: float                      # scattering length; 0 flags the free case
     log_slope: float              # c in phi(r) = c log(r/a) outside the range
-    pot: RadialPotential = field(repr=False)
-    series: InteriorSeries | None = field(default=None, repr=False)
+    pot: RadialPotential
+    series: InteriorSeries | None = None
 
     @property
     def is_free(self) -> bool:
@@ -85,22 +83,21 @@ class ZeroEnergySolution:
         return self._at(r)[1]
 
 
-@dataclass(frozen=True)
 class NeumannSolution:
     """Ground state of the radial Neumann problem on a disk of radius R,
     normalized to f(R) = 1: the interior profile inside the range, the
     exact J0/Y0 tail outside it.  ``f_at`` and ``w_at`` sum the f row of
     the interior series and J0/Y0 alone; f' is computed only when read."""
 
-    lam: float
-    R: float
-    a: float
-    pot: RadialPotential = field(repr=False)
-    # (edges, coef): the panel Chebyshev series (P, 2, M) of (f, f') on
-    # [0, r0] at lam, before scaling
-    _panels: tuple = field(default=None, repr=False)
-    _c_bessel: tuple = field(default=(0.0, 0.0), repr=False)
-    _scale: float = field(default=1.0, repr=False)
+    def __init__(self, lam: float, R: float, a: float, pot: RadialPotential,
+                 panels: tuple | None = None,
+                 c_bessel: tuple = (0.0, 0.0), scale: float = 1.0):
+        self.lam, self.R, self.a, self.pot = lam, R, a, pot
+        # (edges, coef): the panel Chebyshev series (P, 2, M) of (f, f')
+        # on [0, r0] at lam, before scaling; None in the free case
+        self._panels = panels
+        # the tail c1 J0 + c2 Y0, and the scale that makes f(R) = 1
+        self._c_bessel, self._scale = c_bessel, scale
 
     @property
     def lam_R2(self) -> float:
@@ -149,7 +146,6 @@ class NeumannSolution:
         return 1.0 - self.f_at(r)
 
 
-@dataclass(frozen=True)
 class InteriorSeries:
     """Regular interior solution on [0, r0] as a power series in lambda.
 
@@ -179,9 +175,11 @@ class InteriorSeries:
     same operator and is no rougher than s_0.
     """
 
-    pot: RadialPotential = field(repr=False)
-    edges: np.ndarray = field(repr=False)    # (P+1,)
-    coef: np.ndarray = field(repr=False)     # (P, 2, K+2, n+2): s_k, s_k'
+    def __init__(self, pot: RadialPotential, edges: np.ndarray,
+                 coef: np.ndarray):
+        self.pot = pot
+        self.edges = edges      # (P+1,)
+        self.coef = coef        # (P, 2, K+2, n+2): s_k, s_k'
 
     def _weights(self, lam: float) -> np.ndarray:
         """(lambda r0^2 / 4)^k / (k!)^2 for k = 0 .. K+1."""
@@ -231,8 +229,7 @@ class InteriorSeries:
         return _panel_profile(*self.panels(lam), r)
 
 
-@dataclass(frozen=True)
-class TrialOracle:
+class TrialOracle(NamedTuple):
     """Bessel trial wavefunction with Neumann derivative root k(R)."""
 
     k: float
@@ -249,8 +246,7 @@ class TrialOracle:
         return -self.k * (j1k - self.bessel_ratio * y1k)
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
+class AsymptoticsReport(NamedTuple):
     """Scaled residuals of the Neumann large-R asymptotics."""
 
     e1: float   # eigenvalue vs 2/(R^2 L) (1 + 3/(4L)), scaled by R^2 L^3 / 2
@@ -275,18 +271,50 @@ def solve_ivp(fun, t_span, y0, **options):
     return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
+def _chebvander(x: np.ndarray, deg: int) -> np.ndarray:
+    """(len(x), deg + 1): T_0 .. T_deg at x, by the recurrence
+    T_i = T_(i-1) 2x - T_(i-2), as numpy.polynomial's chebvander."""
+    v = np.empty((deg + 1, len(x)))
+    v[0] = x * 0 + 1
+    v[1] = x
+    x2 = 2 * x
+    for i in range(2, deg + 1):
+        v[i] = v[i - 1] * x2 - v[i - 2]
+    return v.T
+
+
+def _chebint(c: np.ndarray) -> np.ndarray:
+    """The Chebyshev coefficients (rows) of the integral from -1 of each
+    column of the series c, with numpy.polynomial's chebint(c, lbnd=-1)
+    operations in its order: the term-wise integral, then minus its value
+    at -1 by chebval's Clenshaw sum."""
+    n = len(c)
+    out = np.empty((n + 1,) + c.shape[1:])
+    out[0] = c[0] * 0
+    out[1] = c[0]
+    out[2] = c[1] / 4
+    for j in range(2, n):
+        out[j + 1] = c[j] / (2 * (j + 1))
+        out[j - 1] -= c[j] / (2 * (j - 1))
+    c0, c1 = out[-2], out[-1]
+    for i in range(3, n + 2):
+        c0, c1 = out[-i] - c1, c0 + c1 * -2.0
+    out[0] += 0 - (c0 + c1 * -1.0)
+    return out
+
+
 def _cheb_tables(n: int):
     """First-kind Chebyshev nodes x on [-1, 1] (ascending; neither end is
     a node), and the maps from values at x of a degree n-1 interpolant to
     the Chebyshev coefficients of its integrals from -1, once (n+1
     coefficients) and twice (n+2), and to their values at x."""
     x = -np.cos(np.pi * (np.arange(n) + 0.5) / n)
-    to_coef = (2.0 / n) * chebvander(x, n - 1).T
+    to_coef = (2.0 / n) * _chebvander(x, n - 1).T
     to_coef[0] *= 0.5
-    int1 = chebint(to_coef, lbnd=-1.0)
-    int2 = chebint(to_coef, m=2, lbnd=-1.0)
-    return (x, to_coef, int1, int2, chebvander(x, n) @ int1,
-            chebvander(x, n + 1) @ int2)
+    int1 = _chebint(to_coef)
+    int2 = _chebint(int1)
+    return (x, to_coef, int1, int2, _chebvander(x, n) @ int1,
+            _chebvander(x, n + 1) @ int2)
 
 
 _CHEB_X, _TO_COEF, _INT1, _INT2, _Q1, _Q2 = _cheb_tables(_PANEL_NODES)
@@ -596,8 +624,8 @@ def neumann_ground_state(pot: RadialPotential, R: float,
         raise SolverError("degenerate boundary value")
     scale = 1.0 / fR
 
-    sol = NeumannSolution(float(lam), R, a, pot, _panels=panels,
-                          _c_bessel=(c1, c2), _scale=float(scale))
+    sol = NeumannSolution(float(lam), R, a, pot, panels, (c1, c2),
+                          float(scale))
     f_vals = sol.f_at(sol.nodes)
     if np.any(np.diff(np.sign(f_vals[f_vals != 0.0])) != 0):
         raise SolverError("interior node detected: not the ground state")

@@ -191,7 +191,8 @@ neumann_ground_state(step(2000.0, 1.0), 1.05)
 print(json.dumps(sorted(
     name for name in sys.modules
     if name == "scipy" or name.startswith("scipy.")
-    or name in ("numpy.ma", "numpy.random", "hashlib", "_hashlib"))))
+    or name in ("numpy.ma", "numpy.random", "hashlib", "_hashlib",
+                "dataclasses", "numpy.polynomial"))))
 """
 
 # an interpreter without a builtin SHA-256 takes it from hashlib (OpenSSL)
@@ -204,7 +205,10 @@ def test_cli_leaves_unused_scipy_subpackages_unloaded(tmp_path, fast_cfg):
     # loads it: not the commands, and no Neumann solve, whatever lambda.
     # numpy.ma (a bare np.unique) and numpy.random are slow to import too
     # and stay unloaded, and so does hashlib, which maps OpenSSL to hash
-    # the config into its fingerprint.
+    # the config into its fingerprint.  So do dataclasses, whose class
+    # decorations generate and compile code at import, and
+    # numpy.polynomial, whose one quadrature rule, Chebyshev tables and
+    # line fit gp2d computes itself.
     shell8 = tmp_path / "shell8.cfg"
     shell8.write_text("shell = 8\nfock_n_max = 5\nN_step = 10\n")
     src = str(Path(gp2d.__file__).resolve().parents[1])
@@ -389,6 +393,24 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     _exits_2_with_one_line(["scatter", "--config", tmp_path / "none.cfg",
                             "--out", tmp_path / "o"], capsys,
                            "cannot read config")
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_output_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys,
+                                                        out):
+    # FileExistsError for a file, NotADirectoryError below one
+    (tmp_path / "file").write_text("")
+    _exits_2_with_one_line(["scatter", "--out", tmp_path / out], capsys,
+                           "cannot write output")
+
+
+def test_unwritable_artifact_exits_2(tmp_path, capsys):
+    # renaming the finished file over a directory fails (IsADirectoryError)
+    out = tmp_path / "o"
+    (out / "scatter.json").mkdir(parents=True)
+    _exits_2_with_one_line(["scatter", "--out", out], capsys,
+                           "cannot write output")
+    assert sorted(p.name for p in out.iterdir()) == ["scatter.json"]
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):

@@ -1,13 +1,12 @@
 import hashlib
-from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gp2d.config import (RunConfig, canonical_text, fingerprint, load_config,
-                         parse_config)
+from gp2d.config import (FIELD_TYPES, RunConfig, canonical_text, fingerprint,
+                         load_config, parse_config)
 from gp2d.errors import ConfigError
 from gp2d.potentials import save_table, step, tabulated
 
@@ -63,7 +62,7 @@ def test_validation_messages(text, msg):
         parse_config(text)
 
 
-FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
+FLOAT_KEYS = [name for name, kind in FIELD_TYPES.items() if kind == "float"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

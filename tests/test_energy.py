@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -78,7 +77,7 @@ def test_record_csv_row_format():
 
 
 def test_compute_record_free_gas():
-    pipe = Pipeline(dataclasses.replace(SMALL, potential="free"))
+    pipe = Pipeline(RunConfig(**{**vars(SMALL), "potential": "free"}))
     rec = compute_record(pipe, 4, 2.5, True)
     assert rec.E_vac == 0.0
     assert rec.omega0 == 0.0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -587,7 +586,7 @@ def test_interior_profile_read_only_inside(step_pot, neumann_r50,
                                           monkeypatch):
     r0 = step_pot.r0
     in_zero = CountingSeries(interior_series(step_pot))
-    zero = dataclasses.replace(scattering_length(step_pot), series=in_zero)
+    zero = scattering_length(step_pot)._replace(series=in_zero)
     probes = [neumann_r50.nodes] + probe_radii(r0, neumann_r50.R)
     for r in probes:
         zero.phi_prime_at(r)
