@@ -19,6 +19,9 @@ except ImportError:
 
 TWO_PI = 2.0 * math.pi
 
+# the largest n1^2 + n2^2 of each shell's modes (fock.shell_modes)
+_SHELL_REACH = {4: 1, 8: 2, 12: 4}
+
 
 class RunConfig:
     """Validated settings for a laboratory run.
@@ -68,12 +71,17 @@ class RunConfig:
         if self.fock_n_max < 3:
             raise ConfigError("fock_n_max must be at least 3: the Fock "
                               "sweep starts at N = 3")
-        if self.cutoff < TWO_PI:
-            raise ConfigError("cutoff must be at least 2*pi")
+        if self.shell not in _SHELL_REACH:
+            raise ConfigError("shell must be one of 4, 8, 12")
+        # build_lattice refuses a cutoff below 2*pi and keeps a mode
+        # when its |p|^2 passes the second test
+        reach = TWO_PI ** 2 * _SHELL_REACH[self.shell]
+        if self.cutoff < TWO_PI or reach > self.cutoff ** 2 * (1 + 1e-12):
+            raise ConfigError(
+                f"cutoff must be at least {math.sqrt(reach):.17g} to put "
+                f"the modes of shell = {self.shell} on the lattice")
         if self.c_lower < 0:
             raise ConfigError("c_lower must be non-negative")
-        if self.shell not in (4, 8, 12):
-            raise ConfigError("shell must be one of 4, 8, 12")
         if self.potential not in ("step", "gaussian-bump", "free") \
                 and not self.potential.startswith("table:"):
             raise ConfigError(f"unknown potential {self.potential!r}")

@@ -524,11 +524,6 @@ class _Terms(NamedTuple):
     rows: np.ndarray
     lengths: np.ndarray
 
-    def split(self, n: int) -> tuple:
-        """The first n terms and the rest."""
-        return (_Terms(*(x[:n] for x in self)),
-                _Terms(*(x[n:] for x in self)))
-
 
 def _terms(basis: FockBasis, terms) -> _Terms:
     """The (coef, product) terms as ``_Terms``."""
@@ -682,13 +677,14 @@ def _symmetric(basis: FockBasis, terms: _Terms, diagonal=None) -> bool:
     return _close(sums[found], sums[every])
 
 
-def _fill(basis: FockBasis, part: Partition, flat: np.ndarray,
-          terms: _Terms, diagonal=None) -> np.ndarray:
-    """Add the entries of sum coef * product + diag(diagonal) in the
-    blocks of part to flat, the buffer laid out as ``part.slots``, and
-    return it: products in order, each from the columns of the stored
-    blocks only, then the diagonal.  ``np.add.at`` adds in order."""
-    first, pos, size, _ = part.slots
+def _fill(basis: FockBasis, part: Partition, terms: _Terms,
+          diagonal=None) -> np.ndarray:
+    """The entries of sum coef * product + diag(diagonal) in the blocks of
+    part, as a flat buffer laid out as ``part.slots``: products in order,
+    each from the columns of the stored blocks only, then the diagonal.
+    ``np.add.at`` adds in order."""
+    first, pos, size, total = part.slots
+    flat = np.zeros(total)
     starts = (basis.ladder_table[2] if part.full is None
               else basis.orbit_starts)
     for _, r, c, vals in _walk(basis, terms, starts):
@@ -697,17 +693,6 @@ def _fill(basis: FockBasis, part: Partition, flat: np.ndarray,
         at = part.stored
         flat[first[at] + pos[at] * size[at]] += diagonal[at]
     return flat
-
-
-class _SharedPrefix(list):
-    """Terms whose first ``count`` are shared with another build: the
-    first build that walks them on a partition leaves a copy of the
-    buffer they fill in ``buffers``, and the next build on that
-    partition takes it over instead of walking them again."""
-
-    def __init__(self, terms, count: int, buffers: dict):
-        super().__init__(terms)
-        self.count, self.buffers = count, buffers
 
 
 def build_operator(basis: FockBasis, terms, tag: str,
@@ -722,22 +707,12 @@ def build_operator(basis: FockBasis, terms, tag: str,
     on one sector per orbit of the basis' symmetry group
     (``FockBasis.orbits``) when it commutes with the group
     (``_symmetric``), else on every sector.  Entries are added in
-    product order (``_fill``); terms given as a ``_SharedPrefix`` start
-    from the buffer of their shared products when another build left it.
+    product order (``_fill``).
     """
     products = _conserving(basis, terms, tag)
     part = (basis.orbits if _symmetric(basis, products, diagonal)
             else basis.sectors)
-    flat = np.zeros(part.slots[3])
-    if isinstance(terms, _SharedPrefix):
-        shared, products = products.split(
-            sum(coef != 0.0 for coef, _ in terms[:terms.count]))
-        if (left := terms.buffers.pop(part, None)) is None:
-            _fill(basis, part, flat, shared)
-            terms.buffers[part] = flat.copy()
-        else:
-            flat = left
-    _fill(basis, part, flat, products, diagonal)
+    flat = _fill(basis, part, products, diagonal)
     return LinearOperator.from_blocks(part, part.split(flat), tag, hermitian)
 
 
@@ -998,29 +973,20 @@ def _r_eff_rest(basis: FockBasis, renorm: RenormPotential,
 def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
                            pot: RadialPotential,
                            params: GPParameters) -> dict:
-    """The cubically renormalized R_eff and H_N = K + V_N, the two
-    operators of lower-bound, one build each with V_N's products walked
-    once (``_SharedPrefix``): R_eff adds the omega_hat pair and cubic
-    entries, then its diagonal K + R_diag, to V_N's buffer, and H_N adds
-    the kinetic diagonal K to a copy of it.  Every entry is summed in
-    the order of a build of its own."""
-    potential = _potential_terms(basis, pot, params)
-    rest, R_diag = _r_eff_rest(basis, renorm, params)
-    kinetic, walked = _kinetic(basis), {}
-    return {"R_eff": build_operator(
-                basis, _SharedPrefix(potential + rest, len(potential), walked),
-                "R_eff", hermitian=True, diagonal=kinetic + R_diag),
-            "H_N": build_operator(
-                basis, _SharedPrefix(potential, len(potential), walked),
-                "H_N", hermitian=True, diagonal=kinetic)}
+    """The cubically renormalized R_eff (``r_effective_hamiltonian``) and
+    H_N = K + V_N, the two operators of lower-bound: H_N is one build of
+    V_N's products with the kinetic diagonal K."""
+    return {"R_eff": r_effective_hamiltonian(basis, renorm, pot, params),
+            "H_N": build_operator(basis, _potential_terms(basis, pot, params),
+                                  "H_N", hermitian=True,
+                                  diagonal=_kinetic(basis))}
 
 
 def r_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
                             pot: RadialPotential,
                             params: GPParameters) -> LinearOperator:
-    """R_eff as ``effective_hamiltonians`` builds it, without H_N: all
-    that energy-sweep and fock-audit read.  One build of V_N's products
-    and the omega_hat pair and cubic products, with diagonal
+    """R_eff, all that energy-sweep and fock-audit read: one build of V_N's
+    products and the omega_hat pair and cubic products, with diagonal
     K + R_diag."""
     rest, R_diag = _r_eff_rest(basis, renorm, params)
     return build_operator(basis, _potential_terms(basis, pot, params) + rest,

@@ -90,17 +90,21 @@ def tabulated(r: np.ndarray, v: np.ndarray) -> RadialPotential:
 
 
 def load_table(path) -> RadialPotential:
-    """Read a two-column (r, V) text table with the v1 header line."""
+    """Read a two-column (r, V) text table with the v1 header line and at
+    least one row; '#' starts a comment."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline().strip()
             if first != TABLE_HEADER:
                 raise ConfigError(f"{path}: missing header {TABLE_HEADER!r}")
-            data = np.loadtxt(fh)
+            rows = [line for line in fh if line.split("#", 1)[0].strip()]
+            if not rows:
+                raise ConfigError(f"{path}: no rows after the header")
+            data = np.loadtxt(rows, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read potential table {path}: {exc}") \
             from None
-    if data.ndim != 2 or data.shape[1] != 2:
+    if data.shape[1] != 2:
         raise ConfigError(f"{path}: expected two columns")
     return tabulated(data[:, 0], data[:, 1])
 

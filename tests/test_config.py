@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from gp2d.config import (FIELD_TYPES, RunConfig, canonical_text, fingerprint,
                          load_config, parse_config)
 from gp2d.errors import ConfigError
+from gp2d.fock import shell_modes
+from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.potentials import save_table, step, tabulated
 
 
@@ -50,6 +53,8 @@ def test_bad_value_rejected():
     ("N = 1\n", "N must be at least 2"),
     ("N_max = 5\nN_min = 10\n", "invalid N range"),
     ("cutoff = 1.0\n", "cutoff must be at least"),
+    ("shell = 8\ncutoff = 8.5\n", "cutoff must be at least .* shell = 8"),
+    ("shell = 12\ncutoff = 9.5\n", "cutoff must be at least .* shell = 12"),
     ("shell = 5\n", "shell must be one of"),
     ("fock_n_max = 2\n", "Fock sweep starts at N = 3"),
     ("potential = mystery\n", "unknown potential"),
@@ -60,6 +65,19 @@ def test_bad_value_rejected():
 def test_validation_messages(text, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config(text)
+
+
+@pytest.mark.parametrize("shell", [4, 8, 12])
+def test_smallest_cutoff_holds_the_shell(shell):
+    # the least cutoff the config accepts puts every mode of the shell on
+    # the lattice, and one a little below it is refused
+    modes = shell_modes(shell)
+    least = TWO_PI * max(math.hypot(*m) for m in modes)
+    lattice = build_lattice(RunConfig(shell=shell, cutoff=least).cutoff)
+    for m in modes:
+        lattice.index_of(*m)
+    with pytest.raises(ConfigError, match=f"shell = {shell}"):
+        RunConfig(shell=shell, cutoff=least * (1 - 1e-9))
 
 
 FLOAT_KEYS = [name for name, kind in FIELD_TYPES.items() if kind == "float"]

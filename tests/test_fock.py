@@ -1194,18 +1194,25 @@ def test_orbit_matrices_equal_every_sector_build(shell, cap):
                                            idx[:, None, :]]), key
 
 
-def test_r_eff_walks_v_n_products_once(fock_setup, step_pot):
-    params, _, _, renorm, basis = fock_setup
-    walked = []
-    walk = fock._walk
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(fock, "_walk", lambda basis, terms, starts:
-                  walked.append(len(terms.coefs)) or walk(basis, terms,
-                                                          starts))
-        effective_hamiltonians(basis, renorm, step_pot, params)
-    rest = fock._r_eff_rest(basis, renorm, params)[0]
-    assert sum(walked) == len(fock._potential_terms(basis, step_pot, params)
-                              + rest)
+@pytest.mark.parametrize("shell,cap", [(4, 5), (8, 4), (12, 3)])
+def test_effective_hamiltonians_build_each_operator_once(shell, cap):
+    # R_eff has one recipe, r_effective_hamiltonian's, and H_N is one
+    # plain build of V_N's products with the kinetic diagonal
+    cfg = RunConfig(shell=shell)
+    pipe = Pipeline(cfg)
+    basis, alpha = pipe.basis(cap), cfg.fock_alpha
+    renorm, params = pipe.renorm(cap, alpha), pipe.params(cap, alpha)
+    got = effective_hamiltonians(basis, renorm, pipe.pot, params)
+    want = {"R_eff": fock.r_effective_hamiltonian(basis, renorm, pipe.pot,
+                                                  params),
+            "H_N": build_operator(
+                basis, fock._potential_terms(basis, pipe.pot, params), "H_N",
+                hermitian=True, diagonal=fock._kinetic(basis))}
+    for key, op in got.items():
+        assert op.part is want[key].part, key
+        assert len(op.blocks) == len(want[key].blocks), key
+        for blk, ref in zip(op.blocks, want[key].blocks):
+            assert np.array_equal(blk, ref), key
 
 
 def _omega_mutated_terms(basis, weights, params, k):

@@ -10,9 +10,10 @@ from scipy.special import j0, j1
 
 from gp2d.errors import ConfigError
 from gp2d.quadrature import support_rule
-from gp2d.potentials import (RadialPotential, fourier_transform_radial, free,
-                             gaussian_bump, load_table, save_table, step,
-                             tabulated)
+from gp2d.potentials import (TABLE_HEADER, RadialPotential,
+                             fourier_transform_radial, free, gaussian_bump,
+                             load_table, save_table, step, tabulated)
+from gp2d.scattering import scattering_length
 
 
 def test_step_evaluation():
@@ -152,6 +153,24 @@ def test_load_table_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0.0 1.0\n1.0 0.0\n")
     with pytest.raises(ConfigError):
+        load_table(path)
+
+
+def test_one_row_table_is_a_step(tmp_path):
+    # the row (0.5, 1) is a step of height 1 on [0, 0.5]
+    path = tmp_path / "one.txt"
+    path.write_text(TABLE_HEADER + "\n0.5 1\n")
+    pot, ref = load_table(path), step(1.0, 0.5)
+    assert fourier_transform_radial(pot, 1.0) == \
+        fourier_transform_radial(ref, 1.0)
+    assert scattering_length(pot).a == scattering_length(ref).a
+
+
+@pytest.mark.parametrize("body", ["", "# no data\n\n"])
+def test_load_table_refuses_a_table_without_rows(tmp_path, body):
+    path = tmp_path / "empty.txt"
+    path.write_text(TABLE_HEADER + "\n" + body)
+    with pytest.raises(ConfigError, match="no rows"):
         load_table(path)
 
 
