@@ -19,7 +19,7 @@ from .config import RunConfig, fingerprint, load_config
 from .energy import (Pipeline, depletion_products, sweep, vacuum_slope_fit,
                      write_atomic)
 from .errors import Gp2dError
-from .fock import generators, r_effective_hamiltonian
+from .fock import HERMITIAN_TOL, generators, r_effective_hamiltonian
 from .kernels import kernels_csv, scattering_residual
 from .potentials import fourier_transform_radial
 from .scattering import solution_csv, validate_neumann_asymptotics
@@ -94,10 +94,13 @@ def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     residuals["localization"], _ = localization_identity(
         R_eff, basis, max(1.0, n ** 0.8))
 
-    ok = all(v <= tol for v in residuals.values())
+    # the generators are held to the operators' own hermiticity tolerance
+    passed = {name: v <= (HERMITIAN_TOL if name == "antihermitian" else tol)
+              for name, v in residuals.items()}
+    ok = all(passed.values())
     for name, v in sorted(residuals.items()):
         print(f"fock-audit {name}: residual {v:.3e} "
-              f"[{'ok' if v <= tol else 'FAIL'}]")
+              f"[{'ok' if passed[name] else 'FAIL'}]")
     path = out / "fock_audit.json"
     write_atomic(path, json.dumps({"residuals": residuals, "pass": ok,
                                    "tolerance": tol}, sort_keys=True) + "\n")
@@ -199,12 +202,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
+        pipe = Pipeline(cfg)
         out_dir = args.out or os.environ.get("GP2D_OUT") or cfg.out_dir
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
 
         _regime_note(cfg.alpha)
-        pipe = Pipeline(cfg)
         names = list(_DISPATCH) if args.command == "all" else [args.command]
         statuses = {}
         artifacts = []

@@ -14,7 +14,7 @@ from numpy.linalg import eigh, eigvalsh, lstsq
 
 from .config import RunConfig, fingerprint
 from .errors import ConsistencyError, Gp2dError, SolverError
-from .fock import (FockBasis, LinearOperator, build_basis,
+from .fock import (FockBasis, LinearOperator, build_basis, check_dim,
                    effective_hamiltonians, r_effective_hamiltonian,
                    shell_modes)
 from .kernels import (GPParameters, KernelTable, RenormPotential,
@@ -38,14 +38,30 @@ class Pipeline:
     disk of radius R = e^N ell -> eta table and omega_hat, all on the
     run's single momentum lattice.  The last three are kept per
     (N, alpha), the excitation basis per particle cap N.  Every command
-    of a run reads from one Pipeline.  The potential is read when the
-    Pipeline is made, so that a bad table fails before any command runs.
+    of a run reads from one Pipeline.
+
+    Making the Pipeline checks the config by the rules of the layers that
+    read it, so that a run they would refuse fails before any command
+    runs: the potential is read; every mode of the shell must lie on the
+    lattice; the basis at fock_n_max must fit the size cap (``check_dim``,
+    without enumerating states); every (N, alpha) a command reads,
+    (n_value, alpha) and each point of ``sweep_grid``, must make
+    ``GPParameters`` whose disk holds the potential (``check_range``) and
+    whose R = e^N ell is representable.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.pot: RadialPotential = cfg.make_potential()
         self._memo = {}
+        modes = shell_modes(cfg.shell)
+        for m in modes:
+            self.lattice.index_of(*m)
+        check_dim(len(modes), cfg.fock_n_max)
+        for N, alpha, _ in [(cfg.n_value, cfg.alpha, False)] + sweep_grid(cfg):
+            params = self.params(N, alpha)
+            params.check_range(self.pot)
+            params.R                     # refuses e^N beyond the guard
 
     @cached_property
     def zero(self) -> ZeroEnergySolution:
@@ -213,7 +229,8 @@ def sweep(cfg: RunConfig, csv_path=None,
     with that point's shape (``_grid_point``); every other row is dropped
     and counted in ``rejected``.  Records are computed one after another
     from ``pipe``, the run's Pipeline built from cfg (a fresh one when not
-    given).
+    given).  When a record fails or the run is interrupted, the records
+    loaded and computed so far are written before the exception goes on.
     """
     fp = fingerprint(cfg)
     grid = {(n, round(al, 12), round(cfg.cutoff, 9), wf): (n, al, wf)
@@ -229,10 +246,16 @@ def sweep(cfg: RunConfig, csv_path=None,
 
     if pipe is None:
         pipe = Pipeline(cfg)
-    fresh = [compute_record(pipe, *point)
-             for key, point in grid.items() if key not in done]
-
-    records = list(done.values()) + fresh
+    records = list(done.values())
+    try:
+        for key, point in grid.items():
+            if key not in done:
+                records.append(compute_record(pipe, *point))
+    except BaseException:
+        # keep what was computed, so that a rerun resumes after it
+        if csv_path is not None and len(records) > len(done):
+            write_dataset(SweepDataset(records, fp), csv_path)
+        raise
     ds = SweepDataset(records, fp, skipped=len(done), rejected=rejected)
     if csv_path is not None:
         write_dataset(ds, csv_path)

@@ -29,7 +29,8 @@ class MomentumLattice(NamedTuple):
     def index_of(self, n1: int, n2: int) -> int:
         hits = np.nonzero((self.ints[:, 0] == n1) & (self.ints[:, 1] == n2))[0]
         if len(hits) != 1:
-            raise ConfigError(f"mode ({n1},{n2}) not on the lattice")
+            raise ConfigError(f"mode ({n1},{n2}) not on the lattice of "
+                              f"cutoff {self.cutoff}")
         return int(hits[0])
 
     def unique_norms(self):

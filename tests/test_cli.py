@@ -67,6 +67,22 @@ def test_fock_audit_command(tmp_path, fast_cfg):
     assert report
 
 
+def test_fock_audit_reports_generators_that_are_not_antihermitian(
+        tmp_path, fast_cfg, capsys, monkeypatch):
+    # B built with the hermitian sign: the audit's antihermitian line
+    # fails and the report is written, instead of an error from the build
+    pair_terms = fock._pair_terms
+    monkeypatch.setattr(fock, "_pair_terms",
+                        lambda basis, weights, sign:
+                        pair_terms(basis, weights, 1.0))
+    out = tmp_path / "out"
+    assert run(["fock-audit", "--config", fast_cfg, "--out", out]) == 1
+    assert "fock-audit antihermitian: residual" in capsys.readouterr().out
+    report = json.loads((out / "fock_audit.json").read_text())
+    assert report["pass"] is False
+    assert report["residuals"]["antihermitian"] > fock.HERMITIAN_TOL
+
+
 def test_lower_bound_default_lattice_sum(tmp_path, capsys):
     # the default config's lattice sum, frozen from the n_exact = 3000
     # octant sum it replaced; the printed gap does not move
@@ -421,11 +437,41 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
 
 
 def test_non_positive_ell_scale_exits_2(tmp_path, capsys):
-    # rejected with the config, before any command runs
+    # GPParameters refuses it when the Pipeline is made, before a command runs
     path = tmp_path / "ell.cfg"
     path.write_text("ell_scale = -1\n")
     _exits_2_with_one_line(["all", "--config", path, "--out", tmp_path / "o"],
                            capsys, "ell_scale must be positive")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("N_max = 320\n", "N = 302 exceeds the overflow guard"),
+    ("N = 400\n", "N = 400 exceeds the overflow guard"),
+    ("shell = 12\nfock_n_max = 9\n", "basis dimension 293930 exceeds cap"),
+    ("fock_alpha = 4\n", "does not exceed the potential range 1.0"),
+    ("r0 = 30\n", "does not exceed the potential range 30.0"),
+    ("alpha = 0.1\n", "ell = 0.78 must be < 1/2"),
+    ("N_min = 2\nalpha = 0.6\n", "ell = 0.6598 must be < 1/2"),
+    ("alpha = -1\n", "alpha must be positive"),
+    ("N = 1\n", "N must be an integer >= 2"),
+    ("cutoff = 1.0\n", "cutoff 1.0 leaves the lattice empty"),
+    ("shell = 8\ncutoff = 8.5\n", "mode (1,1) not on the lattice of cutoff"),
+    ("shell = 12\ncutoff = 9.5\n", "mode (2,0) not on the lattice of cutoff"),
+    ("shell = 5\n", "unsupported shell size 5"),
+    ("potential = mystery\n", "unknown potential 'mystery'"),
+    ("ell_scale = -1\n", "ell_scale must be positive"),
+    ("ell_scale = 0\n", "ell_scale must be positive"),
+])
+def test_run_a_layer_refuses_exits_2_before_any_command(tmp_path, capsys,
+                                                        text, message):
+    # the Pipeline refuses the run with the layer's own rule before any
+    # command runs: nothing is written, not even the output directory
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "o"
+    _exits_2_with_one_line(["all", "--config", path, "--out", out], capsys,
+                           message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("table,message", [

@@ -1,16 +1,20 @@
 import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gp2d.config import (FIELD_TYPES, RunConfig, canonical_text, fingerprint,
-                         load_config, parse_config)
+from gp2d.config import (_FIELD_TO_KEY, FIELD_TYPES, RunConfig,
+                         canonical_text, fingerprint, load_config,
+                         parse_config)
+from gp2d.energy import Pipeline
 from gp2d.errors import ConfigError
 from gp2d.fock import shell_modes
-from gp2d.lattice import TWO_PI, build_lattice
+from gp2d.lattice import TWO_PI
 from gp2d.potentials import save_table, step, tabulated
 
 
@@ -50,34 +54,40 @@ def test_bad_value_rejected():
 
 @pytest.mark.parametrize("text,msg", [
     ("alpha = -1\n", "alpha must be positive"),
-    ("N = 1\n", "N must be at least 2"),
+    ("N = 1\n", "N must be an integer >= 2"),
     ("N_max = 5\nN_min = 10\n", "invalid N range"),
-    ("cutoff = 1.0\n", "cutoff must be at least"),
-    ("shell = 8\ncutoff = 8.5\n", "cutoff must be at least .* shell = 8"),
-    ("shell = 12\ncutoff = 9.5\n", "cutoff must be at least .* shell = 12"),
-    ("shell = 5\n", "shell must be one of"),
+    ("cutoff = 1.0\n", "cutoff 1.0 leaves the lattice empty"),
+    ("shell = 8\ncutoff = 8.5\n", "not on the lattice of cutoff 8.5"),
+    ("shell = 12\ncutoff = 9.5\n", "not on the lattice of cutoff 9.5"),
+    ("shell = 5\n", "unsupported shell size 5"),
     ("fock_n_max = 2\n", "Fock sweep starts at N = 3"),
     ("potential = mystery\n", "unknown potential"),
     ("c_lower = -5\n", "c_lower must be non-negative"),
     ("ell_scale = -1\n", "ell_scale must be positive"),
     ("ell_scale = 0\n", "ell_scale must be positive"),
+    ("alpha = 1.5\nalpha = 2.5\n", "lines 1 and 2 both set alpha"),
+    ("N = 10\n# the other spelling\nn_value = 20\n",
+     "lines 1 and 3 both set N"),
 ])
 def test_validation_messages(text, msg):
+    # the config's own rules refuse in parse_config, the layers' rules
+    # when the Pipeline is made: either way before any command runs
     with pytest.raises(ConfigError, match=msg):
-        parse_config(text)
+        Pipeline(parse_config(text))
 
 
 @pytest.mark.parametrize("shell", [4, 8, 12])
 def test_smallest_cutoff_holds_the_shell(shell):
-    # the least cutoff the config accepts puts every mode of the shell on
-    # the lattice, and one a little below it is refused
+    # the least cutoff the Pipeline accepts puts every mode of the shell on
+    # the lattice, and one a little below it is refused by name
     modes = shell_modes(shell)
     least = TWO_PI * max(math.hypot(*m) for m in modes)
-    lattice = build_lattice(RunConfig(shell=shell, cutoff=least).cutoff)
+    lattice = Pipeline(RunConfig(shell=shell, cutoff=least)).lattice
     for m in modes:
         lattice.index_of(*m)
-    with pytest.raises(ConfigError, match=f"shell = {shell}"):
-        RunConfig(shell=shell, cutoff=least * (1 - 1e-9))
+    below = least * (1 - 1e-9)
+    with pytest.raises(ConfigError, match=re.escape(f"cutoff {below}")):
+        Pipeline(RunConfig(shell=shell, cutoff=below))
 
 
 FLOAT_KEYS = [name for name, kind in FIELD_TYPES.items() if kind == "float"]
@@ -160,3 +170,13 @@ def test_roundtrip_property(n, alpha, v0):
     back = parse_config(canonical_text(cfg))
     assert back == cfg
     assert fingerprint(back) == fingerprint(cfg)
+
+
+def test_readme_lists_every_config_key():
+    # the configuration block of the README names each key once
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```")[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+            if "=" in line.split("#", 1)[0]]
+    assert sorted(keys) == sorted(_FIELD_TO_KEY.get(name, name)
+                                  for name in FIELD_TYPES)

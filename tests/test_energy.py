@@ -5,6 +5,7 @@ import pytest
 
 from gp2d import energy, fock
 from gp2d.config import RunConfig, fingerprint
+from gp2d.errors import SolverError
 from gp2d.energy import (EnergyRecord, Pipeline, SweepDataset, compute_record,
                          depletion_products, ground_state, load_dataset,
                          sweep, sweep_grid, vacuum_slope_fit,
@@ -204,6 +205,31 @@ def test_interrupted_write_keeps_previous_file(tmp_path, small_csv):
     with pytest.raises(OSError):
         write_dataset(SweepDataset([Unwritable()], "fp"), path)
     assert path.read_text() == small_csv
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SolverError])
+def test_interrupted_sweep_keeps_computed_records(tmp_path, monkeypatch,
+                                                  stop):
+    # the third record fails: the two computed before it are on disk, row
+    # for row, and a rerun resumes them
+    computed = []
+
+    def third_fails(pipe, N, alpha, with_fock):
+        if len(computed) == 2:
+            raise stop("third record")
+        computed.append(compute_record(pipe, N, alpha, with_fock))
+        return computed[-1]
+
+    monkeypatch.setattr(energy, "compute_record", third_fails)
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(stop):
+        sweep(SMALL, path)
+    rows = [rec.csv_row() for rec in sorted(computed, key=EnergyRecord.key)]
+    assert path.read_text().splitlines()[2:] == rows
+    monkeypatch.setattr(energy, "compute_record", compute_record)
+    ds = sweep(SMALL, path)
+    assert (ds.skipped, len(ds.records)) == (2, 5)
+    assert all(rec.csv_row() in rows for rec in ds.records[:2])
 
 
 def test_failed_atomic_write_removes_its_temporary(tmp_path, monkeypatch):
