@@ -252,14 +252,13 @@ def localization_check(R_eff: LinearOperator, basis: FockBasis, M: float,
 
 def condensation_lower_bound(R_eff: LinearOperator, H_N: LinearOperator,
                              basis: FockBasis, renorm: RenormPotential,
-                             params: GPParameters,
                              c: float = 0.1) -> InequalityReport:
     """Certified constant in the occupation-controlled lower bound
 
       R_eff >= 2 pi N + (omega0/2) Nplus + (c/log N) H_N
                - C ((log N)^2 Nplus^2 / N + 1).
     """
-    N = params.N
+    N = renorm.params.N
     logN = math.log(N)
     n = basis.totals()
     lhs = combine([(c / logN, H_N), (-1.0, R_eff)], "LB-deficit",
@@ -273,14 +272,14 @@ def condensation_lower_bound(R_eff: LinearOperator, H_N: LinearOperator,
               f"small-N certificates may need larger constants")
 
 
-def square_completion_check(renorm: RenormPotential, params: GPParameters,
-                            c: float = 0.1) -> dict:
-    """Scalar ingredients of the lower-bound proof.
+def square_completion_check(renorm: RenormPotential, c: float = 0.1) -> dict:
+    """Scalar ingredients of the lower-bound proof at renorm's (N, alpha).
 
     Checks |omega(p)|^2 / (4 (1 - mu) p^2) <= omega0 / 2 on the lattice
     with mu = c / log N, and reports the lattice sum
     S = (1/4) sum |omega(p)|^2/p^2 against 2 pi alpha log N.
     """
+    params = renorm.params
     mu = c / math.log(params.N)
     if mu >= 1:
         raise ConfigError(f"c / log N = {mu:.4g} must be below 1 for the "

@@ -50,7 +50,7 @@ def cmd_scatter(pipe: Pipeline, out: Path) -> tuple[bool, list]:
 def cmd_neumann(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     sol = pipe.neumann(pipe.cfg.n_value, pipe.cfg.alpha)
     rep = validate_neumann_asymptotics(sol)
-    f = sol.f_at(sol.nodes)
+    f = sol.f_nodes
     ok = (np.min(f) >= -1e-10 and np.max(f) <= 1 + 1e-10
           and rep.all_finite)
     print(f"neumann R={sol.R:.6g} lambda*R^2={sol.lam_R2:.9g} "
@@ -62,60 +62,57 @@ def cmd_neumann(pipe: Pipeline, out: Path) -> tuple[bool, list]:
 
 
 def cmd_kernels(pipe: Pipeline, out: Path) -> tuple[bool, list]:
-    cfg = pipe.cfg
-    N, alpha = cfg.n_value, cfg.alpha
-    params = pipe.params(N, alpha)
+    N, alpha = pipe.cfg.n_value, pipe.cfg.alpha
     table = pipe.table(N, alpha)
-    renorm = pipe.renorm(N, alpha)
-    rep = scattering_residual(table, pipe.pot, params, pipe.neumann(N, alpha))
+    params = table.params
+    rep = scattering_residual(table)
     ok = rep.max_rel <= 1e-3
     print(f"kernels N={params.N} |eta0|={abs(table.eta0):.3e} "
           f"(10*ell^2={10 * params.ell ** 2:.3e}) "
           f"max-rel-residual={rep.max_rel:.3e} "
           f"[{'ok' if ok else 'FAIL'}]")
     path = out / "kernels.csv"
-    write_atomic(path, kernels_csv(table, renorm, pipe.zero.a))
+    write_atomic(path, kernels_csv(table, pipe.renorm(N, alpha)))
     return ok, [path]
 
 
 def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     n, alpha = 3, pipe.cfg.fock_alpha
-    params, basis = pipe.params(n, alpha), pipe.basis(n)
-    tol = 1e-10
+    basis = pipe.basis(n)
     residuals = {"commutators": commutator_residual(basis)}
     urep = unitary_excitation_map(basis)
     residuals["unitary_map"] = max(v for k, v in urep.items() if k != "pass")
 
-    gens = generators(basis, pipe.table(n, alpha), params)
+    gens = generators(basis, pipe.table(n, alpha))
     residuals["antihermitian"] = max(g.residual(-1.0)
                                      for g in gens.values())
-    R_eff = r_effective_hamiltonian(basis, pipe.renorm(n, alpha), pipe.pot,
-                                    params)
+    R_eff = r_effective_hamiltonian(basis, pipe.renorm(n, alpha), pipe.pot)
     residuals["localization"], _ = localization_identity(
         R_eff, basis, max(1.0, n ** 0.8))
 
     # the generators are held to the operators' own hermiticity tolerance
-    passed = {name: v <= (HERMITIAN_TOL if name == "antihermitian" else tol)
-              for name, v in residuals.items()}
+    tolerances = {name: HERMITIAN_TOL if name == "antihermitian" else 1e-10
+                  for name in residuals}
+    passed = {name: v <= tolerances[name] for name, v in residuals.items()}
     ok = all(passed.values())
     for name, v in sorted(residuals.items()):
         print(f"fock-audit {name}: residual {v:.3e} "
               f"[{'ok' if passed[name] else 'FAIL'}]")
     path = out / "fock_audit.json"
     write_atomic(path, json.dumps({"residuals": residuals, "pass": ok,
-                                   "tolerance": tol}, sort_keys=True) + "\n")
+                                   "tolerances": tolerances},
+                                  sort_keys=True) + "\n")
     return ok, [path]
 
 
 def cmd_lower_bound(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     cfg = pipe.cfg
     n = min(4, cfg.fock_n_max)
-    params = pipe.params(n, cfg.fock_alpha)
     renorm = pipe.renorm(n, cfg.fock_alpha)
-    scal = square_completion_check(renorm, params, c=cfg.c_lower)
+    scal = square_completion_check(renorm, c=cfg.c_lower)
     basis, ops = pipe.hamiltonians(n, cfg.fock_alpha)
     rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis, renorm,
-                                   params, c=cfg.c_lower)
+                                   c=cfg.c_lower)
     ok = rep.passed and scal["scalar_pass"]
     print(f"lower-bound N={n} C={rep.constant:.4g} "
           f"min-eig={rep.min_eigenvalue:.3e} "
@@ -131,7 +128,7 @@ def cmd_lower_bound(pipe: Pipeline, out: Path) -> tuple[bool, list]:
 def cmd_energy_sweep(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     cfg = pipe.cfg
     csv_path = out / "sweep.csv"
-    ds = sweep(cfg, csv_path, pipe)
+    ds = sweep(pipe, csv_path)
     if ds.skipped:
         print(f"skipped: {ds.skipped} records (already complete)")
     if ds.rejected:

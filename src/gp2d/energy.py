@@ -6,6 +6,7 @@ import math
 import os
 import time
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,7 +39,8 @@ class Pipeline:
     disk of radius R = e^N ell -> eta table and omega_hat, all on the
     run's single momentum lattice.  The last three are kept per
     (N, alpha), the excitation basis per particle cap N.  Every command
-    of a run reads from one Pipeline.
+    of a run reads from one Pipeline, whose one GPParameters per
+    (N, alpha) the profile, the eta table and omega_hat are made from.
 
     Making the Pipeline checks the config by the rules of the layers that
     read it, so that a run they would refuse fails before any command
@@ -47,7 +49,8 @@ class Pipeline:
     without enumerating states); every (N, alpha) a command reads,
     (n_value, alpha) and each point of ``sweep_grid``, must make
     ``GPParameters`` whose disk holds the potential (``check_range``) and
-    whose R = e^N ell is representable.
+    whose R = e^N ell is representable.  The grid is walked point by
+    point, so a range that overflows is refused at its first bad point.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -58,7 +61,8 @@ class Pipeline:
         for m in modes:
             self.lattice.index_of(*m)
         check_dim(len(modes), cfg.fock_n_max)
-        for N, alpha, _ in [(cfg.n_value, cfg.alpha, False)] + sweep_grid(cfg):
+        for N, alpha, _ in chain([(cfg.n_value, cfg.alpha, False)],
+                                 sweep_grid(cfg)):
             params = self.params(N, alpha)
             params.check_range(self.pot)
             params.R                     # refuses e^N beyond the guard
@@ -76,47 +80,47 @@ class Pipeline:
     def lattice(self) -> MomentumLattice:
         return build_lattice(self.cfg.cutoff)
 
-    def params(self, N: int, alpha: float) -> GPParameters:
-        return GPParameters(N, alpha, self.cfg.ell_scale)
-
-    def _once(self, kind: str, N: int, alpha: float, make):
-        key = (kind, N, alpha)
+    def _once(self, key: tuple, make):
         if key not in self._memo:
-            self._memo[key] = make(self.params(N, alpha))
+            self._memo[key] = make()
         return self._memo[key]
 
+    def params(self, N: int, alpha: float) -> GPParameters:
+        """The run's one GPParameters of (N, alpha)."""
+        return self._once(("params", N, alpha), lambda: GPParameters(
+            N, alpha, self.cfg.ell_scale))
+
     def neumann(self, N: int, alpha: float) -> NeumannSolution:
-        return self._once("neumann", N, alpha, lambda p: neumann_ground_state(
-            self.pot, p.R, series=self.series))
+        return self._once(("neumann", N, alpha), lambda: neumann_ground_state(
+            self.pot, self.params(N, alpha).R, series=self.series))
 
     def renorm(self, N: int, alpha: float) -> RenormPotential:
-        return self._once("renorm", N, alpha, lambda p: renormalized_potential(
-            p, self.neumann(N, alpha).lam_R2, self.lattice))
+        return self._once(("renorm", N, alpha), lambda: renormalized_potential(
+            self.params(N, alpha), self.neumann(N, alpha).lam_R2,
+            self.lattice))
 
     def table(self, N: int, alpha: float) -> KernelTable:
-        return self._once("table", N, alpha, lambda p: eta_coefficients(
-            self.neumann(N, alpha), p, self.lattice))
+        return self._once(("table", N, alpha), lambda: eta_coefficients(
+            self.neumann(N, alpha), self.params(N, alpha), self.lattice))
 
     def basis(self, N: int) -> FockBasis:
         """Excitation basis of the run's mode shell at particle cap N,
         with the ladder table it builds on first use, kept per cap."""
-        key = ("basis", N)
-        if key not in self._memo:
-            self._memo[key] = build_basis(shell_modes(self.cfg.shell), N)
-        return self._memo[key]
+        return self._once(("basis", N), lambda: build_basis(
+            shell_modes(self.cfg.shell), N))
 
     def hamiltonians(self, N: int, alpha: float) -> tuple[FockBasis, dict]:
         """The basis at cap N and the two operators lower-bound reads,
         {"R_eff", "H_N"} (``effective_hamiltonians``); the operators are
         built afresh on every call, not kept."""
         basis = self.basis(N)
-        return basis, effective_hamiltonians(
-            basis, self.renorm(N, alpha), self.pot, self.params(N, alpha))
+        return basis, effective_hamiltonians(basis, self.renorm(N, alpha),
+                                             self.pot)
 
 
-def vacuum_upper_bound(params: GPParameters, renorm) -> float:
-    """Vacuum expectation of the renormalized Hamiltonian family."""
-    return 0.5 * renorm.omega0 * (params.N - 1)
+def vacuum_upper_bound(renorm: RenormPotential) -> float:
+    """Vacuum expectation of the renormalized family at renorm's N."""
+    return 0.5 * renorm.omega0 * (renorm.params.N - 1)
 
 
 def eigsh(A, **options):
@@ -185,13 +189,13 @@ def compute_record(pipe: Pipeline, N: int, alpha: float,
     the assembled effective Hamiltonian's ground state."""
     t0 = time.perf_counter()
     lam_group = pipe.neumann(N, alpha).lam_R2
-    params, renorm = pipe.params(N, alpha), pipe.renorm(N, alpha)
-    E_vac = vacuum_upper_bound(params, renorm)
+    renorm = pipe.renorm(N, alpha)
+    E_vac = vacuum_upper_bound(renorm)
     E0, depletion, dim = math.nan, math.nan, 0
     if with_fock:
         # R_eff alone: no H_N is alive during the eigensolve
         basis = pipe.basis(N)
-        R_eff = r_effective_hamiltonian(basis, renorm, pipe.pot, params)
+        R_eff = r_effective_hamiltonian(basis, renorm, pipe.pot)
         dim = basis.dim
         E0, _, depletion = ground_state(R_eff, basis)
     wall = (time.perf_counter() - t0) * 1000.0
@@ -199,15 +203,13 @@ def compute_record(pipe: Pipeline, N: int, alpha: float,
                         lam_group, renorm.omega0, wall)
 
 
-def sweep_grid(cfg: RunConfig) -> list:
-    """(N, alpha, with_fock) grid: small-N Fock builds plus the scalar
-    trajectory."""
-    grid = []
+def sweep_grid(cfg: RunConfig):
+    """The (N, alpha, with_fock) grid, point by point: small-N Fock builds
+    plus the scalar trajectory."""
     for n in range(3, cfg.fock_n_max + 1):
-        grid.append((n, cfg.fock_alpha, True))
+        yield n, cfg.fock_alpha, True
     for n in range(cfg.n_min, cfg.n_max + 1, cfg.n_step):
-        grid.append((n, cfg.alpha, False))
-    return grid
+        yield n, cfg.alpha, False
 
 
 def _grid_point(rec: EnergyRecord) -> tuple | None:
@@ -221,17 +223,17 @@ def _grid_point(rec: EnergyRecord) -> tuple | None:
     return rec.key() + (False,) if rec.dim == 0 else None
 
 
-def sweep(cfg: RunConfig, csv_path=None,
-          pipe: Pipeline | None = None) -> SweepDataset:
-    """Run the grid, skipping records already persisted for this config.
+def sweep(pipe: Pipeline, csv_path=None) -> SweepDataset:
+    """Run the grid of pipe.cfg, skipping records persisted for it.
 
     A persisted row counts as done only when it is a point of the grid
     with that point's shape (``_grid_point``); every other row is dropped
     and counted in ``rejected``.  Records are computed one after another
-    from ``pipe``, the run's Pipeline built from cfg (a fresh one when not
-    given).  When a record fails or the run is interrupted, the records
-    loaded and computed so far are written before the exception goes on.
+    from ``pipe``.  When a record fails or the run is interrupted, the
+    records loaded and computed so far are written before the exception
+    goes on.
     """
+    cfg = pipe.cfg
     fp = fingerprint(cfg)
     grid = {(n, round(al, 12), round(cfg.cutoff, 9), wf): (n, al, wf)
             for n, al, wf in sweep_grid(cfg)}
@@ -244,8 +246,6 @@ def sweep(cfg: RunConfig, csv_path=None,
                     if (at := _grid_point(rec)) in grid}
             rejected = loaded.rejected + len(loaded.records) - len(done)
 
-    if pipe is None:
-        pipe = Pipeline(cfg)
     records = list(done.values())
     try:
         for key, point in grid.items():

@@ -912,15 +912,14 @@ def _cubic_terms(basis: FockBasis, weights, prefactor: float,
     return terms
 
 
-def generators(basis: FockBasis, table: KernelTable,
-               params: GPParameters) -> dict:
-    """Quadratic generator B and cubic generator A from the eta kernel.
-    Their antihermiticity is fock-audit's to report; ``conjugate`` checks
-    it again before it exponentiates."""
+def generators(basis: FockBasis, table: KernelTable) -> dict:
+    """Quadratic generator B and cubic generator A from the eta kernel at
+    the table's N.  Their antihermiticity is fock-audit's to report;
+    ``conjugate`` checks it again before it exponentiates."""
     eta = [table.eta_at(*m) for m in basis.modes]
     B = build_operator(basis, _pair_terms(basis, eta, -1.0), "B")
-    A = build_operator(
-        basis, _cubic_terms(basis, eta, 1.0 / math.sqrt(params.N), -1.0), "A")
+    A = build_operator(basis, _cubic_terms(
+        basis, eta, 1.0 / math.sqrt(table.params.N), -1.0), "A")
     return {"B": B, "A": A}
 
 
@@ -959,11 +958,10 @@ def _omega(basis: FockBasis, renorm: RenormPotential) -> list:
             for m in basis.modes]
 
 
-def _r_eff_rest(basis: FockBasis, renorm: RenormPotential,
-                params: GPParameters) -> tuple:
+def _r_eff_rest(basis: FockBasis, renorm: RenormPotential) -> tuple:
     """What R_eff adds to V_N and K: the omega_hat pair and cubic
-    products, and the diagonal R_diag."""
-    N = params.N
+    products, and the diagonal R_diag, at renorm's N."""
+    N = renorm.params.N
     w0 = renorm.omega0
     omega = _omega(basis, renorm)
     R_diag = _per_total(
@@ -975,24 +973,22 @@ def _r_eff_rest(basis: FockBasis, renorm: RenormPotential,
 
 
 def effective_hamiltonians(basis: FockBasis, renorm: RenormPotential,
-                           pot: RadialPotential,
-                           params: GPParameters) -> dict:
+                           pot: RadialPotential) -> dict:
     """The cubically renormalized R_eff (``r_effective_hamiltonian``) and
     H_N = K + V_N, the two operators of lower-bound: H_N is one build of
-    V_N's products with the kinetic diagonal K."""
-    return {"R_eff": r_effective_hamiltonian(basis, renorm, pot, params),
-            "H_N": build_operator(basis, _potential_terms(basis, pot, params),
-                                  "H_N", hermitian=True,
-                                  diagonal=_kinetic(basis))}
+    V_N's products with the kinetic diagonal K.  N is renorm's."""
+    return {"R_eff": r_effective_hamiltonian(basis, renorm, pot),
+            "H_N": build_operator(
+                basis, _potential_terms(basis, pot, renorm.params), "H_N",
+                hermitian=True, diagonal=_kinetic(basis))}
 
 
 def r_effective_hamiltonian(basis: FockBasis, renorm: RenormPotential,
-                            pot: RadialPotential,
-                            params: GPParameters) -> LinearOperator:
+                            pot: RadialPotential) -> LinearOperator:
     """R_eff, all that energy-sweep and fock-audit read: one build of V_N's
     products and the omega_hat pair and cubic products, with diagonal
-    K + R_diag."""
-    rest, R_diag = _r_eff_rest(basis, renorm, params)
-    return build_operator(basis, _potential_terms(basis, pot, params) + rest,
-                          "R_eff", hermitian=True,
+    K + R_diag.  N is renorm's."""
+    rest, R_diag = _r_eff_rest(basis, renorm)
+    terms = _potential_terms(basis, pot, renorm.params) + rest
+    return build_operator(basis, terms, "R_eff", hermitian=True,
                           diagonal=_kinetic(basis) + R_diag)

@@ -324,15 +324,12 @@ class ResidualReport(NamedTuple):
         return float(np.max(np.abs(self.residual_rel)))
 
 
-def scattering_residual(table: KernelTable, pot: RadialPotential,
-                        params: GPParameters,
-                        sol: NeumannSolution) -> ResidualReport:
-    lat = table.lattice
-    if pot.is_zero:
+def scattering_residual(table: KernelTable) -> ResidualReport:
+    """The residual of the table's own run, ``table.sol`` at its params."""
+    lat, sol, params = table.lattice, table.sol, table.params
+    if sol is None:                           # the free case: eta = 0
         return ResidualReport(np.sqrt(lat.norms2), np.zeros(lat.size))
-    params.check_range(pot)
-    ell = params.ell
-    lam = table.lam_R2
+    pot, ell, lam = sol.pot, params.ell, table.lam_R2
     damp = math.exp(-params.N)
     uniq, inv = lat.unique_norms()
     reps = np.unique(inv, return_index=True)[1]   # first mode per |p|
@@ -351,17 +348,17 @@ def scattering_residual(table: KernelTable, pot: RadialPotential,
     return ResidualReport(np.sqrt(lat.norms2), resid_u[inv])
 
 
-def kernels_csv(table: KernelTable, renorm: RenormPotential,
-                a: float) -> str:
+def kernels_csv(table: KernelTable, renorm: RenormPotential) -> str:
     """CSV text of (n1, n2, |p|, eta_p, omega_p) under a JSON metadata
-    header."""
+    header; the scattering length a is the table's profile's (0 for the
+    free gas, which has none)."""
     meta = {
         "N": table.params.N,
         "alpha": table.params.alpha,
         "ell": table.params.ell,
         "g_N": renorm.g_N,
         "lambda_R2": table.lam_R2,
-        "a": a,
+        "a": 0.0 if table.sol is None else table.sol.a,
     }
     lat = table.lattice
     rows = zip(lat.ints.tolist(), np.sqrt(lat.norms2).tolist(),

@@ -104,14 +104,24 @@ class NeumannSolution:
         """Dimensionless eigenvalue group lambda * R^2."""
         return float(self.lam * self.R ** 2)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
         """Radial nodes on which the profile is checked and exported: 64
         uniform steps out to min(r0, R) / 2, then 400 log-spaced ones out
-        to R."""
+        to R.  Computed once and read-only: every reader shares them."""
         r_core = min(self.pot.r0, self.R) / 2.0
-        return np.concatenate((np.linspace(0.0, r_core, 65),
-                               np.geomspace(r_core, self.R, 401)[1:]))
+        nodes = np.concatenate((np.linspace(0.0, r_core, 65),
+                                np.geomspace(r_core, self.R, 401)[1:]))
+        nodes.flags.writeable = False
+        return nodes
+
+    @cached_property
+    def f_nodes(self) -> np.ndarray:
+        """f on ``nodes``, evaluated once: the ground-state certificate,
+        the range check of ``gp2d neumann`` and ``solution_csv`` read it."""
+        f = self.f_at(self.nodes)
+        f.flags.writeable = False
+        return f
 
     def _at(self, r, rows: int = 2):
         """(f, f') at radii r, or (f,) for rows = 1."""
@@ -626,7 +636,7 @@ def neumann_ground_state(pot: RadialPotential, R: float,
 
     sol = NeumannSolution(float(lam), R, a, pot, panels, (c1, c2),
                           float(scale))
-    f_vals = sol.f_at(sol.nodes)
+    f_vals = sol.f_nodes
     if np.any(np.diff(np.sign(f_vals[f_vals != 0.0])) != 0):
         raise SolverError("interior node detected: not the ground state")
     return sol
@@ -730,8 +740,8 @@ def validate_neumann_asymptotics(sol: NeumannSolution) -> AsymptoticsReport:
 
 def solution_csv(sol: NeumannSolution) -> str:
     """CSV text of (r, f, w, f') columns on the solution's nodes."""
-    nodes = sol.nodes
-    f, f_prime = sol._at(nodes)
+    nodes, f = sol.nodes, sol.f_nodes
+    f_prime = sol.f_prime_at(nodes)
     rows = zip(nodes.tolist(), f.tolist(), (1.0 - f).tolist(),
                f_prime.tolist())
     return "r,f,w,fprime\n" + "".join(

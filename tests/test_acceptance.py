@@ -14,7 +14,7 @@ from gp2d.audits import (condensation_lower_bound, localization_check,
                          min_constant, unitary_excitation_map)
 from gp2d.cli import main as cli_main
 from gp2d.config import RunConfig
-from gp2d.energy import (depletion_products, ground_state, sweep,
+from gp2d.energy import (Pipeline, depletion_products, ground_state, sweep,
                          vacuum_slope_fit)
 from gp2d.fock import (LinearOperator, build_basis, conjugate,
                        effective_hamiltonians, generators, ladder,
@@ -82,7 +82,7 @@ def test_acceptance_4_kernel_bounds(step_pot):
         params = GPParameters(n, 3.0)
         sol = neumann_ground_state(step_pot, params.R)
         table = eta_coefficients(sol, params, lat, per_efold=12)
-        rep = scattering_residual(table, step_pot, params, sol)
+        rep = scattering_residual(table)
         sups.append(kernel_sup_product(sol, params,
                                        3 * TWO_PI * n ** 3, n_grid=800))
         norms.append(table.norm2 * n ** 3.0)
@@ -158,7 +158,7 @@ def test_acceptance_6_exact_algebra(step_pot):
                 umap["rule_hop"])
 
     # antisymmetry of both generators and unitarity of their exponentials
-    gens = generators(basis, table, params)
+    gens = generators(basis, table)
     for gen in gens.values():
         worst = max(worst, np.abs(gen.mat + gen.mat.conj().T).max())
         from scipy.linalg import expm
@@ -167,7 +167,7 @@ def test_acceptance_6_exact_algebra(step_pot):
                     np.abs(u.conj().T @ u - eye).max())
 
     # three-term occupation localization identity
-    ops = effective_hamiltonians(basis, renorm, step_pot, params)
+    ops = effective_hamiltonians(basis, renorm, step_pot)
     loc = localization_check(ops["R_eff"], basis, 2.0, ops["H_N"], params)
     worst = max(worst, loc.identity_residual)
 
@@ -183,8 +183,8 @@ def _audit_constants(step_pot, n_particles, cap, lat):
     table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), cap)
-    gens = generators(basis, table, params)
-    ops = effective_hamiltonians(basis, renorm, step_pot, params)
+    gens = generators(basis, table)
+    ops = effective_hamiltonians(basis, renorm, step_pot)
     eye = np.eye(basis.dim, dtype=complex)
     np1 = number_operator(basis).mat + eye
     out = []
@@ -210,8 +210,7 @@ def _audit_constants(step_pot, n_particles, cap, lat):
         "rotated-energy-budget", cap)
     out.append(rep)
     # certified condensation lower bound
-    out.append(condensation_lower_bound(ops["R_eff"], h_n, basis, renorm,
-                                        params))
+    out.append(condensation_lower_bound(ops["R_eff"], h_n, basis, renorm))
     return out
 
 
@@ -246,7 +245,7 @@ def test_acceptance_8_energy_trajectory(step_pot, tmp_path):
     alpha = 1.5
     cfg = RunConfig(alpha=alpha, n_min=10, n_max=60, n_step=2,
                     fock_n_max=6)
-    ds = sweep(cfg, tmp_path / "sweep.csv")
+    ds = sweep(Pipeline(cfg), tmp_path / "sweep.csv")
     slope = vacuum_slope_fit(ds)
     target = 2.0 * math.pi * alpha
     slope_ok = abs(slope - target) <= 0.15 * target
@@ -259,11 +258,11 @@ def test_acceptance_8_energy_trajectory(step_pot, tmp_path):
         sol = neumann_ground_state(step_pot, params.R)
         renorm = renormalized_potential(params, sol.lam_R2, lat)
         basis = build_basis(shell_modes(4), n_particles)
-        ops = effective_hamiltonians(basis, renorm, step_pot, params)
+        ops = effective_hamiltonians(basis, renorm, step_pot)
         e0, _, _ = ground_state(ops["R_eff"], basis)
         e_vac = 0.5 * renorm.omega0 * (n_particles - 1)
         rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis,
-                                       renorm, params)
+                                       renorm)
         npl = number_operator(basis).mat
         eye = np.eye(basis.dim, dtype=complex)
         lb_op = (2.0 * math.pi * n_particles * eye

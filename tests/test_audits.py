@@ -33,7 +33,7 @@ def audit_setup(step_pot):
     lat = build_lattice(TWO_PI * 8)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), 3)
-    ops = effective_hamiltonians(basis, renorm, step_pot, params)
+    ops = effective_hamiltonians(basis, renorm, step_pot)
     return params, renorm, basis, ops
 
 
@@ -249,7 +249,6 @@ def shell_lower_bound(request):
             mp.setattr(audits, name, counted(name))
         rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis,
                                        pipe.renorm(4, cfg.fock_alpha),
-                                       pipe.params(4, cfg.fock_alpha),
                                        c=cfg.c_lower)
     return request.param, basis, rep, seen["lhs"], seen["rhs"], calls
 
@@ -334,8 +333,7 @@ def test_localization_identity_random_hermitian(audit_setup):
 
 def test_condensation_lower_bound_certifies(audit_setup):
     params, renorm, basis, ops = audit_setup
-    rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis, renorm,
-                                   params)
+    rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis, renorm)
     assert rep.passed
     assert math.isfinite(rep.constant)
 
@@ -344,12 +342,12 @@ def test_square_completion_refuses_mu_at_least_one(audit_setup):
     # mu = c / log N >= 1 flips the sign of 1 - mu in the margin
     params, renorm, _, _ = audit_setup
     with pytest.raises(ConfigError, match="must be below 1"):
-        square_completion_check(renorm, params, c=math.log(params.N))
+        square_completion_check(renorm, c=math.log(params.N))
 
 
 def test_square_completion_scalars(audit_setup):
     params, renorm, _, _ = audit_setup
-    out = square_completion_check(renorm, params)
+    out = square_completion_check(renorm)
     assert out["scalar_pass"]
     assert 0 < out["mu"] < 1
     assert out["lattice_sum"] > 0

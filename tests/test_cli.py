@@ -251,7 +251,7 @@ def test_fock_audit_larger_shell(tmp_path, shell):
     report = json.loads((out / "fock_audit.json").read_text())
     assert report["pass"] is True
     # the excitation map is audited on the run's own shell
-    assert set(report) == {"residuals", "pass", "tolerance"}
+    assert set(report) == {"residuals", "pass", "tolerances"}
 
 
 def dense_commutator_residual(basis):
@@ -355,7 +355,7 @@ def test_fock_audit_default_shell_names_no_modes(tmp_path, fast_cfg):
     out = tmp_path / "out"
     assert run(["fock-audit", "--config", fast_cfg, "--out", out]) == 0
     report = json.loads((out / "fock_audit.json").read_text())
-    assert set(report) == {"residuals", "pass", "tolerance"}
+    assert set(report) == {"residuals", "pass", "tolerances"}
 
 
 def test_energy_sweep_unreadable_dataset(tmp_path, fast_cfg, capsys):
@@ -546,7 +546,7 @@ def test_energy_sweep_resumes_only_grid_rows(tmp_path, capsys, damage,
     assert run(["energy-sweep", "--out", out]) == 0
     path = out / "sweep.csv"
     good = path.read_text().splitlines()
-    grid = len(sweep_grid(RunConfig()))
+    grid = len(list(sweep_grid(RunConfig())))
     assert len(good) - 2 == grid == 30
     path.write_text("\n".join(good[:2] + damage(good[2:])) + "\n")
     capsys.readouterr()
@@ -556,3 +556,35 @@ def test_energy_sweep_resumes_only_grid_rows(tmp_path, capsys, damage,
     assert f"rejected: {rejected} malformed rows" in stdout
     assert ([ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
             == [ln.rsplit(",", 1)[0] for ln in good])
+
+
+def test_fock_audit_states_each_tolerance(tmp_path, fast_cfg):
+    # each residual is reported with the tolerance it was held to: the
+    # generators' antihermiticity to the operators' hermiticity
+    # tolerance, the other residuals to 1e-10
+    out = tmp_path / "out"
+    assert run(["fock-audit", "--config", fast_cfg, "--out", out]) == 0
+    report = json.loads((out / "fock_audit.json").read_text())
+    assert report["tolerances"] == {"antihermitian": fock.HERMITIAN_TOL,
+                                    "commutators": 1e-10,
+                                    "localization": 1e-10,
+                                    "unitary_map": 1e-10}
+    assert set(report["tolerances"]) == set(report["residuals"])
+
+
+def test_neumann_evaluates_the_profile_on_its_nodes_once(tmp_path, fast_cfg,
+                                                         monkeypatch):
+    # the ground-state certificate evaluates f on the nodes; the range
+    # check and the CSV read it, and only f' is evaluated for the CSV
+    seen = []
+    original = scattering.NeumannSolution._at
+
+    def counted(self, r, rows=2):
+        if np.shape(r) == self.nodes.shape and np.array_equal(r, self.nodes):
+            seen.append(rows)
+        return original(self, r, rows)
+
+    monkeypatch.setattr(scattering.NeumannSolution, "_at", counted)
+    assert run(["neumann", "--config", fast_cfg, "--out",
+                tmp_path / "out"]) == 0
+    assert seen == [1, 2]

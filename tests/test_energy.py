@@ -1,11 +1,13 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from gp2d import energy, fock
+from gp2d import (audits, cli, config, energy, fock, kernels, lattice,
+                  potentials, scattering)
 from gp2d.config import RunConfig, fingerprint
-from gp2d.errors import SolverError
+from gp2d.errors import SizeError, SolverError
 from gp2d.energy import (EnergyRecord, Pipeline, SweepDataset, compute_record,
                          depletion_products, ground_state, load_dataset,
                          sweep, sweep_grid, vacuum_slope_fit,
@@ -23,7 +25,7 @@ def test_vacuum_upper_bound_formula(step_pot, neumann_r50):
     params = GPParameters(10, 1.5)
     renorm = renormalized_potential(params, neumann_r50.lam_R2,
                                     build_lattice(TWO_PI * 2))
-    assert vacuum_upper_bound(params, renorm) == pytest.approx(
+    assert vacuum_upper_bound(renorm) == pytest.approx(
         0.5 * renorm.omega0 * 9, rel=1e-14)
 
 
@@ -55,7 +57,7 @@ def test_ground_state_blockwise_matches_dense(step_pot):
     renorm = renormalized_potential(params, sol.lam_R2,
                                     build_lattice(TWO_PI * 8))
     basis = build_basis(shell_modes(8), 3)
-    R = effective_hamiltonians(basis, renorm, step_pot, params)["R_eff"]
+    R = effective_hamiltonians(basis, renorm, step_pot)["R_eff"]
     assert R.part is basis.orbits
     e0, vec, depletion = ground_state(R, basis)
     dense = LinearOperator(R.mat, "R dense", hermitian=True)
@@ -105,7 +107,7 @@ def test_compute_record_builds_r_eff_alone(monkeypatch):
 
 
 def test_sweep_grid_composition():
-    grid = sweep_grid(SMALL)
+    grid = list(sweep_grid(SMALL))
     fock = [g for g in grid if g[2]]
     scalar = [g for g in grid if not g[2]]
     assert [g[0] for g in fock] == [3, 4]
@@ -116,7 +118,7 @@ def test_sweep_grid_composition():
 
 def test_sweep_roundtrip_and_resume(tmp_path):
     path = tmp_path / "sweep.csv"
-    ds1 = sweep(SMALL, path)
+    ds1 = sweep(Pipeline(SMALL), path)
     assert ds1.skipped == 0
     assert len(ds1.records) == 5
     back = load_dataset(path)
@@ -124,7 +126,7 @@ def test_sweep_roundtrip_and_resume(tmp_path):
     assert [r.key() for r in back.sorted_records()] == \
         [r.key() for r in ds1.sorted_records()]
     # a second run resumes every record without recomputing
-    ds2 = sweep(SMALL, path)
+    ds2 = sweep(Pipeline(SMALL), path)
     assert ds2.skipped == 5
     for a, b in zip(ds1.sorted_records(), ds2.sorted_records()):
         assert a.csv_row().rsplit(",", 1)[0] == \
@@ -135,7 +137,7 @@ def test_sweep_roundtrip_and_resume(tmp_path):
 def small_csv(tmp_path_factory):
     """Text of the complete persisted sweep of SMALL."""
     path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
-    sweep(SMALL, path)
+    sweep(Pipeline(SMALL), path)
     return path.read_text()
 
 
@@ -150,7 +152,7 @@ def test_truncated_dataset_resumes_whole_rows(tmp_path, small_csv):
     path.write_text(small_csv[:-20])
     back = load_dataset(path)
     assert (len(back.records), back.rejected) == (4, 1)
-    ds = sweep(SMALL, path)
+    ds = sweep(Pipeline(SMALL), path)
     assert (ds.skipped, ds.rejected) == (4, 1)
     assert _without_wall(path.read_text()) == _without_wall(small_csv)
 
@@ -178,7 +180,7 @@ def test_corrupted_dataset(tmp_path, small_csv, where):
         assert back is None
     else:
         assert (len(back.records), back.rejected) == (4, 1)
-        ds = sweep(SMALL, path)
+        ds = sweep(Pipeline(SMALL), path)
         assert (ds.skipped, ds.rejected) == (4, 1)
         assert _without_wall(path.read_text()) == _without_wall(small_csv)
 
@@ -187,7 +189,7 @@ def test_schema_mismatch_recomputes(tmp_path, small_csv):
     path = tmp_path / "sweep.csv"
     path.write_text(small_csv.replace("schema=gp2d-sweep-v1",
                                       "schema=gp2d-sweep-v0", 1))
-    ds = sweep(SMALL, path)
+    ds = sweep(Pipeline(SMALL), path)
     assert ds.skipped == 0
     assert load_dataset(path).schema == "gp2d-sweep-v1"
 
@@ -223,11 +225,11 @@ def test_interrupted_sweep_keeps_computed_records(tmp_path, monkeypatch,
     monkeypatch.setattr(energy, "compute_record", third_fails)
     path = tmp_path / "sweep.csv"
     with pytest.raises(stop):
-        sweep(SMALL, path)
+        sweep(Pipeline(SMALL), path)
     rows = [rec.csv_row() for rec in sorted(computed, key=EnergyRecord.key)]
     assert path.read_text().splitlines()[2:] == rows
     monkeypatch.setattr(energy, "compute_record", compute_record)
-    ds = sweep(SMALL, path)
+    ds = sweep(Pipeline(SMALL), path)
     assert (ds.skipped, len(ds.records)) == (2, 5)
     assert all(rec.csv_row() in rows for rec in ds.records[:2])
 
@@ -249,10 +251,10 @@ def test_failed_atomic_write_removes_its_temporary(tmp_path, monkeypatch):
 
 def test_fingerprint_mismatch_recomputes(tmp_path):
     path = tmp_path / "sweep.csv"
-    sweep(SMALL, path)
+    sweep(Pipeline(SMALL), path)
     other = RunConfig(n_min=10, n_max=14, n_step=2, fock_n_max=4,
                       cutoff=TWO_PI * 4, alpha=2.0)
-    ds = sweep(other, path)
+    ds = sweep(Pipeline(other), path)
     assert ds.skipped == 0
     assert load_dataset(path).fingerprint == fingerprint(other)
 
@@ -269,7 +271,71 @@ def test_vacuum_slope_fit_recovers_synthetic_slope():
 
 
 def test_depletion_products(tmp_path):
-    ds = sweep(SMALL, tmp_path / "s.csv")
+    ds = sweep(Pipeline(SMALL), tmp_path / "s.csv")
     prods = depletion_products(ds)
     assert len(prods) == 2
     assert all(p >= 0 for p in prods)
+
+
+# --- one source for each run's (N, alpha) ----------------------------------
+
+def test_pipeline_has_one_params_per_point():
+    # the profile's R, the eta table and omega_hat all come from the
+    # Pipeline's one GPParameters of their (N, alpha)
+    pipe = Pipeline(SMALL)
+    for N, alpha, _ in sweep_grid(SMALL):
+        params = pipe.params(N, alpha)
+        assert pipe.params(N, alpha) is params
+        assert pipe.renorm(N, alpha).params is params
+        assert pipe.table(N, alpha).params is params
+        assert pipe.neumann(N, alpha).R == params.R
+
+
+def test_sweep_writes_the_pipelines_fingerprint(tmp_path):
+    path = tmp_path / "sweep.csv"
+    ds = sweep(Pipeline(SMALL), path)
+    assert ds.fingerprint == fingerprint(SMALL)
+    assert load_dataset(path).fingerprint == fingerprint(SMALL)
+
+
+def test_no_function_takes_a_second_copy_of_its_parameters():
+    # a RenormPotential or KernelTable carries its GPParameters, and a
+    # table its Neumann profile, so no function takes either beside it
+    carriers = {"RenormPotential", "KernelTable"}
+    for module in (audits, cli, config, energy, fock, kernels, lattice,
+                   potentials, scattering):
+        for name, func in vars(module).items():
+            if (inspect.isfunction(func)
+                    and func.__module__ == module.__name__):
+                kinds = {str(p.annotation) for p in
+                         inspect.signature(func).parameters.values()}
+                assert not (kinds & carriers and "GPParameters" in kinds), \
+                    f"{module.__name__}.{name}"
+    assert list(inspect.signature(sweep).parameters) == ["pipe", "csv_path"]
+    assert list(inspect.signature(
+        kernels.scattering_residual).parameters) == ["table"]
+    assert list(inspect.signature(
+        kernels.kernels_csv).parameters) == ["table", "renorm"]
+
+
+def test_pipeline_refuses_an_overflowing_range_at_its_first_bad_point(
+        monkeypatch):
+    # the grid is walked point by point: N_max = 10^6 is refused at
+    # N = 302, the first point past the overflow guard, without building
+    # the other 499,000 points
+    made = []
+
+    class Counted(GPParameters):
+        def __init__(self, N, *args):
+            made.append(N)
+            super().__init__(N, *args)
+
+    monkeypatch.setattr(energy, "GPParameters", Counted)
+    cfg = RunConfig(n_max=10 ** 6)
+    assert inspect.isgenerator(sweep_grid(cfg))
+    with pytest.raises(SizeError, match="N = 302 exceeds"):
+        Pipeline(cfg)
+    # (n_value, alpha) = (12, 1.5), which is also a scalar point, the
+    # Fock points N = 3 .. 6 and the scalar points N = 10, 12, .., 302
+    assert len(made) == len(set(made)) == 4 + 147
+    assert made[-1] == 302

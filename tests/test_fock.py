@@ -164,8 +164,8 @@ class Weights:
     """Stands in for the eta table and the renormalized potential: smooth
     weights of the mode, drawn per example."""
 
-    def __init__(self, c, d, w0):
-        self.c, self.d, self.omega0 = c, d, w0
+    def __init__(self, c, d, w0, params):
+        self.c, self.d, self.omega0, self.params = c, d, w0, params
 
     def eta_at(self, n1, n2):
         return self.c * math.exp(-0.3 * (n1 * n1 + n2 * n2)) + self.d * n1
@@ -189,8 +189,8 @@ def _dense_brute_force(monkeypatch):
 
 def _all_operators(basis, pot, params, weights):
     pieces = hamiltonian_pieces(basis, pot, params)
-    eff = effective_hamiltonians(basis, weights, pot, params)
-    gens = generators(basis, weights, params)
+    eff = effective_hamiltonians(basis, weights, pot)
+    gens = generators(basis, weights)
     return {"K": pieces["K"], "V_N": pieces["V_N"], "L2": pieces["L2"],
             "L3": pieces["L3"], "R_eff": eff["R_eff"], "B": gens["B"],
             "A": gens["A"]}
@@ -206,7 +206,7 @@ def test_sector_blocks_match_dense_brute_force(shape, v0, b, n_particles,
                                                alpha, c, d, w0):
     basis = ORACLE_BASES[shape]
     pot, params = step(v0, b), GPParameters(n_particles, alpha)
-    weights = Weights(c, d, w0)
+    weights = Weights(c, d, w0, params)
     got = _all_operators(basis, pot, params, weights)
     with pytest.MonkeyPatch.context() as m:
         _dense_brute_force(m)
@@ -256,7 +256,7 @@ def test_non_conserving_product_is_refused():
 
 def test_mixed_partitions_meet_on_one_block(fock_setup):
     params, _, table, _, basis = fock_setup
-    B = generators(basis, table, params)["B"]
+    B = generators(basis, table)["B"]
     dense = LinearOperator(number_operator(basis).mat, "N+ dense",
                            hermitian=True)
     blocked = conjugate(number_operator(basis), B)
@@ -304,10 +304,9 @@ def test_build_operator_rejects_unknown_kind():
 
 def test_operators_are_real(fock_setup, step_pot):
     params, _, table, renorm, basis = fock_setup
-    gens = generators(basis, table, params)
+    gens = generators(basis, table)
     ops = [*hamiltonian_pieces(basis, step_pot, params).values(),
-           *effective_hamiltonians(basis, renorm, step_pot,
-                                   params).values(),
+           *effective_hamiltonians(basis, renorm, step_pot).values(),
            *gens.values(), conjugate(number_operator(basis), gens["B"])]
     for op in ops:
         assert op.mat.dtype == np.float64, op.tag
@@ -473,14 +472,14 @@ def test_potential_operator_matches_scalar_transforms(
 
 def test_generators_antihermitian(fock_setup):
     params, _, table, _, basis = fock_setup
-    gens = generators(basis, table, params)
+    gens = generators(basis, table)
     for op in gens.values():
         assert np.abs(op.mat + op.mat.conj().T).max() <= 1e-14
 
 
 def test_conjugation_preserves_spectrum(fock_setup, step_pot):
     params, _, table, _, basis = fock_setup
-    gens = generators(basis, table, params)
+    gens = generators(basis, table)
     pieces = hamiltonian_pieces(basis, step_pot, params)
     ham = LinearOperator(pieces["L0"].mat + pieces["L2"].mat
                          + pieces["L3"].mat + pieces["V_N"].mat,
@@ -494,7 +493,7 @@ def test_conjugation_preserves_spectrum(fock_setup, step_pot):
 def test_remainder_is_small(fock_setup):
     # d_p = e^{-B} b_p e^{B} - cosh(eta_p) b_p - sinh(eta_p) b*_{-p}
     params, _, table, _, basis = fock_setup
-    gens = generators(basis, table, params)
+    gens = generators(basis, table)
     mode = basis.modes[0]
     eta_p = table.eta_at(*mode)
     neg = basis.modes[int(basis.neg_mode[0])]
@@ -508,7 +507,7 @@ def test_remainder_is_small(fock_setup):
 
 def test_effective_hamiltonians(fock_setup, step_pot):
     params, _, _, renorm, basis = fock_setup
-    ops = effective_hamiltonians(basis, renorm, step_pot, params)
+    ops = effective_hamiltonians(basis, renorm, step_pot)
     vac = basis.vacuum()
     for key in ("R_eff", "H_N"):
         assert hermiticity_residual(ops[key].mat) <= 1e-12
@@ -608,7 +607,7 @@ def test_combine_diagonal_is_a_diagonal_term(fock_setup, step_pot):
     # combine's diagonal adds diag(diagonal) on the operators' common
     # partition: sectors when they share them, the one block otherwise
     params, _, _, renorm, basis = fock_setup
-    R_eff = effective_hamiltonians(basis, renorm, step_pot, params)["R_eff"]
+    R_eff = effective_hamiltonians(basis, renorm, step_pot)["R_eff"]
     diag = np.random.default_rng(3).normal(size=basis.dim)
     dense = 2.0 * R_eff.mat + np.diag(diag)
     op = combine([(2.0, R_eff)], "R+D", diagonal=diag)
@@ -717,13 +716,13 @@ def test_one_pass_hamiltonians_match_combined_pieces(shell, cap,
                                                      monkeypatch):
     basis = build_basis(shell_modes(shell), cap)
     pot, params = step(2.0, 1.0), GPParameters(cap, 2.5)
-    weights = Weights(0.8, 0.3, 12.0)
+    weights = Weights(0.8, 0.3, 12.0, params)
     want = _combined_hamiltonians(basis, weights, pot, params)
     built = []
     build = fock.build_operator
     monkeypatch.setattr(fock, "build_operator", lambda *args, **kw:
                         built.append(args[2]) or build(*args, **kw))
-    got = effective_hamiltonians(basis, weights, pot, params)
+    got = effective_hamiltonians(basis, weights, pot)
     assert set(got) == {"R_eff", "H_N"}
     assert len(built) == 2
     for key, op in got.items():
@@ -1077,8 +1076,7 @@ def test_ground_state_values_first_on_r_eff(cap):
     pipe = Pipeline(cfg)
     basis = pipe.basis(cap)
     op = fock.r_effective_hamiltonian(
-        basis, pipe.renorm(cap, cfg.fock_alpha), pipe.pot,
-        pipe.params(cap, cfg.fock_alpha))
+        basis, pipe.renorm(cap, cfg.fock_alpha), pipe.pot)
     e0, _, depletion = ground_state(op, basis)
     want, want_vec = lowest_eigh_every_block(op)
     want_depletion = float(basis.totals() @ want_vec ** 2) / cap
@@ -1114,11 +1112,11 @@ def test_orbit_blocks_reproduce_every_sector_spectrum(shape, v0, b, alpha,
                                                        c, d, w0):
     basis = ORBIT_BASES[shape]
     pot, params = step(v0, b), GPParameters(basis.cap, alpha)
-    weights = Weights(c, d, w0)        # omega_at depends on |p| alone
-    got = effective_hamiltonians(basis, weights, pot, params)
+    weights = Weights(c, d, w0, params)  # omega_at depends on |p| alone
+    got = effective_hamiltonians(basis, weights, pot)
     with pytest.MonkeyPatch.context() as m:
         _every_sector(m)
-        want = effective_hamiltonians(basis, weights, pot, params)
+        want = effective_hamiltonians(basis, weights, pot)
     P = basis.states @ np.array(basis.modes)
     orbits = {frozenset(tuple(g @ p) for g in SIGNED) for p in P}
     for key, op in got.items():
@@ -1150,11 +1148,11 @@ def test_orbits_follow_the_symmetry_of_the_mode_set():
     orbits = {frozenset(tuple(g @ p) for g in group) for p in P}
     assert sum(len(idx) for idx in basis.orbits.classes) == len(orbits)
     pot, params = step(2.0, 1.0), GPParameters(4, 2.5)
-    weights = Weights(0.8, 0.3, 12.0)
-    got = effective_hamiltonians(basis, weights, pot, params)
+    weights = Weights(0.8, 0.3, 12.0, params)
+    got = effective_hamiltonians(basis, weights, pot)
     with pytest.MonkeyPatch.context() as m:
         _every_sector(m)
-        want = effective_hamiltonians(basis, weights, pot, params)
+        want = effective_hamiltonians(basis, weights, pot)
     for key, op in got.items():
         assert op.part is basis.orbits, key
         ref = want[key].mat
@@ -1171,8 +1169,8 @@ def _pipeline_operators(shell, cap):
     params = pipe.params(cap, alpha)
     pieces = hamiltonian_pieces(basis, pipe.pot, params)
     return basis, {**effective_hamiltonians(basis, pipe.renorm(cap, alpha),
-                                            pipe.pot, params),
-                   **generators(basis, pipe.table(cap, alpha), params),
+                                            pipe.pot),
+                   **generators(basis, pipe.table(cap, alpha)),
                    "L2": pieces["L2"], "L3": pieces["L3"]}
 
 
@@ -1202,9 +1200,8 @@ def test_effective_hamiltonians_build_each_operator_once(shell, cap):
     pipe = Pipeline(cfg)
     basis, alpha = pipe.basis(cap), cfg.fock_alpha
     renorm, params = pipe.renorm(cap, alpha), pipe.params(cap, alpha)
-    got = effective_hamiltonians(basis, renorm, pipe.pot, params)
-    want = {"R_eff": fock.r_effective_hamiltonian(basis, renorm, pipe.pot,
-                                                  params),
+    got = effective_hamiltonians(basis, renorm, pipe.pot)
+    want = {"R_eff": fock.r_effective_hamiltonian(basis, renorm, pipe.pot),
             "H_N": build_operator(
                 basis, fock._potential_terms(basis, pipe.pot, params), "H_N",
                 hermitian=True, diagonal=fock._kinetic(basis))}
@@ -1220,7 +1217,7 @@ def _omega_mutated_terms(basis, weights, params, k):
     1 + 1e-6."""
     omega = fock._omega(basis, weights)
     omega[k] *= 1 + 1e-6
-    R_diag = fock._r_eff_rest(basis, weights, params)[1]
+    R_diag = fock._r_eff_rest(basis, weights)[1]
     terms = (fock._potential_terms(basis, step(2.0, 1.0), params)
              + fock._pair_terms(basis, omega, 1.0)
              + fock._cubic_terms(basis, omega, 1.0 / math.sqrt(params.N)))
@@ -1237,7 +1234,8 @@ def test_operators_without_the_symmetry_keep_every_sector(shape, case):
         terms, diagonal = [(1.0, [("ad", 0), ("a", 0)])], None
     elif case == "omega":
         terms, diagonal = _omega_mutated_terms(
-            basis, Weights(0.8, 0.3, 12.0), params, basis.n_modes - 1)
+            basis, Weights(0.8, 0.3, 12.0, params), params,
+            basis.n_modes - 1)
     else:
         # V_N, which has the symmetry, plus a diagonal that has not
         terms = fock._potential_terms(basis, step(2.0, 1.0), params)

@@ -215,7 +215,7 @@ def test_omega_lattice_sum_cutoff_independent(kernel_setup):
 
 def test_scattering_residual_small(kernel_setup, step_pot):
     params, sol, lat, table, renorm = kernel_setup
-    rep = scattering_residual(table, step_pot, params, sol)
+    rep = scattering_residual(table)
     assert rep.max_rel <= 1e-8
     assert len(rep.p_norms) == len(rep.residual_rel)
 
@@ -242,9 +242,10 @@ def test_kernels_on_a_sampled_bump_table(tmp_path, capsys):
 
 def test_export_kernels_csv(kernel_setup, step_a):
     params, sol, lat, table, renorm = kernel_setup
-    lines = kernels_csv(table, renorm, step_a).strip().splitlines()
+    lines = kernels_csv(table, renorm).strip().splitlines()
     meta = json.loads(lines[0].lstrip("# "))
     assert meta["N"] == params.N
+    assert meta["a"] == step_a
     assert lines[1].split(",") == ["n1", "n2", "p", "eta_p", "omega_p"]
     assert len(lines) == 2 + lat.size
 
@@ -288,4 +289,4 @@ def test_export_kernels_csv_bytes_as_per_row(kernel_setup, step_a):
             + "".join(f"{lat.ints[i, 0]},{lat.ints[i, 1]},"
                       f"{norms[i]:.17g},{table.eta[i]:.17g},"
                       f"{renorm.omega[i]:.17g}\n" for i in range(lat.size)))
-    assert kernels_csv(table, renorm, step_a) == want
+    assert kernels_csv(table, renorm) == want

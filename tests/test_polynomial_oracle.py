@@ -15,7 +15,8 @@ from numpy.polynomial.polynomial import polyfit
 
 from gp2d import quadrature, scattering
 from gp2d.config import RunConfig
-from gp2d.energy import EnergyRecord, SweepDataset, sweep, vacuum_slope_fit
+from gp2d.energy import (EnergyRecord, Pipeline, SweepDataset, sweep,
+                         vacuum_slope_fit)
 
 
 def test_gauss_legendre_literals_equal_leggauss():
@@ -52,7 +53,7 @@ def _polyfit_slope(ds: SweepDataset) -> float:
 
 
 def test_slope_fit_equals_polyfit():
-    ds = sweep(RunConfig(fock_n_max=3))
+    ds = sweep(Pipeline(RunConfig(fock_n_max=3)))
     assert sum(not r.dim for r in ds.records) == 26
     assert vacuum_slope_fit(ds).hex() == _polyfit_slope(ds).hex()
     # and on noisy trajectories of other lengths

@@ -563,6 +563,17 @@ def test_f_alone_bitwise_as_with_f_prime(which, neumann_r50, fallback_2000):
         assert same_bits(sol.w_at(r), 1.0 - f)
 
 
+def test_profile_on_the_nodes_is_kept_read_only(step_pot):
+    # the ground-state certificate evaluates f on the nodes once; every
+    # reader shares the two arrays, so neither can be written through
+    sol = neumann_ground_state(step_pot, 50.0)
+    assert {"nodes", "f_nodes"} <= set(vars(sol))
+    assert sol.nodes is sol.nodes and sol.f_nodes is sol.f_nodes
+    assert not sol.nodes.flags.writeable
+    assert not sol.f_nodes.flags.writeable
+    assert same_bits(sol.f_nodes, sol.f_at(sol.nodes))
+
+
 def test_zero_energy_profile_bitwise_as_before(step_pot, neumann_r50):
     zero = scattering_length(step_pot)
     for r in [neumann_r50.nodes] + probe_radii(step_pot.r0, 50.0):

@@ -40,10 +40,10 @@ def one_run(shell: int, n: int) -> dict:
     cfg = RunConfig(shell=shell)
     pipe = Pipeline(cfg)
     alpha = cfg.fock_alpha
-    renorm, params = pipe.renorm(n, alpha), pipe.params(n, alpha)
+    renorm = pipe.renorm(n, alpha)
     t0 = time.perf_counter()
     basis = pipe.basis(n)
-    op = r_effective_hamiltonian(basis, renorm, pipe.pot, params)
+    op = r_effective_hamiltonian(basis, renorm, pipe.pot)
     t1 = time.perf_counter()
     e0, _ = op.lowest(np.linalg.eigvalsh, np.linalg.eigh)
     t2 = time.perf_counter()
