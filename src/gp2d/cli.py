@@ -19,7 +19,8 @@ from .config import RunConfig, fingerprint, load_config
 from .energy import (Pipeline, depletion_products, sweep, vacuum_slope_fit,
                      write_atomic)
 from .errors import Gp2dError
-from .fock import HERMITIAN_TOL, generators, r_effective_hamiltonian
+from .fock import (HERMITIAN_TOL, effective_hamiltonians, generators,
+                   r_effective_hamiltonian)
 from .kernels import kernels_csv, scattering_residual
 from .potentials import fourier_transform_radial
 from .scattering import solution_csv, validate_neumann_asymptotics
@@ -110,7 +111,8 @@ def cmd_lower_bound(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     n = min(4, cfg.fock_n_max)
     renorm = pipe.renorm(n, cfg.fock_alpha)
     scal = square_completion_check(renorm, c=cfg.c_lower)
-    basis, ops = pipe.hamiltonians(n, cfg.fock_alpha)
+    basis = pipe.basis(n)
+    ops = effective_hamiltonians(basis, renorm, pipe.pot)
     rep = condensation_lower_bound(ops["R_eff"], ops["H_N"], basis, renorm,
                                    c=cfg.c_lower)
     ok = rep.passed and scal["scalar_pass"]

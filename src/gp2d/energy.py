@@ -16,15 +16,13 @@ from numpy.linalg import eigh, eigvalsh, lstsq
 from .config import RunConfig, fingerprint
 from .errors import ConsistencyError, Gp2dError, SolverError
 from .fock import (FockBasis, LinearOperator, build_basis, check_dim,
-                   effective_hamiltonians, r_effective_hamiltonian,
-                   shell_modes)
+                   r_effective_hamiltonian, shell_modes)
 from .kernels import (GPParameters, KernelTable, RenormPotential,
                       eta_coefficients, renormalized_potential)
 from .lattice import MomentumLattice, build_lattice
 from .potentials import RadialPotential
-from .scattering import (InteriorSeries, NeumannSolution, ZeroEnergySolution,
-                         interior_series, neumann_ground_state,
-                         scattering_length)
+from .scattering import (NeumannSolution, ZeroEnergySolution,
+                         neumann_ground_state, scattering_length)
 
 SCHEMA = "gp2d-sweep-v1"
 CSV_COLUMNS = ("N", "alpha", "cutoff", "dim", "E_vac", "E0", "depletion",
@@ -34,11 +32,12 @@ CSV_COLUMNS = ("N", "alpha", "cutoff", "dim", "E_vac", "E0", "depletion",
 class Pipeline:
     """The chain of one run, each link computed on first use and kept.
 
-    potential -> interior lambda-series, whose lambda = 0 term is the
-    zero-energy solution (scattering length a) -> Neumann profile on the
-    disk of radius R = e^N ell -> eta table and omega_hat, all on the
-    run's single momentum lattice.  The last three are kept per
-    (N, alpha), the excitation basis per particle cap N.  Every command
+    potential -> zero-energy solution (scattering length a), which
+    carries the interior lambda-series whose lambda = 0 term it is ->
+    Neumann profile on the disk of radius R = e^N ell -> eta table and
+    omega_hat, all on the run's single momentum lattice.  a is computed
+    once per run; the last three links are kept per (N, alpha), the
+    excitation basis per particle cap N.  Every command
     of a run reads from one Pipeline, whose one GPParameters per
     (N, alpha) the profile, the eta table and omega_hat are made from.
 
@@ -69,12 +68,7 @@ class Pipeline:
 
     @cached_property
     def zero(self) -> ZeroEnergySolution:
-        return scattering_length(self.pot, self.series)
-
-    @cached_property
-    def series(self) -> InteriorSeries | None:
-        """The interior lambda-series; the free potential has none."""
-        return None if self.pot.is_zero else interior_series(self.pot)
+        return scattering_length(self.pot)
 
     @cached_property
     def lattice(self) -> MomentumLattice:
@@ -92,7 +86,7 @@ class Pipeline:
 
     def neumann(self, N: int, alpha: float) -> NeumannSolution:
         return self._once(("neumann", N, alpha), lambda: neumann_ground_state(
-            self.pot, self.params(N, alpha).R, series=self.series))
+            self.zero, self.params(N, alpha).R))
 
     def renorm(self, N: int, alpha: float) -> RenormPotential:
         return self._once(("renorm", N, alpha), lambda: renormalized_potential(
@@ -108,14 +102,6 @@ class Pipeline:
         with the ladder table it builds on first use, kept per cap."""
         return self._once(("basis", N), lambda: build_basis(
             shell_modes(self.cfg.shell), N))
-
-    def hamiltonians(self, N: int, alpha: float) -> tuple[FockBasis, dict]:
-        """The basis at cap N and the two operators lower-bound reads,
-        {"R_eff", "H_N"} (``effective_hamiltonians``); the operators are
-        built afresh on every call, not kept."""
-        basis = self.basis(N)
-        return basis, effective_hamiltonians(basis, self.renorm(N, alpha),
-                                             self.pot)
 
 
 def vacuum_upper_bound(renorm: RenormPotential) -> float:

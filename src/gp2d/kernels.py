@@ -121,7 +121,9 @@ def w_squared_integral(sol: NeumannSolution, params: GPParameters,
 
 
 class KernelTable:
-    """eta_p tabulated on a momentum lattice, with its zero mode eta0.
+    """eta_p tabulated on a momentum lattice, with its zero mode eta0 and
+    the Neumann profile ``sol`` it was made from (f == 1 for the free
+    gas, whose eta is 0).
 
     norm2, the l2 norm of eta over the nonzero modes of the full
     lattice, is computed on first read from the position-space integral
@@ -130,16 +132,17 @@ class KernelTable:
     """
 
     def __init__(self, lattice: MomentumLattice, eta: np.ndarray,
-                 eta0: float, params: GPParameters, lam_R2: float = 0.0,
-                 sol: NeumannSolution | None = None, per_efold: int = 8):
+                 eta0: float, params: GPParameters, sol: NeumannSolution,
+                 per_efold: int = 8):
         self.lattice, self.eta, self.eta0 = lattice, eta, eta0
-        self.params, self.lam_R2 = params, lam_R2
-        self.sol, self.per_efold = sol, per_efold
+        self.params, self.sol, self.per_efold = params, sol, per_efold
+
+    @property
+    def lam_R2(self) -> float:
+        return self.sol.lam_R2
 
     @cached_property
     def norm2(self) -> float:
-        if self.sol is None:                  # the free case: eta = 0
-            return 0.0
         total = self.params.N ** 2 * w_squared_integral(
             self.sol, self.params, self.per_efold)
         return math.sqrt(max(total - self.eta0 ** 2, 0.0))
@@ -160,13 +163,14 @@ def eta_coefficients(sol: NeumannSolution, params: GPParameters,
     if abs(sol.R - params.R) > 1e-9 * params.R:
         raise ConsistencyError("Neumann solution radius does not match "
                                "e^N * ell")
-    if sol.pot.is_zero:
-        return KernelTable(lat, np.zeros(lat.size), 0.0, params, 0.0)
+    if sol.zero.is_free:
+        return KernelTable(lat, np.zeros(lat.size), 0.0, params, sol,
+                           per_efold)
     uniq, inv = lat.unique_norms()
     eta_u = eta_profile(sol, params, np.concatenate(([0.0], uniq)),
                         per_efold)
-    return KernelTable(lat, eta_u[1:][inv], float(eta_u[0]), params,
-                       sol.lam_R2, sol, per_efold)
+    return KernelTable(lat, eta_u[1:][inv], float(eta_u[0]), params, sol,
+                       per_efold)
 
 
 def kernel_sup_product(sol: NeumannSolution, params: GPParameters,
@@ -327,7 +331,7 @@ class ResidualReport(NamedTuple):
 def scattering_residual(table: KernelTable) -> ResidualReport:
     """The residual of the table's own run, ``table.sol`` at its params."""
     lat, sol, params = table.lattice, table.sol, table.params
-    if sol is None:                           # the free case: eta = 0
+    if sol.pot.is_zero:                       # no V-hat to divide by
         return ResidualReport(np.sqrt(lat.norms2), np.zeros(lat.size))
     pot, ell, lam = sol.pot, params.ell, table.lam_R2
     damp = math.exp(-params.N)
@@ -351,14 +355,17 @@ def scattering_residual(table: KernelTable) -> ResidualReport:
 def kernels_csv(table: KernelTable, renorm: RenormPotential) -> str:
     """CSV text of (n1, n2, |p|, eta_p, omega_p) under a JSON metadata
     header; the scattering length a is the table's profile's (0 for the
-    free gas, which has none)."""
+    free gas).  eta and omega_hat must be of one run's (N, alpha)."""
+    if renorm.params is not table.params:
+        raise ConsistencyError("eta table and omega_hat of different "
+                               "(N, alpha)")
     meta = {
         "N": table.params.N,
         "alpha": table.params.alpha,
         "ell": table.params.ell,
         "g_N": renorm.g_N,
         "lambda_R2": table.lam_R2,
-        "a": 0.0 if table.sol is None else table.sol.a,
+        "a": table.sol.a,
     }
     lat = table.lattice
     rows = zip(lat.ints.tolist(), np.sqrt(lat.norms2).tolist(),

@@ -9,8 +9,9 @@ numerically; outside, it is an exact combination of Bessel functions (log
 profile at zero energy), so solvers match onto the analytic tail instead
 of integrating across many decades.  The interior problem does not depend
 on the disk radius and its regular solution is entire in lambda, so
-Neumann shooting builds its power series in lambda once per potential
-(``InteriorSeries``), by Chebyshev collocation on panels.  Where the
+its power series in lambda (``InteriorSeries``) is built once per
+potential, by Chebyshev collocation on panels, with the zero-energy
+solution that carries it; Neumann shooting reads it from there.  Where the
 truncated series is not accurate (lambda r0^2 >> 1), the same collocation
 solves the interior at that lambda alone (``_fixed_lambda_interior``).
 Roots are found by Brent's method (``_brent``), the Neumann one on a
@@ -58,14 +59,14 @@ class ZeroEnergySolution(NamedTuple):
     length: the lambda = 0 term of the interior series inside the range,
     the exact log profile c log(r/a) outside it."""
 
-    a: float                      # scattering length; 0 flags the free case
+    a: float                      # scattering length; 0 for the free gas
     log_slope: float              # c in phi(r) = c log(r/a) outside the range
     pot: RadialPotential
-    series: InteriorSeries | None = None
+    series: InteriorSeries | None     # None flags the free gas
 
     @property
     def is_free(self) -> bool:
-        return self.a == 0.0
+        return self.series is None
 
     def _at(self, r):
         r = np.asarray(r, float)
@@ -86,15 +87,18 @@ class ZeroEnergySolution(NamedTuple):
 class NeumannSolution:
     """Ground state of the radial Neumann problem on a disk of radius R,
     normalized to f(R) = 1: the interior profile inside the range, the
-    exact J0/Y0 tail outside it.  ``f_at`` and ``w_at`` sum the f row of
-    the interior series and J0/Y0 alone; f' is computed only when read."""
+    exact J0/Y0 tail outside it.  ``zero``, the zero-energy solution it
+    was shot from, gives its potential and a; for the free gas f == 1.
+    ``f_at`` and ``w_at`` sum the f row of the interior series and J0/Y0
+    alone; f' is computed only when read."""
 
-    def __init__(self, lam: float, R: float, a: float, pot: RadialPotential,
+    def __init__(self, lam: float, R: float, zero: ZeroEnergySolution,
                  panels: tuple | None = None,
                  c_bessel: tuple = (0.0, 0.0), scale: float = 1.0):
-        self.lam, self.R, self.a, self.pot = lam, R, a, pot
+        self.lam, self.R, self.zero = lam, R, zero
+        self.a, self.pot = zero.a, zero.pot
         # (edges, coef): the panel Chebyshev series (P, 2, M) of (f, f')
-        # on [0, r0] at lam, before scaling; None in the free case
+        # on [0, r0] at lam, before scaling; None for the free gas
         self._panels = panels
         # the tail c1 J0 + c2 Y0, and the scale that makes f(R) = 1
         self._c_bessel, self._scale = c_bessel, scale
@@ -126,7 +130,7 @@ class NeumannSolution:
     def _at(self, r, rows: int = 2):
         """(f, f') at radii r, or (f,) for rows = 1."""
         r = np.asarray(r, float)
-        if self._panels is None:              # free case: f == 1
+        if self.zero.is_free:                 # f == 1
             return (np.ones_like(r), np.zeros_like(r))[:rows]
         k = np.sqrt(self.lam)
         c1, c2 = self._c_bessel
@@ -218,7 +222,8 @@ class InteriorSeries:
         """(a, c) of the zero-energy solution c log(r/a) beyond r0.
 
         V = 0 there, so the log form is exact and matches the lambda = 0
-        term at r0: c = r0 u_0'(r0), a = r0 exp(-u_0(r0) / c).
+        term at r0: c = r0 u_0'(r0), a = r0 exp(-u_0(r0) / c).  An a that
+        underflows to 0 is refused: a weak potential is not the free gas.
         """
         r0 = self.pot.r0
         phi, dphi = self.at_r0[:, 0]          # s_0 = u_0
@@ -226,7 +231,11 @@ class InteriorSeries:
         if not (phi > 0.0 and c > 0.0):
             raise ConsistencyError("zero-energy solution must be positive "
                                    "and rising at r0 (V >= 0)")
-        return float(r0 * np.exp(-phi / c)), float(c)
+        a = float(r0 * np.exp(-phi / c))
+        if a == 0.0:
+            raise SolverError(f"scattering length r0 exp(-phi/c) underflows "
+                              f"to 0 (r0 = {r0:.6g}, phi/c = {phi / c:.6g})")
+        return a, float(c)
 
     def panels(self, lam: float) -> tuple:
         """(edges, coef): the Chebyshev series (P, 2, M) of (f, f') on
@@ -462,40 +471,28 @@ def _fixed_lambda_interior(pot: RadialPotential, lam: float):
     return coef[-1].sum(axis=-1), (edges, coef)
 
 
-def _series_of(pot: RadialPotential,
-               series: InteriorSeries | None) -> InteriorSeries:
-    """``series`` checked to belong to ``pot``, or built when None."""
-    if series is None:
-        return interior_series(pot)
-    if series.pot is not pot:
-        raise ConsistencyError("interior series of another potential")
-    return series
-
-
-def scattering_length(pot: RadialPotential,
-                      series: InteriorSeries | None = None
-                      ) -> ZeroEnergySolution:
+def scattering_length(pot: RadialPotential) -> ZeroEnergySolution:
     """Scattering length from the regular zero-energy solution, the
-    lambda = 0 term of the interior series (built here when not
-    given); see ``InteriorSeries.log_tail``."""
+    lambda = 0 term of the interior series built here (see
+    ``InteriorSeries.log_tail``); the free gas has no series and a = 0."""
     if pot.is_zero:
-        return ZeroEnergySolution(0.0, 0.0, pot)
-    series = _series_of(pot, series)
+        return ZeroEnergySolution(0.0, 0.0, pot, None)
+    series = interior_series(pot)
     return ZeroEnergySolution(*series.log_tail(), pot, series)
 
 
-def _neumann_mismatch(series: InteriorSeries, R: float, lam: float):
+def _neumann_mismatch(zero: ZeroEnergySolution, R: float, lam: float):
     """Neumann derivative at R for given lambda, the tail coefficients and
     the interior panels (edges, coef) of (f, f'), or None where they are
     the series' own at lambda (``InteriorSeries.panels``).
 
-    The values at r0 come from the series; where its truncation check
+    The values at r0 come from zero's series; where its truncation check
     fails (lambda r0^2 >> 1) the interior is solved at this lambda alone.
     """
-    r0 = series.pot.r0
-    at_r0, panels = series.boundary(lam), None
+    r0 = zero.pot.r0
+    at_r0, panels = zero.series.boundary(lam), None
     if at_r0 is None:
-        at_r0, panels = _fixed_lambda_interior(series.pot, lam)
+        at_r0, panels = _fixed_lambda_interior(zero.pot, lam)
     k = math.sqrt(lam)
     j0k, y0k, j1k, y1k = jy01(k * r0)
     # (f, f')(r0) = (c1 J0 + c2 Y0, -k (c1 J1 + c2 Y1)) at k r0, by
@@ -596,45 +593,43 @@ def neumann_estimate(R: float, L: float) -> float:
     return (2.0 / (R * R * L)) * (1.0 + 0.75 / L)
 
 
-def neumann_ground_state(pot: RadialPotential, R: float,
-                         series: InteriorSeries | None = None
-                         ) -> NeumannSolution:
-    """Lowest Neumann eigenpair on [0, R], normalized to f(R) = 1.
+def neumann_ground_state(zero: ZeroEnergySolution,
+                         R: float) -> NeumannSolution:
+    """Lowest Neumann eigenpair on [0, R], normalized to f(R) = 1, of the
+    potential of the zero-energy solution ``zero``; lambda = 0 and f == 1
+    for the free gas.
 
     Shooting on lambda: the interior solution up to the potential range,
-    read from ``series`` (built here when not given), is matched onto
-    the exact J0/Y0 tail, and the boundary derivative is driven to zero by
-    bracketing + Brent.  The ground state is certified by the absence of
-    interior sign changes.
+    read from zero's series, is matched onto the exact J0/Y0 tail, and
+    the boundary derivative is driven to zero by bracketing + Brent from
+    an estimate by zero's a.  The ground state is certified by the
+    absence of interior sign changes.
     """
-    r0 = pot.r0
-    if R <= r0 and not pot.is_zero:
+    if zero.is_free:
+        return NeumannSolution(0.0, R, zero)
+    r0 = zero.pot.r0
+    if R <= r0:
         raise SolverError(f"Neumann radius {R} must exceed the range {r0}")
-    if pot.is_zero:
-        return NeumannSolution(0.0, R, 0.0, pot)
-
-    series = _series_of(pot, series)
-    a, _ = series.log_tail()
-    L = np.log(R / a)
+    L = np.log(R / zero.a)
     if L <= 0:
         raise SolverError("R must exceed the scattering length")
     lam_est = neumann_estimate(R, L)
 
     # one evaluation per distinct lambda: Brent starts at the bracket
     # ends of the search and the tail is read at its root
-    mismatch = cache(partial(_neumann_mismatch, series, R))
+    mismatch = cache(partial(_neumann_mismatch, zero, R))
     lam = _bracket_root(lambda t: mismatch(t)[0], lam_est)
 
     _, (c1, c2), panels = mismatch(lam)
     if panels is None:
-        panels = series.panels(lam)
+        panels = zero.series.panels(lam)
     j0R, y0R = jy(math.sqrt(lam) * R, 0)
     fR = c1 * j0R + c2 * y0R
     if fR == 0.0:
         raise SolverError("degenerate boundary value")
     scale = 1.0 / fR
 
-    sol = NeumannSolution(float(lam), R, a, pot, panels, (c1, c2),
+    sol = NeumannSolution(float(lam), R, zero, panels, (c1, c2),
                           float(scale))
     f_vals = sol.f_nodes
     if np.any(np.diff(np.sign(f_vals[f_vals != 0.0])) != 0):
@@ -717,7 +712,7 @@ def trial_upper_bound(oracle: TrialOracle, zero_sol: ZeroEnergySolution) -> floa
 
 
 def validate_neumann_asymptotics(sol: NeumannSolution) -> AsymptoticsReport:
-    if sol.pot.is_zero or sol.a == 0.0:
+    if sol.zero.is_free:
         return AsymptoticsReport(0.0, 0.0, 0.0, 0.0, np.inf)
     R, a = sol.R, sol.a
     L = np.log(R / a)

@@ -11,10 +11,15 @@ def step_pot():
 
 
 @pytest.fixture(scope="session")
-def step_a(step_pot):
-    return scattering_length(step_pot).a
+def step_zero(step_pot):
+    return scattering_length(step_pot)
 
 
 @pytest.fixture(scope="session")
-def neumann_r50(step_pot):
-    return neumann_ground_state(step_pot, 50.0)
+def step_a(step_zero):
+    return step_zero.a
+
+
+@pytest.fixture(scope="session")
+def neumann_r50(step_zero):
+    return neumann_ground_state(step_zero, 50.0)

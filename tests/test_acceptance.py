@@ -34,9 +34,9 @@ def report(number, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def radius_sweep(step_pot):
+def radius_sweep(step_zero):
     t0 = time.perf_counter()
-    sols = {R: neumann_ground_state(step_pot, R)
+    sols = {R: neumann_ground_state(step_zero, R)
             for R in (1.0e3, 1.0e4, 1.0e5, 1.0e6)}
     reports = {R: validate_neumann_asymptotics(s) for R, s in sols.items()}
     return reports, time.perf_counter() - t0
@@ -74,13 +74,13 @@ def test_acceptance_3_scattering_length_oracle():
                   f"{elapsed:.2f}s (<5s)")
 
 
-def test_acceptance_4_kernel_bounds(step_pot):
+def test_acceptance_4_kernel_bounds(step_zero):
     t0 = time.perf_counter()
     lat = build_lattice(TWO_PI * 12)
     sups, norms, resid = [], [], []
     for n in (8, 10, 12, 14):
         params = GPParameters(n, 3.0)
-        sol = neumann_ground_state(step_pot, params.R)
+        sol = neumann_ground_state(step_zero, params.R)
         table = eta_coefficients(sol, params, lat, per_efold=12)
         rep = scattering_residual(table)
         sups.append(kernel_sup_product(sol, params,
@@ -100,14 +100,14 @@ def test_acceptance_4_kernel_bounds(step_pot):
            f"{elapsed:.1f}s (<120s)")
 
 
-def test_acceptance_5_renormalized_potential(step_pot):
+def test_acceptance_5_renormalized_potential(step_zero):
     t0 = time.perf_counter()
     alpha = 1.5
     lat = build_lattice(TWO_PI * 4)
     devs, gaps = [], []
     for n in range(10, 41):
         params = GPParameters(n, alpha)
-        sol = neumann_ground_state(step_pot, params.R)
+        sol = neumann_ground_state(step_zero, params.R)
         renorm = renormalized_potential(params, sol.lam_R2, lat)
         target = 4.0 * math.pi * (1.0 + alpha * math.log(n) / n)
         devs.append(abs(renorm.omega0 - target) * n)
@@ -124,11 +124,11 @@ def test_acceptance_5_renormalized_potential(step_pot):
            f"N=10..40, {elapsed:.1f}s (<120s)")
 
 
-def test_acceptance_6_exact_algebra(step_pot):
+def test_acceptance_6_exact_algebra(step_pot, step_zero):
     t0 = time.perf_counter()
     n_particles = 3
     params = GPParameters(n_particles, 2.5)
-    sol = neumann_ground_state(step_pot, params.R)
+    sol = neumann_ground_state(step_zero, params.R)
     lat = build_lattice(TWO_PI * 8)
     table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
@@ -179,7 +179,7 @@ def test_acceptance_6_exact_algebra(step_pot):
 
 def _audit_constants(step_pot, n_particles, cap, lat):
     params = GPParameters(n_particles, 2.5)
-    sol = neumann_ground_state(step_pot, params.R)
+    sol = neumann_ground_state(scattering_length(step_pot), params.R)
     table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), cap)
@@ -240,7 +240,7 @@ def test_acceptance_7_inequality_audits(step_pot, step_a):
                   f"({'; '.join(details)}), {elapsed:.1f}s (<300s)")
 
 
-def test_acceptance_8_energy_trajectory(step_pot, tmp_path):
+def test_acceptance_8_energy_trajectory(step_pot, step_zero, tmp_path):
     t0 = time.perf_counter()
     alpha = 1.5
     cfg = RunConfig(alpha=alpha, n_min=10, n_max=60, n_step=2,
@@ -255,7 +255,7 @@ def test_acceptance_8_energy_trajectory(step_pot, tmp_path):
     sandwich_ok = True
     for n_particles in range(3, cfg.fock_n_max + 1):
         params = GPParameters(n_particles, cfg.fock_alpha)
-        sol = neumann_ground_state(step_pot, params.R)
+        sol = neumann_ground_state(step_zero, params.R)
         renorm = renormalized_potential(params, sol.lam_R2, lat)
         basis = build_basis(shell_modes(4), n_particles)
         ops = effective_hamiltonians(basis, renorm, step_pot)

@@ -27,9 +27,9 @@ def diag_op(values, tag="D"):
 
 
 @pytest.fixture(scope="module")
-def audit_setup(step_pot):
+def audit_setup(step_pot, step_zero):
     params = GPParameters(3, 2.5)
-    sol = neumann_ground_state(step_pot, params.R)
+    sol = neumann_ground_state(step_zero, params.R)
     lat = build_lattice(TWO_PI * 8)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
     basis = build_basis(shell_modes(4), 3)
@@ -228,7 +228,9 @@ def shell_lower_bound(request):
     batched eigvalsh and cholesky calls it made."""
     cfg = RunConfig(shell=request.param)
     pipe = Pipeline(cfg)
-    basis, ops = pipe.hamiltonians(4, cfg.fock_alpha)
+    basis = pipe.basis(4)
+    ops = effective_hamiltonians(basis, pipe.renorm(4, cfg.fock_alpha),
+                                 pipe.pot)
     seen, calls = {}, {"eigvalsh": [], "cholesky": []}
     certify = audits.min_constant
     solvers = {name: getattr(audits, name) for name in calls}
@@ -266,7 +268,9 @@ def test_lower_bound_pencil_equals_operator_sums(shell_lower_bound):
     shell, _, _, lhs, (rhs,), _ = shell_lower_bound
     cfg = RunConfig(shell=shell)
     pipe = Pipeline(cfg)
-    basis, ops = pipe.hamiltonians(4, cfg.fock_alpha)
+    basis = pipe.basis(4)
+    ops = effective_hamiltonians(basis, pipe.renorm(4, cfg.fock_alpha),
+                                 pipe.pot)
     N, logN = 4, math.log(4)
     one = diagonal_in_total(basis, lambda n: 1.0, "1")
     sums = (

@@ -16,8 +16,8 @@ from gp2d.audits import (commutator_residual, localization_check,
 from gp2d.cli import main, write_manifest
 from gp2d.config import RunConfig, fingerprint
 from gp2d.energy import Pipeline, sweep_grid
-from gp2d.fock import (LinearOperator, build_basis, ladder, number_operator,
-                       shell_modes)
+from gp2d.fock import (LinearOperator, build_basis, effective_hamiltonians,
+                       ladder, number_operator, shell_modes)
 
 FAST = """\
 N_min = 10
@@ -154,7 +154,7 @@ def test_all_computes_each_quantity_once(tmp_path, fast_cfg, monkeypatch):
 def test_all_integrates_interior_once(tmp_path, fast_cfg, monkeypatch):
     solves, builds = [], []
     original_fixed = scattering._fixed_lambda_interior
-    original_series = energy.interior_series
+    original_series = scattering.interior_series
 
     def counted_fixed(*args):
         solves.append(args[1])
@@ -165,13 +165,43 @@ def test_all_integrates_interior_once(tmp_path, fast_cfg, monkeypatch):
         return original_series(pot)
 
     monkeypatch.setattr(scattering, "_fixed_lambda_interior", counted_fixed)
-    monkeypatch.setattr(energy, "interior_series", counted_series)
+    monkeypatch.setattr(scattering, "interior_series", counted_series)
     assert run(["all", "--config", fast_cfg, "--out", tmp_path / "o"]) == 0
     # the interior lambda-series, built once by collocation: the
     # zero-energy solution is its lambda = 0 term, and none of the nine
     # Neumann radii solves its own interior at a fixed lambda
     assert len(builds) == 1
     assert solves == []
+
+
+def test_all_computes_the_scattering_length_once(tmp_path, monkeypatch):
+    # a is read from the zero-energy solution by every Neumann solve: a
+    # default run computes it once, not once per solve
+    tails = []
+    original = scattering.InteriorSeries.log_tail
+
+    def counted(self):
+        tails.append(self.pot)
+        return original(self)
+
+    monkeypatch.setattr(scattering.InteriorSeries, "log_tail", counted)
+    assert run(["all", "--out", tmp_path / "o"]) == 0
+    assert len(tails) == 1
+
+
+def test_all_refuses_a_scattering_length_that_underflows(tmp_path, capsys):
+    # at v0 = 1e-4, a = r0 exp(-phi/c) is below the smallest double: each
+    # command fails on its own error line and the manifest is written
+    path = tmp_path / "weak.cfg"
+    path.write_text(FAST + "v0 = 1e-4\n")
+    out = tmp_path / "out"
+    assert run(["all", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["commands"].values()) == {"fail"}
+    for name in manifest["commands"]:
+        assert f"{name}: error: scattering length" in err
 
 
 def test_all_builds_each_basis_once(tmp_path, monkeypatch):
@@ -196,14 +226,14 @@ LAZY_SCIPY_SCRIPT = """
 import json, sys
 from gp2d.cli import main
 from gp2d.potentials import step
-from gp2d.scattering import neumann_ground_state
+from gp2d.scattering import neumann_ground_state, scattering_length
 fast, shell8, out = sys.argv[1:]
 for args in (["all", "--config", fast, "--out", out + "/all"],
              ["lower-bound", "--config", shell8, "--out", out + "/s8"],
              ["energy-sweep", "--config", shell8, "--out", out + "/s8"]):
     if main(args + ["--threads", "1"]) != 0:
         sys.exit(f"{args[0]} failed")
-neumann_ground_state(step(2000.0, 1.0), 1.05)
+neumann_ground_state(scattering_length(step(2000.0, 1.0)), 1.05)
 print(json.dumps(sorted(
     name for name in sys.modules
     if name == "scipy" or name.startswith("scipy.")
@@ -289,7 +319,9 @@ def test_fock_audit_commutators_match_dense(shell):
     # reports
     cfg = RunConfig(shell=shell)
     pipe = Pipeline(cfg)
-    basis, ops = pipe.hamiltonians(3, cfg.fock_alpha)
+    basis = pipe.basis(3)
+    ops = effective_hamiltonians(basis, pipe.renorm(3, cfg.fock_alpha),
+                                 pipe.pot)
     rep = localization_check(ops["R_eff"], basis, 3 ** 0.8, ops["H_N"],
                              pipe.params(3, cfg.fock_alpha))
     assert rep.identity_residual == localization_identity(

@@ -48,12 +48,12 @@ def test_ground_state_depletion_range(step_pot):
     assert 0.0 <= depletion <= 1.0
 
 
-def test_ground_state_blockwise_matches_dense(step_pot):
+def test_ground_state_blockwise_matches_dense(step_pot, step_zero):
     # the lowest eigenpair over the momentum sectors is the lowest of the
     # whole matrix
     from gp2d.scattering import neumann_ground_state
     params = GPParameters(3, 2.5)
-    sol = neumann_ground_state(step_pot, params.R)
+    sol = neumann_ground_state(step_zero, params.R)
     renorm = renormalized_potential(params, sol.lam_R2,
                                     build_lattice(TWO_PI * 8))
     basis = build_basis(shell_modes(8), 3)
@@ -101,7 +101,9 @@ def test_compute_record_builds_r_eff_alone(monkeypatch):
     rec = compute_record(pipe, 3, SMALL.fock_alpha, True)
     assert built == ["R_eff"]
     # the same R_eff as the one effective_hamiltonians builds with H_N
-    basis, ops = pipe.hamiltonians(3, SMALL.fock_alpha)
+    basis = pipe.basis(3)
+    ops = effective_hamiltonians(basis, pipe.renorm(3, SMALL.fock_alpha),
+                                 pipe.pot)
     E0, _, depletion = ground_state(ops["R_eff"], basis)
     assert (rec.dim, rec.E0, rec.depletion) == (basis.dim, E0, depletion)
 
@@ -316,6 +318,26 @@ def test_no_function_takes_a_second_copy_of_its_parameters():
         kernels.scattering_residual).parameters) == ["table"]
     assert list(inspect.signature(
         kernels.kernels_csv).parameters) == ["table", "renorm"]
+
+
+def test_scattering_chain_passes_solutions_not_their_parts():
+    # the Neumann profile reads its potential, series and a from the
+    # zero-energy solution, and the eta table its lambda R^2 from the
+    # profile, so none of them is handed a part beside its solution
+    for module in (audits, cli, config, energy, fock, kernels, lattice,
+                   potentials, scattering):
+        for name, func in vars(module).items():
+            if (inspect.isfunction(func)
+                    and func.__module__ == module.__name__):
+                assert "series" not in inspect.signature(func).parameters, \
+                    f"{module.__name__}.{name}"
+    assert list(inspect.signature(
+        scattering.neumann_ground_state).parameters) == ["zero", "R"]
+    assert "lam_R2" not in inspect.signature(kernels.KernelTable).parameters
+    assert not hasattr(Pipeline, "series")
+    pipe = Pipeline(SMALL)
+    assert pipe.neumann(12, SMALL.alpha).zero is pipe.zero
+    assert pipe.table(12, SMALL.alpha).sol is pipe.neumann(12, SMALL.alpha)
 
 
 def test_pipeline_refuses_an_overflowing_range_at_its_first_bad_point(

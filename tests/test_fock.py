@@ -30,9 +30,9 @@ N = 3
 
 
 @pytest.fixture(scope="module")
-def fock_setup(step_pot):
+def fock_setup(step_zero):
     params = GPParameters(N, 2.5)
-    sol = neumann_ground_state(step_pot, params.R)
+    sol = neumann_ground_state(step_zero, params.R)
     lat = build_lattice(TWO_PI * 8)
     table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)

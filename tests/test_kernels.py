@@ -8,7 +8,9 @@ from scipy.special import j0, j1
 
 from gp2d import kernels
 from gp2d.cli import main
-from gp2d.errors import ConfigError, SizeError
+from gp2d.config import RunConfig
+from gp2d.energy import Pipeline
+from gp2d.errors import ConfigError, ConsistencyError, SizeError
 from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
                           chi_hat, eta_coefficients, eta_profile,
                           kernel_sup_product, kernels_csv,
@@ -17,13 +19,13 @@ from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.potentials import free as free_pot
 from gp2d.potentials import gaussian_bump, save_table, step
-from gp2d.scattering import neumann_ground_state
+from gp2d.scattering import neumann_ground_state, scattering_length
 
 
 @pytest.fixture(scope="module")
-def kernel_setup(step_pot):
+def kernel_setup(step_zero):
     params = GPParameters(8, 3.0)
-    sol = neumann_ground_state(step_pot, params.R)
+    sol = neumann_ground_state(step_zero, params.R)
     lat = build_lattice(TWO_PI * 8)
     table = eta_coefficients(sol, params, lat)
     renorm = renormalized_potential(params, sol.lam_R2, lat)
@@ -100,10 +102,10 @@ def test_eta_symmetry_is_exact(kernel_setup):
     assert table.eta_at(2, 1) == table.eta_at(1, 2)
 
 
-def test_parseval_norm_saturates(step_pot):
+def test_parseval_norm_saturates(step_zero):
     # at a generous cutoff the lattice sum approaches the position-space norm
     params = GPParameters(3, 2.5)
-    sol = neumann_ground_state(step_pot, params.R)
+    sol = neumann_ground_state(step_zero, params.R)
     lat = build_lattice(TWO_PI * 24)
     table = eta_coefficients(sol, params, lat)
     lattice_norm = np.linalg.norm(table.eta)
@@ -146,12 +148,12 @@ def test_renormalized_potential_values(kernel_setup):
     assert renorm.omega_at(p) == pytest.approx(want, rel=1e-12)
 
 
-def test_omega_zero_mode_near_coupling_asymptote(step_pot):
+def test_omega_zero_mode_near_coupling_asymptote(step_zero):
     # omega0 approaches 4*pi*(1 + alpha*log N / N) as N grows
     devs = []
     for n in (10, 30):
         params = GPParameters(n, 1.0)
-        sol = neumann_ground_state(step_pot, params.R)
+        sol = neumann_ground_state(step_zero, params.R)
         ren = renormalized_potential(params, sol.lam_R2,
                                      build_lattice(TWO_PI * 2))
         target = 4 * math.pi * (1 + math.log(n) / n)
@@ -259,9 +261,42 @@ def test_norm2_on_first_read_as_computed_eagerly(kernel_setup, per_efold):
     assert table.per_efold == per_efold and "norm2" not in vars(table)
     total = params.N ** 2 * w_squared_integral(sol, params, per_efold)
     assert table.norm2 == math.sqrt(max(total - table.eta0 ** 2, 0.0))
-    free = eta_coefficients(neumann_ground_state(free_pot(), params.R),
-                            params, lat)
+    free = eta_coefficients(
+        neumann_ground_state(scattering_length(free_pot()), params.R),
+        params, lat)
     assert free.norm2 == 0.0
+
+
+def test_free_table_carries_its_profile(kernel_setup):
+    # the free gas's eta table holds its Neumann profile, f == 1, and its
+    # norm2, residual and CSV are those of eta = 0 with a = 0
+    params, _, lat, _, _ = kernel_setup
+    sol = neumann_ground_state(scattering_length(free_pot()), params.R)
+    table = eta_coefficients(sol, params, lat)
+    assert table.sol is sol and table.lam_R2 == 0.0
+    assert table.eta0 == 0.0 and not table.eta.any()
+    assert table.norm2 == 0.0
+    rep = scattering_residual(table)
+    np.testing.assert_array_equal(rep.p_norms, np.sqrt(lat.norms2))
+    np.testing.assert_array_equal(rep.residual_rel, np.zeros(lat.size))
+    renorm = renormalized_potential(params, table.lam_R2, lat)
+    meta = {"N": params.N, "alpha": params.alpha, "ell": params.ell,
+            "g_N": 0.0, "lambda_R2": 0.0, "a": 0.0}
+    norms = np.sqrt(lat.norms2)
+    want = ("# " + json.dumps(meta, sort_keys=True) + "\n"
+            + "n1,n2,p,eta_p,omega_p\n"
+            + "".join(f"{lat.ints[i, 0]},{lat.ints[i, 1]},{norms[i]:.17g},"
+                      f"0,{renorm.omega[i]:.17g}\n" for i in range(lat.size)))
+    assert kernels_csv(table, renorm) == want
+
+
+def test_kernels_csv_refuses_a_table_and_omega_of_two_runs():
+    # N = 10's eta under N = 12's g_N and omega column is refused, not
+    # written with N = 10's metadata
+    pipe = Pipeline(RunConfig())
+    with pytest.raises(ConsistencyError, match="different"):
+        kernels_csv(pipe.table(10, 1.5), pipe.renorm(12, 1.5))
+    kernels_csv(pipe.table(12, 1.5), pipe.renorm(12, 1.5))
 
 
 def test_gp2d_all_computes_no_norm2(tmp_path, monkeypatch):

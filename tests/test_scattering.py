@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import i0, i0e, i1, i1e, j0, j1, y0, y1
 
 from gp2d import bessel, scattering
-from gp2d.errors import ConsistencyError, SolverError
+from gp2d.errors import Gp2dError, SolverError
 from gp2d.potentials import free, gaussian_bump, step, tabulated
 from gp2d.scattering import (InteriorSeries, interior_series,
                              neumann_ground_state, potential_integral,
@@ -55,13 +55,13 @@ def step_neumann_lambda(v0, b, R, lo, hi):
     return brentq(mismatch, lo, hi, rtol=8.9e-16, xtol=1e-280)
 
 
-def direct_shooting(pot, R, series, monkeypatch):
+def direct_shooting(zero, R, monkeypatch):
     """The Neumann solution with the series' truncation check failed at
     every lambda, which forces the fixed-lambda path: the interior is
     solved at each lambda alone, the fallback taken everywhere."""
     with monkeypatch.context() as m:
         m.setattr(InteriorSeries, "boundary", lambda self, lam: None)
-        return neumann_ground_state(pot, R, series=series)
+        return neumann_ground_state(zero, R)
 
 
 SERIES_POTENTIALS = {"step 2/1": step(2.0, 1.0),
@@ -71,7 +71,7 @@ SERIES_POTENTIALS = {"step 2/1": step(2.0, 1.0),
 
 @pytest.fixture(scope="module")
 def series_cases():
-    return {name: (pot, interior_series(pot))
+    return {name: scattering_length(pot)
             for name, pot in SERIES_POTENTIALS.items()}
 
 
@@ -94,6 +94,29 @@ def test_bump_scattering_length_frozen_oracle():
 def test_free_scattering_length_is_zero():
     sol = scattering_length(free())
     assert sol.a == 0.0
+
+
+@pytest.mark.parametrize("v0", [3e-3, 1e-4])
+def test_scattering_length_that_underflows_is_refused(v0):
+    # a = r0 exp(-phi/c) is below the smallest double: the weak step is
+    # refused, not reported as the free gas with a = 0
+    with pytest.raises(Gp2dError, match=r"underflows .*r0 = 1, phi/c = "):
+        scattering_length(step(v0, 1.0))
+
+
+def test_neumann_of_the_free_gas(step_zero):
+    # the free gas is flagged by its missing series alone: lambda = 0 and
+    # f == 1 on the whole disk
+    zero = scattering_length(free())
+    assert zero.is_free and zero.series is None
+    assert not step_zero.is_free
+    sol = neumann_ground_state(zero, 50.0)
+    assert sol.zero is zero and sol.pot is zero.pot and sol.a == 0.0
+    assert sol.lam == 0.0 and sol.lam_R2 == 0.0
+    r = np.concatenate((np.linspace(0.0, 1.0, 11), np.geomspace(1.0, 50, 11)))
+    assert np.all(sol.f_at(r) == 1.0) and np.all(sol.w_at(r) == 0.0)
+    assert np.all(sol.f_prime_at(r) == 0.0)
+    assert validate_neumann_asymptotics(sol).L == math.inf
 
 
 def test_zero_energy_profile_log_tail(step_pot):
@@ -143,9 +166,9 @@ def test_potential_integral_quadrature_oracle(step_pot, neumann_r50):
     assert potential_integral(neumann_r50) == pytest.approx(want, rel=1e-9)
 
 
-def test_trial_wavenumber_matches_eigenvalue(step_pot, step_a):
+def test_trial_wavenumber_matches_eigenvalue(step_zero, step_a):
     R = 1.0e3
-    sol = neumann_ground_state(step_pot, R)
+    sol = neumann_ground_state(step_zero, R)
     oracle = trial_wavenumber(R, step_a)
     # outside the interaction range the true mode is the Bessel trial mode
     assert oracle.k ** 2 == pytest.approx(sol.lam, rel=1e-6)
@@ -154,14 +177,14 @@ def test_trial_wavenumber_matches_eigenvalue(step_pot, step_a):
 def test_trial_upper_bound_sits_above_eigenvalue(step_pot, step_a):
     zero_sol = scattering_length(step_pot)
     for R in (1.0e3, 1.0e4):
-        sol = neumann_ground_state(step_pot, R)
+        sol = neumann_ground_state(zero_sol, R)
         ub = trial_upper_bound(trial_wavenumber(R, step_a), zero_sol)
         assert ub >= sol.lam * (1.0 - 1e-12)
         assert ub <= sol.lam * (1.0 + 1e-6)
 
 
-def test_asymptotics_report_finite(step_pot, step_a):
-    sol = neumann_ground_state(step_pot, 1.0e3)
+def test_asymptotics_report_finite(step_zero, step_a):
+    sol = neumann_ground_state(step_zero, 1.0e3)
     rep = validate_neumann_asymptotics(sol)
     for val in (rep.e1, rep.e2, rep.e3, rep.e4):
         assert math.isfinite(val) and val > 0
@@ -177,17 +200,18 @@ def test_export_solution_csv(neumann_r50):
     assert data[-1, 1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_neumann_requires_radius_beyond_range(step_pot):
+def test_neumann_requires_radius_beyond_range(step_zero):
     with pytest.raises(SolverError):
-        neumann_ground_state(step_pot, 0.5)
+        neumann_ground_state(step_zero, 0.5)
 
 
 @pytest.mark.parametrize("name", sorted(SERIES_POTENTIALS))
 @pytest.mark.parametrize("R", [1.3, 4.0, 1.0e3, 1.0e15])
 def test_series_matches_direct_shooting(series_cases, name, R, monkeypatch):
-    pot, series = series_cases[name]
-    sol = neumann_ground_state(pot, R, series=series)
-    ref = direct_shooting(pot, R, series, monkeypatch)
+    zero = series_cases[name]
+    pot = zero.pot
+    sol = neumann_ground_state(zero, R)
+    ref = direct_shooting(zero, R, monkeypatch)
     assert sol.lam == pytest.approx(ref.lam, rel=1e-10)
     r = np.concatenate((np.linspace(0.0, pot.r0, 41),
                         np.geomspace(pot.r0, R, 41)))
@@ -202,7 +226,7 @@ def test_series_matches_direct_shooting(series_cases, name, R, monkeypatch):
 def test_series_step_interior_is_i0(v0, b, R):
     # inside the step, f is proportional to I0(kappa r), kappa^2 = v0/2 - lam
     pot = step(v0, b)
-    sol = neumann_ground_state(pot, R)
+    sol = neumann_ground_state(scattering_length(pot), R)
     kappa = math.sqrt(v0 / 2.0 - sol.lam)
     r = np.linspace(0.0, b, 51)
     fb = sol.f_at(np.array([b]))[0]
@@ -219,7 +243,8 @@ def test_series_falls_back_to_direct_shooting(monkeypatch):
     # lambda r0^2 ~ 77 at the root: the truncated series fails its check,
     # so the values at r0 and the interior profile are solved at lam alone
     pot, R = step(200.0, 1.0), 1.05
-    series = interior_series(pot)
+    zero = scattering_length(pot)
+    series = zero.series
     shots = []
     original = scattering._fixed_lambda_interior
 
@@ -228,7 +253,7 @@ def test_series_falls_back_to_direct_shooting(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(scattering, "_fixed_lambda_interior", counted)
-    sol = neumann_ground_state(pot, R, series=series)
+    sol = neumann_ground_state(zero, R)
     assert series.boundary(sol.lam) is None
     assert shots and sol.lam * pot.r0 ** 2 > 50.0
     want = step_neumann_lambda(200.0, 1.0, R, 0.9 * sol.lam, 1.1 * sol.lam)
@@ -247,7 +272,7 @@ def test_neumann_solves_each_lambda_once(monkeypatch):
     # The scan, Brent (which starts at the scan's bracket ends) and the
     # tail at the root share one solve per distinct lambda.
     pot, R = step(2000.0, 1.0), 1.05
-    series = interior_series(pot)
+    zero = scattering_length(pot)
     lams = []
     original = scattering._fixed_lambda_interior
 
@@ -256,13 +281,13 @@ def test_neumann_solves_each_lambda_once(monkeypatch):
         return original(pot, lam)
 
     monkeypatch.setattr(scattering, "_fixed_lambda_interior", counted)
-    sol = neumann_ground_state(pot, R, series=series)
+    sol = neumann_ground_state(zero, R)
     assert len(lams) > 10 and len(lams) == len(set(lams))
     assert sol.lam in lams
     # the root is bitwise that of one solve per evaluation
     monkeypatch.setattr(scattering, "cache", lambda f: f)
     lams.clear()
-    assert neumann_ground_state(pot, R, series=series).lam == sol.lam
+    assert neumann_ground_state(zero, R).lam == sol.lam
     assert len(lams) > len(set(lams))
 
 
@@ -331,20 +356,12 @@ def test_direct_shooting_restarts_at_table_kinks():
         node_to_node(KINKED, 0.0), rtol=1e-11)
 
 
-def test_series_of_another_potential_rejected(step_pot):
-    other = interior_series(step(2.0, 1.0))
-    with pytest.raises(ConsistencyError):
-        neumann_ground_state(step_pot, 50.0, series=other)
-    with pytest.raises(ConsistencyError):
-        scattering_length(step_pot, series=other)
-
-
-def test_neumann_without_sign_change_raises(step_pot, monkeypatch):
+def test_neumann_without_sign_change_raises(step_zero, monkeypatch):
     # a mismatch of one sign over the whole scan has no root to report
     monkeypatch.setattr(scattering, "_neumann_mismatch",
-                        lambda series, R, lam: (1.0, (1.0, 0.0), None))
+                        lambda zero, R, lam: (1.0, (1.0, 0.0), None))
     with pytest.raises(SolverError, match="no sign change"):
-        neumann_ground_state(step_pot, 50.0)
+        neumann_ground_state(step_zero, 50.0)
 
 
 # lambda r0^2 from 0 to 30; the truncation check declines only above 25
@@ -457,14 +474,14 @@ def test_brent_matches_scipy_brentq(xtol, rtol, c, amp, freq, growth, lo,
     assert got.hex() == float(want).hex()
 
 
-def test_root_finds_match_scipy_brentq(step_pot, step_a, monkeypatch):
+def test_root_finds_match_scipy_brentq(step_zero, step_a, monkeypatch):
     # both of the module's root finds, with brentq in place of _brent
-    sol = neumann_ground_state(step_pot, 50.0)
+    sol = neumann_ground_state(step_zero, 50.0)
     oracle = trial_wavenumber(1.0e3, step_a)
     monkeypatch.setattr(
         scattering, "_brent",
         lambda f, a, b, xtol, rtol: brentq(f, a, b, xtol=xtol, rtol=rtol))
-    assert neumann_ground_state(step_pot, 50.0).lam == sol.lam
+    assert neumann_ground_state(step_zero, 50.0).lam == sol.lam
     assert trial_wavenumber(1.0e3, step_a).k == oracle.k
 
 
@@ -538,7 +555,7 @@ def probe_radii(r0, R):
 def fallback_sol():
     # the lambda r0^2 >> 1 case: the interior profile is solved at lambda
     pot = step(200.0, 1.0)
-    return neumann_ground_state(pot, 1.05, series=interior_series(pot))
+    return neumann_ground_state(scattering_length(pot), 1.05)
 
 
 @pytest.mark.parametrize("which", ["series", "ode"])
@@ -563,10 +580,10 @@ def test_f_alone_bitwise_as_with_f_prime(which, neumann_r50, fallback_2000):
         assert same_bits(sol.w_at(r), 1.0 - f)
 
 
-def test_profile_on_the_nodes_is_kept_read_only(step_pot):
+def test_profile_on_the_nodes_is_kept_read_only(step_zero):
     # the ground-state certificate evaluates f on the nodes once; every
     # reader shares the two arrays, so neither can be written through
-    sol = neumann_ground_state(step_pot, 50.0)
+    sol = neumann_ground_state(step_zero, 50.0)
     assert {"nodes", "f_nodes"} <= set(vars(sol))
     assert sol.nodes is sol.nodes and sol.f_nodes is sol.f_nodes
     assert not sol.nodes.flags.writeable
@@ -636,7 +653,7 @@ def fallback_2000():
     # lambda r0^2 ~ 340: the interior at the root is solved at lambda alone
     # on several panels
     pot = step(2000.0, 1.0)
-    return neumann_ground_state(pot, 1.05, series=interior_series(pot))
+    return neumann_ground_state(scattering_length(pot), 1.05)
 
 
 def panel_sums(pot, lam):
@@ -684,17 +701,16 @@ def test_clenshaw_bits_do_not_depend_on_the_batch(fallback_2000):
 
 # --- the outward bracket against the scan up from 1e-3 lam_est ------------
 
-def scan_root(series, R):
+def scan_root(zero, R):
     """lambda from the earlier bracket, a 72-point scan up from 1e-3 times
     the estimate, and the number of mismatches it evaluates."""
-    a, _ = series.log_tail()
-    L = math.log(R / a)
+    L = math.log(R / zero.a)
     lam_est = (2.0 / (R * R * L)) * (1.0 + 0.75 / L)
     seen = {}
 
     def g(lam):
         if lam not in seen:
-            seen[lam] = scattering._neumann_mismatch(series, R, lam)[0]
+            seen[lam] = scattering._neumann_mismatch(zero, R, lam)[0]
         return seen[lam]
 
     scan = lam_est * np.concatenate((np.geomspace(1e-3, 0.5, 12),
@@ -711,38 +727,37 @@ BRACKET_RADII = [1.05, 1.3, 10.0, 1.0e3, 1.0e6, 1.0e15, 1.0e30]
 
 @pytest.mark.parametrize("v0", [2000.0, 200.0, 10.0, 1.0])
 def test_outward_bracket_matches_scan(v0, monkeypatch):
-    pot = step(v0, 1.0)
-    series = interior_series(pot)
+    zero = scattering_length(step(v0, 1.0))
     calls = []
     original = scattering._neumann_mismatch
 
-    def counted(series, R, lam):
+    def counted(zero, R, lam):
         calls.append(lam)
-        return original(series, R, lam)
+        return original(zero, R, lam)
 
     for R in BRACKET_RADII:
-        want, scanned = scan_root(series, R)
+        want, scanned = scan_root(zero, R)
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(scattering, "_neumann_mismatch", counted)
-            got = neumann_ground_state(pot, R, series=series).lam
+            got = neumann_ground_state(zero, R).lam
         assert abs(got - want) <= 4.0 * np.finfo(float).eps * want, R
         assert len(calls) == len(set(calls)) <= min(16, scanned), R
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_outward_bracket_stays_in_its_window(sign, step_pot, monkeypatch):
+def test_outward_bracket_stays_in_its_window(sign, step_zero, monkeypatch):
     # a mismatch of one sign: the search walks to the end of the window on
     # the side the sign points to, by the fixed ratio, and raises there
     seen = []
 
-    def one_sign(series, R, lam):
+    def one_sign(zero, R, lam):
         seen.append(lam)
         return sign, (1.0, 0.0), None
 
     monkeypatch.setattr(scattering, "_neumann_mismatch", one_sign)
     with pytest.raises(SolverError, match="no sign change"):
-        neumann_ground_state(step_pot, 50.0)
+        neumann_ground_state(step_zero, 50.0)
     lo, hi = (w * seen[0] for w in scattering._BRACKET_WINDOW)
     assert seen[-1] == (hi if sign > 0 else lo)
     walk = np.array(seen[:-1])                # from the estimate, unclipped

@@ -5,8 +5,10 @@ fails here."""
 import importlib.util
 from pathlib import Path
 
+import pytest
 from numpy.linalg import eigh, eigvalsh
 
+from gp2d import bessel
 from gp2d.config import RunConfig
 from gp2d.energy import Pipeline
 from gp2d.fock import r_effective_hamiltonian
@@ -32,3 +34,17 @@ def test_fock_layer_timing_one_run():
     assert run["e0"] == op.lowest(eigvalsh, eigh)[0]
     assert run["blocks"] <= run["sectors"]
     assert run["build_s"] >= 0.0 and run["lowest_s"] >= 0.0
+
+
+def test_fit_bessel_tables_prints_the_package_tables(capsys, monkeypatch):
+    # the tables in gp2d.bessel are the generator's output, bit for bit
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mpmath.mp, "dps", mpmath.mp.dps)   # the tool sets it
+    load_tool("fit_bessel_tables").main()
+    printed = {}
+    exec(capsys.readouterr().out, {}, printed)
+    names = ["_A0", "_A1", "_B0", "_B1", "_P0", "_Q0", "_P1", "_Q1"]
+    assert sorted(printed) == sorted(names)
+    for name in names:
+        assert ([c.hex() for c in printed[name]]
+                == [c.hex() for c in getattr(bessel, name)]), name
