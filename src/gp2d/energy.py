@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -21,7 +20,7 @@ from .kernels import (GPParameters, KernelTable, RenormPotential,
                       eta_coefficients, renormalized_potential)
 from .lattice import MomentumLattice, build_lattice
 from .potentials import RadialPotential
-from .scattering import (NeumannSolution, ZeroEnergySolution,
+from .scattering import (NeumannSolution, ZeroEnergySolution, check_disk,
                          neumann_ground_state, scattering_length)
 
 SCHEMA = "gp2d-sweep-v1"
@@ -35,11 +34,10 @@ class Pipeline:
     potential -> zero-energy solution (scattering length a), which
     carries the interior lambda-series whose lambda = 0 term it is ->
     Neumann profile on the disk of radius R = e^N ell -> eta table and
-    omega_hat, all on the run's single momentum lattice.  a is computed
-    once per run; the last three links are kept per (N, alpha), the
-    excitation basis per particle cap N.  Every command
-    of a run reads from one Pipeline, whose one GPParameters per
-    (N, alpha) the profile, the eta table and omega_hat are made from.
+    omega_hat, on the run's one momentum lattice.  Each link, a refusal
+    too, is kept in one memo (``_once``): a and the lattice per run, the
+    last three per (N, alpha) from its one GPParameters, the basis per
+    particle cap N.  Every command of a run reads from one Pipeline.
 
     Making the Pipeline checks the config by the rules of the layers that
     read it, so that a run they would refuse fails before any command
@@ -47,9 +45,9 @@ class Pipeline:
     lattice; the basis at fock_n_max must fit the size cap (``check_dim``,
     without enumerating states); every (N, alpha) a command reads,
     (n_value, alpha) and each point of ``sweep_grid``, must make
-    ``GPParameters`` whose disk holds the potential (``check_range``) and
-    whose R = e^N ell is representable.  The grid is walked point by
-    point, so a range that overflows is refused at its first bad point.
+    ``GPParameters`` whose disk holds the potential (``check_disk`` at log
+    R) and whose R = e^N ell is representable.  The grid is walked point
+    by point, so a range that overflows is refused at its first bad point.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -63,21 +61,29 @@ class Pipeline:
         for N, alpha, _ in chain([(cfg.n_value, cfg.alpha, False)],
                                  sweep_grid(cfg)):
             params = self.params(N, alpha)
-            params.check_range(self.pot)
+            check_disk(self.pot, params.log_R)
             params.R                     # refuses e^N beyond the guard
 
-    @cached_property
-    def zero(self) -> ZeroEnergySolution:
-        return scattering_length(self.pot)
-
-    @cached_property
-    def lattice(self) -> MomentumLattice:
-        return build_lattice(self.cfg.cutoff)
-
     def _once(self, key: tuple, make):
+        """The link at key, made on first read and kept; a Gp2dError from
+        make is kept too and raised again, each time with a new traceback."""
         if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
+            try:
+                self._memo[key] = make()
+            except Gp2dError as exc:
+                self._memo[key] = exc
+        link = self._memo[key]
+        if isinstance(link, Gp2dError):
+            raise link.with_traceback(None)
+        return link
+
+    @property
+    def zero(self) -> ZeroEnergySolution:
+        return self._once(("zero",), lambda: scattering_length(self.pot))
+
+    @property
+    def lattice(self) -> MomentumLattice:
+        return self._once(("lattice",), lambda: build_lattice(self.cfg.cutoff))
 
     def params(self, N: int, alpha: float) -> GPParameters:
         """The run's one GPParameters of (N, alpha)."""
@@ -147,7 +153,7 @@ class EnergyRecord(NamedTuple):
     wall_ms: float
 
     def key(self):
-        return (self.N, round(self.alpha, 12), round(self.cutoff, 9))
+        return _grid_key(self.N, self.alpha, self.cutoff)
 
     def csv_row(self) -> str:
         return ",".join([
@@ -189,6 +195,11 @@ def compute_record(pipe: Pipeline, N: int, alpha: float,
                         lam_group, renorm.omega0, wall)
 
 
+def _grid_key(N: int, alpha: float, cutoff: float) -> tuple:
+    """(N, alpha, cutoff) with alpha rounded to 12 places, cutoff to 9."""
+    return N, round(alpha, 12), round(cutoff, 9)
+
+
 def sweep_grid(cfg: RunConfig):
     """The (N, alpha, with_fock) grid, point by point: small-N Fock builds
     plus the scalar trajectory."""
@@ -199,10 +210,9 @@ def sweep_grid(cfg: RunConfig):
 
 
 def _grid_point(rec: EnergyRecord) -> tuple | None:
-    """The grid point a persisted record is, (N, alpha, cutoff) rounded as
-    in ``EnergyRecord.key`` plus with_fock, or None when it has the shape
-    of no point: a Fock point has dim > 0 and finite E0 and depletion, a
-    scalar point dim == 0."""
+    """The grid point a persisted record is, its ``_grid_key`` plus
+    with_fock, or None when it has the shape of no point: a Fock point
+    has dim > 0 and finite E0 and depletion, a scalar point dim == 0."""
     if (rec.dim > 0 and math.isfinite(rec.E0)
             and math.isfinite(rec.depletion)):
         return rec.key() + (True,)
@@ -221,7 +231,7 @@ def sweep(pipe: Pipeline, csv_path=None) -> SweepDataset:
     """
     cfg = pipe.cfg
     fp = fingerprint(cfg)
-    grid = {(n, round(al, 12), round(cfg.cutoff, 9), wf): (n, al, wf)
+    grid = {_grid_key(n, al, cfg.cutoff) + (wf,): (n, al, wf)
             for n, al, wf in sweep_grid(cfg)}
     done, rejected = {}, 0
     if csv_path is not None:

@@ -609,13 +609,6 @@ def _entries(basis: FockBasis, operators):
             yield np.full(basis.dim, owner), start, start, diagonal
 
 
-def _products(basis: FockBasis, terms, diagonal=None):
-    """(rows, cols, coef * amp) of one operator's nonzero entries, as
-    ``_entries`` walks them."""
-    for _, rows, cols, vals in _entries(basis, [(terms, diagonal)]):
-        yield rows, cols, vals
-
-
 @lru_cache(maxsize=None)
 def _charge(modes: tuple) -> np.ndarray:
     """The momentum each ``_Terms`` row number adds: +p for a creator, -p
@@ -755,10 +748,13 @@ def largest_entries(basis: FockBasis, operators) -> np.ndarray:
 
 
 def ladder(basis: FockBasis, mode, kind: str) -> LinearOperator:
+    """The ladder (kind, mode) as a dense matrix: its ``ladder_table``
+    row, found as ``_terms`` finds a factor's."""
+    row = _terms(basis, [(1.0, [(kind, basis.mode_index(mode))])]).rows[0, 0]
+    dest, amp, nonzero = basis.ladder_table
+    cols = nonzero[row]
     mat = np.zeros((basis.dim, basis.dim))
-    for rows, cols, vals in _products(
-            basis, [(1.0, [(kind, basis.mode_index(mode))])]):
-        mat[rows, cols] = vals
+    mat[dest[row, cols], cols] = amp[row, cols]
     return LinearOperator(mat, f"{kind}_{mode}")
 
 
@@ -899,10 +895,8 @@ def _cubic_terms(basis: FockBasis, weights, prefactor: float,
         wp = weights[ip]
         ineg = int(basis.neg_mode[ip])
         for iq, q in enumerate(modes):
-            s = (p[0] + q[0], p[1] + q[1])
-            if s == (0, 0):
-                continue
-            isum = mode_set.get(s)
+            # p + q, never the zero mode, which no mode set holds
+            isum = mode_set.get((p[0] + q[0], p[1] + q[1]))
             if isum is None:
                 continue
             terms.append((prefactor * wp,

@@ -19,7 +19,7 @@ import numpy as np
 from .bessel import hankel_j0, j1
 from .errors import ConfigError, ConsistencyError, SizeError
 from .lattice import MomentumLattice, TWO_PI
-from .potentials import RadialPotential, fourier_transform_radial
+from .potentials import fourier_transform_radial
 from .quadrature import (geometric_bounds, gl_nodes_weights, merge_bounds,
                          panel_bounds_hankel, support_rule)
 from .scattering import NeumannSolution
@@ -65,13 +65,6 @@ class GPParameters:
             raise SizeError(f"N = {self.N} exceeds the overflow guard "
                             f"({_N_OVERFLOW}) for direct exponentiation")
         return math.exp(self.N) * self.ell
-
-    def check_range(self, pot: RadialPotential) -> None:
-        """The microscopic disk must contain the potential support."""
-        if not pot.is_zero and self.log_R <= math.log(pot.r0):
-            raise ConfigError(
-                f"e^N * ell = exp({self.log_R:.3f}) does not exceed the "
-                f"potential range {pot.r0}")
 
 
 def chi_hat(k):
@@ -159,7 +152,6 @@ def eta_coefficients(sol: NeumannSolution, params: GPParameters,
     Points sharing |p| get the identical quadrature value, so the
     p -> -p symmetry holds bit for bit.
     """
-    params.check_range(sol.pot)
     if abs(sol.R - params.R) > 1e-9 * params.R:
         raise ConsistencyError("Neumann solution radius does not match "
                                "e^N * ell")

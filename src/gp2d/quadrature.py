@@ -57,19 +57,19 @@ def merge_bounds(*parts) -> np.ndarray:
 
 
 def geometric_bounds(a: float, b: float, per_efold: int = 8) -> np.ndarray:
-    """Panel boundaries on [a, b], geometric except for one panel at 0.
+    """Panel boundaries on [a, b], geometric from a when a > 0.
 
-    With ``a == 0`` the innermost boundary is placed at ``b * _FLOOR_RATIO``
-    and a single closing panel [0, b*_FLOOR_RATIO] is prepended.
+    With ``a == 0`` the grid starts at ``b * _FLOOR_RATIO`` behind one
+    closing panel from 0, which holds about _FLOOR_RATIO^2 of integrands
+    that are bounded profiles times r.  A floor above a > 0 would lump
+    decades where the profile varies on the scale of r (f' ~ 1/r).
     """
     if b <= a:
         raise QuadratureError(f"empty quadrature interval [{a}, {b}]")
-    lo = max(a, b * _FLOOR_RATIO)
+    lo = a if a > 0.0 else b * _FLOOR_RATIO
     n = max(2, int(np.ceil(per_efold * np.log(b / lo))))
     bounds = np.geomspace(lo, b, n + 1)
-    if a < lo:
-        bounds = np.concatenate(([a], bounds))
-    return bounds
+    return bounds if lo == a else np.concatenate(([a], bounds))
 
 
 def panel_bounds_hankel(a: float, b: float, k: float,

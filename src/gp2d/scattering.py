@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bessel import jy, jy01
-from .errors import ConsistencyError, SolverError
+from .errors import ConfigError, ConsistencyError, SolverError
 from .potentials import RadialPotential
 from .quadrature import (geometric_bounds, gl_nodes_weights, merge_bounds,
                          support_rule)
@@ -481,6 +481,14 @@ def scattering_length(pot: RadialPotential) -> ZeroEnergySolution:
     return ZeroEnergySolution(*series.log_tail(), pot, series)
 
 
+def check_disk(pot: RadialPotential, log_R: float) -> None:
+    """The disk of radius R = exp(log_R), taken at log R so that R may
+    overflow, must hold the support of V, R > r0; the free gas has none."""
+    if not pot.is_zero and log_R <= math.log(pot.r0):
+        raise ConfigError(f"disk radius R = exp({log_R:.3f}) "
+                          f"does not exceed the potential range {pot.r0}")
+
+
 def _neumann_mismatch(zero: ZeroEnergySolution, R: float, lam: float):
     """Neumann derivative at R for given lambda, the tail coefficients and
     the interior panels (edges, coef) of (f, f'), or None where they are
@@ -597,7 +605,7 @@ def neumann_ground_state(zero: ZeroEnergySolution,
                          R: float) -> NeumannSolution:
     """Lowest Neumann eigenpair on [0, R], normalized to f(R) = 1, of the
     potential of the zero-energy solution ``zero``; lambda = 0 and f == 1
-    for the free gas.
+    for the free gas.  The disk must hold the potential (``check_disk``).
 
     Shooting on lambda: the interior solution up to the potential range,
     read from zero's series, is matched onto the exact J0/Y0 tail, and
@@ -607,13 +615,8 @@ def neumann_ground_state(zero: ZeroEnergySolution,
     """
     if zero.is_free:
         return NeumannSolution(0.0, R, zero)
-    r0 = zero.pot.r0
-    if R <= r0:
-        raise SolverError(f"Neumann radius {R} must exceed the range {r0}")
-    L = np.log(R / zero.a)
-    if L <= 0:
-        raise SolverError("R must exceed the scattering length")
-    lam_est = neumann_estimate(R, L)
+    check_disk(zero.pot, math.log(R) if R > 0.0 else -math.inf)
+    lam_est = neumann_estimate(R, np.log(R / zero.a))
 
     # one evaluation per distinct lambda: Brent starts at the bracket
     # ends of the search and the tail is read at its root
@@ -639,9 +642,9 @@ def neumann_ground_state(zero: ZeroEnergySolution,
 
 def rayleigh_quotient(sol: NeumannSolution) -> float:
     """int (f'^2 + V f^2 / 2) r dr / int f^2 r dr for the computed state."""
-    bounds = geometric_bounds(0.0, sol.R, per_efold=16)
-    bounds = merge_bounds(bounds, np.linspace(0, sol.pot.r0, 33))
-    nodes, wts = gl_nodes_weights(bounds)
+    nodes, wts = gl_nodes_weights(merge_bounds(
+        np.linspace(0.0, sol.pot.r0, 33),
+        geometric_bounds(sol.pot.r0, sol.R, per_efold=16)))
     f, fp = sol._at(nodes)
     num = np.dot(wts, (fp ** 2 + 0.5 * sol.pot(nodes) * f ** 2) * nodes)
     den = np.dot(wts, f ** 2 * nodes)

@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,10 @@ from gp2d.audits import (commutator_residual, localization_check,
 from gp2d.cli import main, write_manifest
 from gp2d.config import RunConfig, fingerprint
 from gp2d.energy import Pipeline, sweep_grid
+from gp2d.errors import ConfigError
 from gp2d.fock import (LinearOperator, build_basis, effective_hamiltonians,
                        ladder, number_operator, shell_modes)
+from gp2d.scattering import neumann_ground_state
 
 FAST = """\
 N_min = 10
@@ -189,19 +192,48 @@ def test_all_computes_the_scattering_length_once(tmp_path, monkeypatch):
     assert len(tails) == 1
 
 
-def test_all_refuses_a_scattering_length_that_underflows(tmp_path, capsys):
+def test_all_refuses_a_scattering_length_that_underflows(tmp_path, capsys,
+                                                         monkeypatch):
     # at v0 = 1e-4, a = r0 exp(-phi/c) is below the smallest double: each
-    # command fails on its own error line and the manifest is written
+    # command fails on its own error line and the manifest is written.
+    # The Pipeline keeps the refusal, so the interior series that refused
+    # it is built once, not once per command
+    builds = []
+    original = scattering.interior_series
+
+    def counted(pot):
+        builds.append(pot)
+        return original(pot)
+
+    monkeypatch.setattr(scattering, "interior_series", counted)
     path = tmp_path / "weak.cfg"
     path.write_text(FAST + "v0 = 1e-4\n")
     out = tmp_path / "out"
     assert run(["all", "--config", path, "--out", out]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert len(builds) == 1
+    assert err.count("error:") == err.count("\n") == 6
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["commands"].values()) == {"fail"}
     for name in manifest["commands"]:
         assert f"{name}: error: scattering length" in err
+
+
+def test_range_rule_has_one_message(tmp_path, capsys, step_zero):
+    # R <= r0 is refused by one rule, whether the Pipeline reads it at
+    # log R before any command runs or neumann_ground_state at R itself
+    path = tmp_path / "run.cfg"
+    path.write_text("fock_alpha = 4\n")
+    assert run(["all", "--config", path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    with pytest.raises(ConfigError) as direct:
+        neumann_ground_state(step_zero, 0.5)
+    pattern = (r"^disk radius R = exp\(-?[0-9.]+\) does not exceed the "
+               r"potential range 1.0$")
+    assert re.match(pattern, err.removeprefix("error: ").strip()), err
+    assert re.match(pattern, str(direct.value)), direct.value
 
 
 def test_all_builds_each_basis_once(tmp_path, monkeypatch):

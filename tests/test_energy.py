@@ -361,3 +361,53 @@ def test_pipeline_refuses_an_overflowing_range_at_its_first_bad_point(
     # Fock points N = 3 .. 6 and the scalar points N = 10, 12, .., 302
     assert len(made) == len(set(made)) == 4 + 147
     assert made[-1] == 302
+
+
+# --- one memo: every link kept once, refusals too -----------------------
+
+def test_pipeline_keeps_a_refused_link(monkeypatch):
+    # a link whose make raises a Gp2dError keeps it: the second read
+    # raises the same error, with a traceback no longer than the first,
+    # and does not solve again; a link that reads it is refused alike
+    solves = []
+
+    def refused(zero, R):
+        solves.append(R)
+        raise SolverError("no sign change of the Neumann mismatch")
+
+    monkeypatch.setattr(energy, "neumann_ground_state", refused)
+    pipe = Pipeline(SMALL)
+    caught = []
+    for _ in range(2):
+        with pytest.raises(SolverError) as info:
+            pipe.neumann(12, SMALL.alpha)
+        caught.append(info.value)
+    assert caught[0] is caught[1]
+    assert solves == [pipe.params(12, SMALL.alpha).R]
+    with pytest.raises(SolverError) as info:
+        pipe.table(12, SMALL.alpha)
+    assert info.value is caught[0] and len(solves) == 1
+    depth = []
+    for _ in range(2):
+        try:
+            pipe.neumann(12, SMALL.alpha)
+        except SolverError as exc:
+            depth.append(len(inspect.getinnerframes(exc.__traceback__)))
+    assert depth[0] == depth[1]
+
+
+def test_pipeline_does_not_keep_other_exceptions(monkeypatch):
+    # only a Gp2dError is a refusal; any other exception is raised and the
+    # link is made again on the next read
+    calls = []
+
+    def broken(zero, R):
+        calls.append(R)
+        raise RuntimeError("not a refusal")
+
+    monkeypatch.setattr(energy, "neumann_ground_state", broken)
+    pipe = Pipeline(SMALL)
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            pipe.neumann(12, SMALL.alpha)
+    assert len(calls) == 2

@@ -19,7 +19,8 @@ from gp2d.kernels import (GPParameters, _chi2_lattice_sum, _split_radius,
 from gp2d.lattice import TWO_PI, build_lattice
 from gp2d.potentials import free as free_pot
 from gp2d.potentials import gaussian_bump, save_table, step
-from gp2d.scattering import neumann_ground_state, scattering_length
+from gp2d.scattering import (check_disk, neumann_ground_state,
+                             scattering_length)
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +52,8 @@ def test_parameter_validation():
 def test_range_check(step_pot):
     # N=2, alpha=3: disk radius e^2/8 < 1 collides with the potential range
     with pytest.raises(ConfigError):
-        GPParameters(2, 3.0).check_range(step_pot)
-    GPParameters(8, 3.0).check_range(step_pot)
+        check_disk(step_pot, GPParameters(2, 3.0).log_R)
+    check_disk(step_pot, GPParameters(8, 3.0).log_R)
 
 
 def test_chi_hat_closed_form_and_quadrature():

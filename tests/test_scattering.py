@@ -10,7 +10,9 @@ from scipy.optimize import brentq
 from scipy.special import i0, i0e, i1, i1e, j0, j1, y0, y1
 
 from gp2d import bessel, scattering
-from gp2d.errors import Gp2dError, SolverError
+from gp2d.config import RunConfig
+from gp2d.energy import Pipeline
+from gp2d.errors import ConfigError, Gp2dError, SolverError
 from gp2d.potentials import free, gaussian_bump, step, tabulated
 from gp2d.scattering import (InteriorSeries, interior_series,
                              neumann_ground_state, potential_integral,
@@ -183,6 +185,22 @@ def test_trial_upper_bound_sits_above_eigenvalue(step_pot, step_a):
         assert ub <= sol.lam * (1.0 + 1e-6)
 
 
+def test_oracles_hold_at_every_radius_of_the_default_sweep():
+    # the R = e^N N^-alpha of every default trajectory point, N = 10..60,
+    # at alpha = 1.5 and at the Fock exponent 2.5: past R ~ 1e12 the
+    # geometric panels must start at r0 itself, or one panel spans
+    # decades of f' ~ 1/r
+    cfg = RunConfig()
+    pipe = Pipeline(cfg)
+    for alpha in (cfg.alpha, cfg.fock_alpha):
+        for N in range(cfg.n_min, cfg.n_max + 1, cfg.n_step):
+            sol = pipe.neumann(N, alpha)
+            ub = trial_upper_bound(trial_wavenumber(sol.R, sol.a), pipe.zero)
+            assert ub >= sol.lam * (1.0 - 1e-12), (N, alpha)
+            assert abs(rayleigh_quotient(sol) / sol.lam - 1.0) <= 1e-12, \
+                (N, alpha)
+
+
 def test_asymptotics_report_finite(step_zero, step_a):
     sol = neumann_ground_state(step_zero, 1.0e3)
     rep = validate_neumann_asymptotics(sol)
@@ -201,7 +219,7 @@ def test_export_solution_csv(neumann_r50):
 
 
 def test_neumann_requires_radius_beyond_range(step_zero):
-    with pytest.raises(SolverError):
+    with pytest.raises(ConfigError):
         neumann_ground_state(step_zero, 0.5)
 
 

@@ -48,3 +48,15 @@ def test_fit_bessel_tables_prints_the_package_tables(capsys, monkeypatch):
     for name in names:
         assert ([c.hex() for c in printed[name]]
                 == [c.hex() for c in getattr(bessel, name)]), name
+
+
+def test_import_cost_times_every_gp2d_module():
+    # one `python -X importtime` child on this checkout's src: importing
+    # gp2d.cli loads every module of the package, each with its self time
+    src = TOOLS.parent / "src"
+    times = load_tool("import_cost").self_times(src)
+    modules = {"gp2d"} | {f"gp2d.{path.stem}"
+                          for path in (src / "gp2d").glob("*.py")
+                          if path.stem != "__init__"}
+    assert modules <= set(times), modules - set(times)
+    assert all(times[name] >= 0.0 for name in modules)
