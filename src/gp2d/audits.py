@@ -272,18 +272,26 @@ def condensation_lower_bound(R_eff: LinearOperator, H_N: LinearOperator,
               f"small-N certificates may need larger constants")
 
 
+def square_completion_mu(c: float, N: int) -> float:
+    """mu = c / log N of the lower bound's square completion at N, refused
+    unless below 1: at mu >= 1 the sign of 1 - mu flips and the scalar
+    check would pass vacuously."""
+    mu = c / math.log(N)
+    if mu >= 1:
+        raise ConfigError(f"c / log N = {mu:.4g} must be below 1 for the "
+                          f"square completion: c_lower = {c:g} at N = {N}")
+    return mu
+
+
 def square_completion_check(renorm: RenormPotential, c: float = 0.1) -> dict:
     """Scalar ingredients of the lower-bound proof at renorm's (N, alpha).
 
     Checks |omega(p)|^2 / (4 (1 - mu) p^2) <= omega0 / 2 on the lattice
-    with mu = c / log N, and reports the lattice sum
+    with mu = ``square_completion_mu(c, N)``, and reports the lattice sum
     S = (1/4) sum |omega(p)|^2/p^2 against 2 pi alpha log N.
     """
     params = renorm.params
-    mu = c / math.log(params.N)
-    if mu >= 1:
-        raise ConfigError(f"c / log N = {mu:.4g} must be below 1 for the "
-                          f"square completion")
+    mu = square_completion_mu(c, params.N)
     p2 = renorm.lattice.norms2
     lhs = np.abs(renorm.omega) ** 2 / (4.0 * (1.0 - mu) * p2)
     worst = float(np.max(lhs - 0.5 * renorm.omega0))

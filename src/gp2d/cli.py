@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from . import __version__
 from .audits import (commutator_residual, condensation_lower_bound,
                      localization_identity, square_completion_check,
                      unitary_excitation_map)
-from .config import RunConfig, fingerprint, load_config
+from .config import FOCK_N_MIN, RunConfig, fingerprint, load_config
 from .energy import (Pipeline, depletion_products, sweep, vacuum_slope_fit,
                      write_atomic)
 from .errors import Gp2dError
@@ -24,9 +23,6 @@ from .fock import (HERMITIAN_TOL, effective_hamiltonians, generators,
 from .kernels import kernels_csv, scattering_residual
 from .potentials import fourier_transform_radial
 from .scattering import solution_csv, validate_neumann_asymptotics
-
-COMMANDS = ("scatter", "neumann", "kernels", "fock-audit", "lower-bound",
-            "energy-sweep", "all")
 
 
 def _regime_note(alpha: float) -> None:
@@ -78,7 +74,7 @@ def cmd_kernels(pipe: Pipeline, out: Path) -> tuple[bool, list]:
 
 
 def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
-    n, alpha = 3, pipe.cfg.fock_alpha
+    n, alpha = FOCK_N_MIN, pipe.cfg.fock_alpha
     basis = pipe.basis(n)
     residuals = {"commutators": commutator_residual(basis)}
     residuals["unitary_map"] = max(unitary_excitation_map(basis).values())
@@ -107,7 +103,7 @@ def cmd_fock_audit(pipe: Pipeline, out: Path) -> tuple[bool, list]:
 
 def cmd_lower_bound(pipe: Pipeline, out: Path) -> tuple[bool, list]:
     cfg = pipe.cfg
-    n = min(4, cfg.fock_n_max)
+    n = pipe.lower_bound_n
     renorm = pipe.renorm(n, cfg.fock_alpha)
     scal = square_completion_check(renorm, c=cfg.c_lower)
     basis = pipe.basis(n)
@@ -188,9 +184,9 @@ def main(argv=None) -> int:
         description="Numerical laboratory for the dilute 2D Bose gas: "
                     "scattering profiles, correlation kernels, and "
                     "truncated Fock-space operator audits.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=[*_DISPATCH, "all"])
     parser.add_argument("--config", type=str, default=None)
-    parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--out", type=str, default="out")
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility and ignored")
     parser.add_argument("--seed", type=int, default=None,
@@ -201,8 +197,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         pipe = Pipeline(cfg)
-        out_dir = args.out or os.environ.get("GP2D_OUT") or cfg.out_dir
-        out = Path(out_dir)
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
         _regime_note(cfg.alpha)

@@ -17,13 +17,16 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+# the first N of the Fock builds: fock-audit's N, the sweep's first point
+FOCK_N_MIN = 3
+
 
 class RunConfig:
     """Settings for a laboratory run, each field checked on its own;
     ``energy.Pipeline`` checks them against the physics.
 
     The trajectory range (n_min..n_max) drives scalar sweeps; Fock-space
-    builds run at N from 3 up to fock_n_max with their own exponent
+    builds run at N from FOCK_N_MIN up to fock_n_max with their own exponent
     fock_alpha, chosen so the microscopic disk still contains the
     potential at small N.
 
@@ -45,7 +48,6 @@ class RunConfig:
     shell: int = 4
     ell_scale: float = 1.0
     c_lower: float = 0.1
-    out_dir: str = "out"
 
     def __init__(self, **values):
         for name in values:
@@ -58,9 +60,9 @@ class RunConfig:
             setattr(self, name, value)
         if self.n_max < self.n_min or self.n_step < 1:
             raise ConfigError("invalid N range")
-        if self.fock_n_max < 3:
-            raise ConfigError("fock_n_max must be at least 3: the Fock "
-                              "sweep starts at N = 3")
+        if self.fock_n_max < FOCK_N_MIN:
+            raise ConfigError(f"fock_n_max must be at least {FOCK_N_MIN}: "
+                              f"the Fock sweep starts at N = {FOCK_N_MIN}")
         if self.c_lower < 0:
             raise ConfigError("c_lower must be non-negative")
 
@@ -138,16 +140,9 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
-# Execution-only knobs: they change where results are written, never the
-# numbers, so they stay out of the fingerprint.
-_NON_SEMANTIC_FIELDS = frozenset({"out_dir"})
-
-
 def canonical_text(cfg: RunConfig) -> str:
     lines = []
     for name in sorted(FIELD_TYPES):
-        if name in _NON_SEMANTIC_FIELDS:
-            continue
         key = _FIELD_TO_KEY.get(name, name)
         val = getattr(cfg, name)
         if isinstance(val, float):

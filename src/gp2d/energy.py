@@ -12,8 +12,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import eigh, eigvalsh, lstsq
 
-from .config import RunConfig, fingerprint
-from .errors import ConsistencyError, Gp2dError, SolverError
+from .audits import square_completion_mu
+from .config import FOCK_N_MIN, RunConfig, fingerprint
+from .errors import ConfigError, ConsistencyError, Gp2dError, SolverError
 from .fock import (FockBasis, LinearOperator, build_basis, check_dim,
                    r_effective_hamiltonian, shell_modes)
 from .kernels import (GPParameters, KernelTable, RenormPotential,
@@ -26,6 +27,8 @@ from .scattering import (NeumannSolution, ZeroEnergySolution, check_disk,
 SCHEMA = "gp2d-sweep-v1"
 CSV_COLUMNS = ("N", "alpha", "cutoff", "dim", "E_vac", "E0", "depletion",
                "lambda_group", "omega0", "wall_ms")
+# the fewest trajectory points the vacuum slope fit takes
+SLOPE_FIT_POINTS = 3
 
 
 class Pipeline:
@@ -43,26 +46,39 @@ class Pipeline:
     read it, so that a run they would refuse fails before any command
     runs: the potential is read; every mode of the shell must lie on the
     lattice; the basis at fock_n_max must fit the size cap (``check_dim``,
-    without enumerating states); every (N, alpha) a command reads,
-    (n_value, alpha) and each point of ``sweep_grid``, must make
-    ``GPParameters`` whose disk holds the potential (``check_disk`` at log
-    R) and whose R = e^N ell is representable.  The grid is walked point
-    by point, so a range that overflows is refused at its first bad point.
+    without enumerating states); c_lower must pass
+    ``square_completion_mu`` at ``lower_bound_n``; every (N, alpha) a
+    command reads, (n_value, alpha) and each point of ``sweep_grid``, must
+    make ``GPParameters`` whose disk holds the potential (``check_disk`` at
+    log R) and whose R = e^N ell is representable; unless V = 0, the grid
+    must hold ``SLOPE_FIT_POINTS`` trajectory points.  The grid is walked
+    point by point, so a range that overflows is refused at its first bad
+    point.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.pot: RadialPotential = cfg.make_potential()
         self._memo = {}
+        # the one N of lower-bound's certificate
+        self.lower_bound_n = min(4, cfg.fock_n_max)
         modes = shell_modes(cfg.shell)
         for m in modes:
             self.lattice.index_of(*m)
         check_dim(len(modes), cfg.fock_n_max)
-        for N, alpha, _ in chain([(cfg.n_value, cfg.alpha, False)],
-                                 sweep_grid(cfg)):
+        square_completion_mu(cfg.c_lower, self.lower_bound_n)
+        points = 0
+        # (n_value, alpha) is no grid point, so its None is not counted
+        for N, alpha, with_fock in chain([(cfg.n_value, cfg.alpha, None)],
+                                         sweep_grid(cfg)):
             params = self.params(N, alpha)
             check_disk(self.pot, params.log_R)
             params.R                     # refuses e^N beyond the guard
+            points += with_fock is False
+        if points < SLOPE_FIT_POINTS and not self.pot.is_zero:
+            raise ConfigError(f"N_min..N_max by N_step gives {points} "
+                              f"trajectory points; the slope fit needs at "
+                              f"least {SLOPE_FIT_POINTS}")
 
     def _once(self, key: tuple, make):
         """The link at key, made on first read and kept; a Gp2dError from
@@ -203,7 +219,7 @@ def _grid_key(N: int, alpha: float, cutoff: float) -> tuple:
 def sweep_grid(cfg: RunConfig):
     """The (N, alpha, with_fock) grid, point by point: small-N Fock builds
     plus the scalar trajectory."""
-    for n in range(3, cfg.fock_n_max + 1):
+    for n in range(FOCK_N_MIN, cfg.fock_n_max + 1):
         yield n, cfg.fock_alpha, True
     for n in range(cfg.n_min, cfg.n_max + 1, cfg.n_step):
         yield n, cfg.alpha, False
@@ -327,7 +343,7 @@ def vacuum_slope_fit(ds: SweepDataset) -> float:
     scalar-trajectory records."""
     pts = [(r.N, r.E_vac) for r in ds.sorted_records()
            if not r.dim and np.isfinite(r.E_vac)]
-    if len(pts) < 3:
+    if len(pts) < SLOPE_FIT_POINTS:
         raise SolverError("not enough trajectory records for a slope fit")
     x = np.log([float(n) for n, _ in pts])
     y = np.array([ev - 2.0 * np.pi * n for n, ev in pts])

@@ -431,11 +431,16 @@ def test_energy_sweep_unreadable_dataset(tmp_path, fast_cfg, capsys):
     assert err.count("\n") == 1
 
 
-def test_out_dir_from_environment(tmp_path, fast_cfg, monkeypatch):
+def test_out_alone_names_the_output_directory(tmp_path, fast_cfg,
+                                              monkeypatch):
+    # without --out the run writes to ./out; no environment variable
+    # names the output directory
     target = tmp_path / "env-out"
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("GP2D_OUT", str(target))
     assert run(["scatter", "--config", fast_cfg]) == 0
-    assert (target / "scatter.json").exists()
+    assert (tmp_path / "out" / "scatter.json").exists()
+    assert not target.exists()
 
 
 def test_manifest_fingerprint_matches_config(tmp_path, fast_cfg):
@@ -525,6 +530,10 @@ def test_non_positive_ell_scale_exits_2(tmp_path, capsys):
     ("potential = mystery\n", "unknown potential 'mystery'"),
     ("ell_scale = -1\n", "ell_scale must be positive"),
     ("ell_scale = 0\n", "ell_scale must be positive"),
+    ("c_lower = 2\n", "c / log N = 1.443 must be below 1 for the square "
+                      "completion: c_lower = 2 at N = 4"),
+    ("N_min = 10\nN_max = 12\n", "gives 2 trajectory points; the slope "
+                                 "fit needs at least 3"),
 ])
 def test_run_a_layer_refuses_exits_2_before_any_command(tmp_path, capsys,
                                                         text, message):
@@ -555,14 +564,24 @@ def test_bad_potential_table_exits_2(tmp_path, capsys, table, message):
 
 def test_lower_bound_refuses_c_lower_beyond_log_n(tmp_path, capsys):
     # c_lower = 2 > log 4 flips the sign of 1 - c/log N: the scalar check
-    # would pass vacuously, so the command reports an error instead
+    # would pass vacuously, so the run is refused before any command
     path = tmp_path / "run.cfg"
     path.write_text(FAST + "c_lower = 2.0\n")
     assert run(["lower-bound", "--config", path,
-                "--out", tmp_path / "o"]) == 1
+                "--out", tmp_path / "o"]) == 2
     captured = capsys.readouterr()
     assert "[ok]" not in captured.out
-    assert captured.err.startswith("lower-bound: error: c / log N")
+    assert captured.err.startswith("error: c / log N")
+
+
+def test_free_gas_sweeps_one_trajectory_point(tmp_path, capsys):
+    # V = 0 needs no slope fit: energy-sweep checks E_vac = 0 instead
+    path = tmp_path / "run.cfg"
+    path.write_text("potential = free\nN_min = 10\nN_max = 10\n"
+                    "fock_n_max = 3\n")
+    assert run(["energy-sweep", "--config", path,
+                "--out", tmp_path / "o"]) == 0
+    assert "E_vac identically 0" in capsys.readouterr().out
 
 
 def test_default_config_is_runnable(tmp_path):

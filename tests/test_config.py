@@ -116,9 +116,8 @@ def test_canonical_roundtrip():
     assert fingerprint(back) == fingerprint(cfg)
 
 
-def test_fingerprint_ignores_execution_knobs():
+def test_fingerprint_changes_with_the_physics():
     base = RunConfig()
-    assert fingerprint(RunConfig(out_dir="elsewhere")) == fingerprint(base)
     assert fingerprint(RunConfig(alpha=2.0)) != fingerprint(base)
 
 
@@ -139,9 +138,11 @@ def test_default_fingerprint_frozen():
     assert fingerprint(RunConfig()) == "ded4f1b1c3984f84"
 
 
-@pytest.mark.parametrize("text", ["seed = 1\n", "threads = 2\n"])
+@pytest.mark.parametrize("text", ["seed = 1\n", "threads = 2\n",
+                                  "out_dir = x\n"])
 def test_removed_knobs_are_unknown_keys(text):
-    # nothing reads a seed or a thread count, so neither is a config key
+    # nothing reads a seed or a thread count, so neither is a config key;
+    # --out alone names the output directory
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config(text)
 
