@@ -43,7 +43,7 @@ from numpy.linalg import eigh
 
 from .errors import ConfigError, ConsistencyError, SizeError
 from .kernels import GPParameters, KernelTable, RenormPotential
-from .lattice import TWO_PI
+from .lattice import MomentumLattice, TWO_PI
 from .potentials import RadialPotential, fourier_transform_radial
 
 HERMITIAN_TOL = 1e-12
@@ -906,11 +906,18 @@ def _cubic_terms(basis: FockBasis, weights, prefactor: float,
     return terms
 
 
+def _on_modes(basis: FockBasis, lattice: MomentumLattice,
+              values: np.ndarray) -> list:
+    """A table on the lattice (eta or omega_hat) at the modes' lattice
+    indices: the weights of the pair and cubic terms."""
+    return values[[lattice.index_of(*m) for m in basis.modes]].tolist()
+
+
 def generators(basis: FockBasis, table: KernelTable) -> dict:
     """Quadratic generator B and cubic generator A from the eta kernel at
     the table's N.  Their antihermiticity is fock-audit's to report;
     ``conjugate`` checks it again before it exponentiates."""
-    eta = [table.eta_at(*m) for m in basis.modes]
+    eta = _on_modes(basis, table.lattice, table.eta)
     B = build_operator(basis, _pair_terms(basis, eta, -1.0), "B")
     A = build_operator(basis, _cubic_terms(
         basis, eta, 1.0 / math.sqrt(table.params.N), -1.0), "A")
@@ -945,19 +952,12 @@ def conjugate(op: LinearOperator, gen: LinearOperator) -> LinearOperator:
                                       hermitian=op.hermitian)
 
 
-def _omega(basis: FockBasis, renorm: RenormPotential) -> list:
-    """omega_hat at the modes: the weights of R_eff's pair and cubic
-    terms."""
-    return [float(renorm.omega_at(TWO_PI * math.hypot(*m)))
-            for m in basis.modes]
-
-
 def _r_eff_rest(basis: FockBasis, renorm: RenormPotential) -> tuple:
     """What R_eff adds to V_N and K: the omega_hat pair and cubic
     products, and the diagonal R_diag, at renorm's N."""
     N = renorm.params.N
     w0 = renorm.omega0
-    omega = _omega(basis, renorm)
+    omega = _on_modes(basis, renorm.lattice, renorm.omega)
     R_diag = _per_total(
         basis,
         lambda n: 0.5 * (N - 1) * w0 * (1 - n / N)

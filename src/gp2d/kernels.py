@@ -70,9 +70,6 @@ class GPParameters:
 def chi_hat(k):
     """Fourier transform of the unit-disk indicator, 2 pi J1(|k|)/|k|."""
     k = np.abs(np.asarray(k, float))
-    if not k.ndim:
-        k = float(k)              # the plain-float path of j1
-        return TWO_PI * j1(k) / k if k > 0 else math.pi
     out = np.full_like(k, np.pi)
     nz = k > 0
     out[nz] = TWO_PI * j1(k[nz]) / k[nz]
@@ -140,9 +137,6 @@ class KernelTable:
             self.sol, self.params, self.per_efold)
         return math.sqrt(max(total - self.eta0 ** 2, 0.0))
 
-    def eta_at(self, n1: int, n2: int) -> float:
-        return float(self.eta[self.lattice.index_of(n1, n2)])
-
 
 def eta_coefficients(sol: NeumannSolution, params: GPParameters,
                      lat: MomentumLattice, per_efold: int = 8) -> KernelTable:
@@ -152,17 +146,16 @@ def eta_coefficients(sol: NeumannSolution, params: GPParameters,
     Points sharing |p| get the identical quadrature value, so the
     p -> -p symmetry holds bit for bit.
     """
-    if abs(sol.R - params.R) > 1e-9 * params.R:
+    if sol.R != params.R:
         raise ConsistencyError("Neumann solution radius does not match "
                                "e^N * ell")
     if sol.zero.is_free:
         return KernelTable(lat, np.zeros(lat.size), 0.0, params, sol,
                            per_efold)
-    uniq, inv = lat.unique_norms()
-    eta_u = eta_profile(sol, params, np.concatenate(([0.0], uniq)),
-                        per_efold)
-    return KernelTable(lat, eta_u[1:][inv], float(eta_u[0]), params, sol,
-                       per_efold)
+    freqs = np.concatenate(([0.0], lat.distinct_norms))
+    eta_u = eta_profile(sol, params, freqs, per_efold)
+    return KernelTable(lat, eta_u[1:][lat.inverse], float(eta_u[0]), params,
+                       sol, per_efold)
 
 
 def kernel_sup_product(sol: NeumannSolution, params: GPParameters,
@@ -193,11 +186,10 @@ class RenormPotential:
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """omega_hat at every lattice mode."""
-        return self.omega_at(np.sqrt(self.lattice.norms2))
-
-    def omega_at(self, p_norm):
-        return self.g_N * chi_hat(np.asarray(p_norm, float) * self.scale)
+        """omega_hat at every lattice mode, one chi_hat per distinct |p|."""
+        lat = self.lattice
+        omega = self.g_N * chi_hat(lat.norms[lat.first] * self.scale)
+        return omega[lat.inverse]
 
 
 def renormalized_potential(params: GPParameters, lam_R2: float,
@@ -324,11 +316,10 @@ def scattering_residual(table: KernelTable) -> ResidualReport:
     """The residual of the table's own run, ``table.sol`` at its params."""
     lat, sol, params = table.lattice, table.sol, table.params
     if sol.pot.is_zero:                       # no V-hat to divide by
-        return ResidualReport(np.sqrt(lat.norms2), np.zeros(lat.size))
+        return ResidualReport(lat.norms, np.zeros(lat.size))
     pot, ell, lam = sol.pot, params.ell, table.lam_R2
     damp = math.exp(-params.N)
-    uniq, inv = lat.unique_norms()
-    reps = np.unique(inv, return_index=True)[1]   # first mode per |p|
+    uniq = lat.distinct_norms
 
     # exact convolution (N/2) sum_q Vhat((p-q)/e^N) eta_q, via the product
     # V(s) w(s) in position space
@@ -336,12 +327,12 @@ def scattering_residual(table: KernelTable) -> ResidualReport:
     vw = wts * pot(nodes) * sol.w_at(nodes) * nodes
     conv_v_exact = -params.N * np.pi * hankel_j0(uniq * damp, nodes, vw)
 
-    eta_u = table.eta[reps]
+    eta_u = table.eta[lat.first]
     vhat_p = fourier_transform_radial(pot, uniq * damp)
     lhs = uniq ** 2 * eta_u + 0.5 * params.N * vhat_p + conv_v_exact
     rhs = params.N * lam * chi_hat(uniq * ell) + (lam / ell ** 2) * eta_u
     resid_u = (lhs - rhs) / (0.5 * params.N * vhat_p)
-    return ResidualReport(np.sqrt(lat.norms2), resid_u[inv])
+    return ResidualReport(lat.norms, resid_u[lat.inverse])
 
 
 def kernels_csv(table: KernelTable, renorm: RenormPotential) -> str:
@@ -360,7 +351,7 @@ def kernels_csv(table: KernelTable, renorm: RenormPotential) -> str:
         "a": table.sol.a,
     }
     lat = table.lattice
-    rows = zip(lat.ints.tolist(), np.sqrt(lat.norms2).tolist(),
+    rows = zip(lat.ints.tolist(), lat.norms.tolist(),
                table.eta.tolist(), renorm.omega.tolist())
     return ("# " + json.dumps(meta, sort_keys=True) + "\n"
             + "n1,n2,p,eta_p,omega_p\n"

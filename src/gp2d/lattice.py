@@ -15,12 +15,17 @@ class MomentumLattice(NamedTuple):
     """Nonzero modes p = 2 pi (n1, n2) with |p| <= cutoff.
 
     Modes are ordered by (|p|^2, n1, n2) so that every consumer sees the
-    same deterministic enumeration.
+    same deterministic enumeration.  A radial quantity is evaluated at
+    ``norms[first]`` and expanded to every mode by ``inverse``.
     """
 
     cutoff: float
     ints: np.ndarray       # shape (M, 2) integer coordinates
     norms2: np.ndarray     # |p|^2
+    norms: np.ndarray      # |p|
+    distinct_norms: np.ndarray  # sorted distinct |p|, rounded to 12 places
+    inverse: np.ndarray    # the index in distinct_norms of each mode's |p|
+    first: np.ndarray      # the first mode of each distinct |p|
 
     @property
     def size(self) -> int:
@@ -32,12 +37,6 @@ class MomentumLattice(NamedTuple):
             raise ConfigError(f"mode ({n1},{n2}) not on the lattice of "
                               f"cutoff {self.cutoff}")
         return int(hits[0])
-
-    def unique_norms(self):
-        """Sorted unique |p| values and the inverse map onto modes."""
-        norms = np.sqrt(self.norms2)
-        uniq, inv = np.unique(np.round(norms, 12), return_inverse=True)
-        return uniq, inv
 
 
 def build_lattice(cutoff: float) -> MomentumLattice:
@@ -53,5 +52,9 @@ def build_lattice(cutoff: float) -> MomentumLattice:
     ints = ints[keep]
     norms2 = norms2[keep]
     order = np.lexsort((ints[:, 1], ints[:, 0], norms2))
-    return MomentumLattice(float(cutoff), ints[order], norms2[order])
+    norms = np.sqrt(norms2[order])
+    distinct, first, inverse = np.unique(
+        np.round(norms, 12), return_index=True, return_inverse=True)
+    return MomentumLattice(float(cutoff), ints[order], norms2[order], norms,
+                           distinct, inverse, first)
 

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from gp2d import fock
 from gp2d.audits import commutator_residual, unitary_excitation_map
-from gp2d.config import RunConfig
+from gp2d.config import FOCK_N_MIN, RunConfig
 from gp2d.energy import Pipeline, ground_state
 from gp2d.errors import ConfigError, SizeError
 from gp2d.fock import (LinearOperator, build_basis, build_operator,
@@ -169,16 +169,16 @@ def test_largest_entry_matches_dense_reference(shape, terms, diag_scale):
 
 class Weights:
     """Stands in for the eta table and the renormalized potential: smooth
-    weights of the mode, drawn per example."""
+    weights of the mode, drawn per example, tabulated on a lattice that
+    holds the modes of every shell."""
+
+    lattice = build_lattice(TWO_PI * 3)
 
     def __init__(self, c, d, w0, params):
-        self.c, self.d, self.omega0, self.params = c, d, w0, params
-
-    def eta_at(self, n1, n2):
-        return self.c * math.exp(-0.3 * (n1 * n1 + n2 * n2)) + self.d * n1
-
-    def omega_at(self, p_norm):
-        return self.d + self.c * math.cos(p_norm / 7.0)
+        self.omega0, self.params = w0, params
+        n1, n2 = self.lattice.ints.T
+        self.eta = c * np.exp(-0.3 * (n1 * n1 + n2 * n2)) + d * n1
+        self.omega = d + c * np.cos(self.lattice.norms / 7.0)
 
 
 def _dense_reference(basis, terms, tag, hermitian=False, diagonal=None):
@@ -502,7 +502,7 @@ def test_remainder_is_small(fock_setup):
     params, _, table, _, basis = fock_setup
     gens = generators(basis, table)
     mode = basis.modes[0]
-    eta_p = table.eta_at(*mode)
+    eta_p = table.eta[table.lattice.index_of(*mode)]
     neg = basis.modes[int(basis.neg_mode[0])]
     bp = ladder(basis, mode, "b")
     d = (conjugate(bp, gens["B"]).mat - math.cosh(eta_p) * bp.mat
@@ -716,8 +716,8 @@ def _combined_hamiltonians(basis, renorm, pot, params):
     HN = combine([(1.0, kinetic_operator(basis)),
                   (1.0, _scalar_potential_operator(basis, pot, params))],
                  "H_N", hermitian=True)
-    omega = [float(renorm.omega_at(TWO_PI * math.hypot(*m)))
-             for m in basis.modes]
+    omega = renorm.omega[[renorm.lattice.index_of(*m)
+                          for m in basis.modes]].tolist()
     R_diag = diagonal_in_total(
         basis,
         lambda n: 0.5 * (N - 1) * w0 * (1 - n / N)
@@ -1134,7 +1134,7 @@ def test_orbit_blocks_reproduce_every_sector_spectrum(shape, v0, b, alpha,
                                                        c, d, w0):
     basis = ORBIT_BASES[shape]
     pot, params = step(v0, b), GPParameters(basis.cap, alpha)
-    weights = Weights(c, d, w0, params)  # omega_at depends on |p| alone
+    weights = Weights(c, d, w0, params)  # omega depends on |p| alone
     got = effective_hamiltonians(basis, weights, pot)
     with pytest.MonkeyPatch.context() as m:
         _every_sector(m)
@@ -1214,6 +1214,29 @@ def test_orbit_matrices_equal_every_sector_build(shell, cap):
                                            idx[:, None, :]]), key
 
 
+@pytest.mark.parametrize("shell", [4, 8, 12])
+def test_weights_are_the_lattice_tables_at_the_modes(shell, monkeypatch):
+    # R_eff's omega_hat and the generators' eta are read from the run's
+    # lattice tables, not evaluated again per mode
+    pipe = Pipeline(RunConfig(shell=shell))
+    n, alpha = FOCK_N_MIN, pipe.cfg.fock_alpha
+    basis, table = pipe.basis(n), pipe.table(n, alpha)
+    renorm = pipe.renorm(n, alpha)
+    seen = []
+    for name in ("_pair_terms", "_cubic_terms"):
+        def spy(basis, weights, *args, build=getattr(fock, name)):
+            seen.append(np.array(weights, float))
+            return build(basis, weights, *args)
+        monkeypatch.setattr(fock, name, spy)
+    fock.r_effective_hamiltonian(basis, renorm, pipe.pot)
+    fock.generators(basis, table)
+    idx = [pipe.lattice.index_of(*m) for m in basis.modes]
+    want = [renorm.omega[idx]] * 2 + [table.eta[idx]] * 2
+    assert len(seen) == len(want)
+    for got, ref in zip(seen, want):
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("shell,cap", [(4, 5), (8, 4), (12, 3)])
 def test_effective_hamiltonians_build_each_operator_once(shell, cap):
     # R_eff has one recipe, r_effective_hamiltonian's, and H_N is one
@@ -1237,7 +1260,7 @@ def test_effective_hamiltonians_build_each_operator_once(shell, cap):
 def _omega_mutated_terms(basis, weights, params, k):
     """R_eff's products and diagonal with omega_hat at mode k scaled by
     1 + 1e-6."""
-    omega = fock._omega(basis, weights)
+    omega = fock._on_modes(basis, weights.lattice, weights.omega)
     omega[k] *= 1 + 1e-6
     R_diag = fock._r_eff_rest(basis, weights)[1]
     terms = (fock._potential_terms(basis, step(2.0, 1.0), params)

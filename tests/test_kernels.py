@@ -81,16 +81,26 @@ def test_eta_zero_mode_quadrature_oracle(kernel_setup):
     for n1, n2 in ((1, 0), (2, 1), (8, 0)):
         p_norm = TWO_PI * math.hypot(n1, n2)
         want = oracle(p_norm)
-        assert table.eta_at(n1, n2) == pytest.approx(want, rel=1e-8)
+        assert table.eta[lat.index_of(n1, n2)] == pytest.approx(want,
+                                                               rel=1e-8)
         assert float(eta_profile(sol, params, p_norm)) == pytest.approx(
             want, rel=1e-8)
+
+
+def test_eta_table_refuses_a_profile_of_another_radius(step_zero):
+    # one part in 1e12 off the run's R already changes lambda R^2
+    params = GPParameters(3, 2.5)
+    sol = neumann_ground_state(step_zero, params.R * (1 + 1e-12))
+    assert sol.R != params.R
+    with pytest.raises(ConsistencyError, match="radius"):
+        eta_coefficients(sol, params, build_lattice(TWO_PI * 2))
 
 
 def test_eta_sign_and_decay(kernel_setup):
     params, sol, lat, table, _ = kernel_setup
     # eta is negative at small momentum and decays at large momentum
     assert table.eta0 < 0
-    lo = abs(table.eta_at(1, 0))
+    lo = abs(table.eta[lat.index_of(1, 0)])
     hi = abs(float(eta_profile(sol, params, TWO_PI * 50)))
     assert hi < lo
 
@@ -99,8 +109,9 @@ def test_eta_symmetry_is_exact(kernel_setup):
     _, _, lat, table, _ = kernel_setup
     neg = np.array([lat.index_of(-a, -b) for a, b in lat.ints.tolist()])
     np.testing.assert_array_equal(table.eta, table.eta[neg])
-    assert table.eta_at(2, 1) == table.eta_at(-2, -1)
-    assert table.eta_at(2, 1) == table.eta_at(1, 2)
+    i = lat.index_of(2, 1)
+    assert table.eta[i] == table.eta[lat.index_of(-2, -1)]
+    assert table.eta[i] == table.eta[lat.index_of(1, 2)]
 
 
 def test_parseval_norm_saturates(step_zero):
@@ -146,7 +157,10 @@ def test_renormalized_potential_values(kernel_setup):
     p = TWO_PI * 3
     want = renorm.g_N * chi_hat(p * params.N ** -params.alpha)
     assert renorm.omega[i] == pytest.approx(want, rel=1e-12)
-    assert renorm.omega_at(p) == pytest.approx(want, rel=1e-12)
+    # every mode of that |p| reads the same entry
+    for n1, n2 in ((0, 3), (-3, 0), (0, -3)):
+        assert renorm.omega[lat.index_of(n1, n2)] == pytest.approx(
+            want, rel=1e-12)
 
 
 def test_omega_zero_mode_near_coupling_asymptote(step_zero):

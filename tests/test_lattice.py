@@ -40,6 +40,23 @@ def test_norms_match_points():
     np.testing.assert_allclose(lat.norms2, want, rtol=1e-14)
 
 
+@pytest.mark.parametrize("mult", [1, 3, 16])
+def test_radial_structure(mult):
+    lat = build_lattice(TWO_PI * mult)
+    assert np.array_equal(lat.norms, np.sqrt(lat.norms2))
+    rounded = np.round(lat.norms, 12)
+    assert np.all(np.diff(lat.distinct_norms) > 0)
+    assert np.array_equal(lat.distinct_norms[lat.inverse], rounded)
+    # first holds the lowest index of each distinct |p|
+    assert np.array_equal(rounded[lat.first], lat.distinct_norms)
+    for k, i in enumerate(lat.first):
+        assert np.flatnonzero(lat.inverse == k)[0] == i
+    # modes of one |n|^2 share |p| bit for bit, and no two |n|^2 share it
+    n2 = lat.ints[:, 0] ** 2 + lat.ints[:, 1] ** 2
+    assert np.array_equal(lat.norms, lat.norms[lat.first][lat.inverse])
+    assert len(lat.first) == len(np.unique(n2))
+
+
 def test_negation_is_involution():
     lat = build_lattice(TWO_PI * 3)
     neg = np.array([lat.index_of(-a, -b) for a, b in lat.ints.tolist()])

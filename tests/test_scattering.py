@@ -209,6 +209,35 @@ def test_asymptotics_report_finite(step_zero, step_a):
     assert rep.L == pytest.approx(math.log(1.0e3 / step_a), rel=1e-12)
 
 
+# e^3 3^-2.5 = 1.29 is R at N = 3 and fock_alpha = 2.5, the smallest disk
+# a default run reads
+@pytest.mark.parametrize("R", [math.exp(3) * 3 ** -2.5, 50.0, 3.9e3, 1.0e6])
+def test_e3_e4_are_read_on_the_exported_nodes(step_zero, R):
+    sol = neumann_ground_state(step_zero, R)
+    assert "f_prime_nodes" not in vars(sol)    # the solve does not read f'
+    rep = validate_neumann_asymptotics(sol)
+    assert not sol.f_prime_nodes.flags.writeable
+    rows = solution_csv(sol).strip().splitlines()[1:]
+    r, _, w, fp = np.loadtxt(rows, delimiter=",").T
+    a, L = sol.a, np.log(R / sol.a)
+    assert rep.L == L
+    out = r >= sol.pot.r0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(w[out]) * np.log(a / R) / np.log(r[out] / R)
+    assert rep.e3 == np.max(ratio[np.isfinite(ratio)])
+    assert rep.e4 == np.max(np.abs(fp) * (r + 1.0) * L)
+    for val in (rep.e3, rep.e4):
+        assert math.isfinite(val) and val > 0
+
+
+def test_e3_is_zero_without_a_node_inside_the_annulus(step_zero):
+    # a disk barely wider than the potential exports no node in [r0, R)
+    sol = neumann_ground_state(step_zero, 1.001)
+    assert np.count_nonzero(sol.nodes >= sol.pot.r0) == 1
+    rep = validate_neumann_asymptotics(sol)
+    assert rep.e3 == 0.0 and rep.all_finite
+
+
 def test_export_solution_csv(neumann_r50):
     rows = solution_csv(neumann_r50).strip().splitlines()
     assert rows[0].startswith("r,")
